@@ -10,13 +10,11 @@ __version__ = "0.1.0"
 
 from .amplitude import (
     AmplitudeOutcome,
-    AmplitudeProblem,
     ScanRow,
     Trajectory,
     classify,
     closed_form,
     integrate,
-    problem_from_coefficients,
     singular_limit_scan,
 )
 from .characteristics import (
@@ -53,7 +51,9 @@ from .config import (
 )
 from .materials import (
     FluidParams,
+    IdealGas,
     MaterialModel,
+    Maxwell,
     MooneyRivlin,
     Newtonian,
     PotentialDerivs,
@@ -66,7 +66,6 @@ from .materials import (
     elastic_derivs,
     mooney_rivlin_tangent_modulus,
     mooney_rivlin_uniaxial_stress,
-    omega_prime,
     production,
     production_jacobian,
     viscous_omega,

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import WaveCoefficients
-
 __all__ = [
-    "AmplitudeProblem",
     "AmplitudeOutcome",
     "Trajectory",
     "ScanRow",
@@ -23,20 +20,10 @@ __all__ = [
     "closed_form",
     "integrate",
     "singular_limit_scan",
-    "problem_from_coefficients",
 ]
 
 BLOWUP_FACTOR = 1e12          # |pi| > BLOWUP_FACTOR*max(1, |pi0|) declares blow-up
 GROWTH_LIMIT = 10.0           # halve the step when |pi| grows by more than this
-
-
-@dataclass(frozen=True)
-class AmplitudeProblem:
-    """Coefficients and initial jump; b = math.inf marks the singular limit."""
-
-    a: float     # quadratic coefficient [s/m]
-    b: float     # linear damping [1/s], >= 0 (math.inf allowed)
-    pi0: float   # initial acceleration jump [m/s^2]
 
 
 @dataclass(frozen=True)
@@ -53,10 +40,6 @@ class AmplitudeOutcome:
     t_c: float | None          # present iff global_existence is False
     pi_cr: float               # blow-up threshold (0.0 when b = 0, inf when b = inf)
     trajectory: Trajectory | None = None
-
-
-def problem_from_coefficients(wc: WaveCoefficients, pi0: float) -> AmplitudeProblem:
-    return AmplitudeProblem(a=wc.a, b=wc.b, pi0=pi0)
 
 
 def _check_ab(a: float, b: float) -> None:

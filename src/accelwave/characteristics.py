@@ -19,8 +19,6 @@ from .materials import (
     MaterialModel,
     SingularProductionSlope,
     elastic_derivs,
-    omega_prime,
-    production,
     production_jacobian,
     viscous_omega,
 )
@@ -67,9 +65,6 @@ class StateVector:
         if not self.F > 0.0:
             raise ValueError(f"deformation gradient F must be > 0, got {self.F}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.F, self.sigma])
-
 
 def equilibrium_state() -> StateVector:
     return StateVector(v=0.0, F=1.0, sigma=0.0)
@@ -99,7 +94,7 @@ def quasilinear_matrix(model: MaterialModel, state: StateVector) -> np.ndarray:
     """Coefficient matrix A(u) of u_t + A u_X = f in the (v, F, sigma) field."""
     w2 = elastic_derivs(model, state.F).W2
     rho = model.rho_star
-    om = viscous_omega(model, state.sigma)
+    om = viscous_omega(model)
     return np.array([
         [0.0, -w2 / rho, -1.0 / rho],
         [-1.0, 0.0, 0.0],
@@ -107,9 +102,9 @@ def quasilinear_matrix(model: MaterialModel, state: StateVector) -> np.ndarray:
     ])
 
 
-def _lambda(model: MaterialModel, F: float, sigma: float) -> float:
+def _lambda(model: MaterialModel, F: float) -> float:
     w2 = elastic_derivs(model, F).W2
-    om = viscous_omega(model, sigma)
+    om = viscous_omega(model)
     disc = om * w2 + 1.0
     if disc <= 0.0:
         raise HyperbolicityError(
@@ -121,8 +116,8 @@ def eigensystem(model: MaterialModel, state: StateVector) -> Eigensystem:
     """Closed-form eigenstructure of A(u) at the given state."""
     w2 = elastic_derivs(model, state.F).W2
     rho = model.rho_star
-    om = viscous_omega(model, state.sigma)
-    lam = _lambda(model, state.F, state.sigma)
+    om = viscous_omega(model)
+    lam = _lambda(model, state.F)
     d_plus = np.array([-1.0 / lam, 1.0 / lam ** 2, 1.0 / (lam ** 2 * om)])
     l_plus = 0.5 * np.array([-lam, w2 / rho, 1.0 / rho])
     d_minus = np.array([1.0 / lam, 1.0 / lam ** 2, 1.0 / (lam ** 2 * om)])
@@ -138,15 +133,13 @@ def eigensystem(model: MaterialModel, state: StateVector) -> Eigensystem:
 def grad_lambda(model: MaterialModel, state: StateVector) -> np.ndarray:
     """Gradient of the fast speed in (v, F, sigma).
 
-    The sigma component carries -omega'/omega^2, which vanishes for the
-    quadratic viscous energy.
+    The sigma component vanishes: omega is constant for the quadratic
+    viscous energy.
     """
-    lam = _lambda(model, state.F, state.sigma)
+    lam = _lambda(model, state.F)
     rho = model.rho_star
     w3 = elastic_derivs(model, state.F).W3
-    om = viscous_omega(model, state.sigma)
-    omp = omega_prime(model, state.sigma)
-    return (1.0 / (2.0 * lam * rho)) * np.array([0.0, w3, -omp / om ** 2])
+    return (1.0 / (2.0 * lam * rho)) * np.array([0.0, w3, 0.0])
 
 
 def source_jacobian(model: MaterialModel, state: StateVector) -> np.ndarray:
@@ -155,12 +148,10 @@ def source_jacobian(model: MaterialModel, state: StateVector) -> np.ndarray:
     if isinstance(jac.P_sigma, SingularProductionSlope):
         raise ValueError("source_jacobian needs a finite P_sigma; the "
                          "unregularized law is singular at sigma=0")
-    om = viscous_omega(model, state.sigma)
-    omp = omega_prime(model, state.sigma)
-    P = production(model, state.F, state.sigma)
+    om = viscous_omega(model)
     grad_f = np.zeros((3, 3))
     grad_f[2, 1] = jac.P_F / om
-    grad_f[2, 2] = (jac.P_sigma * om - P * omp) / om ** 2
+    grad_f[2, 2] = jac.P_sigma * om / om ** 2   # quotient rule with omega' = 0
     return grad_f
 
 
@@ -210,13 +201,13 @@ def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
     eq = equilibrium_state()
     derivs = elastic_derivs(model, eq.F)
     rho = model.rho_star
-    om = viscous_omega(model, eq.sigma)
-    omp = omega_prime(model, eq.sigma)
-    lam0 = _lambda(model, eq.F, eq.sigma)
+    om = viscous_omega(model)
+    lam0 = _lambda(model, eq.F)
     # lam0^2 written without squaring the square root keeps b exact for
     # closed-form-friendly constants
     lam0_sq = (om * derivs.W2 + 1.0) / (rho * om)
-    a = (om ** 3 * derivs.W3 - omp) / (2.0 * lam0 * lam0_sq * rho * om ** 3)
+    # the om**3 factors of the general form (omega' = 0 here) fix the rounding
+    a = om ** 3 * derivs.W3 / (2.0 * lam0 * lam0_sq * rho * om ** 3)
     if a == 0.0:
         raise DegenerateWaveError(
             "fast field is linearly degenerate (W'''(1) = 0 with constant "
@@ -275,7 +266,7 @@ def k_condition(model: MaterialModel) -> KConditionReport:
     eq = equilibrium_state()
     eig = eigensystem(model, eq)
     jac = production_jacobian(model, eq.F, eq.sigma)
-    om = viscous_omega(model, eq.sigma)
+    om = viscous_omega(model)
 
     def coupled(d: np.ndarray) -> bool:
         if isinstance(jac.P_sigma, SingularProductionSlope):

@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -44,8 +43,6 @@ from .materials import (
     Newtonian,
     PowerLaw,
     RegularizedPowerLaw,
-    SolidParams,
-    elastic_derivs,
 )
 from .wavefront import SimulationError, simulate
 
@@ -128,10 +125,14 @@ def write_table(stream, header: list[str], rows: list[list], footer: dict | None
         stream.write("# " + json_dumps(footer, indent=None) + "\n")
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """stdout, or the file at path (closed on exit)."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,7 @@ def cmd_analyze(args) -> int:
     cfg = load_scenario(args.config)
     pi0 = args.pi0 if args.pi0 is not None else cfg.pi0
     report = analysis_report(cfg, pi0)
-    stream, close = _open_out(args.out or cfg.out)
-    try:
+    with _output(args.out or cfg.out) as stream:
         if args.format == "csv":
             keys = ["lambda0", "a", "b", "pi_cr", "case"]
             row = [report[k] for k in keys]
@@ -197,9 +197,6 @@ def cmd_analyze(args) -> int:
             write_table(stream, keys, [row], {"input": report["input"]}, "csv")
         else:
             stream.write(json_dumps(report) + "\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -213,14 +210,13 @@ def cmd_amplitude(args) -> int:
         raise DegenerateWaveError(
             "amplitude trajectory is not defined in the singular limit; "
             "sweep the regularization parameter instead")
+    outcome = classify(wc.a, wc.b, pi0)
     t_end = args.t_end
     if t_end is None:
-        outcome = classify(wc.a, wc.b, pi0)
         t_end = (0.99 * outcome.t_c if not outcome.global_existence
                  else (5.0 / wc.b if wc.b > 0.0 else 1.0))
     dt = args.dt if args.dt is not None else t_end / 1000.0
     traj = integrate(wc.a, wc.b, pi0, t_end, dt)
-    outcome = classify(wc.a, wc.b, pi0)
     rows = []
     for t, p in zip(traj.t, traj.pi):
         if outcome.t_c is not None and t >= outcome.t_c:
@@ -232,13 +228,9 @@ def cmd_amplitude(args) -> int:
               "global_existence": outcome.global_existence, "t_c": outcome.t_c,
               "blew_up": traj.blew_up, "t_blowup": traj.t_blowup,
               "units": {"t": "s", "pi": "m/s^2"}}
-    stream, close = _open_out(args.out or cfg.out)
-    try:
+    with _output(args.out or cfg.out) as stream:
         write_table(stream, ["t", "pi_closed_form", "pi_rk4"], rows, footer,
                     args.format)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -259,15 +251,11 @@ def cmd_simulate(args) -> int:
               "n_cells": sim.n_cells, "dx": sim.grid().dx, "cfl": sim.cfl,
               "pi0": sim.pi0}
     out = args.out or cfg.out
-    stream, close = _open_out(out)
-    try:
+    with _output(out) as stream:
         write_table(stream,
                     ["t", "measured_pi", "predicted_pi", "front_x", "energy",
                      "max_sigma_production"],
                     rows, footer, args.format)
-    finally:
-        if close:
-            stream.close()
     if out is not None:
         snap = result.final
         snap_path = out + ".snapshot.csv"
@@ -279,60 +267,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("ACCELWAVE_THREADS", "")
-    try:
-        cap = int(raw) if raw else 4
-    except ValueError:
-        raise ConfigError(f"ACCELWAVE_THREADS must be an integer, got {raw!r}")
-    return max(1, cap)
-
-
 def cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
     if cfg.sweep is None:
         raise ConfigError("sweep needs a 'sweep' block in the config")
     sw = cfg.sweep
-    if sw.count < 1:
-        raise ConfigError("sweep count must be >= 1")
     if sw.scale == "log":
         values = np.geomspace(sw.min, sw.max, sw.count)
     else:
         values = np.linspace(sw.min, sw.max, sw.count)
     material_dict = material_to_dict(cfg.material)
 
-    def evaluate(value: float):
+    rows = []
+    for value in values:
         model = apply_sweep_value(material_dict, sw.param, float(value))
         wc = coefficients_ab(model)
         kc = k_condition(model)
-        return [float(value), wc.lambda0, wc.a, wc.b, wc.pi_cr,
-                _case_name(wc), kc.weak_K, kc.full_K]
-
-    workers = min(len(values), _threads_cap())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, values))
-    else:
-        rows = [evaluate(v) for v in values]
+        rows.append([float(value), wc.lambda0, wc.a, wc.b, wc.pi_cr,
+                     _case_name(wc), kc.weak_K, kc.full_K])
 
     if sw.param.endswith(".eps") and len(rows) > 1:
         # singular-limit structure: pi_cr must fall and 1/b rise with eps
-        pi_crs = [r[4] for r in rows]
-        order = np.argsort(values)
-        sorted_pi = [pi_crs[i] for i in order]
+        sorted_pi = [rows[i][4] for i in np.argsort(values)]
         if any(sorted_pi[i + 1] >= sorted_pi[i] for i in range(len(sorted_pi) - 1)):
             raise SimulationError("eps sweep violated pi_cr monotonicity")
     footer = {"param": sw.param, "scale": sw.scale,
               "input": material_dict}
-    stream, close = _open_out(args.out or cfg.out)
-    try:
+    with _output(args.out or cfg.out) as stream:
         write_table(stream,
                     [sw.param, "lambda0", "a", "b", "pi_cr", "case",
                      "weak_K", "full_K"],
                     rows, footer, args.format)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -384,16 +349,15 @@ def cmd_paper_tables(args) -> int:
     lines.append(f"  coupling condition: full_K={kc.full_K} weak_K={kc.weak_K}")
     lines.append("")
 
-    d = elastic_derivs(SolidParams(rho_star=929.0, E2=3.0e6, tau0=0.1,
-                                   elastic=_PENN_MR), 1.0)
+    w2, w3 = _PENN_MR.W2(1.0), _PENN_MR.W3(1.0)
     lines.append("Mooney-Rivlin potential derivatives at F=1 (Penn rubber constants)")
     lines.append("  C1=0.092 MPa, C2=0.237 MPa, k_bulk=2000.20 MPa, nu_bar=0.4998")
-    for name, value in (("W2", float(d.W2)), ("W3", float(d.W3))):
+    for name, value in (("W2", w2), ("W3", w3)):
         ref, rtol = _MR_REFS[name]
         line, ok = _check_line(name, value, ref, rtol, "Pa")
         lines.append(line)
         all_ok &= ok
-    lines.append(f"  implied cubic coefficient R = {-float(d.W3) / (2.0 * float(d.W2)):.4f}")
+    lines.append(f"  implied cubic coefficient R = {-w3 / (2.0 * w2):.4f}")
     lines.append("")
 
     lines.append("Fluid case classification (rho*=1, R_gas=1, tau0=1, mu0=1)")
@@ -415,12 +379,8 @@ def cmd_paper_tables(args) -> int:
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
 
     text = "\n".join(lines) + "\n"
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 

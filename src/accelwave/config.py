@@ -5,8 +5,10 @@ typos surface as config errors instead of silently-ignored settings.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -47,8 +49,9 @@ def _number(block: dict, key: str, where: str, *, optional: bool = False):
             return None
         raise ConfigError(f"missing required key '{key}' in {where}")
     val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"'{key}' in {where} must be a number, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not math.isfinite(val):
+        raise ConfigError(f"'{key}' in {where} must be a finite number, got {val!r}")
     return float(val)
 
 
@@ -58,109 +61,71 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(extra)} in {where}")
 
 
+# The law classes each slot of a material dict accepts, by their 'kind'.  A
+# slot named like a field of an enclosing law holds that nested part.
+_LAWS = {
+    "material": {cls.kind: cls for cls in (SolidParams, FluidParams)},
+    "elastic": {cls.kind: cls for cls in (QuadraticCubic, MooneyRivlin)},
+    "production": {cls.kind: cls for cls in (Newtonian, PowerLaw, RegularizedPowerLaw)},
+}
+
+
+def _law_from_dict(slot: str, d, where: str):
+    """Build the law that d['kind'] names among those the slot accepts.
+
+    A material keeps its fields in a block named after its kind; elastic and
+    production parts are flat.  Absent fields that have defaults keep them.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    laws = _LAWS[slot]
+    kind = d.get("kind")
+    if kind not in laws:
+        raise ConfigError(f"unknown {slot} kind {kind!r} (expected "
+                          + " or ".join(map(repr, laws)) + ")")
+    cls = laws[kind]
+    names = {f.name for f in fields(cls)}
+    if slot == "material":
+        _check_keys(d, {"kind", kind}, where)
+        d, where = d.get(kind), f"'{kind}'"
+        if not isinstance(d, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+    else:
+        names.add("kind")
+    _check_keys(d, names, where)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in d and (f.default is not MISSING
+                                or f.default_factory is not MISSING):
+            continue
+        if f.name in _LAWS:
+            kwargs[f.name] = _law_from_dict(f.name, d.get(f.name), f"'{f.name}'")
+        else:
+            kwargs[f.name] = _number(d, f.name, where)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"non-physical {kind} constants: {exc}") from exc
+
+
+def _fields_dict(law, names) -> dict:
+    """{name: value} over the named fields; nested parts in their flat form."""
+    return {name: _part_dict(getattr(law, name)) if name in _LAWS else getattr(law, name)
+            for name in names}
+
+
+def _part_dict(part) -> dict:
+    return {"kind": part.kind, **_fields_dict(part, [f.name for f in fields(part)])}
+
+
 def material_from_dict(d: dict) -> MaterialModel:
     """Build a material model from its JSON dictionary form."""
-    if not isinstance(d, dict):
-        raise ConfigError("material config must be a JSON object")
-    kind = d.get("kind")
-    if kind == "solid":
-        _check_keys(d, {"kind", "solid"}, "material config")
-        block = d.get("solid")
-        if not isinstance(block, dict):
-            raise ConfigError("solid material needs a 'solid' object")
-        _check_keys(block, {"rho_star", "E1", "E2", "tau0", "nu_bar", "elastic"},
-                    "'solid'")
-        el = block.get("elastic")
-        if not isinstance(el, dict):
-            raise ConfigError("'solid' needs an 'elastic' object")
-        ekind = el.get("kind")
-        if ekind == "quadratic_cubic":
-            _check_keys(el, {"kind", "R"}, "'elastic'")
-            elastic = QuadraticCubic(R=_number(el, "R", "'elastic'"))
-        elif ekind == "mooney_rivlin":
-            _check_keys(el, {"kind", "C1", "C2", "k_bulk", "nu_bar"}, "'elastic'")
-            elastic = MooneyRivlin(
-                C1=_number(el, "C1", "'elastic'"),
-                C2=_number(el, "C2", "'elastic'"),
-                k_bulk=_number(el, "k_bulk", "'elastic'"),
-                nu_bar=_number(el, "nu_bar", "'elastic'"),
-            )
-        else:
-            raise ConfigError(f"unknown elastic kind {ekind!r} "
-                              "(expected 'quadratic_cubic' or 'mooney_rivlin')")
-        try:
-            return SolidParams(
-                rho_star=_number(block, "rho_star", "'solid'"),
-                E2=_number(block, "E2", "'solid'"),
-                tau0=_number(block, "tau0", "'solid'"),
-                elastic=elastic,
-                E1=_number(block, "E1", "'solid'", optional=True),
-                nu_bar=_number(block, "nu_bar", "'solid'", optional=True),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"non-physical solid constants: {exc}") from exc
-    if kind == "fluid":
-        _check_keys(d, {"kind", "fluid"}, "material config")
-        block = d.get("fluid")
-        if not isinstance(block, dict):
-            raise ConfigError("fluid material needs a 'fluid' object")
-        _check_keys(block, {"rho_star", "R_gas", "tau0", "mu0", "production"},
-                    "'fluid'")
-        pr = block.get("production", {"kind": "newtonian"})
-        if not isinstance(pr, dict):
-            raise ConfigError("'production' must be an object")
-        pkind = pr.get("kind")
-        if pkind == "newtonian":
-            _check_keys(pr, {"kind"}, "'production'")
-            prod = Newtonian()
-        elif pkind == "power_law":
-            _check_keys(pr, {"kind", "k_cons", "m"}, "'production'")
-            prod = PowerLaw(k_cons=_number(pr, "k_cons", "'production'"),
-                            m=_number(pr, "m", "'production'"))
-        elif pkind == "regularized":
-            _check_keys(pr, {"kind", "k_cons", "m", "eps"}, "'production'")
-            prod = RegularizedPowerLaw(k_cons=_number(pr, "k_cons", "'production'"),
-                                       m=_number(pr, "m", "'production'"),
-                                       eps=_number(pr, "eps", "'production'"))
-        else:
-            raise ConfigError(f"unknown production kind {pkind!r} (expected "
-                              "'newtonian', 'power_law' or 'regularized')")
-        try:
-            return FluidParams(
-                rho_star=_number(block, "rho_star", "'fluid'"),
-                R_gas=_number(block, "R_gas", "'fluid'"),
-                tau0=_number(block, "tau0", "'fluid'"),
-                mu0=_number(block, "mu0", "'fluid'"),
-                production=prod,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"non-physical fluid constants: {exc}") from exc
-    raise ConfigError(f"material 'kind' must be 'solid' or 'fluid', got {kind!r}")
+    return _law_from_dict("material", d, "material config")
 
 
 def material_to_dict(m: MaterialModel) -> dict:
     """Canonical JSON dictionary form of a material (round-trips exactly)."""
-    if isinstance(m, SolidParams):
-        if isinstance(m.elastic, QuadraticCubic):
-            el = {"kind": "quadratic_cubic", "R": m.elastic.R}
-            solid = {"rho_star": m.rho_star, "E1": m.E1, "E2": m.E2,
-                     "tau0": m.tau0, "nu_bar": m.nu_bar, "elastic": el}
-        else:
-            el = {"kind": "mooney_rivlin", "C1": m.elastic.C1, "C2": m.elastic.C2,
-                  "k_bulk": m.elastic.k_bulk, "nu_bar": m.elastic.nu_bar}
-            solid = {"rho_star": m.rho_star, "E2": m.E2, "tau0": m.tau0,
-                     "nu_bar": m.nu_bar, "elastic": el}
-        return {"kind": "solid", "solid": solid}
-    pr = m.production
-    if isinstance(pr, Newtonian):
-        prod = {"kind": "newtonian"}
-    elif isinstance(pr, PowerLaw):
-        prod = {"kind": "power_law", "k_cons": pr.k_cons, "m": pr.m}
-    else:
-        prod = {"kind": "regularized", "k_cons": pr.k_cons, "m": pr.m, "eps": pr.eps}
-    return {"kind": "fluid",
-            "fluid": {"rho_star": m.rho_star, "R_gas": m.R_gas, "tau0": m.tau0,
-                      "mu0": m.mu0, "production": prod}}
+    return {"kind": m.kind, m.kind: _fields_dict(m, m.dict_keys)}
 
 
 @dataclass(frozen=True)
@@ -203,28 +168,18 @@ class ScenarioConfig:
 
 
 def _sim_from_dict(d: dict) -> SimConfig:
-    _check_keys(d, {"x_min", "x_max", "n_cells", "cfl", "x_front", "pi0",
-                    "ramp_width", "t_end", "output_every"}, "'sim'")
+    names = [f.name for f in fields(SimConfig)]
+    _check_keys(d, set(names), "'sim'")
     n_cells = d.get("n_cells")
     if not isinstance(n_cells, int) or isinstance(n_cells, bool):
         raise ConfigError("'n_cells' in 'sim' must be an integer")
-    x_min = _number(d, "x_min", "'sim'")
-    x_max = _number(d, "x_max", "'sim'")
-    ramp = _number(d, "ramp_width", "'sim'", optional=True)
-    if ramp is None:
-        ramp = 0.1 * (x_max - x_min)
+    optional = ("ramp_width", "output_every")
+    kwargs = {name: _number(d, name, "'sim'", optional=name in optional)
+              for name in names if name != "n_cells"}
+    if kwargs["ramp_width"] is None:
+        kwargs["ramp_width"] = 0.1 * (kwargs["x_max"] - kwargs["x_min"])
     try:
-        cfg = SimConfig(
-            x_min=x_min,
-            x_max=x_max,
-            n_cells=n_cells,
-            cfl=_number(d, "cfl", "'sim'"),
-            x_front=_number(d, "x_front", "'sim'"),
-            pi0=_number(d, "pi0", "'sim'"),
-            ramp_width=ramp,
-            t_end=_number(d, "t_end", "'sim'"),
-            output_every=_number(d, "output_every", "'sim'", optional=True),
-        )
+        cfg = SimConfig(n_cells=n_cells, **kwargs)
         cfg.grid()
         cfg.kink()
     except ValueError as exc:
@@ -268,7 +223,7 @@ def _resolve_param(material_dict: dict, dotted: str) -> tuple[dict, str]:
 
 def apply_sweep_value(material_dict: dict, dotted: str, value: float) -> MaterialModel:
     """Material with the dotted parameter replaced by the given value."""
-    patched = json.loads(json.dumps(material_dict))
+    patched = copy.deepcopy(material_dict)
     node, leaf = _resolve_param(patched, dotted)
     node[leaf] = value
     return material_from_dict(patched)
@@ -293,17 +248,9 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     d = material_to_dict(cfg.material)
     if cfg.sim is not None:
-        sim = {"x_min": cfg.sim.x_min, "x_max": cfg.sim.x_max,
-               "n_cells": cfg.sim.n_cells, "cfl": cfg.sim.cfl,
-               "x_front": cfg.sim.x_front, "pi0": cfg.sim.pi0,
-               "ramp_width": cfg.sim.ramp_width, "t_end": cfg.sim.t_end}
-        if cfg.sim.output_every is not None:
-            sim["output_every"] = cfg.sim.output_every
-        d["sim"] = sim
+        d["sim"] = {k: v for k, v in asdict(cfg.sim).items() if v is not None}
     if cfg.sweep is not None:
-        d["sweep"] = {"param": cfg.sweep.param, "min": cfg.sweep.min,
-                      "max": cfg.sweep.max, "count": cfg.sweep.count,
-                      "scale": cfg.sweep.scale}
+        d["sweep"] = asdict(cfg.sweep)
     if cfg.pi0 is not None:
         d["pi0"] = cfg.pi0
     if cfg.out is not None:

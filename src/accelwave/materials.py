@@ -7,22 +7,28 @@ with quadratic viscous energy.  Isothermal fluids carry the ideal-gas pressure
 and a production term that is Newtonian, power-law, or an eps-regularized
 power law.
 
-All operations are pure functions of their arguments and accept either scalar
-or ndarray stretch/stress inputs where that makes sense (the simulator relies
-on the vectorized paths).
+Each law is a frozen dataclass that owns its math and its config ``kind``.
+A material is an elastic part (W, T = W', W'' and W''') plus a production
+part (P, dP and relax(F, sigma, h), the exact or implicit step of
+omega*sigma_t = P at frozen F); the parts take the material last for its
+constants.  The module-level functions check the stretch and delegate to the
+parts, which accept scalar or ndarray stretch/stress inputs (the simulator
+relies on the vectorized paths).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 __all__ = [
     "QuadraticCubic",
     "MooneyRivlin",
+    "IdealGas",
+    "Maxwell",
     "SolidParams",
     "Newtonian",
     "PowerLaw",
@@ -36,7 +42,6 @@ __all__ = [
     "mooney_rivlin_uniaxial_stress",
     "mooney_rivlin_tangent_modulus",
     "viscous_omega",
-    "omega_prime",
     "production",
     "production_jacobian",
     "zener_relaxation_response",
@@ -48,157 +53,10 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-# ---------------------------------------------------------------------------
-# Parameter containers
-# ---------------------------------------------------------------------------
+def _require_stretch(F) -> None:
+    if not np.all(np.asarray(F) > 0.0):
+        raise ValueError("stretch F must be > 0")
 
-@dataclass(frozen=True)
-class QuadraticCubic:
-    """Cubic elastic potential W(F) = E1/2 (F-1)^2 - E1*R/3 (F-1)^3.
-
-    R >= 0 is the dimensionless cubic coefficient; the long-term modulus E1
-    lives on :class:`SolidParams`.
-    """
-
-    R: float
-
-    def __post_init__(self):
-        _require(self.R >= 0.0, f"cubic coefficient R must be >= 0, got {self.R}")
-
-
-@dataclass(frozen=True)
-class MooneyRivlin:
-    """Compressible Mooney-Rivlin strain energy with a bulk penalty.
-
-    W = C1*(I1bar - 3) + C2*(I2bar - 3) + k_bulk/2*(J - 1)^2 in the unimodular
-    invariants, reduced to a one-dimensional stress-stretch law along the
-    uniaxial path with lateral contraction F_perp = F**(-nu_bar).
-    """
-
-    C1: float       # first deviatoric constant [Pa]
-    C2: float       # second deviatoric constant [Pa]
-    k_bulk: float   # bulk penalty modulus [Pa]
-    nu_bar: float   # Poisson ratio, in (0, 0.5]
-
-    def __post_init__(self):
-        _require(self.C1 >= 0.0 and self.C2 >= 0.0,
-                 "C1 and C2 must be non-negative")
-        _require(self.C1 + self.C2 > 0.0, "C1 + C2 must be positive")
-        _require(self.k_bulk > 0.0, f"k_bulk must be > 0, got {self.k_bulk}")
-        _require(0.0 < self.nu_bar <= 0.5,
-                 f"nu_bar must lie in (0, 0.5], got {self.nu_bar}")
-
-
-@dataclass(frozen=True)
-class SolidParams:
-    """Viscoelastic solid: elastic potential + Maxwell branch (E2, tau0).
-
-    The relaxation viscosity is mu(F) = mu0 / F**(1 + 2*nu_bar) with
-    mu0 = E2*tau0.  For the Mooney-Rivlin variant E1 is derived from the
-    potential (it equals the uniaxial tangent modulus at F=1) and may be
-    omitted; for QuadraticCubic it is required.
-    """
-
-    rho_star: float                               # reference density [kg/m^3]
-    E2: float                                     # short-term modulus [Pa]
-    tau0: float                                   # relaxation time [s]
-    elastic: QuadraticCubic | MooneyRivlin
-    E1: float | None = None                       # long-term modulus [Pa]
-    nu_bar: float | None = None                   # exponent in mu(F)
-
-    def __post_init__(self):
-        _require(self.rho_star > 0.0, "rho_star must be > 0")
-        _require(self.E2 > 0.0, "E2 must be > 0")
-        _require(self.tau0 > 0.0, "tau0 must be > 0")
-        if isinstance(self.elastic, QuadraticCubic):
-            _require(self.E1 is not None and self.E1 > 0.0,
-                     "E1 is required (and > 0) for the quadratic-cubic potential")
-            if self.nu_bar is None:
-                object.__setattr__(self, "nu_bar", 0.5)
-        elif isinstance(self.elastic, MooneyRivlin):
-            derived = mooney_rivlin_tangent_modulus(self.elastic)
-            _require(derived > 0.0, "Mooney-Rivlin constants give a non-positive modulus")
-            if self.E1 is not None:
-                _require(abs(self.E1 - derived) <= 1e-2 * derived,
-                         f"supplied E1={self.E1} disagrees with the derived "
-                         f"tangent modulus {derived:.6g} by more than 1%")
-            object.__setattr__(self, "E1", derived)
-            if self.nu_bar is None:
-                object.__setattr__(self, "nu_bar", self.elastic.nu_bar)
-        else:
-            raise ValueError(f"unknown elastic variant: {self.elastic!r}")
-        _require(0.0 <= self.nu_bar <= 0.5,
-                 f"nu_bar must lie in [0, 0.5], got {self.nu_bar}")
-
-    @property
-    def mu0(self) -> float:
-        """Dashpot viscosity mu0 = E2*tau0 [Pa s]."""
-        return self.E2 * self.tau0
-
-
-@dataclass(frozen=True)
-class Newtonian:
-    """Linear production P = -F*sigma/mu0 (power law with m=1, k=mu0)."""
-
-
-@dataclass(frozen=True)
-class PowerLaw:
-    """Production reproducing the power-law stress/shear-rate relation."""
-
-    k_cons: float   # consistency [Pa s^m]
-    m: float        # flow index: m<1 thinning, m=1 Newtonian, m>1 thickening
-
-    def __post_init__(self):
-        _require(self.k_cons > 0.0, "k_cons must be > 0")
-        _require(self.m > 0.0, "flow index m must be > 0")
-
-
-@dataclass(frozen=True)
-class RegularizedPowerLaw:
-    """Shear-thickening power law with |eps + sigma| regularizing sigma=0."""
-
-    k_cons: float
-    m: float        # > 1
-    eps: float      # regularization stress [Pa]
-
-    def __post_init__(self):
-        _require(self.k_cons > 0.0, "k_cons must be > 0")
-        _require(self.m > 1.0, "regularization only applies for m > 1")
-        _require(self.eps > 0.0, "eps must be > 0")
-
-
-@dataclass(frozen=True)
-class FluidParams:
-    """Isothermal compressible fluid with relaxing viscous stress.
-
-    Pressure p = R_gas*rho_star/F; the viscous energy is quadratic, so
-    omega = tau0/mu0 independent of sigma.
-    """
-
-    rho_star: float   # reference density [kg/m^3]
-    R_gas: float      # isothermal gas constant [m^2/s^2]
-    tau0: float       # relaxation time [s]
-    mu0: float        # viscosity scale fixing omega [Pa s]
-    production: Newtonian | PowerLaw | RegularizedPowerLaw = field(default_factory=Newtonian)
-
-    def __post_init__(self):
-        _require(self.rho_star > 0.0, "rho_star must be > 0")
-        _require(self.R_gas > 0.0, "R_gas must be > 0")
-        _require(self.tau0 > 0.0, "tau0 must be > 0")
-        _require(self.mu0 > 0.0, "mu0 must be > 0")
-
-    @property
-    def mu_tilde(self) -> float:
-        """Dimensionless viscous-compressibility number 1 + mu0/(R_gas*rho_star*tau0)."""
-        return 1.0 + self.mu0 / (self.R_gas * self.rho_star * self.tau0)
-
-
-MaterialModel = Union[SolidParams, FluidParams]
-
-
-# ---------------------------------------------------------------------------
-# Elastic potential and its derivatives
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PotentialDerivs:
@@ -209,111 +67,6 @@ class PotentialDerivs:
     W2: float
     W3: float
 
-
-def _mr_power_terms(p: MooneyRivlin) -> tuple[tuple[float, float], ...]:
-    # Uniaxial first Piola stress T(F) = dW/dF at fixed lateral stretch,
-    # composed with F_perp = F**(-nu_bar); each contribution is a pure power
-    # c * F**e, which makes the higher derivatives exact one-liners.
-    nu = p.nu_bar
-    return (
-        (4.0 * p.C1 / 3.0, (1.0 + 4.0 * nu) / 3.0),
-        (-4.0 * p.C1 / 3.0, -(5.0 + 2.0 * nu) / 3.0),
-        (4.0 * p.C2 / 3.0, (2.0 * nu - 1.0) / 3.0),
-        (-4.0 * p.C2 / 3.0, -(7.0 + 4.0 * nu) / 3.0),
-        (p.k_bulk, 1.0 - 4.0 * nu),
-        (-p.k_bulk, -2.0 * nu),
-    )
-
-
-def mooney_rivlin_uniaxial_stress(params: SolidParams | MooneyRivlin, F):
-    """Uniaxial first Piola stress T(F) of the Mooney-Rivlin solid.
-
-    T(1) = 0: the reference configuration is unstressed.
-    """
-    p = params.elastic if isinstance(params, SolidParams) else params
-    if not isinstance(p, MooneyRivlin):
-        raise ValueError("mooney_rivlin_uniaxial_stress needs a Mooney-Rivlin elastic part")
-    _require_stretch(F)
-    T = 0.0
-    for c, e in _mr_power_terms(p):
-        T = T + c * F ** e
-    return T
-
-
-def mooney_rivlin_tangent_modulus(p: MooneyRivlin) -> float:
-    """T'(1): the uniaxial tangent modulus at the undeformed state [Pa]."""
-    return sum(c * e for c, e in _mr_power_terms(p))
-
-
-def _require_stretch(F) -> None:
-    if not np.all(np.asarray(F) > 0.0):
-        raise ValueError("stretch F must be > 0")
-
-
-def elastic_derivs(model: MaterialModel, F) -> PotentialDerivs:
-    """Potential W and derivatives along the uniaxial path (solid) or from the
-    ideal-gas pressure W'(F) = -R_gas*rho_star/F (fluid).
-
-    Accepts scalar or ndarray F (all entries > 0).
-    """
-    _require_stretch(F)
-    if isinstance(model, FluidParams):
-        c = model.R_gas * model.rho_star
-        return PotentialDerivs(
-            W=-c * np.log(F) + 0.0 * F,
-            W1=-c / F,
-            W2=c / F ** 2,
-            W3=-2.0 * c / F ** 3,
-        )
-    if isinstance(model.elastic, QuadraticCubic):
-        E1, R = model.E1, model.elastic.R
-        e = F - 1.0
-        return PotentialDerivs(
-            W=E1 * e * e * (0.5 - R * e / 3.0),
-            W1=E1 * e * (1.0 - R * e),
-            W2=E1 * (1.0 - 2.0 * R * e),
-            W3=-2.0 * E1 * R + 0.0 * F,
-        )
-    # Mooney-Rivlin: W is the stretch integral of T from 1 to F.
-    W = 0.0 * F
-    W1 = 0.0 * F
-    W2 = 0.0 * F
-    W3 = 0.0 * F
-    for c, e in _mr_power_terms(model.elastic):
-        if e == -1.0:
-            W = W + c * np.log(F)
-        else:
-            # expm1 keeps F**(e+1) - 1 fully accurate; the bulk-penalty pair
-            # nearly cancels and would otherwise lose ~6 digits near nu=1/2
-            W = W + c * np.expm1((e + 1.0) * np.log(F)) / (e + 1.0)
-        W1 = W1 + c * F ** e
-        W2 = W2 + c * e * F ** (e - 1.0)
-        W3 = W3 + c * e * (e - 1.0) * F ** (e - 2.0)
-    return PotentialDerivs(W=W, W1=W1, W2=W2, W3=W3)
-
-
-# ---------------------------------------------------------------------------
-# Viscous energy
-# ---------------------------------------------------------------------------
-
-def viscous_omega(model: MaterialModel, sigma: float = 0.0) -> float:
-    """omega(sigma) of the quadratic viscous energy: 1/E2 (solid), tau0/mu0 (fluid).
-
-    Constant in sigma; the sigma argument is kept for signature symmetry.
-    """
-    if isinstance(model, SolidParams):
-        return 1.0 / model.E2
-    return model.tau0 / model.mu0
-
-
-def omega_prime(model: MaterialModel, sigma: float = 0.0) -> float:
-    """d omega/d sigma, identically zero for the quadratic viscous energy."""
-    return 0.0
-
-
-# ---------------------------------------------------------------------------
-# Production term and its Jacobian
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SingularProductionSlope:
@@ -335,60 +88,231 @@ class ProductionJacobian:
     P_sigma: float | SingularProductionSlope
 
 
+# ---------------------------------------------------------------------------
+# Elastic parts: W, T = W', W'' and W''' of the stretch, given the material
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QuadraticCubic:
+    """Cubic elastic potential W(F) = E1/2 (F-1)^2 - E1*R/3 (F-1)^3.
+
+    R >= 0 is the dimensionless cubic coefficient; the long-term modulus E1
+    lives on :class:`SolidParams`.
+    """
+
+    kind: ClassVar[str] = "quadratic_cubic"
+    derives_E1: ClassVar[bool] = False
+    R: float
+
+    def __post_init__(self):
+        _require(self.R >= 0.0, f"cubic coefficient R must be >= 0, got {self.R}")
+
+    def solid_constants(self, E1, nu_bar) -> tuple[float, float]:
+        """The solid's (E1, nu_bar): E1 is required, nu_bar defaults to 1/2."""
+        _require(E1 is not None and E1 > 0.0,
+                 "E1 is required (and > 0) for the quadratic-cubic potential")
+        return E1, 0.5 if nu_bar is None else nu_bar
+
+    def W(self, F, solid: SolidParams):
+        e = F - 1.0
+        return solid.E1 * e * e * (0.5 - self.R * e / 3.0)
+
+    def T(self, F, solid: SolidParams):
+        e = F - 1.0
+        return solid.E1 * e * (1.0 - self.R * e)
+
+    def W2(self, F, solid: SolidParams):
+        return solid.E1 * (1.0 - 2.0 * self.R * (F - 1.0))
+
+    def W3(self, F, solid: SolidParams):
+        return -2.0 * solid.E1 * self.R + 0.0 * F
+
+
+@dataclass(frozen=True)
+class MooneyRivlin:
+    """Compressible Mooney-Rivlin strain energy with a bulk penalty.
+
+    W = C1*(I1bar - 3) + C2*(I2bar - 3) + k_bulk/2*(J - 1)^2 in the unimodular
+    invariants, reduced to a one-dimensional stress-stretch law along the
+    uniaxial path with lateral contraction F_perp = F**(-nu_bar).  The solid's
+    E1 is derived from these constants.
+    """
+
+    kind: ClassVar[str] = "mooney_rivlin"
+    derives_E1: ClassVar[bool] = True
+    C1: float       # first deviatoric constant [Pa]
+    C2: float       # second deviatoric constant [Pa]
+    k_bulk: float   # bulk penalty modulus [Pa]
+    nu_bar: float   # Poisson ratio, in (0, 0.5]
+
+    def __post_init__(self):
+        _require(self.C1 >= 0.0 and self.C2 >= 0.0,
+                 "C1 and C2 must be non-negative")
+        _require(self.C1 + self.C2 > 0.0, "C1 + C2 must be positive")
+        _require(self.k_bulk > 0.0, f"k_bulk must be > 0, got {self.k_bulk}")
+        _require(0.0 < self.nu_bar <= 0.5,
+                 f"nu_bar must lie in (0, 0.5], got {self.nu_bar}")
+
+    def solid_constants(self, E1, nu_bar) -> tuple[float, float]:
+        """The solid's (E1, nu_bar): E1 is derived (a supplied value must agree
+        within 1%), nu_bar defaults to the Poisson ratio."""
+        derived = mooney_rivlin_tangent_modulus(self)
+        _require(derived > 0.0, "Mooney-Rivlin constants give a non-positive modulus")
+        if E1 is not None:
+            _require(abs(E1 - derived) <= 1e-2 * derived,
+                     f"supplied E1={E1} disagrees with the derived "
+                     f"tangent modulus {derived:.6g} by more than 1%")
+        return derived, self.nu_bar if nu_bar is None else nu_bar
+
+    def power_terms(self) -> tuple[tuple[float, float], ...]:
+        # Uniaxial first Piola stress T(F) = dW/dF at fixed lateral stretch,
+        # composed with F_perp = F**(-nu_bar); each contribution is a pure
+        # power c * F**e, which makes the higher derivatives exact one-liners.
+        nu = self.nu_bar
+        return (
+            (4.0 * self.C1 / 3.0, (1.0 + 4.0 * nu) / 3.0),
+            (-4.0 * self.C1 / 3.0, -(5.0 + 2.0 * nu) / 3.0),
+            (4.0 * self.C2 / 3.0, (2.0 * nu - 1.0) / 3.0),
+            (-4.0 * self.C2 / 3.0, -(7.0 + 4.0 * nu) / 3.0),
+            (self.k_bulk, 1.0 - 4.0 * nu),
+            (-self.k_bulk, -2.0 * nu),
+        )
+
+    def W(self, F, solid: SolidParams | None = None):
+        # W is the stretch integral of T from 1 to F.
+        W = 0.0 * F
+        for c, e in self.power_terms():
+            if e == -1.0:
+                W = W + c * np.log(F)
+            else:
+                # expm1 keeps F**(e+1) - 1 fully accurate; the bulk-penalty pair
+                # nearly cancels and would otherwise lose ~6 digits near nu=1/2
+                W = W + c * np.expm1((e + 1.0) * np.log(F)) / (e + 1.0)
+        return W
+
+    def _stress_derivative(self, F, k: int):
+        """k-th stretch derivative of T = sum of c * F**e."""
+        out = 0.0 * F
+        for c, e in self.power_terms():
+            for j in range(k):
+                c = c * (e - j)
+            out = out + c * F ** (e - k)
+        return out
+
+    def T(self, F, solid: SolidParams | None = None):
+        return self._stress_derivative(F, 0)
+
+    def W2(self, F, solid: SolidParams | None = None):
+        return self._stress_derivative(F, 1)
+
+    def W3(self, F, solid: SolidParams | None = None):
+        return self._stress_derivative(F, 2)
+
+
+def mooney_rivlin_uniaxial_stress(params: SolidParams | MooneyRivlin, F):
+    """Uniaxial first Piola stress T(F) of the Mooney-Rivlin solid.
+
+    T(1) = 0: the reference configuration is unstressed.
+    """
+    p = params.elastic if isinstance(params, SolidParams) else params
+    if not isinstance(p, MooneyRivlin):
+        raise ValueError("mooney_rivlin_uniaxial_stress needs a Mooney-Rivlin elastic part")
+    _require_stretch(F)
+    return p.T(F)
+
+
+def mooney_rivlin_tangent_modulus(p: MooneyRivlin) -> float:
+    """T'(1): the uniaxial tangent modulus at the undeformed state [Pa]."""
+    return sum(c * e for c, e in p.power_terms())
+
+
+@dataclass(frozen=True)
+class IdealGas:
+    """The fluid's elastic part: isothermal pressure p = p_ref/F, W' = -p."""
+
+    def W(self, F, fluid: FluidParams):
+        return -fluid.p_ref * np.log(F) + 0.0 * F
+
+    def T(self, F, fluid: FluidParams):
+        return -fluid.p_ref / F
+
+    def W2(self, F, fluid: FluidParams):
+        return fluid.p_ref / F ** 2
+
+    def W3(self, F, fluid: FluidParams):
+        return -2.0 * fluid.p_ref / F ** 3
+
+
+# ---------------------------------------------------------------------------
+# Production parts: P, dP and relax(F, sigma, h), given the material
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Maxwell:
+    """The solid's Maxwell branch: viscosity mu(F) = mu0 / F**(1 + 2*nu_bar)."""
+
+    def P(self, F, sigma, solid: SolidParams):
+        return -sigma * F ** (1.0 + 2.0 * solid.nu_bar) / solid.mu0
+
+    def dP(self, F, sigma, solid: SolidParams) -> ProductionJacobian:
+        q = 1.0 + 2.0 * solid.nu_bar
+        return ProductionJacobian(
+            P_F=-sigma * q * F ** (q - 1.0) / solid.mu0,
+            P_sigma=-(F ** q) / solid.mu0,
+        )
+
+    def relax(self, F, sigma, h, solid: SolidParams):
+        rate = F ** (1.0 + 2.0 * solid.nu_bar) / solid.tau0
+        return sigma * np.exp(-h * rate)
+
+
 def _power_prefactor(k_cons: float, m: float) -> float:
     # 2**(1/m - 1) * k**(-1/m); shared by the plain and regularized laws
     return 2.0 ** (1.0 / m - 1.0) * k_cons ** (-1.0 / m)
 
 
-def production(model: MaterialModel, F, sigma):
-    """Stress production P(F, sigma); sign(P) = -sign(sigma), P(F, 0) = 0.
+@dataclass(frozen=True)
+class Newtonian:
+    """Linear production P = -F*sigma/mu0 (power law with m=1, k=mu0)."""
 
-    Vectorized over F and sigma.
-    """
-    _require_stretch(F)
-    if isinstance(model, SolidParams):
-        return -sigma * F ** (1.0 + 2.0 * model.nu_bar) / model.mu0
-    prod = model.production
-    if isinstance(prod, Newtonian):
-        return -F * sigma / model.mu0
-    if isinstance(prod, PowerLaw):
-        if prod.m == 1.0:
-            return -F * sigma / prod.k_cons   # same arithmetic as Newtonian
-        c = _power_prefactor(prod.k_cons, prod.m)
+    kind: ClassVar[str] = "newtonian"
+
+    def P(self, F, sigma, fluid: FluidParams):
+        return -F * sigma / fluid.mu0
+
+    def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
+        return ProductionJacobian(P_F=-sigma / fluid.mu0, P_sigma=-F / fluid.mu0)
+
+    def relax(self, F, sigma, h, fluid: FluidParams):
+        return sigma * np.exp(-h * F / fluid.tau0)
+
+
+@dataclass(frozen=True)
+class PowerLaw:
+    """Production reproducing the power-law stress/shear-rate relation."""
+
+    kind: ClassVar[str] = "power_law"
+    k_cons: float   # consistency [Pa s^m]
+    m: float        # flow index: m<1 thinning, m=1 Newtonian, m>1 thickening
+
+    def __post_init__(self):
+        _require(self.k_cons > 0.0, "k_cons must be > 0")
+        _require(self.m > 0.0, "flow index m must be > 0")
+
+    def P(self, F, sigma, fluid: FluidParams):
+        if self.m == 1.0:
+            return -F * sigma / self.k_cons   # same arithmetic as Newtonian
+        c = _power_prefactor(self.k_cons, self.m)
         # |sigma|**((1-m)/m) * sigma written as sign(sigma)*|sigma|**(1/m):
         # finite at sigma=0 for every m > 0.
-        return -F * c * np.sign(sigma) * np.abs(sigma) ** (1.0 / prod.m)
-    c = _power_prefactor(prod.k_cons, prod.m)
-    n = (prod.m - 1.0) / prod.m
-    u = prod.eps + sigma
-    if np.ndim(sigma) == 0 and np.ndim(F) == 0:
-        if u == 0.0:
-            return math.inf  # limiting value as sigma -> -eps
-        return -F * c * abs(u) ** (-n) * sigma
-    with np.errstate(divide="ignore"):
-        out = -F * c * np.abs(u) ** (-n) * sigma
-    return np.where(u == 0.0, math.inf, out)
+        return -F * c * np.sign(sigma) * np.abs(sigma) ** (1.0 / self.m)
 
-
-def production_jacobian(model: MaterialModel, F: float, sigma: float) -> ProductionJacobian:
-    """(P_F, P_sigma) at a point.  P_sigma is a :class:`SingularProductionSlope`
-    for the unregularized power law with m > 1 at sigma = 0."""
-    _require_stretch(F)
-    if isinstance(model, SolidParams):
-        q = 1.0 + 2.0 * model.nu_bar
-        return ProductionJacobian(
-            P_F=-sigma * q * F ** (q - 1.0) / model.mu0,
-            P_sigma=-(F ** q) / model.mu0,
-        )
-    prod = model.production
-    if isinstance(prod, Newtonian):
-        return ProductionJacobian(P_F=-sigma / model.mu0, P_sigma=-F / model.mu0)
-    if isinstance(prod, PowerLaw):
-        m = prod.m
+    def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
+        m = self.m
         if m == 1.0:
-            return ProductionJacobian(P_F=-sigma / prod.k_cons,
-                                      P_sigma=-F / prod.k_cons)
-        c = _power_prefactor(prod.k_cons, m)
+            return ProductionJacobian(P_F=-sigma / self.k_cons,
+                                      P_sigma=-F / self.k_cons)
+        c = _power_prefactor(self.k_cons, m)
         P_F = -c * math.copysign(abs(sigma) ** (1.0 / m), sigma) if sigma != 0.0 else 0.0
         if sigma != 0.0:
             P_sigma = -F * c / m * abs(sigma) ** (1.0 / m - 1.0)
@@ -397,17 +321,225 @@ def production_jacobian(model: MaterialModel, F: float, sigma: float) -> Product
         else:
             P_sigma = SingularProductionSlope(n=(m - 1.0) / m, coeff=F * c)
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
-    m = prod.m
-    c = _power_prefactor(prod.k_cons, m)
-    n = (m - 1.0) / m
-    u = prod.eps + sigma
-    if u == 0.0:
-        # one-sided limit from sigma > -eps
-        return ProductionJacobian(P_F=math.inf, P_sigma=-math.inf)
-    au = abs(u)
-    P_F = -c * au ** (-n) * sigma
-    P_sigma = -F * c * (au ** (-n) - n * sigma * math.copysign(au ** (-n - 1.0), u))
-    return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
+
+    def relax(self, F, sigma, h, fluid: FluidParams):
+        om = fluid.omega
+        m = self.m
+        if m == 1.0:
+            return sigma * np.exp(-h * F / (om * self.k_cons))
+        c = _power_prefactor(self.k_cons, m)
+        K = F * c / om
+        alpha = 1.0 / m
+        a_abs = np.abs(sigma)
+        out = np.zeros_like(sigma)
+        nz = a_abs > 0.0
+        if m > 1.0:
+            # |sigma|^(1-alpha) decays linearly and hits zero in finite time
+            base = a_abs[nz] ** (1.0 - alpha) - (1.0 - alpha) * K[nz] * h
+            mag = np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha)), 0.0)
+        else:
+            # algebraic decay, never reaching zero
+            base = a_abs[nz] ** (1.0 - alpha) + (alpha - 1.0) * K[nz] * h
+            mag = base ** (1.0 / (1.0 - alpha))
+        out[nz] = np.sign(sigma[nz]) * mag
+        return out
+
+
+@dataclass(frozen=True)
+class RegularizedPowerLaw:
+    """Shear-thickening power law with |eps + sigma| regularizing sigma=0."""
+
+    kind: ClassVar[str] = "regularized"
+    k_cons: float
+    m: float        # > 1
+    eps: float      # regularization stress [Pa]
+
+    def __post_init__(self):
+        _require(self.k_cons > 0.0, "k_cons must be > 0")
+        _require(self.m > 1.0, "regularization only applies for m > 1")
+        _require(self.eps > 0.0, "eps must be > 0")
+
+    def P(self, F, sigma, fluid: FluidParams):
+        c = _power_prefactor(self.k_cons, self.m)
+        n = (self.m - 1.0) / self.m
+        u = self.eps + sigma
+        if np.ndim(sigma) == 0 and np.ndim(F) == 0:
+            if u == 0.0:
+                return math.inf  # limiting value as sigma -> -eps
+            return -F * c * abs(u) ** (-n) * sigma
+        with np.errstate(divide="ignore"):
+            out = -F * c * np.abs(u) ** (-n) * sigma
+        return np.where(u == 0.0, math.inf, out)
+
+    def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
+        m = self.m
+        c = _power_prefactor(self.k_cons, m)
+        n = (m - 1.0) / m
+        u = self.eps + sigma
+        if u == 0.0:
+            # one-sided limit from sigma > -eps
+            return ProductionJacobian(P_F=math.inf, P_sigma=-math.inf)
+        au = abs(u)
+        P_F = -c * au ** (-n) * sigma
+        P_sigma = -F * c * (au ** (-n) - n * sigma * math.copysign(au ** (-n - 1.0), u))
+        return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
+
+    def relax(self, F, sigma, h, fluid: FluidParams):
+        """Backward Euler with Newton corrections, sub-cycled so the step
+        stays within the stiff-rate scale."""
+        om = fluid.omega
+        m, eps = self.m, self.eps
+        c = _power_prefactor(self.k_cons, m)
+        n = (m - 1.0) / m
+        rate0 = float(np.max(F)) * c / om * eps ** (-n)
+        n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
+        hs = h / n_sub
+        s = sigma.copy()
+        for _ in range(n_sub):
+            s0 = s
+            s = s0.copy()
+            for _ in range(8):
+                u = eps + s
+                au = np.abs(u)
+                w = np.where(au > 0.0, au ** (-n), 0.0)
+                g = s - s0 + hs * (F * c / om) * w * s
+                dw = np.where(au > 0.0, -n * np.sign(u) * au ** (-n - 1.0), 0.0)
+                dg = 1.0 + hs * (F * c / om) * (w + s * dw)
+                step = g / dg
+                s = s - step
+                if float(np.max(np.abs(step))) <= 1e-14 * (1.0 + float(np.max(np.abs(s)))):
+                    break
+        return s
+
+
+# ---------------------------------------------------------------------------
+# Materials: an elastic part and a production part
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SolidParams:
+    """Viscoelastic solid: elastic potential + Maxwell branch (E2, tau0).
+
+    The relaxation viscosity is mu(F) = mu0 / F**(1 + 2*nu_bar) with
+    mu0 = E2*tau0.  For the Mooney-Rivlin variant E1 is derived from the
+    potential (it equals the uniaxial tangent modulus at F=1) and may be
+    omitted; for QuadraticCubic it is required.
+    """
+
+    kind: ClassVar[str] = "solid"
+    production: ClassVar[Maxwell] = Maxwell()
+    rho_star: float                               # reference density [kg/m^3]
+    E2: float                                     # short-term modulus [Pa]
+    tau0: float                                   # relaxation time [s]
+    elastic: QuadraticCubic | MooneyRivlin
+    E1: float | None = None                       # long-term modulus [Pa]
+    nu_bar: float | None = None                   # exponent in mu(F)
+
+    def __post_init__(self):
+        _require(self.rho_star > 0.0, "rho_star must be > 0")
+        _require(self.E2 > 0.0, "E2 must be > 0")
+        _require(self.tau0 > 0.0, "tau0 must be > 0")
+        if not isinstance(self.elastic, (QuadraticCubic, MooneyRivlin)):
+            raise ValueError(f"unknown elastic variant: {self.elastic!r}")
+        E1, nu_bar = self.elastic.solid_constants(self.E1, self.nu_bar)
+        object.__setattr__(self, "E1", E1)
+        object.__setattr__(self, "nu_bar", nu_bar)
+        _require(0.0 <= self.nu_bar <= 0.5,
+                 f"nu_bar must lie in [0, 0.5], got {self.nu_bar}")
+
+    @property
+    def dict_keys(self) -> tuple[str, ...]:
+        """Keys of the dict form in canonical order; a derived E1 is left out."""
+        keys = ("rho_star", "E1", "E2", "tau0", "nu_bar", "elastic")
+        return tuple(k for k in keys if k != "E1" or not self.elastic.derives_E1)
+
+    @property
+    def mu0(self) -> float:
+        """Dashpot viscosity mu0 = E2*tau0 [Pa s]."""
+        return self.E2 * self.tau0
+
+    @property
+    def omega(self) -> float:
+        return 1.0 / self.E2
+
+
+@dataclass(frozen=True)
+class FluidParams:
+    """Isothermal compressible fluid with relaxing viscous stress.
+
+    Pressure p = R_gas*rho_star/F; the viscous energy is quadratic, so
+    omega = tau0/mu0 independent of sigma.
+    """
+
+    kind: ClassVar[str] = "fluid"
+    dict_keys: ClassVar[tuple[str, ...]] = ("rho_star", "R_gas", "tau0", "mu0", "production")
+    elastic: ClassVar[IdealGas] = IdealGas()
+    rho_star: float   # reference density [kg/m^3]
+    R_gas: float      # isothermal gas constant [m^2/s^2]
+    tau0: float       # relaxation time [s]
+    mu0: float        # viscosity scale fixing omega [Pa s]
+    production: Newtonian | PowerLaw | RegularizedPowerLaw = field(default_factory=Newtonian)
+
+    def __post_init__(self):
+        _require(self.rho_star > 0.0, "rho_star must be > 0")
+        _require(self.R_gas > 0.0, "R_gas must be > 0")
+        _require(self.tau0 > 0.0, "tau0 must be > 0")
+        _require(self.mu0 > 0.0, "mu0 must be > 0")
+
+    @property
+    def mu_tilde(self) -> float:
+        """Dimensionless viscous-compressibility number 1 + mu0/(R_gas*rho_star*tau0)."""
+        return 1.0 + self.mu0 / (self.R_gas * self.rho_star * self.tau0)
+
+    @property
+    def p_ref(self) -> float:
+        """Pressure at the reference stretch F = 1 [Pa]."""
+        return self.R_gas * self.rho_star
+
+    @property
+    def omega(self) -> float:
+        return self.tau0 / self.mu0
+
+
+MaterialModel = Union[SolidParams, FluidParams]
+
+
+# ---------------------------------------------------------------------------
+# Stretch-checked entry points
+# ---------------------------------------------------------------------------
+
+def elastic_derivs(model: MaterialModel, F) -> PotentialDerivs:
+    """Potential W and derivatives along the uniaxial path (solid) or from the
+    ideal-gas pressure W'(F) = -R_gas*rho_star/F (fluid).
+
+    Accepts scalar or ndarray F (all entries > 0).
+    """
+    _require_stretch(F)
+    el = model.elastic
+    return PotentialDerivs(W=el.W(F, model), W1=el.T(F, model),
+                           W2=el.W2(F, model), W3=el.W3(F, model))
+
+
+def viscous_omega(model: MaterialModel) -> float:
+    """omega of the quadratic viscous energy, constant in sigma: 1/E2 (solid),
+    tau0/mu0 (fluid)."""
+    return model.omega
+
+
+def production(model: MaterialModel, F, sigma):
+    """Stress production P(F, sigma); sign(P) = -sign(sigma), P(F, 0) = 0.
+
+    Vectorized over F and sigma.
+    """
+    _require_stretch(F)
+    return model.production.P(F, sigma, model)
+
+
+def production_jacobian(model: MaterialModel, F: float, sigma: float) -> ProductionJacobian:
+    """(P_F, P_sigma) at a point.  P_sigma is a :class:`SingularProductionSlope`
+    for the unregularized power law with m > 1 at sigma = 0."""
+    _require_stretch(F)
+    return model.production.dP(F, sigma, model)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ prediction.
 
 The balance system is solved in conserved variables (rho*v, F, omega*sigma)
 with MUSCL-Hancock reconstruction (minmod limiter), a Rusanov interface flux,
-and Strang splitting for the relaxation source, which is integrated exactly
-(solid, Newtonian, plain power law) or by a sub-cycled Newton-corrected
-implicit step (regularized power law).  Boundaries are zero-gradient.
+and Strang splitting for the relaxation source, which each law's relax()
+integrates exactly (solid, Newtonian, plain power law) or by a sub-cycled
+Newton-corrected implicit step (regularized power law).  Boundaries are
+zero-gradient.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .characteristics import (
 )
 from .materials import (
     MaterialModel,
-    Newtonian,
-    PowerLaw,
-    SolidParams,
+    _require_stretch,
     elastic_derivs,
     production,
     viscous_omega,
@@ -86,20 +85,17 @@ class KinkIC:
     Ahead of x_front the state is the equilibrium (0, 1, 0).  Behind, the
     state ramps linearly over ramp_width with spatial derivative pi0 * d0
     (d0 the fast right eigenvector at equilibrium), then returns linearly to
-    equilibrium over return_width so the far field is quiescent and the
+    equilibrium over another ramp_width so the far field is quiescent and the
     boundaries stay flux-free.
     """
 
     x_front: float
     pi0: float
     ramp_width: float
-    return_width: float | None = None
 
     def __post_init__(self):
         if self.ramp_width <= 0.0:
             raise ValueError("ramp_width must be > 0")
-        if self.return_width is not None and self.return_width <= 0.0:
-            raise ValueError("return_width must be > 0")
 
 
 @dataclass(frozen=True)
@@ -144,89 +140,33 @@ class EnergyReport:
 # ---------------------------------------------------------------------------
 
 def _flux_functions(model: MaterialModel, linearize: bool):
-    """Return (T(F), W2(F), W(F)) vectorized callables, honoring linearization."""
-    if linearize:
-        d0 = elastic_derivs(model, 1.0)
-        T1, W2_1 = float(d0.W1), float(d0.W2)
-
-        def T(F):
-            return T1 + W2_1 * (F - 1.0)
-
-        def W2(F):
-            return W2_1 + 0.0 * F
-
-        def W(F):
-            e = F - 1.0
-            return T1 * e + 0.5 * W2_1 * e * e
-
-        return T, W2, W
+    """Return (T(F), W2(F), W(F)) vectorized callables, honoring linearization;
+    otherwise the elastic part's own functions behind the stretch check."""
+    if not linearize:
+        el = model.elastic
+        return tuple(_stretch_checked(fn, model) for fn in (el.T, el.W2, el.W))
+    d0 = elastic_derivs(model, 1.0)
+    T1, W2_1 = float(d0.W1), float(d0.W2)
 
     def T(F):
-        return elastic_derivs(model, F).W1
+        return T1 + W2_1 * (F - 1.0)
 
     def W2(F):
-        return elastic_derivs(model, F).W2
+        return W2_1 + 0.0 * F
 
     def W(F):
-        return elastic_derivs(model, F).W
+        e = F - 1.0
+        return T1 * e + 0.5 * W2_1 * e * e
 
     return T, W2, W
 
 
-def _source_substep(model: MaterialModel, F: np.ndarray, sig: np.ndarray,
-                    h: float) -> np.ndarray:
-    """Advance sigma by h under omega*sigma_t = P(F, sigma) at frozen F."""
-    om = viscous_omega(model)
-    if isinstance(model, SolidParams):
-        rate = F ** (1.0 + 2.0 * model.nu_bar) / model.tau0
-        return sig * np.exp(-h * rate)
-    prod = model.production
-    if isinstance(prod, Newtonian):
-        return sig * np.exp(-h * F / model.tau0)
-    if isinstance(prod, PowerLaw):
-        m = prod.m
-        if m == 1.0:
-            return sig * np.exp(-h * F / (om * prod.k_cons))
-        c = 2.0 ** (1.0 / m - 1.0) * prod.k_cons ** (-1.0 / m)
-        K = F * c / om
-        alpha = 1.0 / m
-        a_abs = np.abs(sig)
-        out = np.zeros_like(sig)
-        nz = a_abs > 0.0
-        if m > 1.0:
-            # |sigma|^(1-alpha) decays linearly and hits zero in finite time
-            base = a_abs[nz] ** (1.0 - alpha) - (1.0 - alpha) * K[nz] * h
-            mag = np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha)), 0.0)
-        else:
-            # algebraic decay, never reaching zero
-            base = a_abs[nz] ** (1.0 - alpha) + (alpha - 1.0) * K[nz] * h
-            mag = base ** (1.0 / (1.0 - alpha))
-        out[nz] = np.sign(sig[nz]) * mag
-        return out
-    # Regularized power law: backward-Euler with Newton corrections, sub-cycled
-    # so the step stays within the stiff-rate scale.
-    m, k, eps = prod.m, prod.k_cons, prod.eps
-    c = 2.0 ** (1.0 / m - 1.0) * k ** (-1.0 / m)
-    n = (m - 1.0) / m
-    rate0 = float(np.max(F)) * c / om * eps ** (-n)
-    n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
-    hs = h / n_sub
-    s = sig.copy()
-    for _ in range(n_sub):
-        s0 = s
-        s = s0.copy()
-        for _ in range(8):
-            u = eps + s
-            au = np.abs(u)
-            w = np.where(au > 0.0, au ** (-n), 0.0)
-            g = s - s0 + hs * (F * c / om) * w * s
-            dw = np.where(au > 0.0, -n * np.sign(u) * au ** (-n - 1.0), 0.0)
-            dg = 1.0 + hs * (F * c / om) * (w + s * dw)
-            step = g / dg
-            s = s - step
-            if float(np.max(np.abs(step))) <= 1e-14 * (1.0 + float(np.max(np.abs(s)))):
-                break
-    return s
+def _stretch_checked(fn, model: MaterialModel):
+    def checked(F):
+        _require_stretch(F)
+        return fn(F, model)
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +322,7 @@ def _initial_profile(model: MaterialModel, grid: Grid, ic: KinkIC,
                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eig = eigensystem(model, equilibrium_state())
     d0 = eig.d_plus
-    w = ic.ramp_width
-    wb = ic.return_width if ic.return_width is not None else ic.ramp_width
+    w = wb = ic.ramp_width
     if ic.x_front - w - wb < grid.x_min or not grid.x_min < ic.x_front < grid.x_max:
         raise ValueError("kink profile does not fit inside the domain")
     s = x - ic.x_front
@@ -515,11 +454,11 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             lam_max = float(np.max(lam_fn(q[1])))
             dt = min(grid.cfl * dx / lam_max, target - t)
             if with_source:
-                q[2] = om * _source_substep(model, q[1], q[2] / om, 0.5 * dt)
+                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
             q = _hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn)
             _fill_ghosts(q)
             if with_source:
-                q[2] = om * _source_substep(model, q[1], q[2] / om, 0.5 * dt)
+                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
             t += dt
             if not np.all(np.isfinite(q)):
                 bad = np.argwhere(~np.isfinite(q))

@@ -34,15 +34,38 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _fluid_dict(production):
+    return {"kind": "fluid",
+            "fluid": {"rho_star": 1.0, "R_gas": 1.0, "tau0": 1.0, "mu0": 1.0,
+                      "production": production}}
+
+
+# canonical dict form of each law kind: every key written, in output order
+CANONICAL_DICTS = {
+    "quadratic_cubic": {
+        "kind": "solid",
+        "solid": {"rho_star": 929.0, "E1": 2.12e6, "E2": 3.0e6, "tau0": 0.1,
+                  "nu_bar": 0.5, "elastic": {"kind": "quadratic_cubic", "R": 1.63}}},
+    "mooney_rivlin": {
+        "kind": "solid",
+        "solid": {"rho_star": 929.0, "E2": 3.0e6, "tau0": 0.1, "nu_bar": 0.4998,
+                  "elastic": {"kind": "mooney_rivlin", "C1": 0.092e6, "C2": 0.237e6,
+                              "k_bulk": 2000.2e6, "nu_bar": 0.4998}}},
+    "newtonian": _fluid_dict({"kind": "newtonian"}),
+    "power_law": _fluid_dict({"kind": "power_law", "k_cons": 0.7, "m": 0.5}),
+    "regularized": _fluid_dict({"kind": "regularized", "k_cons": 1.0, "m": 2.0,
+                                "eps": 0.01}),
+}
+
+
 class TestConfig:
     def test_material_roundtrip_identity(self):
-        for d in [RUBBER_DICT,
-                  {"kind": "fluid",
-                   "fluid": {"rho_star": 1.0, "R_gas": 1.0, "tau0": 1.0, "mu0": 1.0,
-                             "production": {"kind": "power_law", "k_cons": 0.7, "m": 0.5}}}]:
+        for d in CANONICAL_DICTS.values():
             m1 = material_from_dict(d)
-            m2 = material_from_dict(material_to_dict(m1))
-            assert m1 == m2
+            out = material_to_dict(m1)
+            assert material_from_dict(out) == m1
+            # key for key and in order: analyze and the CSV footers print this form
+            assert json.dumps(out) == json.dumps(d)
 
     def test_scenario_roundtrip_identity(self):
         d = dict(RUBBER_DICT)
@@ -80,6 +103,13 @@ class TestConfig:
                    "elastic": {"kind": "quadratic_cubic", "R": 1.0}}},
         {"kind": "fluid", "fluid": {"rho_star": 1.0, "R_gas": 1.0, "tau0": 1.0,
                                     "mu0": 1.0, "production": {"kind": "dilatant"}}},
+        # constants a law class rejects are config errors too
+        {"kind": "solid", "solid": {"rho_star": 929.0, "E1": 1.0, "E2": 1.0, "tau0": 0.1,
+                                    "elastic": {"kind": "quadratic_cubic", "R": -1.0}}},
+        _fluid_dict({"kind": "regularized", "k_cons": 1.0, "m": 0.5, "eps": 0.01}),
+        # json.load accepts Infinity and NaN
+        {"kind": "solid", "solid": {"rho_star": 929.0, "E1": 1.0, "E2": 1.0, "tau0": 0.1,
+                                    "elastic": {"kind": "quadratic_cubic", "R": math.inf}}},
     ])
     def test_schema_violations_rejected(self, broken):
         with pytest.raises(ConfigError):
@@ -148,6 +178,15 @@ class TestAnalyzeCommand:
         path.write_text(json.dumps({"kind": "solid", "solid": {}}))
         code, _, _ = run_cli(capsys, "analyze", "--config", str(path))
         assert code == 2
+
+    def test_exit_code_on_non_physical_constants(self, capsys, tmp_path):
+        d = {"kind": "solid",
+             "solid": {"rho_star": 1.0, "E1": 1.0, "E2": 1.0, "tau0": 1.0,
+                       "elastic": {"kind": "quadratic_cubic", "R": -1.0}}}
+        path = tmp_path / "negative_R.json"
+        path.write_text(json.dumps(d))
+        code, _, err = run_cli(capsys, "analyze", "--config", str(path))
+        assert code == 2 and "config error" in err
 
     def test_exit_code_on_degenerate_model(self, capsys, tmp_path):
         d = {"kind": "solid",
@@ -250,16 +289,6 @@ class TestSweepCommand:
         assert float(row[2]) == wc.a
         assert float(row[3]) == wc.b
         assert float(row[4]) == wc.pi_cr
-
-    def test_thread_cap_does_not_change_output(self, capsys, tmp_path, monkeypatch):
-        d = dict(RUBBER_DICT)
-        d["sweep"] = {"param": "solid.E2", "min": 1e6, "max": 9e6, "count": 8}
-        cfg = self._write(tmp_path, d)
-        monkeypatch.setenv("ACCELWAVE_THREADS", "1")
-        _, serial, _ = run_cli(capsys, "sweep", "--config", cfg)
-        monkeypatch.setenv("ACCELWAVE_THREADS", "8")
-        _, parallel, _ = run_cli(capsys, "sweep", "--config", cfg)
-        assert serial == parallel
 
     def test_sweep_block_required(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep",

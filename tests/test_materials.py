@@ -17,7 +17,6 @@ from accelwave import (
     SolidParams,
     elastic_derivs,
     mooney_rivlin_uniaxial_stress,
-    omega_prime,
     production,
     production_jacobian,
     viscous_omega,
@@ -181,11 +180,6 @@ class TestViscousOmega:
 
     def test_fluid_unit(self):
         assert viscous_omega(FluidParams(rho_star=1.0, R_gas=1.0, tau0=1.0, mu0=1.0)) == 1.0
-
-    def test_omega_prime_vanishes(self):
-        for model in _grid_models():
-            assert omega_prime(model) == 0.0
-            assert omega_prime(model, sigma=1e5) == 0.0
 
 
 # ---------------------------------------------------------------------------
