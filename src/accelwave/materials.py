@@ -331,7 +331,7 @@ class PowerLaw:
         K = F * c / om
         alpha = 1.0 / m
         a_abs = np.abs(sigma)
-        out = np.zeros_like(sigma)
+        out = np.where(sigma == 0.0, sigma, 0.0)  # a zero keeps its sign bit
         nz = a_abs > 0.0
         if m > 1.0:
             # |sigma|^(1-alpha) decays linearly and hits zero in finite time
@@ -386,7 +386,12 @@ class RegularizedPowerLaw:
 
     def relax(self, F, sigma, h, fluid: FluidParams):
         """Backward Euler with Newton corrections, sub-cycled so the step
-        stays within the stiff-rate scale."""
+        stays within the stiff-rate scale.
+
+        sigma = +-0 is an exact fixed point of the iterate (g = 0, and the
+        sign bit survives s - 0), and zeros add nothing to the convergence
+        test, so only the non-zero cells are iterated.
+        """
         om = fluid.omega
         m, eps = self.m, self.eps
         c = _power_prefactor(self.k_cons, m)
@@ -394,22 +399,29 @@ class RegularizedPowerLaw:
         rate0 = float(np.max(F)) * c / om * eps ** (-n)
         n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
         hs = h / n_sub
-        s = sigma.copy()
+        out = np.array(sigma, dtype=float)
+        nz = np.flatnonzero(out)
+        if nz.size == 0:
+            return out
+        s = out.ravel()[nz]
+        K = hs * (np.broadcast_to(F, out.shape).ravel()[nz] * c / om)
         for _ in range(n_sub):
             s0 = s
             s = s0.copy()
             for _ in range(8):
                 u = eps + s
                 au = np.abs(u)
-                w = np.where(au > 0.0, au ** (-n), 0.0)
-                g = s - s0 + hs * (F * c / om) * w * s
-                dw = np.where(au > 0.0, -n * np.sign(u) * au ** (-n - 1.0), 0.0)
-                dg = 1.0 + hs * (F * c / om) * (w + s * dw)
+                pos = au > 0.0
+                w = np.where(pos, au ** (-n), 0.0)
+                g = s - s0 + K * w * s
+                dw = np.where(pos, -n * np.sign(u) * au ** (-n - 1.0), 0.0)
+                dg = 1.0 + K * (w + s * dw)
                 step = g / dg
                 s = s - step
-                if float(np.max(np.abs(step))) <= 1e-14 * (1.0 + float(np.max(np.abs(s)))):
+                if float(np.abs(step).max()) <= 1e-14 * (1.0 + float(np.abs(s).max())):
                     break
-        return s
+        out.flat[nz] = s
+        return out
 
 
 # ---------------------------------------------------------------------------

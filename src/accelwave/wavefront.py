@@ -6,12 +6,19 @@ The balance system is solved in conserved variables (rho*v, F, omega*sigma)
 with MUSCL-Hancock reconstruction (minmod limiter), a Rusanov interface flux,
 and Strang splitting for the relaxation source, which each law's relax()
 integrates exactly (solid, Newtonian, plain power law) or by a sub-cycled
-Newton-corrected implicit step (regularized power law).  Boundaries are
-zero-gradient.
+Newton-corrected implicit step (regularized power law).  sigma = 0 is a
+fixed point of every law's source step, so cells at sigma = +-0 come out of
+it untouched, sign bit included; the implicit step iterates only the other
+cells.  Boundaries are zero-gradient.
+
+A CFL step that is not finite and positive, or too small to advance t,
+raises SimulationError instead of stalling.  Front measurements that fail
+are recorded as NaN and logged at debug level on the ``accelwave`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -47,6 +54,8 @@ __all__ = [
 ]
 
 _NG = 2  # ghost cells per side
+
+_log = logging.getLogger("accelwave")
 
 STEEPENING_FACTOR = 10.0  # max|v_X| above this multiple of its t=0 value flags steepening
 
@@ -177,33 +186,62 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
 
 
+def _edge_flux(e: np.ndarray, rho: float, om: float, T_fn):
+    """Flux rows of the edge states e = (rho*v, F, omega*sigma), shape
+    (3, 2, M): the momentum row -(T(F) + sigma), and -v, which the F and
+    omega*sigma rows share."""
+    f_mom = T_fn(e[1])
+    f_mom += e[2] / om
+    np.negative(f_mom, out=f_mom)
+    f_v = e[0] / rho
+    np.negative(f_v, out=f_v)
+    return f_mom, f_v
+
+
 def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
                      T_fn, lam_fn) -> np.ndarray:
-    """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma)."""
+    """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma).
 
-    def flux(qc):
-        v = qc[0] / rho
-        F = qc[1]
-        sig = qc[2] / om
-        return np.stack([-(T_fn(F) + sig), -v, -v])
-
+    Edge states are held as (3, 2, M) pairs, so T and the wave speeds are
+    evaluated (and the stretch checked) once per pair: the (left, right)
+    edges of each cell for the predictor, then the (left, right) states of
+    each interface for the Rusanov flux.
+    """
     # limited slopes on cells 1 .. NT-2
-    dql = q[:, 1:-1] - q[:, :-2]
-    dqr = q[:, 2:] - q[:, 1:-1]
-    slope = _minmod(dql, dqr)
-    qL = q[:, 1:-1] - 0.5 * slope
-    qR = q[:, 1:-1] + 0.5 * slope
-    # half-step predictor
-    shift = 0.5 * dt / dx * (flux(qL) - flux(qR))
-    qLb = qL + shift
-    qRb = qR + shift
+    d = q[:, 1:] - q[:, :-1]
+    half = _minmod(d[:, :-1], d[:, 1:])
+    half *= 0.5
+    qc = q[:, 1:-1]
+    e = np.empty((3, 2, qc.shape[1]))
+    np.subtract(qc, half, out=e[:, 0])
+    np.add(qc, half, out=e[:, 1])
+    # half-step predictor; the shift of the F and omega*sigma rows is the same
+    f_mom, f_v = _edge_flux(e, rho, om, T_fn)
+    c = 0.5 * dt / dx
+    sh_mom = c * (f_mom[0] - f_mom[1])
+    sh_v = c * (f_v[0] - f_v[1])
     # interface states: right edge of cell i vs left edge of cell i+1
-    left = qRb[:, :-1]
-    right = qLb[:, 1:]
-    s_max = np.maximum(lam_fn(left[1]), lam_fn(right[1]))
-    f_iface = 0.5 * (flux(left) + flux(right)) - 0.5 * s_max * (right - left)
+    p = np.empty((3, 2, qc.shape[1] - 1))
+    np.add(e[0, 1, :-1], sh_mom[:-1], out=p[0, 0])
+    np.add(e[1:, 1, :-1], sh_v[:-1], out=p[1:, 0])
+    np.add(e[0, 0, 1:], sh_mom[1:], out=p[0, 1])
+    np.add(e[1:, 0, 1:], sh_v[1:], out=p[1:, 1])
+    lam = lam_fn(p[1])
+    half_s = np.maximum(lam[0], lam[1])
+    half_s *= 0.5
+    f_mom, f_v = _edge_flux(p, rho, om, T_fn)
+    jump = p[:, 1] - p[:, 0]
+    jump *= half_s
+    f_iface = np.empty_like(jump)
+    np.add(f_mom[0], f_mom[1], out=f_iface[0])
+    np.add(f_v[0], f_v[1], out=f_iface[1])
+    f_iface[:2] *= 0.5
+    f_iface[2] = f_iface[1]
+    f_iface -= jump
+    du = f_iface[:, 1:] - f_iface[:, :-1]
+    du *= dt / dx
     out = q.copy()
-    out[:, _NG:-_NG] -= dt / dx * (f_iface[:, 1:] - f_iface[:, :-1])
+    out[:, _NG:-_NG] -= du
     return out
 
 
@@ -364,10 +402,11 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     T_fn, W2_fn, _ = _flux_functions(model, linearize)
 
     def lam_fn(F):
+        # F is one row of cells or a (left, right) pair of rows; the cell
+        # named is the first failing one of the first failing row
         disc = om * W2_fn(F) + 1.0
-        bad = ~(disc > 0.0)
-        if np.any(bad):
-            idx = int(np.argmax(bad))
+        if not np.all(disc > 0.0):
+            idx = int(np.argmax(~(disc > 0.0))) % disc.shape[-1]
             raise SimulationError(f"hyperbolicity lost at cell {idx}")
         return np.sqrt(disc / (rho * om))
 
@@ -433,7 +472,8 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             pi_m = measure_front_slope(model, snap, fx, stencil_half_width, gap,
                                        degree=2)
             fd = detect_front_position(snap, fx, stencil_half_width, gap)
-        except SimulationError:
+        except SimulationError as exc:
+            _log.debug("front measurement failed at t=%.6g: %s", t, exc)
             pi_m, fd = math.nan, math.nan
         rep = entropy_monitor(model, snap, linearize=linearize, with_source=with_source)
         if steepening_time is None and vx_max() > STEEPENING_FACTOR * vx0:
@@ -447,12 +487,19 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
 
     record(0.0)
     t = 0.0
+    n_steps = 0
     n_out = int(math.ceil(t_end / out_dt - 1e-12))
     for k in range(1, n_out + 1):
         target = min(k * out_dt, t_end)
         while t < target - 1e-14 * t_end:
-            lam_max = float(np.max(lam_fn(q[1])))
-            dt = min(grid.cfl * dx / lam_max, target - t)
+            lam = lam_fn(q[1])
+            i_cfl = int(np.argmax(lam))
+            dt = min(grid.cfl * dx / float(lam[i_cfl]), target - t)
+            if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
+                raise SimulationError(
+                    f"time step dt={dt:.6g} does not advance t={t:.6g} after "
+                    f"{n_steps} steps (CFL limited by cell "
+                    f"{min(max(i_cfl - _NG, 0), grid.n_cells - 1)})")
             if with_source:
                 q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
             q = _hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn)
@@ -460,6 +507,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             if with_source:
                 q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
             t += dt
+            n_steps += 1
             if not np.all(np.isfinite(q)):
                 bad = np.argwhere(~np.isfinite(q))
                 cell = int(bad[0][1]) - _NG

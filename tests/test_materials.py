@@ -22,7 +22,15 @@ from accelwave import (
     viscous_omega,
     zener_relaxation_response,
 )
-from conftest import penn_mooney_rivlin, penn_solid, random_fluid, random_solid, rubber_solid
+from accelwave.materials import _power_prefactor
+from conftest import (
+    penn_mooney_rivlin,
+    penn_solid,
+    random_fluid,
+    random_mr_solid,
+    random_solid,
+    rubber_solid,
+)
 
 # sympy cross-derivation of the Mooney-Rivlin derivatives at F=1 (Penn constants)
 PENN_W2 = 2115904.5333333015
@@ -286,6 +294,52 @@ class TestProductionJacobian:
                             - production(model, F, s - hs)) / (2 * hs)
                     assert jac.P_F == pytest.approx(fd_F, rel=1e-6, abs=1e-12)
                     assert jac.P_sigma == pytest.approx(fd_s, rel=1e-6)
+
+
+class TestRelaxZeroPadding:
+    """sigma = +-0 is a fixed point of every law's source step: padding a
+    sigma array with zeros returns them sign bit and all, and leaves the
+    other cells bit-identical to a step on those cells alone."""
+
+    @staticmethod
+    def _models(rng):
+        models = [random_solid(rng) for _ in range(4)] \
+            + [random_mr_solid(rng) for _ in range(4)]
+        for kind in ("newtonian", "power_law", "regularized"):
+            models += [random_fluid(rng, kind) for _ in range(4)]
+        models.append(FluidParams(rho_star=1.0, R_gas=1.0, tau0=1.0, mu0=1.0,
+                                  production=PowerLaw(k_cons=1.0, m=1.0)))
+        return models
+
+    def test_zero_cells_are_untouched(self, rng):
+        for model in self._models(rng):
+            law = model.production
+            n_cells = 40
+            F = 10.0 ** rng.uniform(-0.2, 0.2, n_cells)
+            scale = model.E2 * 1e-3 if isinstance(model, SolidParams) \
+                else 10.0 ** rng.uniform(-3.0, 1.0)
+            sigma = scale * 10.0 ** rng.uniform(-1.0, 1.0, n_cells) \
+                * rng.choice([-1.0, 1.0], n_cells)
+            h = model.tau0 * 10.0 ** rng.uniform(-3.0, 0.0)
+            if isinstance(law, RegularizedPowerLaw):
+                # keep the sub-cycle count of the implicit step small
+                rate0 = float(np.max(F)) * _power_prefactor(law.k_cons, law.m) \
+                    / model.omega * law.eps ** (-(law.m - 1.0) / law.m)
+                h = min(h, 100.0 / rate0)
+            # zeros of both signs; their stretches repeat existing ones, so a
+            # law that looks at max(F) sees the same value
+            at = np.sort(rng.choice(n_cells + 12, 12, replace=False))
+            zeros = np.where(rng.random(12) < 0.5, 0.0, -0.0)
+            F_pad = np.empty(n_cells + 12)
+            s_pad = np.empty(n_cells + 12)
+            keep = np.ones(n_cells + 12, dtype=bool)
+            keep[at] = False
+            F_pad[keep], s_pad[keep] = F, sigma
+            F_pad[at], s_pad[at] = F[rng.integers(0, n_cells, 12)], zeros
+            alone = law.relax(F, sigma, h, model)
+            padded = law.relax(F_pad, s_pad, h, model)
+            assert padded[at].tobytes() == zeros.tobytes(), type(law).__name__
+            assert padded[keep].tobytes() == alone.tobytes(), type(law).__name__
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Finite-volume wavefront experiment: oracle agreement, conservation, fronts."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,11 @@ from accelwave import (
     entropy_monitor,
     measure_front_slope,
     simulate,
+    viscous_omega,
 )
-from conftest import rubber_solid, unit_fluid
+from accelwave.materials import _power_prefactor
+from accelwave.wavefront import _NG, _flux_functions, _hyperbolic_step, _minmod
+from conftest import penn_solid, random_fluid, rubber_solid, unit_fluid
 
 
 def _rubber_setup(n_cells, pi0_frac, x_max=68.0):
@@ -190,3 +196,146 @@ class TestValidation:
             simulate(model, grid, ic, t_end=0.0)
         with pytest.raises(ValueError):
             simulate(model, grid, ic, t_end=1.0, output_every=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit references: the FV step as it was before edge pairs, and the
+# regularized source loop as it was before it skipped cells at sigma = 0
+# ---------------------------------------------------------------------------
+
+def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn):
+    def flux(qc):
+        v = qc[0] / rho
+        F = qc[1]
+        sig = qc[2] / om
+        return np.stack([-(T_fn(F) + sig), -v, -v])
+
+    dql = q[:, 1:-1] - q[:, :-2]
+    dqr = q[:, 2:] - q[:, 1:-1]
+    slope = _minmod(dql, dqr)
+    qL = q[:, 1:-1] - 0.5 * slope
+    qR = q[:, 1:-1] + 0.5 * slope
+    shift = 0.5 * dt / dx * (flux(qL) - flux(qR))
+    qLb = qL + shift
+    qRb = qR + shift
+    left = qRb[:, :-1]
+    right = qLb[:, 1:]
+    s_max = np.maximum(lam_fn(left[1]), lam_fn(right[1]))
+    f_iface = 0.5 * (flux(left) + flux(right)) - 0.5 * s_max * (right - left)
+    out = q.copy()
+    out[:, _NG:-_NG] -= dt / dx * (f_iface[:, 1:] - f_iface[:, :-1])
+    return out
+
+
+def _reference_regularized_relax(law, F, sigma, h, fluid):
+    om = fluid.omega
+    m, eps = law.m, law.eps
+    c = _power_prefactor(law.k_cons, m)
+    n = (m - 1.0) / m
+    rate0 = float(np.max(F)) * c / om * eps ** (-n)
+    n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
+    hs = h / n_sub
+    s = sigma.copy()
+    for _ in range(n_sub):
+        s0 = s
+        s = s0.copy()
+        for _ in range(8):
+            u = eps + s
+            au = np.abs(u)
+            w = np.where(au > 0.0, au ** (-n), 0.0)
+            g = s - s0 + hs * (F * c / om) * w * s
+            dw = np.where(au > 0.0, -n * np.sign(u) * au ** (-n - 1.0), 0.0)
+            dg = 1.0 + hs * (F * c / om) * (w + s * dw)
+            step = g / dg
+            s = s - step
+            if float(np.max(np.abs(step))) <= 1e-14 * (1.0 + float(np.max(np.abs(s)))):
+                break
+    return s
+
+
+def _random_state(rng, model, n_cells, v_scale, F_scale, sigma_scale):
+    """Conserved state (rho*v, F, omega*sigma) near equilibrium, ghosts filled."""
+    om = viscous_omega(model)
+    q = np.stack([model.rho_star * v_scale * rng.standard_normal(n_cells),
+                  1.0 + F_scale * rng.standard_normal(n_cells),
+                  om * sigma_scale * rng.standard_normal(n_cells)])
+    q[:, :_NG] = q[:, _NG:_NG + 1]
+    q[:, -_NG:] = q[:, -_NG - 1:-_NG]
+    return q
+
+
+class TestBitIdenticalFastStep:
+    @pytest.mark.parametrize("name, model, linearize, scales", [
+        ("rubber", rubber_solid(), False, (0.05, 0.01, 2e4)),
+        ("penn", penn_solid(), False, (0.05, 0.01, 2e4)),
+        ("fluid", unit_fluid(), False, (0.05, 0.05, 0.05)),
+        ("rubber_linearized", rubber_solid(), True, (0.05, 0.01, 2e4)),
+    ])
+    def test_hyperbolic_step_matches_reference(self, rng, name, model, linearize, scales):
+        om = viscous_omega(model)
+        rho = model.rho_star
+        T_fn, W2_fn, _ = _flux_functions(model, linearize)
+
+        def lam_fn(F):
+            return np.sqrt((om * W2_fn(F) + 1.0) / (rho * om))
+
+        dx = 0.05
+        for _ in range(5):
+            q = _random_state(rng, model, 64 + 2 * _NG, *scales)
+            q[:, 20:26] = q[:, 20:21]          # a flat stretch: zero slopes
+            dt = 0.9 * dx / float(np.max(lam_fn(q[1])))
+            ref = _reference_hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, lam_fn)
+            new = _hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, lam_fn)
+            assert new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("zeros", ["mixed", "all_plus", "all_minus"])
+    def test_regularized_relax_matches_reference(self, rng, zeros):
+        fluids = [unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)),
+                  unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.5, eps=3e-3))]
+        fluids += [random_fluid(rng, "regularized") for _ in range(6)]
+        for fluid in fluids:
+            law = fluid.production
+            n_cells = 60
+            F = 1.0 + 0.05 * rng.standard_normal(n_cells)
+            if zeros == "mixed":
+                sigma = law.eps * 10.0 ** rng.uniform(-2.0, 2.0, n_cells) \
+                    * rng.choice([-0.9, 1.0], n_cells)
+                sigma[rng.random(n_cells) < 0.6] = 0.0
+                sigma[rng.random(n_cells) < 0.3] = -0.0
+            else:
+                sigma = np.full(n_cells, 0.0 if zeros == "all_plus" else -0.0)
+            c = _power_prefactor(law.k_cons, law.m)
+            rate0 = float(np.max(F)) * c / fluid.omega * law.eps ** (-(law.m - 1.0) / law.m)
+            for h in (0.5 / rate0, 7.0 / rate0, 40.0 / rate0):
+                ref = _reference_regularized_relax(law, F, sigma, h, fluid)
+                new = law.relax(F, sigma, h, fluid)
+                assert new.tobytes() == ref.tobytes()
+
+
+class TestStallAndMeasurementTrace:
+    def test_zero_time_step_raises_naming_the_cell(self):
+        # p_ref/F**2 overflows at F = 1e-200: lambda = inf, so the CFL step is 0
+        model = unit_fluid()
+        grid = Grid(x_min=0.0, x_max=30.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=12.0, pi0=0.0, ramp_width=2.0)
+        F = np.ones(grid.n_cells)
+        F[100] = 1e-200
+        fields = (np.zeros(grid.n_cells), F, np.zeros(grid.n_cells))
+        with np.errstate(divide="ignore", over="ignore"), \
+                pytest.raises(SimulationError,
+                              match=r"does not advance t=0 after 0 steps .*cell 100\)"):
+            simulate(model, grid, ic, t_end=1.0, output_every=0.5,
+                     initial_fields=fields)
+
+    def test_failed_front_measurement_is_logged(self, caplog):
+        # the front starts too close to the right boundary for the stencil
+        model = unit_fluid()
+        grid = Grid(x_min=0.0, x_max=30.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=28.0, pi0=0.05, ramp_width=2.0)
+        with caplog.at_level(logging.DEBUG, logger="accelwave"):
+            res = simulate(model, grid, ic, t_end=0.02, output_every=0.01)
+        assert np.all(np.isnan(res.trace.measured_pi))
+        msgs = [r.getMessage() for r in caplog.records if r.name == "accelwave"]
+        assert len(msgs) == res.trace.t.size
+        assert msgs[0].startswith("front measurement failed at t=0: ")
+        assert "too close to the boundary" in msgs[0]
