@@ -61,6 +61,7 @@ from .materials import (
     ProductionJacobian,
     QuadraticCubic,
     RegularizedPowerLaw,
+    RelaxationError,
     SingularProductionSlope,
     SolidParams,
     elastic_derivs,

@@ -33,6 +33,7 @@ __all__ = [
     "Newtonian",
     "PowerLaw",
     "RegularizedPowerLaw",
+    "RelaxationError",
     "FluidParams",
     "MaterialModel",
     "PotentialDerivs",
@@ -330,18 +331,20 @@ class PowerLaw:
         c = _power_prefactor(self.k_cons, m)
         K = F * c / om
         alpha = 1.0 / m
-        a_abs = np.abs(sigma)
-        out = np.where(sigma == 0.0, sigma, 0.0)  # a zero keeps its sign bit
-        nz = a_abs > 0.0
+        # a zero keeps its sign bit; a non-finite sigma passes through to
+        # the caller's finiteness check, as with the exact laws
+        out = np.array(sigma, dtype=float)
+        a_abs = np.abs(out)
+        nz = np.isfinite(a_abs) & (a_abs > 0.0)
         if m > 1.0:
             # |sigma|^(1-alpha) decays linearly and hits zero in finite time
             base = a_abs[nz] ** (1.0 - alpha) - (1.0 - alpha) * K[nz] * h
-            mag = np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha)), 0.0)
+            mag = np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha))
         else:
             # algebraic decay, never reaching zero
             base = a_abs[nz] ** (1.0 - alpha) + (alpha - 1.0) * K[nz] * h
             mag = base ** (1.0 / (1.0 - alpha))
-        out[nz] = np.sign(sigma[nz]) * mag
+        out[nz] = np.sign(out[nz]) * mag
         return out
 
 
@@ -385,12 +388,19 @@ class RegularizedPowerLaw:
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
     def relax(self, F, sigma, h, fluid: FluidParams):
-        """Backward Euler with Newton corrections, sub-cycled so the step
-        stays within the stiff-rate scale.
+        """Backward Euler, sub-cycled so each sub-step stays within the
+        stiff-rate scale, with every sub-step solved to tolerance.
 
-        sigma = +-0 is an exact fixed point of the iterate (g = 0, and the
-        sign bit survives s - 0), and zeros add nothing to the convergence
-        test, so only the non-zero cells are iterated.
+        A sub-step from s0 solves s - s0 + K*s*(eps+s)**(-n) = 0 on the
+        branch s > -eps, where the left side rises strictly from -inf to
+        +inf: the one root lies between 0 and s0, or between -eps and 0 when
+        s0 < -eps (see :func:`_regularized_substep`).  A cell that does not
+        converge raises :class:`RelaxationError`; no unconverged value is
+        returned.
+
+        sigma = +-0 is the exact root for s0 = +-0, and a non-finite sigma
+        passes through to the caller's finiteness check as with the exact
+        laws, so only the finite non-zero cells are solved.
         """
         om = fluid.omega
         m, eps = self.m, self.eps
@@ -400,28 +410,77 @@ class RegularizedPowerLaw:
         n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
         hs = h / n_sub
         out = np.array(sigma, dtype=float)
-        nz = np.flatnonzero(out)
-        if nz.size == 0:
+        cells = np.flatnonzero(np.isfinite(out) & (out != 0.0))
+        if cells.size == 0:
             return out
-        s = out.ravel()[nz]
-        K = hs * (np.broadcast_to(F, out.shape).ravel()[nz] * c / om)
+        s = out.ravel()[cells]
+        K = hs * (np.broadcast_to(F, out.shape).ravel()[cells] * c / om)
         for _ in range(n_sub):
-            s0 = s
-            s = s0.copy()
-            for _ in range(8):
-                u = eps + s
-                au = np.abs(u)
-                pos = au > 0.0
-                w = np.where(pos, au ** (-n), 0.0)
-                g = s - s0 + K * w * s
-                dw = np.where(pos, -n * np.sign(u) * au ** (-n - 1.0), 0.0)
-                dg = 1.0 + K * (w + s * dw)
-                step = g / dg
-                s = s - step
-                if float(np.abs(step).max()) <= 1e-14 * (1.0 + float(np.abs(s).max())):
-                    break
-        out.flat[nz] = s
+            s = _regularized_substep(s, K, eps, n, cells)
+        out.flat[cells] = s
         return out
+
+
+class RelaxationError(ArithmeticError):
+    """An implicit source step that did not converge; ``cell`` is the flat
+    index of the first failing cell in the sigma array."""
+
+    def __init__(self, msg: str, cell: int):
+        super().__init__(msg)
+        self.cell = cell
+
+
+_RELAX_RTOL = 1e-13     # per-cell relative step tolerance of the implicit solve
+_RELAX_MAX_ITER = 100   # Newton/bisection iterations before a cell fails
+_TINY = np.finfo(float).tiny
+
+
+def _regularized_substep(s0, K, eps, n, cells):
+    """Per cell, the root s > -eps of r(s) = (s - s0)*(eps+s)**n + K*s.
+
+    r has the sign of the backward-Euler residual, so the root is bracketed
+    by [0, s0] for s0 > 0 and by [max(s0, -eps), 0] for s0 < 0.  For
+    s0 > -eps, r is convex on the bracket, and Newton from the frozen-rate
+    start s0/(1 + K*(eps+s0)**(-n)), which lies right of the root, never
+    overshoots.  For s0 <= -eps the start is -eps + u with u**n =
+    K*eps/(-s0 - eps), which bounds (eps + root)**n from above.  A Newton
+    step that leaves the bracket bisects instead, and each cell stops on its
+    own step test.  ``cells`` names the cells for the error message.
+    """
+    far = s0 <= -eps
+    neg = s0 < 0.0
+    lo = np.where(neg, np.maximum(s0, -eps), 0.0)
+    hi = np.where(neg, 0.0, s0)
+    # u = eps + s is 0 only at s = lo = -eps, where the step is NaN and bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = s0 / (1.0 + K * np.abs(eps + s0) ** (-n))
+        if far.any():
+            u = (K[far] * eps / (-s0[far] - eps)) ** (1.0 / n)
+            s[far] = np.minimum(u - eps, 0.0)
+        # a start that rounds to -eps is within half an ulp of the root
+        conv = s == -eps
+        for _ in range(_RELAX_MAX_ITER):
+            u = eps + s
+            p = u ** n                    # the one power of the iteration
+            d = s - s0
+            r = d * p + K * s
+            np.copyto(lo, s, where=r < 0.0)
+            np.copyto(hi, s, where=r > 0.0)
+            step = r / (n * d / u * p + p + K)
+            s_new = s - step
+            inside = (s_new >= lo) & (s_new <= hi)
+            if np.count_nonzero(inside) < inside.size:
+                s_new = np.where(inside, s_new, 0.5 * (lo + hi))
+                step = s - s_new
+            done = np.abs(step) <= _RELAX_RTOL * np.abs(s_new) + _TINY
+            s = np.where(conv, s, s_new)      # converged cells stay put
+            conv |= done
+            if np.count_nonzero(conv) == conv.size:
+                return s
+    i = int(np.argmin(conv))
+    raise RelaxationError(
+        f"implicit source step did not converge in {_RELAX_MAX_ITER} "
+        f"iterations (sigma={s0[i]:.6g})", int(cells[i]))
 
 
 # ---------------------------------------------------------------------------

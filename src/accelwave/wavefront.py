@@ -5,15 +5,21 @@ prediction.
 The balance system is solved in conserved variables (rho*v, F, omega*sigma)
 with MUSCL-Hancock reconstruction (minmod limiter), a Rusanov interface flux,
 and Strang splitting for the relaxation source, which each law's relax()
-integrates exactly (solid, Newtonian, plain power law) or by a sub-cycled
-Newton-corrected implicit step (regularized power law).  sigma = 0 is a
-fixed point of every law's source step, so cells at sigma = +-0 come out of
-it untouched, sign bit included; the implicit step iterates only the other
-cells.  Boundaries are zero-gradient.
+integrates exactly (solid, Newtonian, plain power law) or by sub-cycled
+backward-Euler steps, each solved to tolerance by a bracketed Newton
+iteration (regularized power law).  The trailing source half-step of one
+step and the leading half-step of the next are merged into one relax() call
+(the source leaves F, and so the CFL step, unchanged); the pending half-step
+is applied before every output, so outputs are synchronized states.
+sigma = 0 is a fixed point of every law's source step, so cells at
+sigma = +-0 come out of it untouched, sign bit included, and a non-finite
+sigma passes through to the finiteness check.  Boundaries are zero-gradient.
 
-A CFL step that is not finite and positive, or too small to advance t,
-raises SimulationError instead of stalling.  Front measurements that fail
-are recorded as NaN and logged at debug level on the ``accelwave`` logger.
+A source step whose implicit solve does not converge raises SimulationError
+naming t and the cell, as does a state that turns non-finite or loses
+hyperbolicity; a CFL step that is not finite and positive, or too small to
+advance t, raises instead of stalling.  Front measurements that fail are
+recorded as NaN and logged at debug level on the ``accelwave`` logger.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .characteristics import (
 )
 from .materials import (
     MaterialModel,
+    RelaxationError,
     _require_stretch,
     elastic_derivs,
     production,
@@ -401,13 +408,20 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     om = viscous_omega(model)
     T_fn, W2_fn, _ = _flux_functions(model, linearize)
 
+    def interior(i: int) -> int:
+        # interior cell of ghost-padded index i (a ghost names its neighbour)
+        return min(max(i - _NG, 0), grid.n_cells - 1)
+
     def lam_fn(F):
-        # F is one row of cells or a (left, right) pair of rows; the cell
-        # named is the first failing one of the first failing row
+        # F is the ghost-padded row of cells, or the (left, right) state rows
+        # of the interfaces, where interface j takes its left state from
+        # padded cell j + 1 and its right state from j + 2; the cell named is
+        # the first failing one of the first failing row
         disc = om * W2_fn(F) + 1.0
         if not np.all(disc > 0.0):
-            idx = int(np.argmax(~(disc > 0.0))) % disc.shape[-1]
-            raise SimulationError(f"hyperbolicity lost at cell {idx}")
+            bad = np.argwhere(~(disc > 0.0))[0]
+            i = int(bad[0]) if F.ndim == 1 else int(bad[1] + bad[0]) + 1
+            raise SimulationError(f"hyperbolicity lost at cell {interior(i)}")
         return np.sqrt(disc / (rho * om))
 
     lam0 = eigensystem(model, equilibrium_state()).lam
@@ -485,9 +499,17 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         energies.append(rep.total_energy)
         max_sps.append(rep.max_sigma_production)
 
+    def source(h: float) -> None:
+        try:
+            q[2] = om * model.production.relax(q[1], q[2] / om, h, model)
+        except RelaxationError as exc:
+            raise SimulationError(f"source step failed at t={t:.6g}, cell "
+                                  f"{interior(exc.cell)}: {exc}") from exc
+
     record(0.0)
     t = 0.0
     n_steps = 0
+    pending = 0.0  # trailing source half-step not yet applied
     n_out = int(math.ceil(t_end / out_dt - 1e-12))
     for k in range(1, n_out + 1):
         target = min(k * out_dt, t_end)
@@ -498,20 +520,22 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
                 raise SimulationError(
                     f"time step dt={dt:.6g} does not advance t={t:.6g} after "
-                    f"{n_steps} steps (CFL limited by cell "
-                    f"{min(max(i_cfl - _NG, 0), grid.n_cells - 1)})")
+                    f"{n_steps} steps (CFL limited by cell {interior(i_cfl)})")
             if with_source:
-                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
+                # the last step's trailing half-step merged with this one's
+                # leading half-step: relax leaves F, and so dt, unchanged
+                source(pending + 0.5 * dt)
+                pending = 0.5 * dt
             q = _hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn)
             _fill_ghosts(q)
-            if with_source:
-                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
             t += dt
             n_steps += 1
             if not np.all(np.isfinite(q)):
-                bad = np.argwhere(~np.isfinite(q))
-                cell = int(bad[0][1]) - _NG
+                cell = interior(int(np.argwhere(~np.isfinite(q))[0][1]))
                 raise SimulationError(f"non-finite state at t={t:.6g}, cell {cell}")
+        if pending:
+            source(pending)
+            pending = 0.0
         t = target
         record(t)
 

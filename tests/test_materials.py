@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from accelwave import (
@@ -13,6 +15,7 @@ from accelwave import (
     PowerLaw,
     QuadraticCubic,
     RegularizedPowerLaw,
+    RelaxationError,
     SingularProductionSlope,
     SolidParams,
     elastic_derivs,
@@ -22,6 +25,7 @@ from accelwave import (
     viscous_omega,
     zener_relaxation_response,
 )
+from accelwave import materials
 from accelwave.materials import _power_prefactor
 from conftest import (
     penn_mooney_rivlin,
@@ -30,6 +34,7 @@ from conftest import (
     random_mr_solid,
     random_solid,
     rubber_solid,
+    unit_fluid,
 )
 
 # sympy cross-derivation of the Mooney-Rivlin derivatives at F=1 (Penn constants)
@@ -340,6 +345,98 @@ class TestRelaxZeroPadding:
             padded = law.relax(F_pad, s_pad, h, model)
             assert padded[at].tobytes() == zeros.tobytes(), type(law).__name__
             assert padded[keep].tobytes() == alone.tobytes(), type(law).__name__
+
+
+def test_power_law_relax_passes_nan_through():
+    # the finiteness check downstream must see a NaN, as with the exact laws
+    fluid = unit_fluid(PowerLaw(1.0, 2.0))
+    out = fluid.production.relax(np.ones(3), [math.nan, 1.0, -0.0], 0.1, fluid)
+    assert math.isnan(out[0])
+    assert 0.0 < out[1] < 1.0
+    assert out[2:].tobytes() == np.array([-0.0]).tobytes()
+    out = fluid.production.relax(np.array([math.nan, 1.0]), [0.5, 0.5], 0.1, fluid)
+    assert math.isnan(out[0]) and 0.0 < out[1] < 0.5
+
+
+def _stiff_rate(law, fluid, F):
+    return float(np.max(F)) * _power_prefactor(law.k_cons, law.m) / fluid.omega \
+        * law.eps ** (-(law.m - 1.0) / law.m)
+
+
+def _regularized_step(seed, log_stiffness):
+    """A random regularized fluid and a sigma array with cells on both sides
+    of -eps and across nine decades of |sigma|/eps; h is set so that
+    h * (the stiff rate) = 10**log_stiffness."""
+    rng = np.random.default_rng(seed)
+    fluid = random_fluid(rng, "regularized")
+    law = fluid.production
+    F = 10.0 ** rng.uniform(-0.3, 0.3, 48)
+    sigma = law.eps * 10.0 ** rng.uniform(-6.0, 3.0, 48) * rng.choice([-1.0, 1.0], 48)
+    h = 10.0 ** log_stiffness / _stiff_rate(law, fluid, F)
+    return fluid, law, F, sigma, h
+
+
+def _assert_source_step_properties(fluid, law, F, s0, s):
+    neg = s0 < 0.0
+    lo = np.where(neg, np.maximum(s0, -law.eps), 0.0)
+    hi = np.where(neg, 0.0, s0)
+    assert np.all((lo <= s) & (s <= hi)), "outside the bracket"
+    assert np.array_equal(np.signbit(s), np.signbit(s0)) and np.all(s != 0.0)
+    assert np.all(np.abs(s) <= np.abs(s0))
+    assert np.all(s * production(fluid, F, s) <= 0.0)
+
+
+class TestRegularizedRelaxSolve:
+    """The implicit source step of the regularized law: solved per cell to
+    tolerance on the branch sigma > -eps, or a RelaxationError."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_stiffness=st.floats(-3.0, math.log10(5.0)))
+    def test_one_substep_solves_the_implicit_equation(self, seed, log_stiffness):
+        # h * rate <= 5: one backward-Euler step, s - s0 + K*s*(eps+s)**(-n) = 0
+        fluid, law, F, s0, h = _regularized_step(seed, log_stiffness)
+        s = law.relax(F, s0, h, fluid)
+        _assert_source_step_properties(fluid, law, F, s0, s)
+        eps, n = mp.mpf(law.eps), mp.mpf((law.m - 1.0) / law.m)
+        c = mp.mpf(_power_prefactor(law.k_cons, law.m)) / mp.mpf(fluid.omega)
+
+        def r(x, x0, K):   # (eps + x)**n times the residual: increasing in x
+            return (x - x0) * (eps + x) ** n + K * x
+
+        for Fi, x0, x in zip(F, s0, s):
+            x0, x, K = mp.mpf(x0), mp.mpf(x), mp.mpf(h) * mp.mpf(Fi) * c
+            tol = 1e-12 * abs(x)
+            # the exact root lies within 1e-12 * |s| of the returned s
+            assert r(max(x - tol, -eps), x0, K) <= 0 <= r(x + tol, x0, K)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_stiffness=st.floats(-1.0, 2.5))
+    def test_subcycled_step_keeps_sign_bracket_and_dissipation(self, seed, log_stiffness):
+        fluid, law, F, s0, h = _regularized_step(seed, log_stiffness)
+        _assert_source_step_properties(fluid, law, F, s0, law.relax(F, s0, h, fluid))
+
+    def test_root_within_rounding_of_minus_eps_needs_no_bisection(self, monkeypatch):
+        # sigma far below -eps and a weak rate: eps + root is far below half
+        # an ulp of eps, so -eps itself is the answer, found in one iteration
+        monkeypatch.setattr(materials, "_RELAX_MAX_ITER", 1)
+        fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=1.5, eps=1e-2))
+        law = fluid.production
+        F = np.ones(1)
+        out = law.relax(F, np.array([-10.0]), 1e-6 / _stiff_rate(law, fluid, F), fluid)
+        assert out[0] == -law.eps
+
+    def test_unconverged_cell_raises(self, monkeypatch):
+        fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+        law = fluid.production
+        F = np.ones(5)
+        sigma = np.array([0.0, -0.0, 1e-2, -5e-3, 3.0])
+        h = 2.0 / _stiff_rate(law, fluid, F)
+        assert np.all(np.isfinite(law.relax(F, sigma, h, fluid)))
+        monkeypatch.setattr(materials, "_RELAX_MAX_ITER", 1)
+        with pytest.raises(RelaxationError, match="did not converge in 1 iterations") as exc:
+            law.relax(F, sigma, h, fluid)
+        assert exc.value.cell == 2
+        assert isinstance(exc.value, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,32 @@ import pytest
 from accelwave import (
     Grid,
     KinkIC,
+    Newtonian,
     PowerLaw,
     RegularizedPowerLaw,
     SimulationError,
+    Snapshot,
     classify,
     coefficients_ab,
+    detect_front_position,
+    eigensystem,
     entropy_monitor,
+    equilibrium_state,
     measure_front_slope,
     simulate,
     viscous_omega,
 )
-from accelwave.materials import _power_prefactor
-from accelwave.wavefront import _NG, _flux_functions, _hyperbolic_step, _minmod
-from conftest import penn_solid, random_fluid, rubber_solid, unit_fluid
+from accelwave import materials
+from accelwave.wavefront import (
+    _NG,
+    _auto_gap,
+    _fill_ghosts,
+    _flux_functions,
+    _hyperbolic_step,
+    _initial_profile,
+    _minmod,
+)
+from conftest import penn_solid, rubber_solid, unit_fluid
 
 
 def _rubber_setup(n_cells, pi0_frac, x_max=68.0):
@@ -199,8 +212,7 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit references: the FV step as it was before edge pairs, and the
-# regularized source loop as it was before it skipped cells at sigma = 0
+# Bit-for-bit reference: the FV step as it was before edge pairs
 # ---------------------------------------------------------------------------
 
 def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn):
@@ -225,32 +237,6 @@ def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn):
     out = q.copy()
     out[:, _NG:-_NG] -= dt / dx * (f_iface[:, 1:] - f_iface[:, :-1])
     return out
-
-
-def _reference_regularized_relax(law, F, sigma, h, fluid):
-    om = fluid.omega
-    m, eps = law.m, law.eps
-    c = _power_prefactor(law.k_cons, m)
-    n = (m - 1.0) / m
-    rate0 = float(np.max(F)) * c / om * eps ** (-n)
-    n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
-    hs = h / n_sub
-    s = sigma.copy()
-    for _ in range(n_sub):
-        s0 = s
-        s = s0.copy()
-        for _ in range(8):
-            u = eps + s
-            au = np.abs(u)
-            w = np.where(au > 0.0, au ** (-n), 0.0)
-            g = s - s0 + hs * (F * c / om) * w * s
-            dw = np.where(au > 0.0, -n * np.sign(u) * au ** (-n - 1.0), 0.0)
-            dg = 1.0 + hs * (F * c / om) * (w + s * dw)
-            step = g / dg
-            s = s - step
-            if float(np.max(np.abs(step))) <= 1e-14 * (1.0 + float(np.max(np.abs(s)))):
-                break
-    return s
 
 
 def _random_state(rng, model, n_cells, v_scale, F_scale, sigma_scale):
@@ -288,29 +274,6 @@ class TestBitIdenticalFastStep:
             new = _hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, lam_fn)
             assert new.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("zeros", ["mixed", "all_plus", "all_minus"])
-    def test_regularized_relax_matches_reference(self, rng, zeros):
-        fluids = [unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)),
-                  unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.5, eps=3e-3))]
-        fluids += [random_fluid(rng, "regularized") for _ in range(6)]
-        for fluid in fluids:
-            law = fluid.production
-            n_cells = 60
-            F = 1.0 + 0.05 * rng.standard_normal(n_cells)
-            if zeros == "mixed":
-                sigma = law.eps * 10.0 ** rng.uniform(-2.0, 2.0, n_cells) \
-                    * rng.choice([-0.9, 1.0], n_cells)
-                sigma[rng.random(n_cells) < 0.6] = 0.0
-                sigma[rng.random(n_cells) < 0.3] = -0.0
-            else:
-                sigma = np.full(n_cells, 0.0 if zeros == "all_plus" else -0.0)
-            c = _power_prefactor(law.k_cons, law.m)
-            rate0 = float(np.max(F)) * c / fluid.omega * law.eps ** (-(law.m - 1.0) / law.m)
-            for h in (0.5 / rate0, 7.0 / rate0, 40.0 / rate0):
-                ref = _reference_regularized_relax(law, F, sigma, h, fluid)
-                new = law.relax(F, sigma, h, fluid)
-                assert new.tobytes() == ref.tobytes()
-
 
 class TestStallAndMeasurementTrace:
     def test_zero_time_step_raises_naming_the_cell(self):
@@ -339,3 +302,146 @@ class TestStallAndMeasurementTrace:
         assert len(msgs) == res.trace.t.size
         assert msgs[0].startswith("front measurement failed at t=0: ")
         assert "too close to the boundary" in msgs[0]
+
+
+# ---------------------------------------------------------------------------
+# Merged Strang half-steps against the loop that relaxed twice per step
+# ---------------------------------------------------------------------------
+
+def _two_half_step_snapshots(model, grid, ic, t_end, out_dt, with_source):
+    """The stepping loop before adjacent source half-steps were merged:
+    relax(dt/2), hyperbolic step, relax(dt/2) on every step.  Returns the
+    snapshot at t = 0 and at every output time."""
+    rho, om = model.rho_star, viscous_omega(model)
+    T_fn, W2_fn, _ = _flux_functions(model, False)
+
+    def lam_fn(F):
+        return np.sqrt((om * W2_fn(F) + 1.0) / (rho * om))
+
+    dx = grid.dx
+    x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
+    v, F, sig = _initial_profile(model, grid, ic, x_all)
+    q = np.stack([rho * v, F, om * sig])
+    _fill_ghosts(q)
+
+    def snapshot(t):
+        return Snapshot(t=t, x=x_all[_NG:-_NG].copy(), v=(q[0, _NG:-_NG] / rho).copy(),
+                        F=q[1, _NG:-_NG].copy(), sigma=(q[2, _NG:-_NG] / om).copy())
+
+    snaps = [snapshot(0.0)]
+    t = 0.0
+    for k in range(1, int(math.ceil(t_end / out_dt - 1e-12)) + 1):
+        target = min(k * out_dt, t_end)
+        while t < target - 1e-14 * t_end:
+            dt = min(grid.cfl * dx / float(np.max(lam_fn(q[1]))), target - t)
+            if with_source:
+                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
+            q = _hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn)
+            _fill_ghosts(q)
+            if with_source:
+                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
+            t += dt
+        t = target
+        snaps.append(snapshot(t))
+    return snaps
+
+
+def _trace_from_snapshots(model, snaps, ic, dx, with_source):
+    """The trace columns simulate() records, computed from snapshots."""
+    lam0 = eigensystem(model, equilibrium_state()).lam
+    cols = {"measured_pi": [], "front_x": [], "energy": [], "max_sigma_production": []}
+    for snap in snaps:
+        fx = ic.x_front + lam0 * snap.t
+        gap = _auto_gap(lam0, snap.t, dx)
+        cols["measured_pi"].append(measure_front_slope(model, snap, fx, 16, gap, degree=2))
+        cols["front_x"].append(detect_front_position(snap, fx, 16, gap))
+        rep = entropy_monitor(model, snap, with_source=with_source)
+        cols["energy"].append(rep.total_energy)
+        cols["max_sigma_production"].append(rep.max_sigma_production)
+    return {k: np.array(v) for k, v in cols.items()}
+
+
+def _merge_case(name):
+    if name == "rubber":
+        model, wc, grid, ic = _rubber_setup(400, 0.1)
+        return model, grid, ic, 0.5 / wc.b
+    law = {"newtonian": Newtonian(), "power_law_0.5": PowerLaw(k_cons=1.0, m=0.5),
+           "power_law_2": PowerLaw(k_cons=1.0, m=2.0)}[name]
+    grid = Grid(x_min=0.0, x_max=30.0, n_cells=400, cfl=0.9)
+    return unit_fluid(law), grid, KinkIC(x_front=12.0, pi0=0.05, ramp_width=2.0), 2.0
+
+
+class TestMergedHalfSteps:
+    """The exact source steps compose, S(a) S(b) = S(a + b), so merging the
+    trailing half-step of one step with the leading half-step of the next
+    changes results by rounding only; without the source nothing changes."""
+
+    @pytest.mark.parametrize("name", ["rubber", "newtonian", "power_law_0.5",
+                                      "power_law_2"])
+    def test_matches_two_half_steps_to_rounding(self, name):
+        model, grid, ic, t_end = _merge_case(name)
+        res = simulate(model, grid, ic, t_end=t_end, output_every=t_end / 4)
+        snaps = _two_half_step_snapshots(model, grid, ic, t_end, t_end / 4, True)
+        for field in ("v", "F", "sigma"):
+            got, ref = getattr(res.final, field), getattr(snaps[-1], field)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), field
+        ref_trace = _trace_from_snapshots(model, snaps, ic, grid.dx, True)
+        assert np.array_equal(res.trace.t, [s.t for s in snaps])
+        for col, ref in ref_trace.items():
+            got = getattr(res.trace, col)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), col
+
+    @pytest.mark.parametrize("name", ["rubber", "power_law_2"])
+    def test_without_source_is_byte_identical(self, name):
+        model, grid, ic, t_end = _merge_case(name)
+        res = simulate(model, grid, ic, t_end=t_end, output_every=t_end / 4,
+                       with_source=False)
+        snaps = _two_half_step_snapshots(model, grid, ic, t_end, t_end / 4, False)
+        for field in ("v", "F", "sigma"):
+            assert getattr(res.final, field).tobytes() == getattr(snaps[-1], field).tobytes()
+        ref_trace = _trace_from_snapshots(model, snaps, ic, grid.dx, False)
+        for col, ref in ref_trace.items():
+            assert getattr(res.trace, col).tobytes() == ref.tobytes(), col
+
+
+# ---------------------------------------------------------------------------
+# Failures name the interior cell
+# ---------------------------------------------------------------------------
+
+class TestFailureNamesInteriorCell:
+    def test_hyperbolicity_loss_in_cfl_speeds(self):
+        model = rubber_solid()
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
+        F = np.ones(200)
+        F[50] = 2.0
+        with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 50$"):
+            simulate(model, grid, ic, t_end=0.01,
+                     initial_fields=(np.zeros(200), F, np.zeros(200)))
+
+    def test_hyperbolicity_loss_at_an_interface(self):
+        # the cells stay just inside the hyperbolic range (om*W2 + 1 > 0);
+        # the velocity slope of cell 50 alone lifts its predicted F edges out
+        model = rubber_solid()
+        F_c = 1.0 + (1.0 + model.E2 / model.E1) / (2.0 * model.elastic.R)
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
+        v = np.zeros(200)
+        v[:50], v[51:] = -1.0, 1.0
+        F = np.ones(200)
+        F[45:56] = F_c - 2e-4
+        with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 50$"):
+            simulate(model, grid, ic, t_end=0.01,
+                     initial_fields=(v, F, np.zeros(200)))
+
+    def test_unconverged_source_step(self, monkeypatch):
+        monkeypatch.setattr(materials, "_RELAX_MAX_ITER", 1)
+        model = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+        grid = Grid(x_min=0.0, x_max=30.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=12.0, pi0=0.0, ramp_width=2.0)
+        sigma = np.zeros(200)
+        sigma[50] = 0.01
+        with pytest.raises(SimulationError,
+                           match=r"^source step failed at t=0, cell 50: .*did not converge"):
+            simulate(model, grid, ic, t_end=1.0,
+                     initial_fields=(np.zeros(200), np.ones(200), sigma))
