@@ -400,21 +400,32 @@ class RegularizedPowerLaw:
 
         sigma = +-0 is the exact root for s0 = +-0, and a non-finite sigma
         passes through to the caller's finiteness check as with the exact
-        laws, so only the finite non-zero cells are solved.
+        laws, so only the finite non-zero cells are solved.  A cell solved
+        with a non-finite F comes out NaN, for the same check; the sub-cycle
+        count then comes from the largest finite F.
         """
-        om = fluid.omega
-        m, eps = self.m, self.eps
-        c = _power_prefactor(self.k_cons, m)
-        n = (m - 1.0) / m
-        rate0 = float(np.max(F)) * c / om * eps ** (-n)
-        n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
-        hs = h / n_sub
         out = np.array(sigma, dtype=float)
         cells = np.flatnonzero(np.isfinite(out) & (out != 0.0))
         if cells.size == 0:
             return out
+        om = fluid.omega
+        m, eps = self.m, self.eps
+        c = _power_prefactor(self.k_cons, m)
+        n = (m - 1.0) / m
+        F_all = np.broadcast_to(F, out.shape).ravel()
+        F_max = float(np.max(F))
+        if not math.isfinite(F_max):
+            finite = np.isfinite(F_all)
+            out.flat[cells[~finite[cells]]] = math.nan
+            cells = cells[finite[cells]]
+            if cells.size == 0:
+                return out
+            F_max = float(np.max(F_all[finite]))
+        rate0 = F_max * c / om * eps ** (-n)
+        n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
+        hs = h / n_sub
         s = out.ravel()[cells]
-        K = hs * (np.broadcast_to(F, out.shape).ravel()[cells] * c / om)
+        K = hs * (F_all[cells] * c / om)
         for _ in range(n_sub):
             s = _regularized_substep(s, K, eps, n, cells)
         out.flat[cells] = s

@@ -15,6 +15,16 @@ sigma = 0 is a fixed point of every law's source step, so cells at
 sigma = +-0 come out of it untouched, sign bit included, and a non-finite
 sigma passes through to the finiteness check.  Boundaries are zero-gradient.
 
+The minmod limiter is taken in clip form, min(max(a, min(b, 0)), max(b, 0)),
+with the zero rule that it is +0.0 wherever a*b <= 0, also where the product
+of two same-signed slopes underflows.  The CFL step and the Rusanov speeds
+compare the discriminants om*W'' + 1 before the square root: division by
+rho*om > 0 and sqrt are correctly rounded and monotone, so the root of the
+largest discriminant is bit for bit the largest speed.  Each step checks the
+stretch F > 0 once in each of three state arrays (the cells, for the CFL
+step; the cell edges; the predicted interface states), by one reduction that
+also rejects NaN; linearized runs take no stretch check.
+
 A source step whose implicit solve does not converge raises SimulationError
 naming t and the cell, as does a state that turns non-finite or loses
 hyperbolicity; a CFL step that is not finite and positive, or too small to
@@ -157,10 +167,12 @@ class EnergyReport:
 
 def _flux_functions(model: MaterialModel, linearize: bool):
     """Return (T(F), W2(F), W(F)) vectorized callables, honoring linearization;
-    otherwise the elastic part's own functions behind the stretch check."""
+    otherwise the elastic part's own functions.  None of them checks the
+    stretch: the callers check each state array once (:func:`_check_stretch`)."""
     if not linearize:
         el = model.elastic
-        return tuple(_stretch_checked(fn, model) for fn in (el.T, el.W2, el.W))
+        return (lambda F: el.T(F, model), lambda F: el.W2(F, model),
+                lambda F: el.W(F, model))
     d0 = elastic_derivs(model, 1.0)
     T1, W2_1 = float(d0.W1), float(d0.W2)
 
@@ -177,12 +189,33 @@ def _flux_functions(model: MaterialModel, linearize: bool):
     return T, W2, W
 
 
-def _stretch_checked(fn, model: MaterialModel):
-    def checked(F):
+def _check_stretch(F: np.ndarray) -> None:
+    # one reduction; a NaN stretch fails it too
+    if not F.min() > 0.0:
         _require_stretch(F)
-        return fn(F, model)
 
-    return checked
+
+def _interior(i: int, n_cells: int) -> int:
+    """Interior cell of ghost-padded index i (a ghost names its neighbour)."""
+    return min(max(i - _NG, 0), n_cells - 1)
+
+
+def _discriminant(F: np.ndarray, om: float, W2_fn, check_stretch: bool,
+                  n_cells: int) -> np.ndarray:
+    """om*W''(F) + 1, the squared wave speed times rho*om, after the stretch
+    check (with check_stretch).  F is the ghost-padded row of cells, or the
+    (left, right) state rows of the interfaces, where interface j takes its
+    left state from padded cell j + 1 and its right state from j + 2.  Where
+    it is not > 0, raises SimulationError naming the first failing cell of
+    the first failing row."""
+    if check_stretch:
+        _check_stretch(F)
+    disc = om * W2_fn(F) + 1.0
+    if not disc.min() > 0.0:
+        bad = np.argwhere(~(disc > 0.0))[0]
+        i = int(bad[0]) if disc.ndim == 1 else int(bad[1] + bad[0]) + 1
+        raise SimulationError(f"hyperbolicity lost at cell {_interior(i, n_cells)}")
+    return disc
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +223,39 @@ def _stretch_checked(fn, model: MaterialModel):
 # ---------------------------------------------------------------------------
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
+    """minmod in clip form, min(max(a, min(b, 0)), max(b, 0)), with the zero
+    rule: +0.0 wherever a*b <= 0.  The rule covers the -0.0 the clip form
+    gives for some mixes of zeros and signs, and same-signed slopes whose
+    product underflows to 0, which the clip form alone would keep."""
+    out = np.minimum(b, 0.0)
+    np.maximum(a, out, out=out)
+    np.minimum(out, np.maximum(b, 0.0), out=out)
+    np.copyto(out, 0.0, where=a * b <= 0.0)
+    return out
 
 
 def _edge_flux(e: np.ndarray, rho: float, om: float, T_fn):
-    """Flux rows of the edge states e = (rho*v, F, omega*sigma), shape
-    (3, 2, M): the momentum row -(T(F) + sigma), and -v, which the F and
-    omega*sigma rows share."""
+    """Rows of the edge states e = (rho*v, F, omega*sigma), shape (3, 2, M):
+    T(F) + sigma, and v.  The flux is their negative: the momentum row
+    -(T + sigma), and -v, which the F and omega*sigma rows share."""
     f_mom = T_fn(e[1])
     f_mom += e[2] / om
-    np.negative(f_mom, out=f_mom)
-    f_v = e[0] / rho
-    np.negative(f_v, out=f_v)
-    return f_mom, f_v
+    return f_mom, e[0] / rho
 
 
 def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
-                     T_fn, lam_fn) -> np.ndarray:
-    """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma).
+                     T_fn, W2_fn, check_stretch: bool) -> None:
+    """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma),
+    in place.
 
     Edge states are held as (3, 2, M) pairs, so T and the wave speeds are
-    evaluated (and the stretch checked) once per pair: the (left, right)
-    edges of each cell for the predictor, then the (left, right) states of
-    each interface for the Rusanov flux.
+    evaluated once per pair: the (left, right) edges of each cell for the
+    predictor, then the (left, right) states of each interface for the
+    Rusanov flux.  With check_stretch, the F row of each pair is checked
+    once (the caller checks the cells).  The Rusanov speed is
+    0.5*sqrt(max(d_L, d_R)/(rho*om)) of the discriminants d = om*W'' + 1,
+    bit for bit the larger of the two speeds: correctly rounded division by
+    a positive constant and sqrt are both monotone.
     """
     # limited slopes on cells 1 .. NT-2
     d = q[:, 1:] - q[:, :-1]
@@ -222,21 +265,30 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
     e = np.empty((3, 2, qc.shape[1]))
     np.subtract(qc, half, out=e[:, 0])
     np.add(qc, half, out=e[:, 1])
-    # half-step predictor; the shift of the F and omega*sigma rows is the same
-    f_mom, f_v = _edge_flux(e, rho, om, T_fn)
+    # half-step predictor from the rows g = -flux: c*(f_L - f_R) = c*(g_R - g_L)
+    # exactly; the shift of the F and omega*sigma rows is the same
+    if check_stretch:
+        _check_stretch(e[1])
+    g_mom, g_v = _edge_flux(e, rho, om, T_fn)
     c = 0.5 * dt / dx
-    sh_mom = c * (f_mom[0] - f_mom[1])
-    sh_v = c * (f_v[0] - f_v[1])
+    sh_mom = c * (g_mom[1] - g_mom[0])
+    sh_v = c * (g_v[1] - g_v[0])
     # interface states: right edge of cell i vs left edge of cell i+1
     p = np.empty((3, 2, qc.shape[1] - 1))
     np.add(e[0, 1, :-1], sh_mom[:-1], out=p[0, 0])
     np.add(e[1:, 1, :-1], sh_v[:-1], out=p[1:, 0])
     np.add(e[0, 0, 1:], sh_mom[1:], out=p[0, 1])
     np.add(e[1:, 0, 1:], sh_v[1:], out=p[1:, 1])
-    lam = lam_fn(p[1])
-    half_s = np.maximum(lam[0], lam[1])
+    disc = _discriminant(p[1], om, W2_fn, check_stretch, q.shape[1] - 2 * _NG)
+    half_s = np.maximum(disc[0], disc[1])
+    half_s /= rho * om
+    np.sqrt(half_s, out=half_s)
     half_s *= 0.5
+    # the interface flux in negated form: folding the negation into the
+    # difference below would flip the sign of some zeros of du
     f_mom, f_v = _edge_flux(p, rho, om, T_fn)
+    np.negative(f_mom, out=f_mom)
+    np.negative(f_v, out=f_v)
     jump = p[:, 1] - p[:, 0]
     jump *= half_s
     f_iface = np.empty_like(jump)
@@ -247,9 +299,7 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
     f_iface -= jump
     du = f_iface[:, 1:] - f_iface[:, :-1]
     du *= dt / dx
-    out = q.copy()
-    out[:, _NG:-_NG] -= du
-    return out
+    q[:, _NG:-_NG] -= du
 
 
 def _fill_ghosts(q: np.ndarray) -> None:
@@ -346,6 +396,8 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot, *,
     every admissible model; reported as 0 when the source is disabled).
     """
     _, _, W_fn = _flux_functions(model, linearize)
+    if not linearize:
+        _require_stretch(snapshot.F)
     om = viscous_omega(model)
     dx = snapshot.x[1] - snapshot.x[0]
     dens = 0.5 * model.rho_star * snapshot.v ** 2 + W_fn(snapshot.F) \
@@ -407,22 +459,8 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     rho = model.rho_star
     om = viscous_omega(model)
     T_fn, W2_fn, _ = _flux_functions(model, linearize)
-
-    def interior(i: int) -> int:
-        # interior cell of ghost-padded index i (a ghost names its neighbour)
-        return min(max(i - _NG, 0), grid.n_cells - 1)
-
-    def lam_fn(F):
-        # F is the ghost-padded row of cells, or the (left, right) state rows
-        # of the interfaces, where interface j takes its left state from
-        # padded cell j + 1 and its right state from j + 2; the cell named is
-        # the first failing one of the first failing row
-        disc = om * W2_fn(F) + 1.0
-        if not np.all(disc > 0.0):
-            bad = np.argwhere(~(disc > 0.0))[0]
-            i = int(bad[0]) if F.ndim == 1 else int(bad[1] + bad[0]) + 1
-            raise SimulationError(f"hyperbolicity lost at cell {interior(i)}")
-        return np.sqrt(disc / (rho * om))
+    check_stretch = not linearize
+    n_cells = grid.n_cells
 
     lam0 = eigensystem(model, equilibrium_state()).lam
 
@@ -504,7 +542,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             q[2] = om * model.production.relax(q[1], q[2] / om, h, model)
         except RelaxationError as exc:
             raise SimulationError(f"source step failed at t={t:.6g}, cell "
-                                  f"{interior(exc.cell)}: {exc}") from exc
+                                  f"{_interior(exc.cell, n_cells)}: {exc}") from exc
 
     record(0.0)
     t = 0.0
@@ -514,25 +552,34 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     for k in range(1, n_out + 1):
         target = min(k * out_dt, t_end)
         while t < target - 1e-14 * t_end:
-            lam = lam_fn(q[1])
-            i_cfl = int(np.argmax(lam))
-            dt = min(grid.cfl * dx / float(lam[i_cfl]), target - t)
+            # CFL step from the largest discriminant: one scalar sqrt (exact,
+            # as sqrt and division by rho*om > 0 are monotone)
+            disc = _discriminant(q[1], om, W2_fn, check_stretch, n_cells)
+            dt = min(grid.cfl * dx / math.sqrt(float(disc.max()) / (rho * om)),
+                     target - t)
             if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
+                # the first largest speed, not discriminant: rounding can
+                # make distinct discriminants give equal speeds
+                i_cfl = int(np.argmax(np.sqrt(disc / (rho * om))))
                 raise SimulationError(
                     f"time step dt={dt:.6g} does not advance t={t:.6g} after "
-                    f"{n_steps} steps (CFL limited by cell {interior(i_cfl)})")
+                    f"{n_steps} steps (CFL limited by cell "
+                    f"{_interior(i_cfl, n_cells)})")
             if with_source:
                 # the last step's trailing half-step merged with this one's
                 # leading half-step: relax leaves F, and so dt, unchanged
                 source(pending + 0.5 * dt)
                 pending = 0.5 * dt
-            q = _hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn)
+            _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, check_stretch)
             _fill_ghosts(q)
             t += dt
             n_steps += 1
-            if not np.all(np.isfinite(q)):
-                cell = interior(int(np.argwhere(~np.isfinite(q))[0][1]))
-                raise SimulationError(f"non-finite state at t={t:.6g}, cell {cell}")
+            # the sum is finite unless some entry is (or the sum overflows)
+            if not math.isfinite(q.sum()):
+                bad = np.argwhere(~np.isfinite(q))
+                if bad.size:
+                    raise SimulationError(f"non-finite state at t={t:.6g}, "
+                                          f"cell {_interior(int(bad[0][1]), n_cells)}")
         if pending:
             source(pending)
             pending = 0.0

@@ -358,6 +358,21 @@ def test_power_law_relax_passes_nan_through():
     assert math.isnan(out[0]) and 0.0 < out[1] < 0.5
 
 
+def test_regularized_relax_with_a_nan_stretch():
+    fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+    law = fluid.production
+    # nothing to solve: the zeros come back, sign bits included
+    out = law.relax(np.array([1.0, math.nan]), np.array([0.0, -0.0]), 0.1, fluid)
+    assert out.tobytes() == np.array([0.0, -0.0]).tobytes()
+    # a solved cell with a non-finite stretch passes NaN on; the others are
+    # solved as if that stretch were not there
+    ref = law.relax(np.array([1.0]), np.array([0.5]), 0.1, fluid)
+    for bad in (math.nan, math.inf):
+        out = law.relax(np.array([bad, 1.0]), np.array([0.5, 0.5]), 0.1, fluid)
+        assert math.isnan(out[0])
+        assert out[1:].tobytes() == ref.tobytes()
+
+
 def _stiff_rate(law, fluid, F):
     return float(np.max(F)) * _power_prefactor(law.k_cons, law.m) / fluid.omega \
         * law.eps ** (-(law.m - 1.0) / law.m)

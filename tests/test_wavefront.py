@@ -215,6 +215,10 @@ class TestValidation:
 # Bit-for-bit reference: the FV step as it was before edge pairs
 # ---------------------------------------------------------------------------
 
+def _reference_minmod(a, b):
+    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
+
+
 def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn):
     def flux(qc):
         v = qc[0] / rho
@@ -224,7 +228,7 @@ def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn):
 
     dql = q[:, 1:-1] - q[:, :-2]
     dqr = q[:, 2:] - q[:, 1:-1]
-    slope = _minmod(dql, dqr)
+    slope = _reference_minmod(dql, dqr)
     qL = q[:, 1:-1] - 0.5 * slope
     qR = q[:, 1:-1] + 0.5 * slope
     shift = 0.5 * dt / dx * (flux(qL) - flux(qR))
@@ -250,29 +254,155 @@ def _random_state(rng, model, n_cells, v_scale, F_scale, sigma_scale):
     return q
 
 
+def _limiter_corners(q, rng):
+    """Write the limiter's corner cases into the v and omega*sigma rows of q:
+    an exact ramp (|a| == |b| ties), a mix of +0.0, -0.0 and +-1, and
+    same-signed values near 1e-170, whose slope products underflow."""
+    for row, scale in ((0, q[0].std()), (2, q[2].std())):
+        q[row, 4:12] = scale * 0.125 * np.arange(8.0)
+        q[row, 14:24] = [0.0, -0.0, 0.0, 0.0, -0.0, -0.0, scale, -0.0, 0.0, -scale]
+        q[row, 26:40] = 1e-170 * np.cumsum(rng.uniform(0.5, 2.0, 14))
+        q[row, 40:46] = -1e-170 * np.array([1.0, 2.0, 3.5, 3.0, 1.0, 1.0])
+    q[1, 50:58] = 1.0 + 2.0 ** -10 * np.arange(8.0)
+
+
+# every pair of these: ties of equal and opposite sign, zeros of both signs,
+# and products that underflow (1e-170 * 3e-170) or do not
+_LIMITER_VALUES = np.array([-2.0, -1.0, -3e-170, -1e-170, -1e-300, -0.0, 0.0,
+                            1e-300, 1e-170, 3e-170, 1.0, 2.0, 5e-324])
+
+
+_STEP_CASES = [
+    ("rubber", rubber_solid(), False, (0.05, 0.01, 2e4)),
+    ("penn", penn_solid(), False, (0.05, 0.01, 2e4)),
+    ("fluid", unit_fluid(), False, (0.05, 0.05, 0.05)),
+    ("rubber_linearized", rubber_solid(), True, (0.05, 0.01, 2e4)),
+    ("regularized", unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)),
+     False, (0.05, 0.05, 0.05)),
+]
+
+
+def _assert_step_matches_reference(rng, model, linearize, scales, corners):
+    om = viscous_omega(model)
+    rho = model.rho_star
+    T_fn, W2_fn, _ = _flux_functions(model, linearize)
+
+    def lam_fn(F):
+        return np.sqrt((om * W2_fn(F) + 1.0) / (rho * om))
+
+    dx = 0.05
+    for _ in range(5):
+        q = _random_state(rng, model, 64 + 2 * _NG, *scales)
+        q[:, 20:26] = q[:, 20:21]          # a flat stretch: zero slopes
+        if corners:
+            _limiter_corners(q, rng)
+        dt = 0.9 * dx / float(np.max(lam_fn(q[1])))
+        ref = _reference_hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, lam_fn)
+        new = q.copy()
+        _hyperbolic_step(new, dt, dx, rho, om, T_fn, W2_fn, not linearize)
+        assert new.tobytes() == ref.tobytes()
+
+
 class TestBitIdenticalFastStep:
-    @pytest.mark.parametrize("name, model, linearize, scales", [
-        ("rubber", rubber_solid(), False, (0.05, 0.01, 2e4)),
-        ("penn", penn_solid(), False, (0.05, 0.01, 2e4)),
-        ("fluid", unit_fluid(), False, (0.05, 0.05, 0.05)),
-        ("rubber_linearized", rubber_solid(), True, (0.05, 0.01, 2e4)),
-    ])
+    @pytest.mark.parametrize("name, model, linearize, scales", _STEP_CASES)
     def test_hyperbolic_step_matches_reference(self, rng, name, model, linearize, scales):
-        om = viscous_omega(model)
-        rho = model.rho_star
-        T_fn, W2_fn, _ = _flux_functions(model, linearize)
+        _assert_step_matches_reference(rng, model, linearize, scales, corners=False)
 
-        def lam_fn(F):
-            return np.sqrt((om * W2_fn(F) + 1.0) / (rho * om))
+    @pytest.mark.parametrize("name, model, linearize, scales", _STEP_CASES)
+    def test_hyperbolic_step_matches_reference_on_limiter_corners(
+            self, rng, name, model, linearize, scales):
+        _assert_step_matches_reference(rng, model, linearize, scales, corners=True)
 
+    def test_minmod_matches_reference_on_corner_pairs(self):
+        a, b = np.meshgrid(_LIMITER_VALUES, _LIMITER_VALUES)
+        assert _minmod(a, b).tobytes() == _reference_minmod(a, b).tobytes()
+        # the zero rule: +0.0 for zeros of either sign and underflowing products
+        assert np.signbit(_minmod(np.array([-0.0, 1e-170, -1e-170]),
+                                  np.array([1.0, 1e-170, -3e-170]))).sum() == 0
+        assert not _minmod(np.array([1e-170]), np.array([3e-170]))[0]
+
+    def test_minmod_matches_reference_on_random_slopes(self, rng):
+        # signs, magnitudes across the whole exponent range, and exact ties
+        a = rng.standard_normal(4000) * 10.0 ** rng.uniform(-320, 300, 4000)
+        b = rng.standard_normal(4000) * 10.0 ** rng.uniform(-320, 300, 4000)
+        b[::7] = -a[::7]
+        b[1::7] = a[1::7]
+        a[2::11] = -0.0
+        with np.errstate(over="ignore"):
+            assert _minmod(a, b).tobytes() == _reference_minmod(a, b).tobytes()
+
+
+class TestCheckPaths:
+    """The stepper checks the stretch of the cells, the cell edges and the
+    interface states once each per step, and a linearized run none of them."""
+
+    @pytest.mark.parametrize("where", ["interface", "edge"])
+    def test_stretch_lost_in_one_state_array(self, where):
+        # "interface": F is flat at 1, so the cells and their edges keep
+        # F = 1, and a steep compression of v inside cells 21..38 shifts each
+        # predicted interface F by 0.5*dt/dx * (-4*dx/dt) = -2, to -1.
+        # "edge": cell 30 alone has F = -0.5 (the step leaves the cells to
+        # its caller), its limited F slope is 0, and a steep expansion lifts
+        # its interface states to 1.5.
+        model = unit_fluid()
+        rho, om = model.rho_star, viscous_omega(model)
+        T_fn, W2_fn, _ = _flux_functions(model, False)
         dx = 0.05
-        for _ in range(5):
-            q = _random_state(rng, model, 64 + 2 * _NG, *scales)
-            q[:, 20:26] = q[:, 20:21]          # a flat stretch: zero slopes
-            dt = 0.9 * dx / float(np.max(lam_fn(q[1])))
-            ref = _reference_hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, lam_fn)
-            new = _hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, lam_fn)
-            assert new.tobytes() == ref.tobytes()
+        dt = 0.9 * dx / math.sqrt((om * W2_fn(1.0) + 1.0) / (rho * om))
+        q = np.zeros((3, 64 + 2 * _NG))
+        q[1] = 1.0
+        rate = -4.0 if where == "interface" else 4.0
+        q[0, 20:40] = rho * rate * dx / dt * np.arange(20.0)
+        if where == "edge":
+            q[1, 30] = -0.5
+        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+            _hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, W2_fn, True)
+        # unchecked, the same step goes through: nothing else rejects F <= 0
+        _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, False)
+        assert np.min(q[1]) < 0.0
+
+    def test_linearized_run_takes_no_stretch_check(self):
+        model = rubber_solid()
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
+        F = np.ones(200)
+        F[50] = -0.5
+        fields = (np.zeros(200), F, np.zeros(200))
+        res = simulate(model, grid, ic, t_end=1e-3, linearize=True, with_source=False,
+                       initial_fields=fields)
+        assert np.min(res.final.F) < 0.0
+        assert np.all(np.isfinite(res.final.F))
+        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+            simulate(model, grid, ic, t_end=0.01, with_source=False,
+                     initial_fields=fields)
+
+    @pytest.mark.parametrize("linearize", [False, True])
+    def test_nan_sigma_names_the_cell(self, linearize):
+        model = rubber_solid()
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
+        sigma = np.zeros(200)
+        sigma[50] = math.nan
+        with pytest.raises(SimulationError,
+                           match=r"^non-finite state at t=0\.00412187, cell 48$"):
+            simulate(model, grid, ic, t_end=1.0, linearize=linearize,
+                     initial_fields=(np.zeros(200), np.ones(200), sigma))
+
+    @pytest.mark.parametrize("linearize, message", [
+        (False, r"^stretch F must be > 0$"),
+        (True, r"^hyperbolicity lost at cell 49$"),
+    ])
+    def test_nan_velocity_is_caught_by_the_interface_checks(self, linearize, message):
+        # the predictor carries the NaN into the interface F before the
+        # finiteness check could see it
+        model = rubber_solid()
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
+        v = np.zeros(200)
+        v[50] = math.nan
+        with pytest.raises((ValueError, SimulationError), match=message):
+            simulate(model, grid, ic, t_end=1.0, linearize=linearize,
+                     initial_fields=(v, np.ones(200), np.zeros(200)))
 
 
 class TestStallAndMeasurementTrace:
@@ -336,7 +466,7 @@ def _two_half_step_snapshots(model, grid, ic, t_end, out_dt, with_source):
             dt = min(grid.cfl * dx / float(np.max(lam_fn(q[1]))), target - t)
             if with_source:
                 q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
-            q = _hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn)
+            _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, True)
             _fill_ghosts(q)
             if with_source:
                 q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
