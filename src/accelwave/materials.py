@@ -342,7 +342,8 @@ class PowerLaw:
             mag = np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha))
         else:
             # algebraic decay, never reaching zero
-            base = a_abs[nz] ** (1.0 - alpha) + (alpha - 1.0) * K[nz] * h
+            with np.errstate(over="ignore"):  # a subnormal |sigma|: inf here, 0 below
+                base = a_abs[nz] ** (1.0 - alpha) + (alpha - 1.0) * K[nz] * h
             mag = base ** (1.0 / (1.0 - alpha))
         out[nz] = np.sign(out[nz]) * mag
         return out
@@ -394,41 +395,32 @@ class RegularizedPowerLaw:
         A sub-step from s0 solves s - s0 + K*s*(eps+s)**(-n) = 0 on the
         branch s > -eps, where the left side rises strictly from -inf to
         +inf: the one root lies between 0 and s0, or between -eps and 0 when
-        s0 < -eps (see :func:`_regularized_substep`).  A cell that does not
-        converge raises :class:`RelaxationError`; no unconverged value is
-        returned.
-
-        sigma = +-0 is the exact root for s0 = +-0, and a non-finite sigma
-        passes through to the caller's finiteness check as with the exact
-        laws, so only the finite non-zero cells are solved.  A cell solved
-        with a non-finite F comes out NaN, for the same check; the sub-cycle
-        count then comes from the largest finite F.
+        s0 < -eps.  The finite non-zero cells are solved together by
+        :func:`_regularized_substep`; one that does not converge raises
+        :class:`RelaxationError`, so no unconverged value is returned.
+        sigma = +-0 is the exact root for s0 = +-0; a non-finite sigma passes
+        through, and a cell with a non-finite F comes out NaN and does not set
+        the sub-cycle count, for the caller's finiteness check.
         """
         out = np.array(sigma, dtype=float)
-        cells = np.flatnonzero(np.isfinite(out) & (out != 0.0))
-        if cells.size == 0:
-            return out
-        om = fluid.omega
-        m, eps = self.m, self.eps
-        c = _power_prefactor(self.k_cons, m)
-        n = (m - 1.0) / m
-        F_all = np.broadcast_to(F, out.shape).ravel()
-        F_max = float(np.max(F))
+        flat = out.reshape(-1)
+        live = np.isfinite(flat) & (flat != 0.0)
+        F = np.asarray(F, dtype=float)
+        F = (F if F.shape == out.shape else np.broadcast_to(F, out.shape)).reshape(-1)
+        F_max = F.max(initial=0.0)
         if not math.isfinite(F_max):
-            finite = np.isfinite(F_all)
-            out.flat[cells[~finite[cells]]] = math.nan
-            cells = cells[finite[cells]]
-            if cells.size == 0:
-                return out
-            F_max = float(np.max(F_all[finite]))
-        rate0 = F_max * c / om * eps ** (-n)
-        n_sub = max(1, int(math.ceil(h * rate0 / 5.0)))
-        hs = h / n_sub
-        s = out.ravel()[cells]
-        K = hs * (F_all[cells] * c / om)
+            finite = np.isfinite(F)
+            flat[live & ~finite] = math.nan
+            live &= finite
+            F_max = F.max(where=finite, initial=0.0)
+        om, m, eps = fluid.omega, self.m, self.eps
+        c, n = _power_prefactor(self.k_cons, m), (m - 1.0) / m
+        n_sub = max(1, int(math.ceil(h * (F_max * c / om * eps ** (-n)) / 5.0)))
+        K = F[live] * (h / n_sub * c / om)
+        s = flat[live]
         for _ in range(n_sub):
-            s = _regularized_substep(s, K, eps, n, cells)
-        out.flat[cells] = s
+            s = _regularized_substep(s, K, eps, n, live)
+        flat[live] = s
         return out
 
 
@@ -446,7 +438,7 @@ _RELAX_MAX_ITER = 100   # Newton/bisection iterations before a cell fails
 _TINY = np.finfo(float).tiny
 
 
-def _regularized_substep(s0, K, eps, n, cells):
+def _regularized_substep(s0, K, eps, n, live):
     """Per cell, the root s > -eps of r(s) = (s - s0)*(eps+s)**n + K*s.
 
     r has the sign of the backward-Euler residual, so the root is bracketed
@@ -454,44 +446,51 @@ def _regularized_substep(s0, K, eps, n, cells):
     s0 > -eps, r is convex on the bracket, and Newton from the frozen-rate
     start s0/(1 + K*(eps+s0)**(-n)), which lies right of the root, never
     overshoots.  For s0 <= -eps the start is -eps + u with u**n =
-    K*eps/(-s0 - eps), which bounds (eps + root)**n from above.  A Newton
-    step that leaves the bracket bisects instead, and each cell stops on its
-    own step test.  ``cells`` names the cells for the error message.
-    """
-    far = s0 <= -eps
-    neg = s0 < 0.0
-    lo = np.where(neg, np.maximum(s0, -eps), 0.0)
-    hi = np.where(neg, 0.0, s0)
-    # u = eps + s is 0 only at s = lo = -eps, where the step is NaN and bisects
-    with np.errstate(divide="ignore", invalid="ignore"):
+    K*eps/(-s0 - eps), which bounds (eps + root)**n from above; a start that
+    rounds to -eps is within half an ulp of the root and is kept.  The other
+    cells all step until each passes the step test in the same iteration (a
+    converged cell stays so: its steps are a few ulps).  A cell whose step
+    leaves the starting bracket tightens it and bisects.  ``live`` masks the
+    solved cells of sigma."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = s0 / (1.0 + K * np.abs(eps + s0) ** (-n))
-        if far.any():
-            u = (K[far] * eps / (-s0[far] - eps)) ** (1.0 / n)
-            s[far] = np.minimum(u - eps, 0.0)
-        # a start that rounds to -eps is within half an ulp of the root
-        conv = s == -eps
+        far = s0 <= -eps
+        s[far] = np.minimum((K[far] * eps / (-s0[far] - eps)) ** (1.0 / n) - eps, 0.0)
+        act = s != -eps                   # a start at -eps is kept as it is
+        if np.count_nonzero(act) == act.size:
+            act = slice(None)
+        x0, Ka, x = s0[act], K[act], s[act]
+        lo, hi = np.maximum(np.minimum(x0, 0.0), -eps), np.maximum(x0, 0.0)
+        x_prev, r_prev = x, 0.0           # no residual sign before the loop
         for _ in range(_RELAX_MAX_ITER):
-            u = eps + s
+            u = eps + x
             p = u ** n                    # the one power of the iteration
-            d = s - s0
-            r = d * p + K * s
-            np.copyto(lo, s, where=r < 0.0)
-            np.copyto(hi, s, where=r > 0.0)
-            step = r / (n * d / u * p + p + K)
-            s_new = s - step
-            inside = (s_new >= lo) & (s_new <= hi)
+            dp = (x - x0) * p
+            r = dp + Ka * x
+            step = r / (n * dp / u + p + Ka)
+            x_new = x - step
+            inside = (x_new >= lo) & (x_new <= hi)
             if np.count_nonzero(inside) < inside.size:
-                s_new = np.where(inside, s_new, 0.5 * (lo + hi))
-                step = s - s_new
-            done = np.abs(step) <= _RELAX_RTOL * np.abs(s_new) + _TINY
-            s = np.where(conv, s, s_new)      # converged cells stay put
-            conv |= done
-            if np.count_nonzero(conv) == conv.size:
+                x_new = _bisect_outside(inside, x_new, lo, hi, (x, r), (x_prev, r_prev))
+                step = x - x_new
+            done = np.abs(step) <= _RELAX_RTOL * np.abs(x_new) + _TINY
+            x_prev, r_prev, x = x, r, x_new
+            if np.count_nonzero(done) == done.size:
+                s[act] = x
                 return s
-    i = int(np.argmin(conv))
+    i = np.arange(s0.size)[act][np.argmin(done)]
     raise RelaxationError(
         f"implicit source step did not converge in {_RELAX_MAX_ITER} "
-        f"iterations (sigma={s0[i]:.6g})", int(cells[i]))
+        f"iterations (sigma={s0[i]:.6g})", int(np.flatnonzero(live)[i]))
+
+
+def _bisect_outside(inside, x_new, lo, hi, *pairs):
+    """x_new, but bisecting [lo, hi] where x_new left it, after tightening it in place
+    at the (x, r) pairs (the last two iterates, as a step onto -eps is NaN)."""
+    for x, r in pairs:
+        np.copyto(lo, x, where=~inside & (r < 0.0))
+        np.copyto(hi, x, where=~inside & (r > 0.0))
+    return np.where(inside, x_new, 0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ The balance system is solved in conserved variables (rho*v, F, omega*sigma)
 with MUSCL-Hancock reconstruction (minmod limiter), a Rusanov interface flux,
 and Strang splitting for the relaxation source, which each law's relax()
 integrates exactly (solid, Newtonian, plain power law) or by sub-cycled
-backward-Euler steps, each solved to tolerance by a bracketed Newton
-iteration (regularized power law).  The trailing source half-step of one
+backward Euler (regularized power law): its cells take Newton steps together
+until each passes the step test in the same iteration, and a cell bisects
+only when a step leaves its bracket.  The trailing source half-step of one
 step and the leading half-step of the next are merged into one relax() call
 (the source leaves F, and so the CFL step, unchanged); the pending half-step
 is applied before every output, so outputs are synchronized states.

@@ -1,6 +1,7 @@
 """Constitutive layer: potentials, production terms, dissipation structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,18 @@ def test_power_law_relax_passes_nan_through():
     assert math.isnan(out[0]) and 0.0 < out[1] < 0.5
 
 
+def test_power_law_relax_at_subnormal_sigma_warns_nothing():
+    # for m < 1, |sigma|**(1 - 1/m) overflows at a subnormal sigma; the step
+    # still gives 0 with the sign of sigma, and no warning leaks out
+    fluid = unit_fluid(PowerLaw(1.0, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fluid.production.relax(np.ones(4), np.array([5e-324, 1e-310, -1e-310, 1.0]),
+                                     0.1, fluid)
+    assert out[:3].tobytes() == np.array([0.0, 0.0, -0.0]).tobytes()
+    assert 0.0 < out[3] < 1.0
+
+
 def test_regularized_relax_with_a_nan_stretch():
     fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
     law = fluid.production
@@ -452,6 +465,107 @@ class TestRegularizedRelaxSolve:
             law.relax(F, sigma, h, fluid)
         assert exc.value.cell == 2
         assert isinstance(exc.value, ArithmeticError)
+
+
+def _reference_substep(s0, K, eps, n):
+    """The earlier solve, kept as the reference: each cell is frozen once it
+    passes the step test, and the bracket is tightened at every iterate."""
+    far = s0 <= -eps
+    neg = s0 < 0.0
+    lo = np.where(neg, np.maximum(s0, -eps), 0.0)
+    hi = np.where(neg, 0.0, s0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = s0 / (1.0 + K * np.abs(eps + s0) ** (-n))
+        if far.any():
+            u = (K[far] * eps / (-s0[far] - eps)) ** (1.0 / n)
+            s[far] = np.minimum(u - eps, 0.0)
+        conv = s == -eps
+        for _ in range(100):
+            u = eps + s
+            p = u ** n
+            d = s - s0
+            r = d * p + K * s
+            np.copyto(lo, s, where=r < 0.0)
+            np.copyto(hi, s, where=r > 0.0)
+            step = r / (n * d / u * p + p + K)
+            s_new = s - step
+            inside = (s_new >= lo) & (s_new <= hi)
+            if np.count_nonzero(inside) < inside.size:
+                s_new = np.where(inside, s_new, 0.5 * (lo + hi))
+                step = s - s_new
+            done = np.abs(step) <= 1e-13 * np.abs(s_new) + np.finfo(float).tiny
+            s = np.where(conv, s, s_new)
+            conv |= done
+            if conv.all():
+                return s
+    raise AssertionError("the reference solve did not converge")
+
+
+def _reference_relax(law, fluid, F, s0, h):
+    """The earlier sub-cycled backward-Euler step on finite non-zero sigma."""
+    c = _power_prefactor(law.k_cons, law.m)
+    n = (law.m - 1.0) / law.m
+    n_sub = max(1, math.ceil(h * _stiff_rate(law, fluid, F) / 5.0))
+    K = h / n_sub * (F * c / fluid.omega)
+    s = s0
+    for _ in range(n_sub):
+        s = _reference_substep(s, K, law.eps, n)
+    return s
+
+
+class TestRegularizedSolveAgainstReference:
+    """The solve that steps every cell until all pass the step test agrees
+    with the one that froze each cell, and a step that leaves the bracket
+    bisects."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_stiffness=st.floats(-3.0, 2.5))
+    def test_matches_the_per_cell_freeze(self, seed, log_stiffness):
+        fluid, law, F, s0, h = _regularized_step(seed, log_stiffness)
+        # add cells just below -eps, whose roots lie within a few ulps of -eps
+        rng = np.random.default_rng(seed)
+        s0 = np.concatenate([s0, -law.eps * (1.0 + 10.0 ** rng.uniform(-16.0, -1.0, 16))])
+        F = np.concatenate([F, F[:16]])
+        s = law.relax(F, s0, h, fluid)
+        ref = _reference_relax(law, fluid, F, s0, h)
+        assert np.all(np.abs(s - ref) <= 2 * materials._RELAX_RTOL * np.abs(ref))
+        _assert_source_step_properties(fluid, law, F, s0, s)
+
+    def test_step_that_leaves_the_bracket_bisects(self, monkeypatch):
+        # the far-branch cell starts an ulp above -eps and its first Newton
+        # step lands on -eps, where u = eps + s = 0 and the next step is NaN;
+        # the second cell keeps the iteration going, so that step is taken
+        bisections = []
+        bisect = materials._bisect_outside
+
+        def counted(*args):
+            bisections.append(int(np.count_nonzero(~args[0])))
+            return bisect(*args)
+
+        monkeypatch.setattr(materials, "_bisect_outside", counted)
+        fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+        law = fluid.production
+        F = np.ones(2)
+        s0 = np.array([-2.05e6, 1.0])
+        h = 2.0 / _stiff_rate(law, fluid, F)
+        s = law.relax(F, s0, h, fluid)
+        # the NaN step comes twice; each time the previous iterate bounds the
+        # root from above, so one bisection settles the cell
+        assert bisections == [1, 1]
+        _assert_source_step_properties(fluid, law, F, s0, s)
+        eps, n = mp.mpf(law.eps), mp.mpf(0.5)
+        K = mp.mpf(h) * mp.mpf(_power_prefactor(law.k_cons, law.m)) / mp.mpf(fluid.omega)
+        for x0, x in zip(s0, s):
+            # 50-digit bisection of the increasing r over the bracket
+            x0 = mp.mpf(x0)
+            lo, hi = (max(x0, -eps), mp.mpf(0)) if x0 < 0 else (mp.mpf(0), x0)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if (mid - x0) * (eps + mid) ** n + K * mid < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(mp.mpf(x) - lo) <= 1e-12 * abs(lo)
 
 
 # ---------------------------------------------------------------------------
