@@ -24,6 +24,7 @@ __all__ = [
 
 BLOWUP_FACTOR = 1e12          # |pi| > BLOWUP_FACTOR*max(1, |pi0|) declares blow-up
 GROWTH_LIMIT = 10.0           # halve the step when |pi| grows by more than this
+MAX_POINTS = 10 ** 6          # ceiling on the output grid of one integrate call
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class AmplitudeOutcome:
     global_existence: bool
     t_c: float | None          # present iff global_existence is False
     pi_cr: float               # blow-up threshold (0.0 when b = 0, inf when b = inf)
-    trajectory: Trajectory | None = None
 
 
 def _check_ab(a: float, b: float) -> None:
@@ -53,9 +53,12 @@ def classify(a: float, b: float, pi0: float) -> AmplitudeOutcome:
     """Global existence vs finite-time blow-up, with the critical time.
 
     The convention a < 0 makes positive super-critical amplitudes blow up;
-    a > 0 is handled by the mirror symmetry pi -> -pi.
+    a > 0 is handled by the mirror symmetry pi -> -pi.  Raises ValueError for
+    a = 0, b < 0 or a non-finite pi0.
     """
     _check_ab(a, b)
+    if not math.isfinite(pi0):
+        raise ValueError(f"initial amplitude pi0 must be finite, got {pi0}")
     if math.isinf(b):
         return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=math.inf)
     s = 1.0 if a < 0.0 else -1.0   # s*pi0 is the amplitude in the canonical frame
@@ -79,11 +82,10 @@ def closed_form(a: float, b: float, pi0: float, t):
     solution.  b = 0 uses the algebraic branch pi0/(1 + a*pi0*t); the general
     branch is continuous in b down to 0 (expm1 keeps it accurate).
     """
-    _check_ab(a, b)
+    outcome = classify(a, b, pi0)
     if math.isinf(b):
         raise ValueError("closed_form needs a finite b; evaluate at finite eps instead")
     t = np.asarray(t, dtype=float)
-    outcome = classify(a, b, pi0)
     if not outcome.global_existence and np.any(t >= outcome.t_c):
         raise ValueError(f"solution blows up at t_c = {outcome.t_c:.6g}; "
                          "closed_form evaluated at t >= t_c")
@@ -95,17 +97,6 @@ def closed_form(a: float, b: float, pi0: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _rk4_step(a: float, b: float, p: float, h: float) -> float:
-    def rhs(x):
-        return -a * x * x - b * x
-
-    k1 = rhs(p)
-    k2 = rhs(p + 0.5 * h * k1)
-    k3 = rhs(p + 0.5 * h * k2)
-    k4 = rhs(p + h * k3)
-    return p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajectory:
     """RK4 on the output grid 0, dt, 2*dt, ..., t_end with internal refinement.
 
@@ -113,42 +104,50 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     non-finite) is retried at half the step; blow-up is declared once
     |pi| > BLOWUP_FACTOR * max(1, |pi0|) and the trajectory is truncated
     there.  Coefficient a may be zero here (plain linear decay).
+
+    Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
+    for an infinite b, and for a grid of more than MAX_POINTS steps.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ValueError("t_end and dt must be > 0")
+    if not (math.isfinite(pi0) and 0.0 < t_end < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("pi0, t_end and dt must be finite, and t_end and dt > 0")
     if math.isinf(b):
         raise ValueError("integrate needs a finite b")
+    n_out = int(math.ceil(t_end / dt - 1e-12))
+    if n_out > MAX_POINTS:
+        raise ValueError(f"t_end/dt asks for {n_out + 1} output points, over {MAX_POINTS + 1}")
     threshold = BLOWUP_FACTOR * max(1.0, abs(pi0))
     h_min = dt * 2.0 ** -60
-    ts = [0.0]
-    ps = [pi0]
-    t, p = 0.0, pi0
-    blew_up = False
-    t_blowup = None
-    n_out = int(math.ceil(t_end / dt - 1e-12))
+    ts, ps = [0.0], [pi0]
+    t, p, t_blowup = 0.0, pi0, None
+    na = -a
     for k in range(1, n_out + 1):
         target = min(k * dt, t_end)
-        while t < target and not blew_up:
+        while t < target:
             h = target - t
             while True:
-                trial = _rk4_step(a, b, p, h)
+                k1 = na * p * p - b * p
+                x = p + 0.5 * h * k1
+                k2 = na * x * x - b * x
+                x = p + 0.5 * h * k2
+                k3 = na * x * x - b * x
+                x = p + h * k3
+                k4 = na * x * x - b * x
+                trial = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 grew = (not math.isfinite(trial)) or \
                     abs(trial) > GROWTH_LIMIT * max(abs(p), 1e-300)
-                if grew and h > h_min and abs(p) <= threshold:
-                    h *= 0.5
-                    continue
-                break
-            t += h
-            p = trial
+                if not grew or h <= h_min:
+                    break
+                h *= 0.5
+            t, p = t + h, trial
             if abs(p) > threshold or not math.isfinite(p):
-                blew_up = True
                 t_blowup = t
-        if blew_up:
+                break
+        if t_blowup is not None:
             break
         ts.append(t)
         ps.append(p)
     return Trajectory(t=np.array(ts), pi=np.array(ps),
-                      blew_up=blew_up, t_blowup=t_blowup)
+                      blew_up=t_blowup is not None, t_blowup=t_blowup)
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,7 @@ def singular_limit_scan(b0: float, n: float, eps_list, a: float, pi0: float) -> 
     """
     if b0 <= 0.0 or n <= 0.0:
         raise ValueError("b0 and n must be > 0")
-    if a == 0.0:
-        raise ValueError("a must be nonzero")
+    _check_ab(a, b0)
     rows = []
     for eps in eps_list:
         if eps <= 0.0:

@@ -3,12 +3,14 @@
 Subcommands: analyze, amplitude, simulate, sweep, paper-tables.  Reports are
 deterministic: floats are written with their shortest round-trip form in CSV
 and with 17 significant digits in JSON, and no timestamps enter the data
-streams.  Exit codes: 0 success, 2 config error, 3 numerical error.
+streams.  Exit codes: 0 success, 2 config error or bad flag, 3 numerical
+error.  The argument parser is built once per process, on the first `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,10 +68,8 @@ def _json_scalar(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
+    if not math.isfinite(x):
+        return f'"{x!r}"'   # "nan", "inf" or "-inf"
     return format(x, ".17g")
 
 
@@ -97,6 +97,8 @@ def json_dumps(obj, indent: int | None = 2) -> str:
 
 
 def _csv_field(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -106,6 +108,11 @@ def _csv_field(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def _rows(*columns: np.ndarray) -> list[tuple]:
+    """Table rows of Python floats from equal-length float arrays."""
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def write_table(stream, header: list[str], rows: list[list], footer: dict | None,
@@ -140,11 +147,8 @@ def _output(path: str | None):
 # ---------------------------------------------------------------------------
 
 def _case_name(wc: WaveCoefficients) -> str:
-    if isinstance(wc.case, DissipativeFinite):
-        return "dissipative_finite"
-    if isinstance(wc.case, Degenerate):
-        return "degenerate"
-    return "singular_limit"
+    return {DissipativeFinite: "dissipative_finite", Degenerate: "degenerate",
+            SingularLimit: "singular_limit"}[type(wc.case)]
 
 
 def analysis_report(cfg: ScenarioConfig, pi0: float | None) -> dict:
@@ -217,13 +221,10 @@ def cmd_amplitude(args) -> int:
                  else (5.0 / wc.b if wc.b > 0.0 else 1.0))
     dt = args.dt if args.dt is not None else t_end / 1000.0
     traj = integrate(wc.a, wc.b, pi0, t_end, dt)
-    rows = []
-    for t, p in zip(traj.t, traj.pi):
-        if outcome.t_c is not None and t >= outcome.t_c:
-            cf = math.nan
-        else:
-            cf = closed_form(wc.a, wc.b, pi0, float(t))
-        rows.append([float(t), cf, float(p)])
+    cf = np.full(traj.t.size, math.nan)   # pi(t) is undefined from t_c on
+    defined = slice(None) if outcome.t_c is None else traj.t < outcome.t_c
+    cf[defined] = closed_form(wc.a, wc.b, pi0, traj.t[defined])
+    rows = _rows(traj.t, cf, traj.pi)
     footer = {"a": wc.a, "b": wc.b, "pi_cr": wc.pi_cr, "pi0": pi0,
               "global_existence": outcome.global_existence, "t_c": outcome.t_c,
               "blew_up": traj.blew_up, "t_blowup": traj.t_blowup,
@@ -242,10 +243,8 @@ def cmd_simulate(args) -> int:
     result = simulate(cfg.material, sim.grid(), sim.kink(), sim.t_end,
                       output_every=sim.output_every)
     tr = result.trace
-    rows = [[float(tr.t[i]), float(tr.measured_pi[i]), float(tr.predicted_pi[i]),
-             float(tr.front_x[i]), float(tr.energy[i]),
-             float(tr.max_sigma_production[i])]
-            for i in range(tr.t.size)]
+    rows = _rows(tr.t, tr.measured_pi, tr.predicted_pi, tr.front_x, tr.energy,
+                 tr.max_sigma_production)
     footer = {"lambda0": tr.lambda0, "a": tr.a, "b": tr.b,
               "steepening_time": tr.steepening_time,
               "n_cells": sim.n_cells, "dx": sim.grid().dx, "cfl": sim.cfl,
@@ -258,12 +257,9 @@ def cmd_simulate(args) -> int:
                     rows, footer, args.format)
     if out is not None:
         snap = result.final
-        snap_path = out + ".snapshot.csv"
-        with open(snap_path, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(out + ".snapshot.csv") as fh:
             write_table(fh, ["x", "v", "F", "sigma"],
-                        [[float(snap.x[i]), float(snap.v[i]), float(snap.F[i]),
-                          float(snap.sigma[i])] for i in range(snap.x.size)],
-                        {"t": snap.t}, "csv")
+                        _rows(snap.x, snap.v, snap.F, snap.sigma), {"t": snap.t}, "csv")
     return 0
 
 
@@ -272,10 +268,8 @@ def cmd_sweep(args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep needs a 'sweep' block in the config")
     sw = cfg.sweep
-    if sw.scale == "log":
-        values = np.geomspace(sw.min, sw.max, sw.count)
-    else:
-        values = np.linspace(sw.min, sw.max, sw.count)
+    space = np.geomspace if sw.scale == "log" else np.linspace
+    values = space(sw.min, sw.max, sw.count)
     material_dict = material_to_dict(cfg.material)
 
     rows = []
@@ -342,8 +336,7 @@ def cmd_paper_tables(args) -> int:
               ("b", wc.b, "1/s"), ("pi_cr", wc.pi_cr, "m/s^2"),
               ("pi_cr_in_g", wc.pi_cr / G_ACCEL, "g")]
     for name, value, unit in checks:
-        ref, rtol = _RUBBER_REFS[name]
-        line, ok = _check_line(name, value, ref, rtol, unit)
+        line, ok = _check_line(name, value, *_RUBBER_REFS[name], unit)
         lines.append(line)
         all_ok &= ok
     lines.append(f"  coupling condition: full_K={kc.full_K} weak_K={kc.weak_K}")
@@ -353,8 +346,7 @@ def cmd_paper_tables(args) -> int:
     lines.append("Mooney-Rivlin potential derivatives at F=1 (Penn rubber constants)")
     lines.append("  C1=0.092 MPa, C2=0.237 MPa, k_bulk=2000.20 MPa, nu_bar=0.4998")
     for name, value in (("W2", w2), ("W3", w3)):
-        ref, rtol = _MR_REFS[name]
-        line, ok = _check_line(name, value, ref, rtol, "Pa")
+        line, ok = _check_line(name, value, *_MR_REFS[name], "Pa")
         lines.append(line)
         all_ok &= ok
     lines.append(f"  implied cubic coefficient R = {-w3 / (2.0 * w2):.4f}")
@@ -388,6 +380,17 @@ def cmd_paper_tables(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type of the numeric flags: a float other than nan and +-inf."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+_finite_float.__name__ = "float"   # argparse's "invalid float value: ..." message
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accelwave",
@@ -406,15 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="wave coefficients and coupling verdicts")
     add_common(p)
-    p.add_argument("--pi0", type=float, default=None,
+    p.add_argument("--pi0", type=_finite_float, default=None,
                    help="initial jump for the blow-up classification [m/s^2]")
     p.set_defaults(func=cmd_analyze, default_format="json")
 
     p = sub.add_parser("amplitude", help="closed-form and RK4 amplitude trajectory")
     add_common(p)
-    p.add_argument("--pi0", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--pi0", type=_finite_float, default=None)
+    p.add_argument("--t-end", type=_finite_float, default=None, dest="t_end")
+    p.add_argument("--dt", type=_finite_float, default=None)
     p.set_defaults(func=cmd_amplitude, default_format="csv")
 
     p = sub.add_parser("simulate", help="finite-volume wavefront experiment")
@@ -435,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "format", None) is None:
         args.format = args.default_format
     try:

@@ -13,6 +13,7 @@ from accelwave import (
     integrate,
     singular_limit_scan,
 )
+from accelwave.amplitude import MAX_POINTS
 from conftest import rubber_solid, unit_fluid
 
 # RK4 oracle at dt=1e-5 for (a, b, pi0) = (-1, 1, 0.5) evaluated at t=2,
@@ -63,6 +64,12 @@ class TestClassify:
             classify(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             classify(-1.0, -0.5, 1.0)
+
+    @pytest.mark.parametrize("pi0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_amplitude(self, pi0):
+        # a NaN pi0 used to classify as a blow-up with t_c = NaN
+        with pytest.raises(ValueError, match="pi0 must be finite"):
+            classify(-1.0, 1.0, pi0)
 
 
 class TestClosedForm:
@@ -151,6 +158,21 @@ class TestIntegrate:
             integrate(-1.0, 1.0, 0.5, t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             integrate(-1.0, math.inf, 0.5, t_end=1.0, dt=0.1)
+
+    @pytest.mark.parametrize("pi0, t_end, dt", [
+        (math.nan, 1.0, 0.1), (0.5, math.inf, 0.1), (0.5, 1.0, math.nan),
+        (0.5, math.nan, 0.1), (-math.inf, 1.0, 0.1)])
+    def test_rejects_non_finite_inputs(self, pi0, t_end, dt):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(-1.0, 1.0, pi0, t_end, dt)
+
+    def test_output_grid_ceiling(self):
+        # 10**7 steps would run for tens of seconds and build 10**7 rows
+        assert MAX_POINTS >= 10 ** 5   # test_matches_closed_form_subcritical
+        with pytest.raises(ValueError, match=r"asks for 10000001 output points"):
+            integrate(-1.0, 1.0, 0.5, t_end=1.0, dt=1e-7)
+        with pytest.raises(ValueError, match="output points"):
+            integrate(-1.0, 1.0, 0.5, t_end=1.0, dt=1.0 / (MAX_POINTS + 1))
 
 
 class TestSingularLimitScan:

@@ -1,0 +1,203 @@
+"""The `amplitude` report and `integrate` against copies of their per-row forms.
+
+`cmd_amplitude` evaluates the closed-form column with one array call and
+`integrate` runs its RK4 stages inline.  The references below are the earlier
+forms: a scalar `closed_form` call per row, `float()` per cell, and an RK4 step
+function with a nested right-hand side.  The CSV and JSON bytes and the
+trajectory arrays must be identical.
+"""
+
+import contextlib
+import io
+import math
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from accelwave import classify, closed_form, coefficients_ab, integrate
+from accelwave import cli
+from accelwave.amplitude import BLOWUP_FACTOR, GROWTH_LIMIT, Trajectory
+from conftest import rubber_solid
+
+
+def _reference_rk4_step(a, b, p, h):
+    def rhs(x):
+        return -a * x * x - b * x
+
+    k1 = rhs(p)
+    k2 = rhs(p + 0.5 * h * k1)
+    k3 = rhs(p + 0.5 * h * k2)
+    k4 = rhs(p + h * k3)
+    return p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_integrate(a, b, pi0, t_end, dt):
+    threshold = BLOWUP_FACTOR * max(1.0, abs(pi0))
+    h_min = dt * 2.0 ** -60
+    ts = [0.0]
+    ps = [pi0]
+    t, p = 0.0, pi0
+    blew_up = False
+    t_blowup = None
+    n_out = int(math.ceil(t_end / dt - 1e-12))
+    for k in range(1, n_out + 1):
+        target = min(k * dt, t_end)
+        while t < target and not blew_up:
+            h = target - t
+            while True:
+                trial = _reference_rk4_step(a, b, p, h)
+                grew = (not math.isfinite(trial)) or \
+                    abs(trial) > GROWTH_LIMIT * max(abs(p), 1e-300)
+                if grew and h > h_min and abs(p) <= threshold:
+                    h *= 0.5
+                    continue
+                break
+            t += h
+            p = trial
+            if abs(p) > threshold or not math.isfinite(p):
+                blew_up = True
+                t_blowup = t
+        if blew_up:
+            break
+        ts.append(t)
+        ps.append(p)
+    return Trajectory(t=np.array(ts), pi=np.array(ps),
+                      blew_up=blew_up, t_blowup=t_blowup)
+
+
+def _reference_csv_field(x):
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def _reference_report(wc, pi0, t_end, dt, fmt):
+    """Exit code and text of the amplitude report built one row at a time."""
+    try:
+        return 0, _reference_text(wc, pi0, t_end, dt, fmt)
+    except (ValueError, ArithmeticError):   # the CLI's exit 3
+        return 3, ""
+
+
+def _reference_text(wc, pi0, t_end, dt, fmt):
+    outcome = classify(wc.a, wc.b, pi0)
+    if t_end is None:
+        t_end = (0.99 * outcome.t_c if not outcome.global_existence
+                 else (5.0 / wc.b if wc.b > 0.0 else 1.0))
+    dt = dt if dt is not None else t_end / 1000.0
+    traj = _reference_integrate(wc.a, wc.b, pi0, t_end, dt)
+    rows = []
+    for t, p in zip(traj.t, traj.pi):
+        if outcome.t_c is not None and t >= outcome.t_c:
+            cf = math.nan
+        else:
+            cf = closed_form(wc.a, wc.b, pi0, float(t))
+        rows.append([float(t), cf, float(p)])
+    footer = {"a": wc.a, "b": wc.b, "pi_cr": wc.pi_cr, "pi0": pi0,
+              "global_existence": outcome.global_existence, "t_c": outcome.t_c,
+              "blew_up": traj.blew_up, "t_blowup": traj.t_blowup,
+              "units": {"t": "s", "pi": "m/s^2"}}
+    header = ["t", "pi_closed_form", "pi_rk4"]
+    if fmt == "json":
+        payload = {"columns": header, "rows": [dict(zip(header, r)) for r in rows],
+                   "meta": footer}
+        return cli.json_dumps(payload) + "\n"
+    lines = [",".join(header)] + [",".join(_reference_csv_field(x) for x in r)
+                                  for r in rows]
+    return "\n".join(lines) + "\n# " + cli.json_dumps(footer, indent=None) + "\n"
+
+
+def _cli_report(wc, pi0, t_end, dt, fmt):
+    """Exit code and stdout of `accelwave amplitude` with the coefficients
+    replaced by wc."""
+    argv = ["amplitude", "--config", "rubber.json", f"--pi0={pi0!r}", "--format", fmt]
+    if t_end is not None:
+        argv.append(f"--t-end={t_end!r}")
+    if dt is not None:
+        argv.append(f"--dt={dt!r}")
+    out = io.StringIO()
+    with mock.patch.object(cli, "coefficients_ab", lambda material: wc), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+@st.composite
+def amplitude_problems(draw):
+    """(a, b, pi0, t_end, dt): both signs of a, b = 0 or not, pi0 on either
+    side of pi_cr, and t_end from the CLI default or up to 3x past t_c."""
+    a = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 1.0))
+    b = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    scale = b / abs(a) if b > 0.0 else 10.0 ** draw(st.floats(-1.0, 1.0))
+    pi0 = draw(st.floats(-3.0, 3.0)) * scale
+    t_end = dt = None
+    if draw(st.booleans()):
+        t_c = classify(a, b, pi0).t_c
+        span = t_c if t_c is not None else (5.0 / b if b > 0.0 else 1.0)
+        t_end = draw(st.floats(0.3, 3.0)) * span
+        if draw(st.booleans()):
+            dt = t_end / draw(st.integers(3, 400))
+    return a, b, pi0, t_end, dt
+
+
+_RUBBER_WC = coefficients_ab(rubber_solid())
+
+
+def _wave(a, b):
+    return replace(_RUBBER_WC, a=a, b=b, pi_cr=b / abs(a))
+
+
+class TestBitIdenticalAmplitudeReport:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(problem=amplitude_problems())
+    def test_trajectory_matches_reference(self, problem):
+        a, b, pi0, t_end, dt = problem
+        if t_end is None:
+            return
+        dt = dt if dt is not None else t_end / 1000.0
+        new, ref = integrate(a, b, pi0, t_end, dt), _reference_integrate(a, b, pi0, t_end, dt)
+        assert new.t.tobytes() == ref.t.tobytes()
+        assert new.pi.tobytes() == ref.pi.tobytes()
+        assert (new.blew_up, new.t_blowup) == (ref.blew_up, ref.t_blowup)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(problem=amplitude_problems(), fmt=st.sampled_from(["csv", "json"]))
+    def test_report_matches_reference(self, problem, fmt):
+        a, b, pi0, t_end, dt = problem
+        wc = _wave(a, b)
+        assert _cli_report(wc, pi0, t_end, dt, fmt) == \
+            _reference_report(wc, pi0, t_end, dt, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("a, b, pi0, t_end, dt", [
+        (-1.0, 0.0, 1.0, 3.0, 0.05),           # b = 0, a grid point at t_c = 1
+        (1.0, 0.0, -1.0, 3.0, 0.05),           # the same, mirrored
+        (-1.0, 1.0, 4.0, 2.0, 0.013),          # b > 0, past t_c = log(4/3)
+        (0.5, 2.0, -9.0, None, None),          # mirrored blow-up, default grid
+        (-0.009, 2.93, 160.0, None, None),     # rubber-like decay, default grid
+        (-2.0, 0.0, -0.7, None, 0.01),         # b = 0, global
+    ])
+    def test_named_branches_match_reference(self, fmt, a, b, pi0, t_end, dt):
+        wc = _wave(a, b)
+        rc, text = _cli_report(wc, pi0, t_end, dt, fmt)
+        assert rc == 0 and (rc, text) == _reference_report(wc, pi0, t_end, dt, fmt)
+
+    def test_rows_from_the_critical_time_on_are_nan(self):
+        # the halving steps reach the grid point t = t_c = 1 before |pi| > 1e12
+        a, b, pi0 = -1.0, 0.0, 1.0
+        traj = integrate(a, b, pi0, 3.0, 0.05)
+        assert traj.blew_up and traj.t[-1] == 1.0 < traj.t_blowup
+        _, text = _cli_report(_wave(a, b), pi0, 3.0, 0.05, "csv")
+        rows = [ln.split(",") for ln in text.splitlines()[1:-1]]
+        assert rows[-1][:2] == ["1.0", "nan"]
+        assert all(r[1] != "nan" for r in rows[:-1])

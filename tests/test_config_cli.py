@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from accelwave import (
     scenario_from_dict,
     scenario_to_dict,
 )
+import accelwave
 from accelwave.cli import main
 from conftest import rubber_solid
 
@@ -250,6 +252,83 @@ class TestAmplitudeCommand:
         code, _, err = run_cli(capsys, "amplitude", "--config", str(path),
                                "--pi0", "1.0", "--t-end", "1.0")
         assert code == 3 and "numerical error" in err
+
+
+class TestNumericFlags:
+    """--pi0, --t-end and --dt take finite floats; anything else is an
+    argparse error (exit 2) that names the flag."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["amplitude", "--pi0", "nan"], "--pi0"),
+        (["amplitude", "--pi0=-inf"], "--pi0"),
+        (["amplitude", "--pi0", "161", "--t-end", "inf"], "--t-end"),
+        (["amplitude", "--pi0", "161", "--dt", "nan"], "--dt"),
+        (["analyze", "--pi0", "nan"], "--pi0"),
+    ])
+    def test_non_finite_flag_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", "rubber.json", *argv[1:]])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+
+    def test_malformed_number_message_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["amplitude", "--config", "rubber.json", "--pi0", "abc"])
+        assert exc.value.code == 2
+        assert "argument --pi0: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_oversized_output_grid_is_a_numerical_error(self, capsys):
+        # 2.5e8 rows at the default t_end = 5/b; refused before any step
+        code, out, err = run_cli(capsys, "amplitude", "--config", "rubber.json",
+                                 "--pi0", "161", "--dt", "1e-9")
+        assert code == 3 and out == ""
+        assert "output points" in err
+
+
+class TestParserReuse:
+    """One parser serves every main() call of a process: a sequence of calls
+    gives the bytes and exit codes of fresh interpreters."""
+
+    def test_in_process_sequence_matches_fresh_interpreters(self, capsys, tmp_path):
+        cfg = tmp_path / "with_pi0.json"
+        cfg.write_text(json.dumps({**RUBBER_DICT, "pi0": 400.0}))
+        report = tmp_path / "report.json"
+        sequence = [
+            ["amplitude", "--config", "rubber.json", "--pi0", "100", "--format", "json"],
+            ["amplitude", "--config", str(cfg)],                 # pi0 from the config
+            ["analyze", "--config", str(cfg), "--out", str(report)],
+            ["amplitude", "--config", str(cfg), "--dt", "nan"],  # argparse error
+            ["analyze", "--config", "rubber.json", "--pi0", "-3"],
+            ["analyze", "--config", str(cfg), "--format", "csv"],
+            ["analyze", "--config", str(cfg)],                   # stdout again
+            ["amplitude", "--config", "rubber.json"],            # no pi0 anywhere
+            ["sweep", "--config", "shear_thickening_eps.json"],
+        ]
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(accelwave.__file__))}
+
+        def take(path):   # the file a call wrote, removed for the next call
+            if not path.exists():
+                return None
+            text = path.read_text()
+            path.unlink()
+            return text
+
+        expected = []
+        for argv in sequence:
+            proc = subprocess.run([sys.executable, "-m", "accelwave.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            expected.append((proc.returncode, proc.stdout, proc.stderr, take(report)))
+        got = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err, take(report)))
+        assert [e[0] for e in expected] == [0, 0, 0, 2, 0, 0, 0, 2, 0]
+        assert got == expected
 
 
 class TestSweepCommand:
