@@ -65,11 +65,8 @@ from .materials import (
     SingularProductionSlope,
     SolidParams,
     elastic_derivs,
-    mooney_rivlin_tangent_modulus,
-    mooney_rivlin_uniaxial_stress,
     production,
     production_jacobian,
-    viscous_omega,
     zener_relaxation_response,
 )
 from .wavefront import (

@@ -15,13 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .materials import (
-    MaterialModel,
-    SingularProductionSlope,
-    elastic_derivs,
-    production_jacobian,
-    viscous_omega,
-)
+from .materials import MaterialModel, SingularProductionSlope, production_jacobian
 
 __all__ = [
     "StateVector",
@@ -85,16 +79,12 @@ class Eigensystem:
     d_zero: np.ndarray
     l_zero: np.ndarray
 
-    @property
-    def speeds(self) -> tuple[float, float, float]:
-        return (-self.lam, 0.0, self.lam)
-
 
 def quasilinear_matrix(model: MaterialModel, state: StateVector) -> np.ndarray:
     """Coefficient matrix A(u) of u_t + A u_X = f in the (v, F, sigma) field."""
-    w2 = elastic_derivs(model, state.F).W2
+    w2 = model.elastic.W2(state.F, model)
     rho = model.rho_star
-    om = viscous_omega(model)
+    om = model.omega
     return np.array([
         [0.0, -w2 / rho, -1.0 / rho],
         [-1.0, 0.0, 0.0],
@@ -103,9 +93,8 @@ def quasilinear_matrix(model: MaterialModel, state: StateVector) -> np.ndarray:
 
 
 def _lambda(model: MaterialModel, F: float) -> float:
-    w2 = elastic_derivs(model, F).W2
-    om = viscous_omega(model)
-    disc = om * w2 + 1.0
+    om = model.omega
+    disc = om * model.elastic.W2(F, model) + 1.0
     if disc <= 0.0:
         raise HyperbolicityError(
             f"omega*W''(F) + 1 = {disc:.6g} <= 0 at F={F}: system not hyperbolic")
@@ -114,9 +103,9 @@ def _lambda(model: MaterialModel, F: float) -> float:
 
 def eigensystem(model: MaterialModel, state: StateVector) -> Eigensystem:
     """Closed-form eigenstructure of A(u) at the given state."""
-    w2 = elastic_derivs(model, state.F).W2
+    w2 = model.elastic.W2(state.F, model)
     rho = model.rho_star
-    om = viscous_omega(model)
+    om = model.omega
     lam = _lambda(model, state.F)
     d_plus = np.array([-1.0 / lam, 1.0 / lam ** 2, 1.0 / (lam ** 2 * om)])
     l_plus = 0.5 * np.array([-lam, w2 / rho, 1.0 / rho])
@@ -138,7 +127,7 @@ def grad_lambda(model: MaterialModel, state: StateVector) -> np.ndarray:
     """
     lam = _lambda(model, state.F)
     rho = model.rho_star
-    w3 = elastic_derivs(model, state.F).W3
+    w3 = model.elastic.W3(state.F, model)
     return (1.0 / (2.0 * lam * rho)) * np.array([0.0, w3, 0.0])
 
 
@@ -148,7 +137,7 @@ def source_jacobian(model: MaterialModel, state: StateVector) -> np.ndarray:
     if isinstance(jac.P_sigma, SingularProductionSlope):
         raise ValueError("source_jacobian needs a finite P_sigma; the "
                          "unregularized law is singular at sigma=0")
-    om = viscous_omega(model)
+    om = model.omega
     grad_f = np.zeros((3, 3))
     grad_f[2, 1] = jac.P_F / om
     grad_f[2, 2] = jac.P_sigma * om / om ** 2   # quotient rule with omega' = 0
@@ -199,15 +188,15 @@ class WaveCoefficients:
 def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
     """Closed-form (lambda0, a, b, pi_cr) at the equilibrium state."""
     eq = equilibrium_state()
-    derivs = elastic_derivs(model, eq.F)
+    el = model.elastic
     rho = model.rho_star
-    om = viscous_omega(model)
+    om = model.omega
     lam0 = _lambda(model, eq.F)
     # lam0^2 written without squaring the square root keeps b exact for
     # closed-form-friendly constants
-    lam0_sq = (om * derivs.W2 + 1.0) / (rho * om)
+    lam0_sq = (om * el.W2(eq.F, model) + 1.0) / (rho * om)
     # the om**3 factors of the general form (omega' = 0 here) fix the rounding
-    a = om ** 3 * derivs.W3 / (2.0 * lam0 * lam0_sq * rho * om ** 3)
+    a = om ** 3 * el.W3(eq.F, model) / (2.0 * lam0 * lam0_sq * rho * om ** 3)
     if a == 0.0:
         raise DegenerateWaveError(
             "fast field is linearly degenerate (W'''(1) = 0 with constant "
@@ -266,7 +255,7 @@ def k_condition(model: MaterialModel) -> KConditionReport:
     eq = equilibrium_state()
     eig = eigensystem(model, eq)
     jac = production_jacobian(model, eq.F, eq.sigma)
-    om = viscous_omega(model)
+    om = model.omega
 
     def coupled(d: np.ndarray) -> bool:
         if isinstance(jac.P_sigma, SingularProductionSlope):

@@ -217,6 +217,9 @@ def cmd_amplitude(args) -> int:
     outcome = classify(wc.a, wc.b, pi0)
     t_end = args.t_end
     if t_end is None:
+        if outcome.t_c == math.inf:
+            raise OverflowError(f"the critical time t_c overflows to inf at "
+                                f"pi0={pi0!r}; give --t-end")
         t_end = (0.99 * outcome.t_c if not outcome.global_existence
                  else (5.0 / wc.b if wc.b > 0.0 else 1.0))
     dt = args.dt if args.dt is not None else t_end / 1000.0

@@ -40,9 +40,6 @@ __all__ = [
     "SingularProductionSlope",
     "ProductionJacobian",
     "elastic_derivs",
-    "mooney_rivlin_uniaxial_stress",
-    "mooney_rivlin_tangent_modulus",
-    "viscous_omega",
     "production",
     "production_jacobian",
     "zener_relaxation_response",
@@ -157,7 +154,7 @@ class MooneyRivlin:
     def solid_constants(self, E1, nu_bar) -> tuple[float, float]:
         """The solid's (E1, nu_bar): E1 is derived (a supplied value must agree
         within 1%), nu_bar defaults to the Poisson ratio."""
-        derived = mooney_rivlin_tangent_modulus(self)
+        derived = self.W2(1.0)   # T'(1), the uniaxial tangent modulus
         _require(derived > 0.0, "Mooney-Rivlin constants give a non-positive modulus")
         if E1 is not None:
             _require(abs(E1 - derived) <= 1e-2 * derived,
@@ -208,23 +205,6 @@ class MooneyRivlin:
 
     def W3(self, F, solid: SolidParams | None = None):
         return self._stress_derivative(F, 2)
-
-
-def mooney_rivlin_uniaxial_stress(params: SolidParams | MooneyRivlin, F):
-    """Uniaxial first Piola stress T(F) of the Mooney-Rivlin solid.
-
-    T(1) = 0: the reference configuration is unstressed.
-    """
-    p = params.elastic if isinstance(params, SolidParams) else params
-    if not isinstance(p, MooneyRivlin):
-        raise ValueError("mooney_rivlin_uniaxial_stress needs a Mooney-Rivlin elastic part")
-    _require_stretch(F)
-    return p.T(F)
-
-
-def mooney_rivlin_tangent_modulus(p: MooneyRivlin) -> float:
-    """T'(1): the uniaxial tangent modulus at the undeformed state [Pa]."""
-    return sum(c * e for c, e in p.power_terms())
 
 
 @dataclass(frozen=True)
@@ -367,13 +347,9 @@ class RegularizedPowerLaw:
         c = _power_prefactor(self.k_cons, self.m)
         n = (self.m - 1.0) / self.m
         u = self.eps + sigma
-        if np.ndim(sigma) == 0 and np.ndim(F) == 0:
-            if u == 0.0:
-                return math.inf  # limiting value as sigma -> -eps
-            return -F * c * abs(u) ** (-n) * sigma
         with np.errstate(divide="ignore"):
             out = -F * c * np.abs(u) ** (-n) * sigma
-        return np.where(u == 0.0, math.inf, out)
+        return np.where(u == 0.0, math.inf, out)[()]  # inf: the limit as sigma -> -eps
 
     def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
         m = self.m
@@ -541,6 +517,7 @@ class SolidParams:
 
     @property
     def omega(self) -> float:
+        """omega of the quadratic viscous energy, constant in sigma: 1/E2."""
         return 1.0 / self.E2
 
 
@@ -579,6 +556,7 @@ class FluidParams:
 
     @property
     def omega(self) -> float:
+        """omega of the quadratic viscous energy, constant in sigma: tau0/mu0."""
         return self.tau0 / self.mu0
 
 
@@ -599,12 +577,6 @@ def elastic_derivs(model: MaterialModel, F) -> PotentialDerivs:
     el = model.elastic
     return PotentialDerivs(W=el.W(F, model), W1=el.T(F, model),
                            W2=el.W2(F, model), W3=el.W3(F, model))
-
-
-def viscous_omega(model: MaterialModel) -> float:
-    """omega of the quadratic viscous energy, constant in sigma: 1/E2 (solid),
-    tau0/mu0 (fluid)."""
-    return model.omega
 
 
 def production(model: MaterialModel, F, sigma):

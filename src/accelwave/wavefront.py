@@ -22,9 +22,11 @@ of two same-signed slopes underflows.  The CFL step and the Rusanov speeds
 compare the discriminants om*W'' + 1 before the square root: division by
 rho*om > 0 and sqrt are correctly rounded and monotone, so the root of the
 largest discriminant is bit for bit the largest speed.  Each step checks the
-stretch F > 0 once in each of three state arrays (the cells, for the CFL
-step; the cell edges; the predicted interface states), by one reduction that
-also rejects NaN; linearized runs take no stretch check.
+stretch F > 0 once on the cells (for the CFL step) and once on the predicted
+interface states, by one reduction that also rejects NaN; linearized runs
+take no stretch check.  The cell edges need none: a minmod-limited edge lies
+between its cell and the mean with a neighbour, so positive cells give
+positive edges.
 
 A source step whose implicit solve does not converge raises SimulationError
 naming t and the cell, as does a state that turns non-finite or loses
@@ -48,14 +50,7 @@ from .characteristics import (
     eigensystem,
     equilibrium_state,
 )
-from .materials import (
-    MaterialModel,
-    RelaxationError,
-    _require_stretch,
-    elastic_derivs,
-    production,
-    viscous_omega,
-)
+from .materials import MaterialModel, RelaxationError, _require_stretch, production
 
 __all__ = [
     "Grid",
@@ -169,13 +164,12 @@ class EnergyReport:
 def _flux_functions(model: MaterialModel, linearize: bool):
     """Return (T(F), W2(F), W(F)) vectorized callables, honoring linearization;
     otherwise the elastic part's own functions.  None of them checks the
-    stretch: the callers check each state array once (:func:`_check_stretch`)."""
+    stretch: the callers check each state array once (:func:`_discriminant`)."""
+    el = model.elastic
     if not linearize:
-        el = model.elastic
         return (lambda F: el.T(F, model), lambda F: el.W2(F, model),
                 lambda F: el.W(F, model))
-    d0 = elastic_derivs(model, 1.0)
-    T1, W2_1 = float(d0.W1), float(d0.W2)
+    T1, W2_1 = float(el.T(1.0, model)), float(el.W2(1.0, model))
 
     def T(F):
         return T1 + W2_1 * (F - 1.0)
@@ -190,12 +184,6 @@ def _flux_functions(model: MaterialModel, linearize: bool):
     return T, W2, W
 
 
-def _check_stretch(F: np.ndarray) -> None:
-    # one reduction; a NaN stretch fails it too
-    if not F.min() > 0.0:
-        _require_stretch(F)
-
-
 def _interior(i: int, n_cells: int) -> int:
     """Interior cell of ghost-padded index i (a ghost names its neighbour)."""
     return min(max(i - _NG, 0), n_cells - 1)
@@ -204,13 +192,13 @@ def _interior(i: int, n_cells: int) -> int:
 def _discriminant(F: np.ndarray, om: float, W2_fn, check_stretch: bool,
                   n_cells: int) -> np.ndarray:
     """om*W''(F) + 1, the squared wave speed times rho*om, after the stretch
-    check (with check_stretch).  F is the ghost-padded row of cells, or the
-    (left, right) state rows of the interfaces, where interface j takes its
-    left state from padded cell j + 1 and its right state from j + 2.  Where
-    it is not > 0, raises SimulationError naming the first failing cell of
-    the first failing row."""
-    if check_stretch:
-        _check_stretch(F)
+    check (with check_stretch: one reduction, which also rejects NaN).  F is
+    the ghost-padded row of cells, or the (left, right) state rows of the
+    interfaces, where interface j takes its left state from padded cell j + 1
+    and its right state from j + 2.  Where it is not > 0, raises
+    SimulationError naming the first failing cell of the first failing row."""
+    if check_stretch and not F.min() > 0.0:
+        _require_stretch(F)
     disc = om * W2_fn(F) + 1.0
     if not disc.min() > 0.0:
         bad = np.argwhere(~(disc > 0.0))[0]
@@ -252,8 +240,9 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
     Edge states are held as (3, 2, M) pairs, so T and the wave speeds are
     evaluated once per pair: the (left, right) edges of each cell for the
     predictor, then the (left, right) states of each interface for the
-    Rusanov flux.  With check_stretch, the F row of each pair is checked
-    once (the caller checks the cells).  The Rusanov speed is
+    Rusanov flux.  With check_stretch, the F row of the interface states is
+    checked once (the caller checks the cells, whose edges then need no
+    check).  The Rusanov speed is
     0.5*sqrt(max(d_L, d_R)/(rho*om)) of the discriminants d = om*W'' + 1,
     bit for bit the larger of the two speeds: correctly rounded division by
     a positive constant and sqrt are both monotone.
@@ -268,8 +257,6 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
     np.add(qc, half, out=e[:, 1])
     # half-step predictor from the rows g = -flux: c*(f_L - f_R) = c*(g_R - g_L)
     # exactly; the shift of the F and omega*sigma rows is the same
-    if check_stretch:
-        _check_stretch(e[1])
     g_mom, g_v = _edge_flux(e, rho, om, T_fn)
     c = 0.5 * dt / dx
     sh_mom = c * (g_mom[1] - g_mom[0])
@@ -399,7 +386,7 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot, *,
     _, _, W_fn = _flux_functions(model, linearize)
     if not linearize:
         _require_stretch(snapshot.F)
-    om = viscous_omega(model)
+    om = model.omega
     dx = snapshot.x[1] - snapshot.x[0]
     dens = 0.5 * model.rho_star * snapshot.v ** 2 + W_fn(snapshot.F) \
         + 0.5 * om * snapshot.sigma ** 2
@@ -458,7 +445,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         raise ValueError("output_every must be > 0")
 
     rho = model.rho_star
-    om = viscous_omega(model)
+    om = model.omega
     T_fn, W2_fn, _ = _flux_functions(model, linearize)
     check_stretch = not linearize
     n_cells = grid.n_cells

@@ -243,6 +243,18 @@ class TestAmplitudeCommand:
         code, _, _ = run_cli(capsys, "amplitude", "--config", str(path))
         assert code == 2
 
+    def test_overflowing_critical_time_asks_for_t_end(self, capsys):
+        # b = 0: t_c = -1/(a*pi0) overflows for a subnormal pi0
+        code, out, err = run_cli(capsys, "amplitude", "--config", "shear_thinning.json",
+                                 "--pi0=2.2e-313")
+        assert code == 3 and out == ""
+        assert err == ("numerical error: the critical time t_c overflows to inf "
+                       "at pi0=2.2e-313; give --t-end\n")
+        code, out, _ = run_cli(capsys, "amplitude", "--config", "shear_thinning.json",
+                               "--pi0=2.2e-313", "--t-end", "1")
+        assert code == 0
+        assert json.loads(out.strip().split("\n")[-1][2:])["t_c"] == "inf"
+
     def test_singular_limit_has_no_trajectory(self, capsys, tmp_path):
         d = {"kind": "fluid",
              "fluid": {"rho_star": 1.0, "R_gas": 1.0, "tau0": 1.0, "mu0": 1.0,
@@ -394,6 +406,16 @@ class TestSimulateCommand:
         snap = (tmp_path / "trace.csv.snapshot.csv").read_text().strip().split("\n")
         assert snap[0] == "x,v,F,sigma"
         assert len(snap) == 200 + 2  # header + cells + footer
+
+    @pytest.mark.parametrize("name", ["rubber.json", "newtonian.json",
+                                      "shear_thinning.json", "shear_thickening_eps.json"])
+    def test_every_bundled_config_simulates(self, capsys, name):
+        code, out, err = run_cli(capsys, "simulate", "--config", name)
+        assert code == 0 and err == ""
+        lines = out.strip().split("\n")
+        sim = load_scenario(name).sim
+        assert len(lines) == round(sim.t_end / sim.output_every) + 3  # t = 0, header, footer
+        assert json.loads(lines[-1][2:])["n_cells"] == sim.n_cells
 
     def test_sim_block_required(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
