@@ -42,6 +42,7 @@ from .config import (
     ScenarioConfig,
     SimConfig,
     SweepConfig,
+    apply_sweep_value,
     bundled_config_path,
     load_scenario,
     material_from_dict,
@@ -82,3 +83,7 @@ from .wavefront import (
     measure_front_slope,
     simulate,
 )
+from . import amplitude, characteristics, config, materials, wavefront
+
+__all__ = [*amplitude.__all__, *characteristics.__all__, *config.__all__,
+           *materials.__all__, *wavefront.__all__]

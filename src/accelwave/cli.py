@@ -3,8 +3,9 @@
 Subcommands: analyze, amplitude, simulate, sweep, paper-tables.  Reports are
 deterministic: floats are written with their shortest round-trip form in CSV
 and with 17 significant digits in JSON, and no timestamps enter the data
-streams.  Exit codes: 0 success, 2 config error or bad flag, 3 numerical
-error.  The argument parser is built once per process, on the first `main`.
+streams.  Exit codes: 0 success, 1 stdout closed before the report was
+written (quietly), 2 config error or bad flag, 3 numerical error.  The
+argument parser is built once per process, on the first `main`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -393,6 +396,11 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"   # argparse's "invalid float value: ..." message
 
 
+# argparse before Python 3.12 reads a negative number with an exponent, such
+# as -1e-3, as an option string and not as the value of the flag before it
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -404,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config_required=True):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config", required=config_required,
                        help="scenario config (JSON); bundled names like "
                             "'rubber.json' are resolved automatically")
@@ -445,7 +454,13 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) is None:
         args.format = args.default_format
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early (as by `| head`): keep the exit flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,15 @@ take no stretch check.  The cell edges need none: a minmod-limited edge lies
 between its cell and the mean with a neighbour, so positive cells give
 positive edges.
 
+A step advances only the span between two tails of cells equal bit for bit
+to their boundary state (finite, F > 0, sigma = +-0, as ahead of a kink and
+behind its ramp), and two cells on each side.  The tails stay constant: by
+the zero rule a cell whose 5-cell stencil is constant gets an update of
+exactly +0, and sigma = +-0 is a fixed point of every relax.  The CFL step,
+the source and the finiteness check see the same window, which holds cells
+of both tails, and the first step the whole row, so a failing tail state is
+named as before.  The step's arrays are views into per-run scratch.
+
 A source step whose implicit solve does not converge raises SimulationError
 naming t and the cell, as does a state that turns non-finite or loses
 hyperbolicity; a CFL step that is not finite and positive, or too small to
@@ -190,52 +199,107 @@ def _interior(i: int, n_cells: int) -> int:
 
 
 def _discriminant(F: np.ndarray, om: float, W2_fn, check_stretch: bool,
-                  n_cells: int) -> np.ndarray:
+                  n_cells: int, first: int = 0) -> np.ndarray:
     """om*W''(F) + 1, the squared wave speed times rho*om, after the stretch
     check (with check_stretch: one reduction, which also rejects NaN).  F is
-    the ghost-padded row of cells, or the (left, right) state rows of the
-    interfaces, where interface j takes its left state from padded cell j + 1
-    and its right state from j + 2.  Where it is not > 0, raises
-    SimulationError naming the first failing cell of the first failing row."""
+    the ghost-padded row of cells from padded cell first on, or the (left,
+    right) state rows of the interfaces, where interface j takes its left
+    state from padded cell first + j + 1 and its right state from the next.
+    Where it is not > 0, raises SimulationError naming the first failing
+    cell of the first failing row."""
     if check_stretch and not F.min() > 0.0:
         _require_stretch(F)
     disc = om * W2_fn(F) + 1.0
     if not disc.min() > 0.0:
         bad = np.argwhere(~(disc > 0.0))[0]
         i = int(bad[0]) if disc.ndim == 1 else int(bad[1] + bad[0]) + 1
-        raise SimulationError(f"hyperbolicity lost at cell {_interior(i, n_cells)}")
+        raise SimulationError(f"hyperbolicity lost at cell {_interior(first + i, n_cells)}")
     return disc
+
+
+def _tail_states(q: np.ndarray) -> tuple[bytes | None, bytes | None]:
+    """The bits of each boundary state of q that can bound a tail (finite,
+    F > 0, sigma = +-0), else None."""
+    return tuple(c.tobytes() if np.isfinite(c).all() and c[1] > 0.0 and c[2] == 0.0
+                 else None for c in (q[:, 0], q[:, -1]))
+
+
+def _disturbed_span(q: np.ndarray, tails) -> tuple[int, int]:
+    """[lo, hi): the padded cells of q between the leading run of cells equal
+    to the left tail state bit for bit and the trailing run equal to the right."""
+    n = q.shape[1]
+    off = [np.ones(n, dtype=bool) if tail is None else
+           (q.view(np.int64) != np.frombuffer(tail, np.int64)[:, None]).any(axis=0)
+           for tail in tails]
+    lo = int(off[0].argmax()) if off[0].any() else n
+    hi = n - int(off[1][::-1].argmax()) if off[1].any() else 0
+    return lo, max(lo, hi)
+
+
+def _window(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """The padded cells a step of the span [lo, hi) reads."""
+    return max(lo - 2 * _NG, 0), min(hi + 2 * _NG, n)
+
+
+def _grow_span(q: np.ndarray, lo: int, hi: int, tails) -> tuple[int, int]:
+    """The span after a step of _window(lo, hi): the new cells on each side
+    (two, or all up to a boundary, whose ghosts are refilled here) that
+    differ from their tail state are taken in."""
+    n = q.shape[1]
+    new_lo = lo - _NG if lo > 2 * _NG else 0
+    new_hi = hi + _NG if hi < n - 2 * _NG else n
+    if new_lo == 0 or new_hi == n:
+        _fill_ghosts(q)
+    while new_lo < lo and q[:, new_lo].tobytes() == tails[0]:
+        new_lo += 1
+    while new_hi > hi and q[:, new_hi - 1].tobytes() == tails[1]:
+        new_hi -= 1
+    return new_lo, new_hi
 
 
 # ---------------------------------------------------------------------------
 # Hyperbolic step: MUSCL-Hancock + Rusanov
 # ---------------------------------------------------------------------------
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _work(n: int) -> dict[str, np.ndarray]:
+    """Flat scratch of _hyperbolic_step for windows of up to n padded cells,
+    by rows per cell: a step reshapes a leading part of each to its shape."""
+    rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "p": 6,
+            "speed": 1, "jump": 3, "flux": 3, "du": 3}
+    return {k: np.empty(r * n, dtype=bool if k == "mask" else float)
+            for k, r in rows.items()}
+
+
+def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
+            mask=None) -> np.ndarray:
     """minmod in clip form, min(max(a, min(b, 0)), max(b, 0)), with the zero
     rule: +0.0 wherever a*b <= 0.  The rule covers the -0.0 the clip form
     gives for some mixes of zeros and signs, and same-signed slopes whose
-    product underflows to 0, which the clip form alone would keep."""
-    out = np.minimum(b, 0.0)
+    product underflows to 0, which the clip form alone would keep.  out,
+    scratch and mask (bool) are optional arrays of the shape of a."""
+    out = np.minimum(b, 0.0, out=out)
     np.maximum(a, out, out=out)
-    np.minimum(out, np.maximum(b, 0.0), out=out)
-    np.copyto(out, 0.0, where=a * b <= 0.0)
+    np.minimum(out, np.maximum(b, 0.0, out=scratch), out=out)
+    np.copyto(out, 0.0, where=np.less_equal(np.multiply(a, b, out=scratch), 0.0,
+                                            out=mask))
     return out
 
 
-def _edge_flux(e: np.ndarray, rho: float, om: float, T_fn):
-    """Rows of the edge states e = (rho*v, F, omega*sigma), shape (3, 2, M):
-    T(F) + sigma, and v.  The flux is their negative: the momentum row
-    -(T + sigma), and -v, which the F and omega*sigma rows share."""
-    f_mom = T_fn(e[1])
-    f_mom += e[2] / om
-    return f_mom, e[0] / rho
+def _edge_flux(e: np.ndarray, rho: float, om: float, T_fn, out: np.ndarray) -> np.ndarray:
+    """Rows of the edge states e = (rho*v, F, omega*sigma), shape (3, 2, M),
+    into out, shape (2, 2, M): T(F) + sigma, and v.  The flux is their
+    negative: the momentum row -(T + sigma), and -v, which the F and
+    omega*sigma rows share."""
+    np.add(T_fn(e[1]), np.divide(e[2], om, out=out[0]), out=out[0])
+    np.divide(e[0], rho, out=out[1])
+    return out
 
 
 def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
-                     T_fn, W2_fn, check_stretch: bool) -> None:
+                     T_fn, W2_fn, check_stretch: bool, cells: slice = slice(None),
+                     work: dict[str, np.ndarray] | None = None) -> None:
     """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma),
-    in place.
+    in place, on all but the two padded cells at each end of q[:, cells].
 
     Edge states are held as (3, 2, M) pairs, so T and the wave speeds are
     evaluated once per pair: the (left, right) edges of each cell for the
@@ -245,49 +309,55 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
     check).  The Rusanov speed is
     0.5*sqrt(max(d_L, d_R)/(rho*om)) of the discriminants d = om*W'' + 1,
     bit for bit the larger of the two speeds: correctly rounded division by
-    a positive constant and sqrt are both monotone.
+    a positive constant and sqrt are both monotone.  The step's arrays are
+    views into work (see :func:`_work`; allocated here when not given).
     """
-    # limited slopes on cells 1 .. NT-2
-    d = q[:, 1:] - q[:, :-1]
-    half = _minmod(d[:, :-1], d[:, 1:])
+    first, stop, _ = cells.indices(q.shape[1])
+    w = q[:, first:stop]
+    m = w.shape[1]
+    work = _work(m) if work is None else work
+    # limited slopes on cells 1 .. m-2
+    d = np.subtract(w[:, 1:], w[:, :-1], out=work["d"][:3 * (m - 1)].reshape(3, m - 1))
+    half = _minmod(d[:, :-1], d[:, 1:], work["half"][:3 * (m - 2)].reshape(3, m - 2),
+                   work["s"][:3 * (m - 2)].reshape(3, m - 2),
+                   work["mask"][:3 * (m - 2)].reshape(3, m - 2))
     half *= 0.5
-    qc = q[:, 1:-1]
-    e = np.empty((3, 2, qc.shape[1]))
-    np.subtract(qc, half, out=e[:, 0])
-    np.add(qc, half, out=e[:, 1])
+    wc = w[:, 1:-1]
+    e = work["e"][:6 * (m - 2)].reshape(3, 2, m - 2)
+    np.subtract(wc, half, out=e[:, 0])
+    np.add(wc, half, out=e[:, 1])
     # half-step predictor from the rows g = -flux: c*(f_L - f_R) = c*(g_R - g_L)
     # exactly; the shift of the F and omega*sigma rows is the same
-    g_mom, g_v = _edge_flux(e, rho, om, T_fn)
-    c = 0.5 * dt / dx
-    sh_mom = c * (g_mom[1] - g_mom[0])
-    sh_v = c * (g_v[1] - g_v[0])
+    g = _edge_flux(e, rho, om, T_fn, work["g"][:4 * (m - 2)].reshape(2, 2, m - 2))
+    sh = np.subtract(g[:, 1], g[:, 0], out=work["sh"][:2 * (m - 2)].reshape(2, m - 2))
+    sh *= 0.5 * dt / dx
     # interface states: right edge of cell i vs left edge of cell i+1
-    p = np.empty((3, 2, qc.shape[1] - 1))
-    np.add(e[0, 1, :-1], sh_mom[:-1], out=p[0, 0])
-    np.add(e[1:, 1, :-1], sh_v[:-1], out=p[1:, 0])
-    np.add(e[0, 0, 1:], sh_mom[1:], out=p[0, 1])
-    np.add(e[1:, 0, 1:], sh_v[1:], out=p[1:, 1])
-    disc = _discriminant(p[1], om, W2_fn, check_stretch, q.shape[1] - 2 * _NG)
-    half_s = np.maximum(disc[0], disc[1])
+    p = work["p"][:6 * (m - 3)].reshape(3, 2, m - 3)
+    np.add(e[0, 1, :-1], sh[0, :-1], out=p[0, 0])
+    np.add(e[1:, 1, :-1], sh[1, :-1], out=p[1:, 0])
+    np.add(e[0, 0, 1:], sh[0, 1:], out=p[0, 1])
+    np.add(e[1:, 0, 1:], sh[1, 1:], out=p[1:, 1])
+    disc = _discriminant(p[1], om, W2_fn, check_stretch, q.shape[1] - 2 * _NG, first)
+    half_s = np.maximum(disc[0], disc[1], out=work["speed"][:m - 3])
     half_s /= rho * om
     np.sqrt(half_s, out=half_s)
     half_s *= 0.5
     # the interface flux in negated form: folding the negation into the
     # difference below would flip the sign of some zeros of du
-    f_mom, f_v = _edge_flux(p, rho, om, T_fn)
-    np.negative(f_mom, out=f_mom)
-    np.negative(f_v, out=f_v)
-    jump = p[:, 1] - p[:, 0]
+    f = _edge_flux(p, rho, om, T_fn, work["g"][:4 * (m - 3)].reshape(2, 2, m - 3))
+    np.negative(f, out=f)
+    jump = np.subtract(p[:, 1], p[:, 0],
+                       out=work["jump"][:3 * (m - 3)].reshape(3, m - 3))
     jump *= half_s
-    f_iface = np.empty_like(jump)
-    np.add(f_mom[0], f_mom[1], out=f_iface[0])
-    np.add(f_v[0], f_v[1], out=f_iface[1])
+    f_iface = work["flux"][:3 * (m - 3)].reshape(3, m - 3)
+    np.add(f[:, 0], f[:, 1], out=f_iface[:2])
     f_iface[:2] *= 0.5
     f_iface[2] = f_iface[1]
     f_iface -= jump
-    du = f_iface[:, 1:] - f_iface[:, :-1]
+    du = np.subtract(f_iface[:, 1:], f_iface[:, :-1],
+                     out=work["du"][:3 * (m - 4)].reshape(3, m - 4))
     du *= dt / dx
-    q[:, _NG:-_NG] -= du
+    w[:, _NG:-_NG] -= du
 
 
 def _fill_ghosts(q: np.ndarray) -> None:
@@ -525,12 +595,17 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         energies.append(rep.total_energy)
         max_sps.append(rep.max_sigma_production)
 
-    def source(h: float) -> None:
+    n_pad = q.shape[1]
+    tails = _tail_states(q)
+    lo, hi = _disturbed_span(q, tails)
+    work = _work(n_pad)
+
+    def source(h: float, a: int, b: int) -> None:
         try:
-            q[2] = om * model.production.relax(q[1], q[2] / om, h, model)
+            q[2, a:b] = om * model.production.relax(q[1, a:b], q[2, a:b] / om, h, model)
         except RelaxationError as exc:
             raise SimulationError(f"source step failed at t={t:.6g}, cell "
-                                  f"{_interior(exc.cell, n_cells)}: {exc}") from exc
+                                  f"{_interior(a + exc.cell, n_cells)}: {exc}") from exc
 
     record(0.0)
     t = 0.0
@@ -540,14 +615,17 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     for k in range(1, n_out + 1):
         target = min(k * out_dt, t_end)
         while t < target - 1e-14 * t_end:
+            # the first step takes the whole row: a failing tail state fails there
+            a, b = _window(lo, hi, n_pad) if n_steps else (0, n_pad)
             # CFL step from the largest discriminant: one scalar sqrt (exact,
             # as sqrt and division by rho*om > 0 are monotone)
-            disc = _discriminant(q[1], om, W2_fn, check_stretch, n_cells)
+            disc = _discriminant(q[1, a:b], om, W2_fn, check_stretch, n_cells, a)
             dt = min(grid.cfl * dx / math.sqrt(float(disc.max()) / (rho * om)),
                      target - t)
             if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
-                # the first largest speed, not discriminant: rounding can
-                # make distinct discriminants give equal speeds
+                # the first largest speed of the row, not discriminant:
+                # rounding can make distinct discriminants give equal speeds
+                disc = _discriminant(q[1], om, W2_fn, check_stretch, n_cells)
                 i_cfl = int(np.argmax(np.sqrt(disc / (rho * om))))
                 raise SimulationError(
                     f"time step dt={dt:.6g} does not advance t={t:.6g} after "
@@ -556,20 +634,21 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             if with_source:
                 # the last step's trailing half-step merged with this one's
                 # leading half-step: relax leaves F, and so dt, unchanged
-                source(pending + 0.5 * dt)
+                source(pending + 0.5 * dt, a, b)
                 pending = 0.5 * dt
-            _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, check_stretch)
-            _fill_ghosts(q)
+            _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, check_stretch,
+                             slice(a, b), work)
+            lo, hi = _grow_span(q, lo, hi, tails)
             t += dt
             n_steps += 1
             # the sum is finite unless some entry is (or the sum overflows)
-            if not math.isfinite(q.sum()):
-                bad = np.argwhere(~np.isfinite(q))
+            if not math.isfinite(q[:, a:b].sum()):
+                bad = np.argwhere(~np.isfinite(q[:, a:b]))
                 if bad.size:
-                    raise SimulationError(f"non-finite state at t={t:.6g}, "
-                                          f"cell {_interior(int(bad[0][1]), n_cells)}")
+                    raise SimulationError(f"non-finite state at t={t:.6g}, cell "
+                                          f"{_interior(a + int(bad[0][1]), n_cells)}")
         if pending:
-            source(pending)
+            source(pending, *_window(lo, hi, n_pad))
             pending = 0.0
         t = target
         record(t)

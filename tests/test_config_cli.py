@@ -20,7 +20,7 @@ from accelwave import (
     scenario_to_dict,
 )
 import accelwave
-from accelwave.cli import main
+from accelwave.cli import build_parser, main
 from conftest import rubber_solid
 
 RUBBER_DICT = {
@@ -289,6 +289,29 @@ class TestNumericFlags:
         assert exc.value.code == 2
         assert "argument --pi0: invalid float value: 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, dest", [("--pi0", "pi0"), ("--t-end", "t_end"),
+                                            ("--dt", "dt")])
+    @pytest.mark.parametrize("word, value", [("-1e-3", -1e-3), ("-1E+2", -100.0),
+                                             ("-.5e1", -5.0), ("-2.5", -2.5)])
+    def test_negative_number_in_exponent_form_is_a_value(self, flag, dest, word, value):
+        args = build_parser().parse_args(["amplitude", "--config", "rubber.json",
+                                          flag, word])
+        assert getattr(args, dest) == value
+
+    def test_negative_exponent_form_after_a_flag_runs(self, capsys):
+        separate = run_cli(capsys, "amplitude", "--config", "rubber.json", "--pi0", "-1e-3")
+        joined = run_cli(capsys, "amplitude", "--config", "rubber.json", "--pi0=-1e-3")
+        assert separate == joined and separate[0] == 0
+
+    @pytest.mark.parametrize("word, message", [
+        ("-1e", "expected one argument"), ("-x", "expected one argument"),
+        ("1e-3x", "invalid float value: '1e-3x'")])
+    def test_non_number_after_a_flag_exits_2(self, capsys, word, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["amplitude", "--config", "rubber.json", "--dt", word])
+        assert exc.value.code == 2
+        assert f"argument --dt: {message}" in capsys.readouterr().err
+
     def test_oversized_output_grid_is_a_numerical_error(self, capsys):
         # 2.5e8 rows at the default t_end = 5/b; refused before any step
         code, out, err = run_cli(capsys, "amplitude", "--config", "rubber.json",
@@ -438,6 +461,31 @@ class TestPaperTablesCommand:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "overall: PASS" in proc.stdout
+
+
+class TestClosedStdout:
+    def test_closed_pipe_ends_quietly(self):
+        # about 0.5 MB of rows: the report is still being written when the
+        # reader stops after one line, as `| head -n 1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "accelwave.cli", "amplitude", "--config",
+             "rubber.json", "--pi0", "-1e-3", "--t-end", "1", "--dt", "1e-4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"t,pi_closed_form,pi_rk4\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
+
+
+class TestPackageExports:
+    def test_every_module_name_is_exported(self):
+        for module in (accelwave.amplitude, accelwave.characteristics, accelwave.config,
+                       accelwave.materials, accelwave.wavefront):
+            for name in module.__all__:
+                assert getattr(accelwave, name) is getattr(module, name), name
+                assert name in accelwave.__all__, name
 
 
 class TestOutputFormats:

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,15 +26,20 @@ from accelwave import (
     measure_front_slope,
     simulate,
 )
-from accelwave import materials
+from accelwave import materials, wavefront
 from accelwave.wavefront import (
     _NG,
     _auto_gap,
+    _disturbed_span,
     _fill_ghosts,
     _flux_functions,
+    _grow_span,
     _hyperbolic_step,
     _initial_profile,
     _minmod,
+    _tail_states,
+    _window,
+    _work,
 )
 from conftest import penn_solid, rubber_solid, unit_fluid
 
@@ -593,3 +599,169 @@ class TestFailureNamesInteriorCell:
                            match=r"^source step failed at t=0, cell 50: .*did not converge"):
             simulate(model, grid, ic, t_end=1.0,
                      initial_fields=(np.zeros(200), np.ones(200), sigma))
+
+
+# ---------------------------------------------------------------------------
+# The disturbed span: steps on its window against steps of the whole row
+# ---------------------------------------------------------------------------
+
+def _span_case(name):
+    """(model, grid, ic, t_end, simulate keywords) of a run with a window."""
+    if name in ("rubber", "rubber_linearized", "rubber_no_source"):
+        model, wc, grid, ic = _rubber_setup(400, 0.1)
+        kw = {"rubber_linearized": {"linearize": True},
+              "rubber_no_source": {"with_source": False}}.get(name, {})
+        return model, grid, ic, 0.5 / wc.b, kw
+    if name == "penn":
+        model = penn_solid()
+        wc = coefficients_ab(model)
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=13.0, pi0=0.1 * wc.pi_cr, ramp_width=6.0)
+        return model, grid, ic, 10.0 / wc.lambda0, {}
+    if name == "initial_fields":
+        # a bump at the left boundary, so the window reaches the ghosts, and
+        # two different tail states meeting in a jump of F; zeros of both signs
+        model = rubber_solid()
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=300, cfl=0.9)
+        v = np.zeros(300)
+        v[150:] = -0.0
+        v[3:12] = 0.01 * np.sin(np.arange(9.0))
+        F = np.ones(300)
+        F[200:] = 1.001
+        sigma = np.full(300, -0.0)
+        sigma[5:9] = 100.0
+        ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
+        return model, grid, ic, 0.02, {"initial_fields": (v, F, sigma)}
+    law = {"newtonian": Newtonian(), "power_law_0.5": PowerLaw(k_cons=1.0, m=0.5),
+           "regularized": RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)}[name]
+    grid = Grid(x_min=0.0, x_max=30.0, n_cells=400, cfl=0.9)
+    return unit_fluid(law), grid, KinkIC(x_front=12.0, pi0=0.05, ramp_width=2.0), 2.0, {}
+
+
+def _result_bytes(res):
+    tr, fin = res.trace, res.final
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in (
+        tr.t, tr.measured_pi, tr.predicted_pi, tr.front_x, tr.energy,
+        tr.max_sigma_production, [math.nan if tr.steepening_time is None
+                                  else tr.steepening_time],
+        fin.x, fin.v, fin.F, fin.sigma))
+
+
+def _tailed_state(seed, model, scales, n, lo, hi, right_differs):
+    """A padded state whose cells outside [lo, hi) hold two constant tail
+    states with sigma = +-0 (and some -0.0 in v), random in between."""
+    rng = np.random.default_rng(seed)
+    q = _random_state(rng, model, n, *scales)
+    zeros = np.array([0.0, -0.0])
+    left = [rng.choice([rng.choice(zeros), q[0, 0]]), q[1, 0], rng.choice(zeros)]
+    right = [rng.choice(zeros), q[1, -1], rng.choice(zeros)] if right_differs else left
+    q[:, :lo] = np.array(left)[:, None]
+    q[:, hi:] = np.array(right)[:, None]
+    q[2, lo:hi:3] = rng.choice(zeros)
+    _fill_ghosts(q)
+    return q
+
+
+class TestDisturbedSpan:
+    """Cells outside the span equal their tail state bit for bit, and a
+    step, whose update of a cell with a constant stencil is +0, and every
+    relax, for which sigma = +-0 is a fixed point, leave them so."""
+
+    @pytest.mark.parametrize("name", [
+        "rubber", "penn", "newtonian", "power_law_0.5", "regularized",
+        "rubber_linearized", "rubber_no_source", "initial_fields"])
+    def test_windowed_run_matches_whole_row_run(self, monkeypatch, name):
+        model, grid, ic, t_end, kw = _span_case(name)
+        spans = []
+
+        def found(q, tails):
+            spans.append(_disturbed_span(q, tails))
+            return spans[-1]
+
+        def run():
+            return simulate(model, grid, ic, t_end=t_end, output_every=t_end / 4, **kw)
+
+        monkeypatch.setattr(wavefront, "_disturbed_span", found)
+        windowed = run()
+        lo, hi = spans[0]
+        assert hi - lo < grid.n_cells   # the run did step a window
+        monkeypatch.setattr(wavefront, "_disturbed_span", lambda q, tails: (0, q.shape[1]))
+        assert _result_bytes(windowed) == _result_bytes(run())
+
+    def test_failing_tail_state_is_named_as_by_a_whole_row_step(self):
+        # the first step takes the whole row: the left tail at F = 2 has lost
+        # hyperbolicity, and cell 0 is the first failing cell
+        model = rubber_solid()
+        grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
+        ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
+        v, F = np.zeros(200), np.ones(200)
+        v[100] = 1e-3
+        F[:50] = 2.0
+        with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 0$"):
+            simulate(model, grid, ic, t_end=0.01,
+                     initial_fields=(v, F, np.zeros(200)))
+
+    def test_span_of_rows_without_tails(self):
+        n = 16 + 2 * _NG
+        q = np.stack([np.zeros(n), np.ones(n), np.zeros(n)])
+        assert _disturbed_span(q, _tail_states(q)) == (n, n)   # constant: empty
+        q[2, 0] = 1e-3                                          # sigma != 0
+        q[0, -1] = math.nan
+        assert _tail_states(q) == (None, None)
+        assert _disturbed_span(q, _tail_states(q)) == (0, n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(_STEP_CASES), seed=st.integers(0, 2 ** 32 - 1),
+           width=st.integers(0, 24), start=st.floats(0.0, 1.0),
+           right_differs=st.booleans(), k=st.integers(1, 8))
+    def test_windowed_steps_equal_whole_row_steps(self, case, seed, width, start,
+                                                  right_differs, k):
+        _, model, linearize, scales = case
+        rho, om = model.rho_star, model.omega
+        T_fn, W2_fn, _ = _flux_functions(model, linearize)
+        n = 32 + 2 * _NG
+        lo = int(start * (n - width))
+        full = _tailed_state(seed, model, scales, n, lo, lo + width, right_differs)
+        win = full.copy()
+        tails = _tail_states(win)
+        lo, hi = _disturbed_span(win, tails)
+        work = _work(n)
+        dx = 0.05
+        for _ in range(k):
+            disc = om * W2_fn(full[1]) + 1.0
+            dt = 0.9 * dx / math.sqrt(float(disc.max()) / (rho * om))
+            full[2] = om * model.production.relax(full[1], full[2] / om, 0.5 * dt, model)
+            _hyperbolic_step(full, dt, dx, rho, om, T_fn, W2_fn, not linearize)
+            _fill_ghosts(full)
+            a, b = _window(lo, hi, n)
+            win[2, a:b] = om * model.production.relax(win[1, a:b], win[2, a:b] / om,
+                                                      0.5 * dt, model)
+            _hyperbolic_step(win, dt, dx, rho, om, T_fn, W2_fn, not linearize,
+                             slice(a, b), work)
+            lo, hi = _grow_span(win, lo, hi, tails)
+            assert win.tobytes() == full.tobytes()
+            assert all(c.tobytes() == tails[0] for c in win[:, :lo].T)
+            assert all(c.tobytes() == tails[1] for c in win[:, hi:].T)
+
+    def test_buffered_step_allocates_no_pair_array(self):
+        n = 4000
+        model = unit_fluid()
+        rho, om = model.rho_star, model.omega
+        T_fn, W2_fn, _ = _flux_functions(model, False)
+        q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, 0.05, 0.05, 0.05)
+        work = _work(q.shape[1])
+        states = [q.copy(), q.copy()]
+
+        def peak(q, work):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _hyperbolic_step(q, 1e-3, 0.05, rho, om, T_fn, W2_fn, True, work=work)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        pair = np.empty((3, 2, n)).nbytes
+        # without work the step allocates its own, (3, 2, n)-sized pairs among them
+        assert peak(states[0], work) < pair <= peak(states[1], None)
+        assert states[0].tobytes() == states[1].tobytes()
