@@ -44,7 +44,12 @@ class HyperbolicityError(ValueError):
 
 
 class DegenerateWaveError(RuntimeError):
-    """Raised when the fastest field is linearly degenerate (a = 0)."""
+    """Raised when the fastest field is linearly degenerate (a = 0).  ``b``
+    is the damping coefficient, which the linear law pi' + b*pi = 0 keeps."""
+
+    def __init__(self, msg: str, b: float):
+        super().__init__(msg)
+        self.b = b
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,8 @@ class WaveCoefficients:
 
 
 def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
-    """Closed-form (lambda0, a, b, pi_cr) at the equilibrium state."""
+    """Closed-form (lambda0, a, b, pi_cr) at the equilibrium state.  Raises
+    DegenerateWaveError, which carries b, when a = 0."""
     eq = equilibrium_state()
     el = model.elastic
     rho = model.rho_star
@@ -197,16 +203,17 @@ def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
     lam0_sq = (om * el.W2(eq.F, model) + 1.0) / (rho * om)
     # the om**3 factors of the general form (omega' = 0 here) fix the rounding
     a = om ** 3 * el.W3(eq.F, model) / (2.0 * lam0 * lam0_sq * rho * om ** 3)
+    ps = production_jacobian(model, eq.F, eq.sigma).P_sigma
+    denom = 2.0 * rho * lam0_sq * om ** 2
+    singular = isinstance(ps, SingularProductionSlope)
+    b = math.inf if singular else -ps / denom
     if a == 0.0:
         raise DegenerateWaveError(
             "fast field is linearly degenerate (W'''(1) = 0 with constant "
-            "omega); check the material constants")
-    ps = production_jacobian(model, eq.F, eq.sigma).P_sigma
-    denom = 2.0 * rho * lam0_sq * om ** 2
-    if isinstance(ps, SingularProductionSlope):
+            "omega); check the material constants", b)
+    if singular:
         return WaveCoefficients(lambda0=lam0, a=a, b=math.inf, pi_cr=math.inf,
                                 case=SingularLimit(n=ps.n, b0=ps.coeff / denom))
-    b = -ps / denom
     if b == 0.0:
         return WaveCoefficients(lambda0=lam0, a=a, b=0.0, pi_cr=0.0,
                                 case=Degenerate())

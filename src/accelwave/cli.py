@@ -216,7 +216,7 @@ def cmd_amplitude(args) -> int:
     if math.isinf(wc.b):
         raise DegenerateWaveError(
             "amplitude trajectory is not defined in the singular limit; "
-            "sweep the regularization parameter instead")
+            "sweep the regularization parameter instead", wc.b)
     outcome = classify(wc.a, wc.b, pi0)
     t_end = args.t_end
     if t_end is None:
@@ -397,8 +397,10 @@ _finite_float.__name__ = "float"   # argparse's "invalid float value: ..." messa
 
 
 # argparse before Python 3.12 reads a negative number with an exponent, such
-# as -1e-3, as an option string and not as the value of the flag before it
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# as -1e-3, and -inf or -nan, as an option string and not as the value of the
+# flag before it; the non-finite words then fail as values, naming the flag
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$",
+                              re.IGNORECASE)
 
 
 @functools.cache

@@ -176,6 +176,9 @@ def _sim_from_dict(d: dict) -> SimConfig:
     optional = ("ramp_width", "output_every")
     kwargs = {name: _number(d, name, "'sim'", optional=name in optional)
               for name in names if name != "n_cells"}
+    for name in ("t_end", "output_every"):
+        if kwargs[name] is not None and kwargs[name] <= 0.0:
+            raise ConfigError(f"'{name}' in 'sim' must be > 0, got {kwargs[name]!r}")
     if kwargs["ramp_width"] is None:
         kwargs["ramp_width"] = 0.1 * (kwargs["x_max"] - kwargs["x_min"])
     try:

@@ -23,10 +23,11 @@ compare the discriminants om*W'' + 1 before the square root: division by
 rho*om > 0 and sqrt are correctly rounded and monotone, so the root of the
 largest discriminant is bit for bit the largest speed.  Each step checks the
 stretch F > 0 once on the cells (for the CFL step) and once on the predicted
-interface states, by one reduction that also rejects NaN; linearized runs
-take no stretch check.  The cell edges need none: a minmod-limited edge lies
-between its cell and the mean with a neighbour, so positive cells give
-positive edges.
+interface states, by one reduction that also rejects NaN.  The cell edges
+need none: a minmod-limited edge lies between its cell and the mean with a
+neighbour, so positive cells give positive edges.  A linear or non-relaxing
+run is a choice of material, not of solver: QuadraticCubic(R=0) has a = 0,
+and a solid with tau0 = inf has b = 0.
 
 A step advances only the span between two tails of cells equal bit for bit
 to their boundary state (finite, F > 0, sigma = +-0, as ahead of a kink and
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import closed_form
+from .amplitude import MAX_POINTS, closed_form
 from .characteristics import (
     DegenerateWaveError,
     coefficients_ab,
@@ -76,6 +77,7 @@ __all__ = [
 ]
 
 _NG = 2  # ghost cells per side
+_FIT_HALF_WIDTH = 16  # cells of each one-sided front fit in the trace
 
 _log = logging.getLogger("accelwave")
 
@@ -125,6 +127,9 @@ class KinkIC:
     ramp_width: float
 
     def __post_init__(self):
+        for name in ("x_front", "pi0", "ramp_width"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.ramp_width <= 0.0:
             raise ValueError("ramp_width must be > 0")
 
@@ -166,50 +171,23 @@ class EnergyReport:
     max_sigma_production: float
 
 
-# ---------------------------------------------------------------------------
-# Model-dependent closures
-# ---------------------------------------------------------------------------
-
-def _flux_functions(model: MaterialModel, linearize: bool):
-    """Return (T(F), W2(F), W(F)) vectorized callables, honoring linearization;
-    otherwise the elastic part's own functions.  None of them checks the
-    stretch: the callers check each state array once (:func:`_discriminant`)."""
-    el = model.elastic
-    if not linearize:
-        return (lambda F: el.T(F, model), lambda F: el.W2(F, model),
-                lambda F: el.W(F, model))
-    T1, W2_1 = float(el.T(1.0, model)), float(el.W2(1.0, model))
-
-    def T(F):
-        return T1 + W2_1 * (F - 1.0)
-
-    def W2(F):
-        return W2_1 + 0.0 * F
-
-    def W(F):
-        e = F - 1.0
-        return T1 * e + 0.5 * W2_1 * e * e
-
-    return T, W2, W
-
-
 def _interior(i: int, n_cells: int) -> int:
     """Interior cell of ghost-padded index i (a ghost names its neighbour)."""
     return min(max(i - _NG, 0), n_cells - 1)
 
 
-def _discriminant(F: np.ndarray, om: float, W2_fn, check_stretch: bool,
-                  n_cells: int, first: int = 0) -> np.ndarray:
+def _discriminant(F: np.ndarray, model: MaterialModel, n_cells: int,
+                  first: int = 0) -> np.ndarray:
     """om*W''(F) + 1, the squared wave speed times rho*om, after the stretch
-    check (with check_stretch: one reduction, which also rejects NaN).  F is
-    the ghost-padded row of cells from padded cell first on, or the (left,
-    right) state rows of the interfaces, where interface j takes its left
-    state from padded cell first + j + 1 and its right state from the next.
+    check (one reduction, which also rejects NaN).  F is the ghost-padded
+    row of cells from padded cell first on, or the (left, right) state rows
+    of the interfaces, where interface j takes its left state from padded
+    cell first + j + 1 and its right state from the next.
     Where it is not > 0, raises SimulationError naming the first failing
     cell of the first failing row."""
-    if check_stretch and not F.min() > 0.0:
+    if not F.min() > 0.0:
         _require_stretch(F)
-    disc = om * W2_fn(F) + 1.0
+    disc = model.omega * model.elastic.W2(F, model) + 1.0
     if not disc.min() > 0.0:
         bad = np.argwhere(~(disc > 0.0))[0]
         i = int(bad[0]) if disc.ndim == 1 else int(bad[1] + bad[0]) + 1
@@ -285,37 +263,36 @@ def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
     return out
 
 
-def _edge_flux(e: np.ndarray, rho: float, om: float, T_fn, out: np.ndarray) -> np.ndarray:
+def _edge_flux(e: np.ndarray, model: MaterialModel, out: np.ndarray) -> np.ndarray:
     """Rows of the edge states e = (rho*v, F, omega*sigma), shape (3, 2, M),
     into out, shape (2, 2, M): T(F) + sigma, and v.  The flux is their
     negative: the momentum row -(T + sigma), and -v, which the F and
     omega*sigma rows share."""
-    np.add(T_fn(e[1]), np.divide(e[2], om, out=out[0]), out=out[0])
-    np.divide(e[0], rho, out=out[1])
+    np.add(model.elastic.T(e[1], model), np.divide(e[2], model.omega, out=out[0]),
+           out=out[0])
+    np.divide(e[0], model.rho_star, out=out[1])
     return out
 
 
-def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
-                     T_fn, W2_fn, check_stretch: bool, cells: slice = slice(None),
-                     work: dict[str, np.ndarray] | None = None) -> None:
+def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, model: MaterialModel,
+                     cells: slice, work: dict[str, np.ndarray]) -> None:
     """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma),
     in place, on all but the two padded cells at each end of q[:, cells].
 
     Edge states are held as (3, 2, M) pairs, so T and the wave speeds are
     evaluated once per pair: the (left, right) edges of each cell for the
     predictor, then the (left, right) states of each interface for the
-    Rusanov flux.  With check_stretch, the F row of the interface states is
-    checked once (the caller checks the cells, whose edges then need no
-    check).  The Rusanov speed is
-    0.5*sqrt(max(d_L, d_R)/(rho*om)) of the discriminants d = om*W'' + 1,
-    bit for bit the larger of the two speeds: correctly rounded division by
-    a positive constant and sqrt are both monotone.  The step's arrays are
-    views into work (see :func:`_work`; allocated here when not given).
+    Rusanov flux.  The F row of the interface states is checked once (the
+    caller checks the cells, whose edges then need no check).  The Rusanov
+    speed is 0.5*sqrt(max(d_L, d_R)/(rho*om)) of the discriminants
+    d = om*W'' + 1, bit for bit the larger of the two speeds: correctly
+    rounded division by a positive constant and sqrt are both monotone.
+    The step's arrays are views into work (see :func:`_work`).
     """
+    rho, om = model.rho_star, model.omega
     first, stop, _ = cells.indices(q.shape[1])
     w = q[:, first:stop]
     m = w.shape[1]
-    work = _work(m) if work is None else work
     # limited slopes on cells 1 .. m-2
     d = np.subtract(w[:, 1:], w[:, :-1], out=work["d"][:3 * (m - 1)].reshape(3, m - 1))
     half = _minmod(d[:, :-1], d[:, 1:], work["half"][:3 * (m - 2)].reshape(3, m - 2),
@@ -328,7 +305,7 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
     np.add(wc, half, out=e[:, 1])
     # half-step predictor from the rows g = -flux: c*(f_L - f_R) = c*(g_R - g_L)
     # exactly; the shift of the F and omega*sigma rows is the same
-    g = _edge_flux(e, rho, om, T_fn, work["g"][:4 * (m - 2)].reshape(2, 2, m - 2))
+    g = _edge_flux(e, model, work["g"][:4 * (m - 2)].reshape(2, 2, m - 2))
     sh = np.subtract(g[:, 1], g[:, 0], out=work["sh"][:2 * (m - 2)].reshape(2, m - 2))
     sh *= 0.5 * dt / dx
     # interface states: right edge of cell i vs left edge of cell i+1
@@ -337,14 +314,14 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, rho: float, om: float,
     np.add(e[1:, 1, :-1], sh[1, :-1], out=p[1:, 0])
     np.add(e[0, 0, 1:], sh[0, 1:], out=p[0, 1])
     np.add(e[1:, 0, 1:], sh[1, 1:], out=p[1:, 1])
-    disc = _discriminant(p[1], om, W2_fn, check_stretch, q.shape[1] - 2 * _NG, first)
+    disc = _discriminant(p[1], model, q.shape[1] - 2 * _NG, first)
     half_s = np.maximum(disc[0], disc[1], out=work["speed"][:m - 3])
     half_s /= rho * om
     np.sqrt(half_s, out=half_s)
     half_s *= 0.5
     # the interface flux in negated form: folding the negation into the
     # difference below would flip the sign of some zeros of du
-    f = _edge_flux(p, rho, om, T_fn, work["g"][:4 * (m - 3)].reshape(2, 2, m - 3))
+    f = _edge_flux(p, model, work["g"][:4 * (m - 3)].reshape(2, 2, m - 3))
     np.negative(f, out=f)
     jump = np.subtract(p[:, 1], p[:, 0],
                        out=work["jump"][:3 * (m - 3)].reshape(3, m - 3))
@@ -445,28 +422,21 @@ def _auto_gap(lam0: float, t: float, dx: float) -> int:
 # Energy audit
 # ---------------------------------------------------------------------------
 
-def entropy_monitor(model: MaterialModel, snapshot: Snapshot, *,
-                    linearize: bool = False, with_source: bool = True) -> EnergyReport:
+def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
     """Discrete total energy and the cellwise dissipation sign check.
 
     total_energy = sum(rho*v^2/2 + W(F) + omega*sigma^2/2) * dx;
     max_sigma_production is max over cells of sigma*P(F, sigma) (<= 0 for
-    every admissible model; reported as 0 when the source is disabled).
+    every admissible model).
     """
-    _, _, W_fn = _flux_functions(model, linearize)
-    if not linearize:
-        _require_stretch(snapshot.F)
+    _require_stretch(snapshot.F)
     om = model.omega
     dx = snapshot.x[1] - snapshot.x[0]
-    dens = 0.5 * model.rho_star * snapshot.v ** 2 + W_fn(snapshot.F) \
+    dens = 0.5 * model.rho_star * snapshot.v ** 2 + model.elastic.W(snapshot.F, model) \
         + 0.5 * om * snapshot.sigma ** 2
     total = float(np.sum(dens) * dx)
-    if with_source:
-        sp = snapshot.sigma * production(model, snapshot.F, snapshot.sigma)
-        max_sp = float(np.max(sp))
-    else:
-        max_sp = 0.0
-    return EnergyReport(total_energy=total, max_sigma_production=max_sp)
+    sp = snapshot.sigma * production(model, snapshot.F, snapshot.sigma)
+    return EnergyReport(total_energy=total, max_sigma_production=float(np.max(sp)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,45 +465,42 @@ def _initial_profile(model: MaterialModel, grid: Grid, ic: KinkIC,
 
 
 def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
-             output_every: float | None = None, stencil_half_width: int = 16,
-             linearize: bool = False, with_source: bool = True,
+             output_every: float | None = None,
              initial_fields: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
              ) -> SimResult:
     """Run the wavefront experiment and sample the front amplitude.
 
-    The predicted amplitude uses the effective coefficients of the run:
-    a = 0 under linearization, b = 0 with the source disabled.  Output
-    samples land exactly on multiples of output_every (default t_end/50).
+    The predicted amplitude uses the material's coefficients a and b; a
+    linearly degenerate material (a = 0) is predicted to decay as
+    pi0*exp(-b*t).  Output samples land exactly on multiples of
+    output_every (default t_end/50), at most MAX_POINTS after t = 0.
     initial_fields overrides the kink profile with caller-supplied (v, F,
     sigma) cell values (diagnostics hook; ic still anchors the front
     tracking).
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be > 0")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
     out_dt = t_end / 50.0 if output_every is None else float(output_every)
-    if out_dt <= 0.0:
-        raise ValueError("output_every must be > 0")
+    if not 0.0 < out_dt < math.inf:
+        raise ValueError(f"output_every must be finite and > 0, got {out_dt!r}")
+    ratio = t_end / out_dt - 1e-12
+    if ratio > MAX_POINTS:
+        raise ValueError(f"t_end/output_every asks for more than {MAX_POINTS + 1} "
+                         f"output records")
+    n_out = int(math.ceil(ratio))
 
     rho = model.rho_star
     om = model.omega
-    T_fn, W2_fn, _ = _flux_functions(model, linearize)
-    check_stretch = not linearize
     n_cells = grid.n_cells
 
     lam0 = eigensystem(model, equilibrium_state()).lam
 
-    # effective amplitude coefficients for the prediction column
-    a_eff = 0.0
-    b_eff = 0.0
-    if not linearize or with_source:
-        try:
-            wc = coefficients_ab(model)
-        except DegenerateWaveError:
-            wc = None
-        if not linearize and wc is not None:
-            a_eff = wc.a
-        if with_source and wc is not None:
-            b_eff = wc.b
+    # the material's amplitude coefficients for the prediction column
+    try:
+        wc = coefficients_ab(model)
+        a_eff, b_eff = wc.a, wc.b
+    except DegenerateWaveError as exc:
+        a_eff, b_eff = 0.0, exc.b
 
     def predict(t: float) -> float:
         if math.isinf(b_eff):
@@ -579,13 +546,12 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         gap = _auto_gap(lam0, t, dx)
         fx = ic.x_front + lam0 * t
         try:
-            pi_m = measure_front_slope(model, snap, fx, stencil_half_width, gap,
-                                       degree=2)
-            fd = detect_front_position(snap, fx, stencil_half_width, gap)
+            pi_m = measure_front_slope(model, snap, fx, _FIT_HALF_WIDTH, gap, degree=2)
+            fd = detect_front_position(snap, fx, _FIT_HALF_WIDTH, gap)
         except SimulationError as exc:
             _log.debug("front measurement failed at t=%.6g: %s", t, exc)
             pi_m, fd = math.nan, math.nan
-        rep = entropy_monitor(model, snap, linearize=linearize, with_source=with_source)
+        rep = entropy_monitor(model, snap)
         if steepening_time is None and vx_max() > STEEPENING_FACTOR * vx0:
             steepening_time = t
         ts.append(t)
@@ -611,7 +577,6 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     t = 0.0
     n_steps = 0
     pending = 0.0  # trailing source half-step not yet applied
-    n_out = int(math.ceil(t_end / out_dt - 1e-12))
     for k in range(1, n_out + 1):
         target = min(k * out_dt, t_end)
         while t < target - 1e-14 * t_end:
@@ -619,25 +584,23 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             a, b = _window(lo, hi, n_pad) if n_steps else (0, n_pad)
             # CFL step from the largest discriminant: one scalar sqrt (exact,
             # as sqrt and division by rho*om > 0 are monotone)
-            disc = _discriminant(q[1, a:b], om, W2_fn, check_stretch, n_cells, a)
+            disc = _discriminant(q[1, a:b], model, n_cells, a)
             dt = min(grid.cfl * dx / math.sqrt(float(disc.max()) / (rho * om)),
                      target - t)
             if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
                 # the first largest speed of the row, not discriminant:
                 # rounding can make distinct discriminants give equal speeds
-                disc = _discriminant(q[1], om, W2_fn, check_stretch, n_cells)
+                disc = _discriminant(q[1], model, n_cells)
                 i_cfl = int(np.argmax(np.sqrt(disc / (rho * om))))
                 raise SimulationError(
                     f"time step dt={dt:.6g} does not advance t={t:.6g} after "
                     f"{n_steps} steps (CFL limited by cell "
                     f"{_interior(i_cfl, n_cells)})")
-            if with_source:
-                # the last step's trailing half-step merged with this one's
-                # leading half-step: relax leaves F, and so dt, unchanged
-                source(pending + 0.5 * dt, a, b)
-                pending = 0.5 * dt
-            _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, check_stretch,
-                             slice(a, b), work)
+            # the last step's trailing half-step merged with this one's
+            # leading half-step: relax leaves F, and so dt, unchanged
+            source(pending + 0.5 * dt, a, b)
+            pending = 0.5 * dt
+            _hyperbolic_step(q, dt, dx, model, slice(a, b), work)
             lo, hi = _grow_span(q, lo, hi, tails)
             t += dt
             n_steps += 1

@@ -305,7 +305,9 @@ class TestNumericFlags:
 
     @pytest.mark.parametrize("word, message", [
         ("-1e", "expected one argument"), ("-x", "expected one argument"),
-        ("1e-3x", "invalid float value: '1e-3x'")])
+        ("1e-3x", "invalid float value: '1e-3x'"),
+        ("-inf", "must be finite, got '-inf'"), ("-nan", "must be finite, got '-nan'"),
+        ("-Infinity", "must be finite, got '-Infinity'")])
     def test_non_number_after_a_flag_exits_2(self, capsys, word, message):
         with pytest.raises(SystemExit) as exc:
             main(["amplitude", "--config", "rubber.json", "--dt", word])
@@ -446,6 +448,20 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [("t_end", 0.0), ("t_end", -1.0),
+                                            ("output_every", 0.0),
+                                            ("output_every", -0.025)])
+    def test_non_positive_time_is_a_config_error(self, capsys, tmp_path, key, value):
+        d = dict(RUBBER_DICT)
+        d["sim"] = {"x_min": 0.0, "x_max": 26.0, "n_cells": 200, "cfl": 0.9,
+                    "x_front": 4.5, "pi0": 32.0, "t_end": 0.05,
+                    "output_every": 0.025, key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert f"config error: '{key}' in 'sim' must be > 0, got {value!r}" in err
+
 
 class TestPaperTablesCommand:
     def test_report_passes_all_reference_checks(self, capsys):
@@ -486,6 +502,8 @@ class TestPackageExports:
             for name in module.__all__:
                 assert getattr(accelwave, name) is getattr(module, name), name
                 assert name in accelwave.__all__, name
+        # a name in two modules' __all__ would shadow one of them silently
+        assert len(accelwave.__all__) == len(set(accelwave.__all__))
 
 
 class TestOutputFormats:

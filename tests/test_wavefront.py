@@ -1,5 +1,6 @@
 """Finite-volume wavefront experiment: oracle agreement, conservation, fronts."""
 
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -14,9 +15,11 @@ from accelwave import (
     KinkIC,
     Newtonian,
     PowerLaw,
+    QuadraticCubic,
     RegularizedPowerLaw,
     SimulationError,
     Snapshot,
+    assemble_ab_numeric,
     classify,
     coefficients_ab,
     detect_front_position,
@@ -32,7 +35,6 @@ from accelwave.wavefront import (
     _auto_gap,
     _disturbed_span,
     _fill_ghosts,
-    _flux_functions,
     _grow_span,
     _hyperbolic_step,
     _initial_profile,
@@ -50,6 +52,17 @@ def _rubber_setup(n_cells, pi0_frac, x_max=68.0):
     grid = Grid(x_min=0.0, x_max=x_max, n_cells=n_cells, cfl=0.9)
     ic = KinkIC(x_front=13.0, pi0=pi0_frac * wc.pi_cr, ramp_width=6.0)
     return model, wc, grid, ic
+
+
+def _linear_rubber(tau0=0.1):
+    """Rubber with the linear potential: R = 0 makes the fast field linearly
+    degenerate (a = 0), and tau0 = inf switches the relaxation off (b = 0)."""
+    return dataclasses.replace(rubber_solid(), elastic=QuadraticCubic(R=0.0), tau0=tau0)
+
+
+def _step(q, dt, dx, model):
+    """One whole-row step of q in place, on its own scratch."""
+    _hyperbolic_step(q, dt, dx, model, slice(None), _work(q.shape[1]))
 
 
 class TestEquilibriumAndMeasurement:
@@ -105,16 +118,28 @@ class TestOracleAgreement:
         assert np.max(np.abs(tr.front_x - expected)) <= grid.dx
 
     def test_linearized_sourceless_advection_keeps_amplitude(self):
-        # d'Alembert: under the tangent flux with no relaxation the jump rides
+        # d'Alembert: under a linear stress with no relaxation the jump rides
         # along unchanged
-        model, wc, grid, ic = _rubber_setup(1500, 0.0)
+        _, wc, grid, _ = _rubber_setup(1500, 0.0)
         ic = KinkIC(x_front=13.0, pi0=30.0, ramp_width=6.0)
         t_half = (grid.x_max - ic.x_front) / wc.lambda0 / 2.0
-        res = simulate(model, grid, ic, t_end=t_half, output_every=t_half / 20,
-                       linearize=True, with_source=False)
+        res = simulate(_linear_rubber(tau0=math.inf), grid, ic, t_end=t_half,
+                       output_every=t_half / 20)
         tr = res.trace
         assert np.all(tr.predicted_pi == 30.0)
         assert np.max(np.abs(tr.measured_pi - 30.0)) / 30.0 < 0.02
+
+    def test_linear_law_predicts_exponential_decay(self):
+        # a = 0: the amplitude law is pi' + b*pi = 0, with rubber's b
+        model = _linear_rubber()
+        _, wc, grid, _ = _rubber_setup(1500, 0.0)
+        ic = KinkIC(x_front=13.0, pi0=30.0, ramp_width=6.0)
+        res = simulate(model, grid, ic, t_end=1.0 / wc.b, output_every=0.25 / wc.b)
+        tr = res.trace
+        assert tr.a == 0.0 and tr.b == wc.b
+        b = assemble_ab_numeric(model)[1]
+        assert tr.predicted_pi == pytest.approx(30.0 * np.exp(-b * tr.t), rel=1e-12)
+        assert np.max(np.abs(tr.measured_pi / tr.predicted_pi - 1.0)) < 0.02
 
     def test_newtonian_fluid_tracks_closed_form(self):
         model = unit_fluid()
@@ -176,8 +201,8 @@ class TestEnergyAndDissipation:
         v0 = np.exp(-((x - 30.0) / 3.0) ** 2)
         fields = (v0, np.ones_like(x), np.zeros_like(x))
         ic = KinkIC(x_front=30.0, pi0=0.0, ramp_width=1.0)
-        res = simulate(model, grid, ic, t_end=0.02, output_every=0.01,
-                       with_source=False, initial_fields=fields)
+        res = simulate(dataclasses.replace(model, tau0=math.inf), grid, ic, t_end=0.02,
+                       output_every=0.01, initial_fields=fields)
         E = res.trace.energy
         assert abs(E[-1] - E[0]) <= 1e-6 * E[0]
 
@@ -210,12 +235,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             KinkIC(x_front=1.0, pi0=1.0, ramp_width=0.0)
 
+    @pytest.mark.parametrize("name", ["x_front", "pi0", "ramp_width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_kink_rejects_non_finite(self, name, value):
+        kw = {"x_front": 13.0, "pi0": 1.0, "ramp_width": 6.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+            KinkIC(**kw)
+
     def test_time_arguments(self):
         model, _, grid, ic = _rubber_setup(500, 0.1)
         with pytest.raises(ValueError):
             simulate(model, grid, ic, t_end=0.0)
         with pytest.raises(ValueError):
             simulate(model, grid, ic, t_end=1.0, output_every=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_time_arguments_are_named(self, value):
+        model, _, grid, ic = _rubber_setup(500, 0.1)
+        with pytest.raises(ValueError, match=r"^t_end must be finite and > 0, got "):
+            simulate(model, grid, ic, t_end=value)
+        with pytest.raises(ValueError,
+                           match=r"^output_every must be finite and > 0, got "):
+            simulate(model, grid, ic, t_end=1.0, output_every=value)
+
+    def test_output_grid_is_capped(self, monkeypatch):
+        model, _, grid, ic = _rubber_setup(500, 0.1)
+        with pytest.raises(ValueError, match=r"asks for more than 1000001 output records"):
+            simulate(model, grid, ic, t_end=1.0, output_every=5e-324)  # ratio inf
+        monkeypatch.setattr(wavefront, "MAX_POINTS", 4)
+        res = simulate(model, grid, ic, t_end=1e-3, output_every=2.5e-4)
+        assert res.trace.t.size == 5
+        with pytest.raises(ValueError, match=r"asks for more than 5 output records"):
+            simulate(model, grid, ic, t_end=1e-3, output_every=2e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +331,24 @@ _LIMITER_VALUES = np.array([-2.0, -1.0, -3e-170, -1e-170, -1e-300, -0.0, 0.0,
 
 
 _STEP_CASES = [
-    ("rubber", rubber_solid(), False, (0.05, 0.01, 2e4)),
-    ("penn", penn_solid(), False, (0.05, 0.01, 2e4)),
-    ("fluid", unit_fluid(), False, (0.05, 0.05, 0.05)),
-    ("rubber_linearized", rubber_solid(), True, (0.05, 0.01, 2e4)),
+    ("rubber", rubber_solid(), (0.05, 0.01, 2e4)),
+    ("penn", penn_solid(), (0.05, 0.01, 2e4)),
+    ("fluid", unit_fluid(), (0.05, 0.05, 0.05)),
+    ("rubber_linear", _linear_rubber(), (0.05, 0.01, 2e4)),
     ("regularized", unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)),
-     False, (0.05, 0.05, 0.05)),
+     (0.05, 0.05, 0.05)),
 ]
 
 
-def _assert_step_matches_reference(rng, model, linearize, scales, corners):
+def _lam_fn(model):
+    rho, om = model.rho_star, model.omega
+    return lambda F: np.sqrt((om * model.elastic.W2(F, model) + 1.0) / (rho * om))
+
+
+def _assert_step_matches_reference(rng, model, scales, corners):
     om = model.omega
     rho = model.rho_star
-    T_fn, W2_fn, _ = _flux_functions(model, linearize)
-
-    def lam_fn(F):
-        return np.sqrt((om * W2_fn(F) + 1.0) / (rho * om))
+    lam_fn = _lam_fn(model)
 
     dx = 0.05
     for _ in range(5):
@@ -304,21 +357,22 @@ def _assert_step_matches_reference(rng, model, linearize, scales, corners):
         if corners:
             _limiter_corners(q, rng)
         dt = 0.9 * dx / float(np.max(lam_fn(q[1])))
-        ref = _reference_hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, lam_fn)
+        ref = _reference_hyperbolic_step(q.copy(), dt, dx, rho, om,
+                                         lambda F: model.elastic.T(F, model), lam_fn)
         new = q.copy()
-        _hyperbolic_step(new, dt, dx, rho, om, T_fn, W2_fn, not linearize)
+        _step(new, dt, dx, model)
         assert new.tobytes() == ref.tobytes()
 
 
 class TestBitIdenticalFastStep:
-    @pytest.mark.parametrize("name, model, linearize, scales", _STEP_CASES)
-    def test_hyperbolic_step_matches_reference(self, rng, name, model, linearize, scales):
-        _assert_step_matches_reference(rng, model, linearize, scales, corners=False)
+    @pytest.mark.parametrize("name, model, scales", _STEP_CASES)
+    def test_hyperbolic_step_matches_reference(self, rng, name, model, scales):
+        _assert_step_matches_reference(rng, model, scales, corners=False)
 
-    @pytest.mark.parametrize("name, model, linearize, scales", _STEP_CASES)
+    @pytest.mark.parametrize("name, model, scales", _STEP_CASES)
     def test_hyperbolic_step_matches_reference_on_limiter_corners(
-            self, rng, name, model, linearize, scales):
-        _assert_step_matches_reference(rng, model, linearize, scales, corners=True)
+            self, rng, name, model, scales):
+        _assert_step_matches_reference(rng, model, scales, corners=True)
 
     def test_minmod_matches_reference_on_corner_pairs(self):
         a, b = np.meshgrid(_LIMITER_VALUES, _LIMITER_VALUES)
@@ -352,7 +406,7 @@ _positive_cells = st.lists(
 
 class TestCheckPaths:
     """The stepper checks the stretch of the cells and of the interface
-    states once each per step, and a linearized run neither."""
+    states once each per step."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(F=_positive_cells)
@@ -373,35 +427,25 @@ class TestCheckPaths:
         # interface F by 0.5*dt/dx * (-4*dx/dt) = -2, to -1.
         model = unit_fluid()
         rho, om = model.rho_star, model.omega
-        T_fn, W2_fn, _ = _flux_functions(model, False)
         dx = 0.05
-        dt = 0.9 * dx / math.sqrt((om * W2_fn(1.0) + 1.0) / (rho * om))
+        dt = 0.9 * dx / float(_lam_fn(model)(1.0))
         q = np.zeros((3, 64 + 2 * _NG))
         q[1] = 1.0
         q[0, 20:40] = rho * -4.0 * dx / dt * np.arange(20.0)
         with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
-            _hyperbolic_step(q.copy(), dt, dx, rho, om, T_fn, W2_fn, True)
-        # unchecked, the same step goes through: nothing else rejects F <= 0
-        _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, False)
-        assert np.min(q[1]) < 0.0
+            _step(q, dt, dx, model)
 
-    def test_linearized_run_takes_no_stretch_check(self):
-        model = rubber_solid()
+    def test_negative_stretch_in_a_cell_is_rejected(self):
+        model = _linear_rubber(tau0=math.inf)
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
         ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
         F = np.ones(200)
         F[50] = -0.5
-        fields = (np.zeros(200), F, np.zeros(200))
-        res = simulate(model, grid, ic, t_end=1e-3, linearize=True, with_source=False,
-                       initial_fields=fields)
-        assert np.min(res.final.F) < 0.0
-        assert np.all(np.isfinite(res.final.F))
         with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
-            simulate(model, grid, ic, t_end=0.01, with_source=False,
-                     initial_fields=fields)
+            simulate(model, grid, ic, t_end=0.01,
+                     initial_fields=(np.zeros(200), F, np.zeros(200)))
 
-    @pytest.mark.parametrize("linearize", [False, True])
-    def test_nan_sigma_names_the_cell(self, linearize):
+    def test_nan_sigma_names_the_cell(self):
         model = rubber_solid()
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
         ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
@@ -409,14 +453,10 @@ class TestCheckPaths:
         sigma[50] = math.nan
         with pytest.raises(SimulationError,
                            match=r"^non-finite state at t=0\.00412187, cell 48$"):
-            simulate(model, grid, ic, t_end=1.0, linearize=linearize,
+            simulate(model, grid, ic, t_end=1.0,
                      initial_fields=(np.zeros(200), np.ones(200), sigma))
 
-    @pytest.mark.parametrize("linearize, message", [
-        (False, r"^stretch F must be > 0$"),
-        (True, r"^hyperbolicity lost at cell 49$"),
-    ])
-    def test_nan_velocity_is_caught_by_the_interface_checks(self, linearize, message):
+    def test_nan_velocity_is_caught_by_the_interface_checks(self):
         # the predictor carries the NaN into the interface F before the
         # finiteness check could see it
         model = rubber_solid()
@@ -424,8 +464,8 @@ class TestCheckPaths:
         ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
         v = np.zeros(200)
         v[50] = math.nan
-        with pytest.raises((ValueError, SimulationError), match=message):
-            simulate(model, grid, ic, t_end=1.0, linearize=linearize,
+        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+            simulate(model, grid, ic, t_end=1.0,
                      initial_fields=(v, np.ones(200), np.zeros(200)))
 
 
@@ -462,15 +502,12 @@ class TestStallAndMeasurementTrace:
 # Merged Strang half-steps against the loop that relaxed twice per step
 # ---------------------------------------------------------------------------
 
-def _two_half_step_snapshots(model, grid, ic, t_end, out_dt, with_source):
+def _two_half_step_snapshots(model, grid, ic, t_end, out_dt):
     """The stepping loop before adjacent source half-steps were merged:
     relax(dt/2), hyperbolic step, relax(dt/2) on every step.  Returns the
     snapshot at t = 0 and at every output time."""
     rho, om = model.rho_star, model.omega
-    T_fn, W2_fn, _ = _flux_functions(model, False)
-
-    def lam_fn(F):
-        return np.sqrt((om * W2_fn(F) + 1.0) / (rho * om))
+    lam_fn = _lam_fn(model)
 
     dx = grid.dx
     x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
@@ -488,19 +525,17 @@ def _two_half_step_snapshots(model, grid, ic, t_end, out_dt, with_source):
         target = min(k * out_dt, t_end)
         while t < target - 1e-14 * t_end:
             dt = min(grid.cfl * dx / float(np.max(lam_fn(q[1]))), target - t)
-            if with_source:
-                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
-            _hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn, True)
+            q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
+            _step(q, dt, dx, model)
             _fill_ghosts(q)
-            if with_source:
-                q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
+            q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
             t += dt
         t = target
         snaps.append(snapshot(t))
     return snaps
 
 
-def _trace_from_snapshots(model, snaps, ic, dx, with_source):
+def _trace_from_snapshots(model, snaps, ic, dx):
     """The trace columns simulate() records, computed from snapshots."""
     lam0 = eigensystem(model, equilibrium_state()).lam
     cols = {"measured_pi": [], "front_x": [], "energy": [], "max_sigma_production": []}
@@ -509,7 +544,7 @@ def _trace_from_snapshots(model, snaps, ic, dx, with_source):
         gap = _auto_gap(lam0, snap.t, dx)
         cols["measured_pi"].append(measure_front_slope(model, snap, fx, 16, gap, degree=2))
         cols["front_x"].append(detect_front_position(snap, fx, 16, gap))
-        rep = entropy_monitor(model, snap, with_source=with_source)
+        rep = entropy_monitor(model, snap)
         cols["energy"].append(rep.total_energy)
         cols["max_sigma_production"].append(rep.max_sigma_production)
     return {k: np.array(v) for k, v in cols.items()}
@@ -528,34 +563,22 @@ def _merge_case(name):
 class TestMergedHalfSteps:
     """The exact source steps compose, S(a) S(b) = S(a + b), so merging the
     trailing half-step of one step with the leading half-step of the next
-    changes results by rounding only; without the source nothing changes."""
+    changes results by rounding only."""
 
     @pytest.mark.parametrize("name", ["rubber", "newtonian", "power_law_0.5",
                                       "power_law_2"])
     def test_matches_two_half_steps_to_rounding(self, name):
         model, grid, ic, t_end = _merge_case(name)
         res = simulate(model, grid, ic, t_end=t_end, output_every=t_end / 4)
-        snaps = _two_half_step_snapshots(model, grid, ic, t_end, t_end / 4, True)
+        snaps = _two_half_step_snapshots(model, grid, ic, t_end, t_end / 4)
         for field in ("v", "F", "sigma"):
             got, ref = getattr(res.final, field), getattr(snaps[-1], field)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), field
-        ref_trace = _trace_from_snapshots(model, snaps, ic, grid.dx, True)
+        ref_trace = _trace_from_snapshots(model, snaps, ic, grid.dx)
         assert np.array_equal(res.trace.t, [s.t for s in snaps])
         for col, ref in ref_trace.items():
             got = getattr(res.trace, col)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), col
-
-    @pytest.mark.parametrize("name", ["rubber", "power_law_2"])
-    def test_without_source_is_byte_identical(self, name):
-        model, grid, ic, t_end = _merge_case(name)
-        res = simulate(model, grid, ic, t_end=t_end, output_every=t_end / 4,
-                       with_source=False)
-        snaps = _two_half_step_snapshots(model, grid, ic, t_end, t_end / 4, False)
-        for field in ("v", "F", "sigma"):
-            assert getattr(res.final, field).tobytes() == getattr(snaps[-1], field).tobytes()
-        ref_trace = _trace_from_snapshots(model, snaps, ic, grid.dx, False)
-        for col, ref in ref_trace.items():
-            assert getattr(res.trace, col).tobytes() == ref.tobytes(), col
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +630,11 @@ class TestFailureNamesInteriorCell:
 
 def _span_case(name):
     """(model, grid, ic, t_end, simulate keywords) of a run with a window."""
-    if name in ("rubber", "rubber_linearized", "rubber_no_source"):
+    if name in ("rubber", "rubber_linear", "rubber_linear_no_relax"):
         model, wc, grid, ic = _rubber_setup(400, 0.1)
-        kw = {"rubber_linearized": {"linearize": True},
-              "rubber_no_source": {"with_source": False}}.get(name, {})
-        return model, grid, ic, 0.5 / wc.b, kw
+        model = {"rubber_linear": _linear_rubber(),
+                 "rubber_linear_no_relax": _linear_rubber(tau0=math.inf)}.get(name, model)
+        return model, grid, ic, 0.5 / wc.b, {}
     if name == "penn":
         model = penn_solid()
         wc = coefficients_ab(model)
@@ -669,7 +692,7 @@ class TestDisturbedSpan:
 
     @pytest.mark.parametrize("name", [
         "rubber", "penn", "newtonian", "power_law_0.5", "regularized",
-        "rubber_linearized", "rubber_no_source", "initial_fields"])
+        "rubber_linear", "rubber_linear_no_relax", "initial_fields"])
     def test_windowed_run_matches_whole_row_run(self, monkeypatch, name):
         model, grid, ic, t_end, kw = _span_case(name)
         spans = []
@@ -716,9 +739,8 @@ class TestDisturbedSpan:
            right_differs=st.booleans(), k=st.integers(1, 8))
     def test_windowed_steps_equal_whole_row_steps(self, case, seed, width, start,
                                                   right_differs, k):
-        _, model, linearize, scales = case
+        _, model, scales = case
         rho, om = model.rho_star, model.omega
-        T_fn, W2_fn, _ = _flux_functions(model, linearize)
         n = 32 + 2 * _NG
         lo = int(start * (n - width))
         full = _tailed_state(seed, model, scales, n, lo, lo + width, right_differs)
@@ -728,16 +750,14 @@ class TestDisturbedSpan:
         work = _work(n)
         dx = 0.05
         for _ in range(k):
-            disc = om * W2_fn(full[1]) + 1.0
-            dt = 0.9 * dx / math.sqrt(float(disc.max()) / (rho * om))
+            dt = 0.9 * dx / float(_lam_fn(model)(full[1]).max())
             full[2] = om * model.production.relax(full[1], full[2] / om, 0.5 * dt, model)
-            _hyperbolic_step(full, dt, dx, rho, om, T_fn, W2_fn, not linearize)
+            _step(full, dt, dx, model)
             _fill_ghosts(full)
             a, b = _window(lo, hi, n)
             win[2, a:b] = om * model.production.relax(win[1, a:b], win[2, a:b] / om,
                                                       0.5 * dt, model)
-            _hyperbolic_step(win, dt, dx, rho, om, T_fn, W2_fn, not linearize,
-                             slice(a, b), work)
+            _hyperbolic_step(win, dt, dx, model, slice(a, b), work)
             lo, hi = _grow_span(win, lo, hi, tails)
             assert win.tobytes() == full.tobytes()
             assert all(c.tobytes() == tails[0] for c in win[:, :lo].T)
@@ -746,22 +766,13 @@ class TestDisturbedSpan:
     def test_buffered_step_allocates_no_pair_array(self):
         n = 4000
         model = unit_fluid()
-        rho, om = model.rho_star, model.omega
-        T_fn, W2_fn, _ = _flux_functions(model, False)
         q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, 0.05, 0.05, 0.05)
         work = _work(q.shape[1])
-        states = [q.copy(), q.copy()]
-
-        def peak(q, work):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                _hyperbolic_step(q, 1e-3, 0.05, rho, om, T_fn, W2_fn, True, work=work)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
-        pair = np.empty((3, 2, n)).nbytes
-        # without work the step allocates its own, (3, 2, n)-sized pairs among them
-        assert peak(states[0], work) < pair <= peak(states[1], None)
-        assert states[0].tobytes() == states[1].tobytes()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _hyperbolic_step(q, 1e-3, 0.05, model, slice(None), work)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < np.empty((3, 2, n)).nbytes
