@@ -103,7 +103,10 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     A trial step whose amplitude grows more than GROWTH_LIMIT-fold (or goes
     non-finite) is retried at half the step; blow-up is declared once
     |pi| > BLOWUP_FACTOR * max(1, |pi0|) and the trajectory is truncated
-    there.  Coefficient a may be zero here (plain linear decay).
+    there.  Coefficient a may be zero here (plain linear decay).  The first
+    RK4 stage and the growth limit GROWTH_LIMIT * max(|pi|, 1e-300) depend
+    only on the accepted amplitude, so each is computed once per accepted
+    step, not once per halving.
 
     Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
     for an infinite b, and for a grid of more than MAX_POINTS steps.
@@ -120,12 +123,15 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     ts, ps = [0.0], [pi0]
     t, p, t_blowup = 0.0, pi0, None
     na = -a
+    ap = abs(p)
+    isfinite = math.isfinite
     for k in range(1, n_out + 1):
-        target = min(k * dt, t_end)
+        target = t_end if t_end < k * dt else k * dt
         while t < target:
+            k1 = na * p * p - b * p
+            limit = GROWTH_LIMIT * (ap if ap > 1e-300 else 1e-300)
             h = target - t
             while True:
-                k1 = na * p * p - b * p
                 x = p + 0.5 * h * k1
                 k2 = na * x * x - b * x
                 x = p + 0.5 * h * k2
@@ -133,13 +139,12 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
                 x = p + h * k3
                 k4 = na * x * x - b * x
                 trial = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                grew = (not math.isfinite(trial)) or \
-                    abs(trial) > GROWTH_LIMIT * max(abs(p), 1e-300)
-                if not grew or h <= h_min:
+                if isfinite(trial) and abs(trial) <= limit or h <= h_min:
                     break
                 h *= 0.5
             t, p = t + h, trial
-            if abs(p) > threshold or not math.isfinite(p):
+            ap = abs(p)
+            if ap > threshold or not isfinite(p):
                 t_blowup = t
                 break
         if t_blowup is not None:

@@ -28,6 +28,7 @@ __all__ = [
     "KConditionReport",
     "HyperbolicityError",
     "DegenerateWaveError",
+    "SingularLimitError",
     "equilibrium_state",
     "quasilinear_matrix",
     "eigensystem",
@@ -50,6 +51,11 @@ class DegenerateWaveError(RuntimeError):
     def __init__(self, msg: str, b: float):
         super().__init__(msg)
         self.b = b
+
+
+class SingularLimitError(ArithmeticError):
+    """Raised where a finite-b amplitude law is asked of a genuinely nonlinear
+    field in the singular limit (b = inf, :class:`SingularLimit`)."""
 
 
 @dataclass(frozen=True)

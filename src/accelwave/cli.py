@@ -30,6 +30,7 @@ from .characteristics import (
     DissipativeFinite,
     HyperbolicityError,
     SingularLimit,
+    SingularLimitError,
     WaveCoefficients,
     coefficients_ab,
     k_condition,
@@ -100,8 +101,6 @@ def json_dumps(obj, indent: int | None = 2) -> str:
 
 
 def _csv_field(x) -> str:
-    if type(x) is float:
-        return repr(x)
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -113,14 +112,33 @@ def _csv_field(x) -> str:
     return str(x)
 
 
+def _csv_column(cells: tuple) -> list[str]:
+    """The CSV fields of one column.  A column of Python floats alone is
+    formatted in one C-level pass: a float's repr holds no ", ", so the
+    list's repr splits back into the cells' reprs."""
+    if {*map(type, cells)} == {float}:
+        return repr(list(cells))[1:-1].split(", ")
+    return list(map(_csv_field, cells))
+
+
 def _rows(*columns: np.ndarray) -> list[tuple]:
     """Table rows of Python floats from equal-length float arrays."""
     return list(zip(*(c.tolist() for c in columns)))
 
 
+# A pipe takes a write of at most PIPE_BUF bytes (4096 on Linux) whole or
+# not at all.  A longer write to an unbuffered stdout (python -u) whose reader
+# closes part-way is cut short without an error, and exit 1 would be lost.
+_WRITE_CHUNK = 4096
+
+
 def write_table(stream, header: list[str], rows: list[list], footer: dict | None,
                 fmt: str) -> None:
-    """Delimited table (or JSON records) with an optional '#' metadata footer."""
+    """Delimited table (or JSON records) with an optional '#' metadata footer.
+
+    The CSV is formatted a column at a time (see _csv_column) and its rows
+    are joined once; the text then goes out in _WRITE_CHUNK slices.
+    """
     if fmt == "json":
         payload = {"columns": header,
                    "rows": [dict(zip(header, row)) for row in rows]}
@@ -128,11 +146,13 @@ def write_table(stream, header: list[str], rows: list[list], footer: dict | None
             payload["meta"] = footer
         stream.write(json_dumps(payload) + "\n")
         return
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_csv_field(x) for x in row) + "\n")
+    lines = [",".join(header),
+             *map(",".join, zip(*map(_csv_column, zip(*rows))))]
     if footer:
-        stream.write("# " + json_dumps(footer, indent=None) + "\n")
+        lines.append("# " + json_dumps(footer, indent=None))
+    text = "\n".join(lines) + "\n"
+    for i in range(0, len(text), _WRITE_CHUNK):
+        stream.write(text[i:i + _WRITE_CHUNK])
 
 
 @contextmanager
@@ -214,9 +234,9 @@ def cmd_amplitude(args) -> int:
         raise ConfigError("amplitude needs --pi0 (or 'pi0' in the config)")
     wc = coefficients_ab(cfg.material)
     if math.isinf(wc.b):
-        raise DegenerateWaveError(
+        raise SingularLimitError(
             "amplitude trajectory is not defined in the singular limit; "
-            "sweep the regularization parameter instead", wc.b)
+            "sweep the regularization parameter instead")
     outcome = classify(wc.a, wc.b, pi0)
     t_end = args.t_end
     if t_end is None:

@@ -404,6 +404,10 @@ def detect_front_position(snapshot: Snapshot, front_x_guess: float,
     """
     (sb, cb), (sa, ca) = _side_slopes(snapshot, front_x_guess,
                                       stencil_half_width, gap, degree)
+    return _crossing(front_x_guess, sb, cb, sa, ca)
+
+
+def _crossing(front_x_guess: float, sb: float, cb: float, sa: float, ca: float) -> float:
     if abs(sb - sa) <= 1e-14 * (abs(sb) + abs(sa) + 1e-300):
         return front_x_guess
     return front_x_guess + (ca - cb) / (sb - sa)
@@ -546,8 +550,11 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         gap = _auto_gap(lam0, t, dx)
         fx = ic.x_front + lam0 * t
         try:
-            pi_m = measure_front_slope(model, snap, fx, _FIT_HALF_WIDTH, gap, degree=2)
-            fd = detect_front_position(snap, fx, _FIT_HALF_WIDTH, gap)
+            # one fit of each side serves measure_front_slope (degree 2) and
+            # detect_front_position alike
+            (sb, cb), (sa, ca) = _side_slopes(snap, fx, _FIT_HALF_WIDTH, gap, 2)
+            pi_m = -lam0 * (sb - sa)
+            fd = _crossing(fx, sb, cb, sa, ca)
         except SimulationError as exc:
             _log.debug("front measurement failed at t=%.6g: %s", t, exc)
             pi_m, fd = math.nan, math.nan

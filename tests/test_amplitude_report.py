@@ -1,10 +1,11 @@
 """The `amplitude` report and `integrate` against copies of their per-row forms.
 
-`cmd_amplitude` evaluates the closed-form column with one array call and
-`integrate` runs its RK4 stages inline.  The references below are the earlier
-forms: a scalar `closed_form` call per row, `float()` per cell, and an RK4 step
-function with a nested right-hand side.  The CSV and JSON bytes and the
-trajectory arrays must be identical.
+`cmd_amplitude` evaluates the closed-form column with one array call,
+`integrate` runs its RK4 stages inline, and `write_table` formats a CSV column
+at a time.  The references below are the earlier forms: a scalar
+`closed_form` call per row, `float()` per cell, an RK4 step function with a
+nested right-hand side, and a field function per cell.  The CSV and JSON bytes
+and the trajectory arrays must be identical.
 """
 
 import contextlib
@@ -192,6 +193,38 @@ class TestBitIdenticalAmplitudeReport:
         rc, text = _cli_report(wc, pi0, t_end, dt, fmt)
         assert rc == 0 and (rc, text) == _reference_report(wc, pi0, t_end, dt, fmt)
 
+    @pytest.mark.parametrize("a, b, pi0, t_end, dt", [
+        pytest.param(-1.0, 1.0, 5e-324, 2.0, 0.01, id="subnormal-pi0"),
+        pytest.param(1.0, 0.0, -5e-324, 1.0, 0.1, id="subnormal-pi0-b0"),
+        # BLOWUP_FACTOR*|pi0| overflows: only a non-finite pi is a blow-up
+        pytest.param(-1.0, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-blowup"),
+        pytest.param(-1.0, 1.0, -1e300, 1.0, 0.01, id="huge-negative-pi0"),
+        pytest.param(1e-300, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-decay"),
+        pytest.param(-1e-300, 1.0, -1e300, 1.0, 0.01, id="huge-pi0-decay-mirrored"),
+        # b = 0: every trial overflows, so h halves down to h_min
+        pytest.param(-1.0, 0.0, 1e100, 1.0, 1.0, id="b0-halves-to-h_min"),
+        # GROWTH_LIMIT*|pi| overflows: the finiteness test alone rejects
+        pytest.param(-1e-310, 0.1, 1e308, 1.0, 0.01, id="growth-limit-overflow-decay"),
+        pytest.param(-1e-320, 0.1, 1e308, 30.0, 30.0, id="growth-limit-overflow-inf-trial"),
+        pytest.param(-1e-310, 0.0, 1e308, 1.0, 0.1, id="growth-limit-overflow-growth"),
+    ])
+    def test_extreme_magnitudes_match_reference(self, a, b, pi0, t_end, dt):
+        new, ref = integrate(a, b, pi0, t_end, dt), _reference_integrate(a, b, pi0, t_end, dt)
+        assert new.t.tobytes() == ref.t.tobytes()
+        assert new.pi.tobytes() == ref.pi.tobytes()
+        assert (new.blew_up, new.t_blowup) == (ref.blew_up, ref.t_blowup)
+
+    def test_extreme_cases_take_the_named_paths(self):
+        assert BLOWUP_FACTOR * 1e300 == math.inf
+        assert GROWTH_LIMIT * 1e308 == math.inf
+        traj = integrate(-1.0, 0.0, 1e100, 1.0, 1.0)
+        assert traj.blew_up and traj.t_blowup == 2.0 ** -60
+        traj = integrate(-1e-310, 0.0, 1e308, 1.0, 0.1)
+        assert not traj.blew_up and traj.pi[-1] > traj.pi[0]
+        # the first trial, at h = 30, is +inf against an infinite growth limit
+        traj = integrate(-1e-320, 0.1, 1e308, 30.0, 30.0)
+        assert not traj.blew_up and 0.0 < traj.pi[-1] < traj.pi[0]
+
     def test_rows_from_the_critical_time_on_are_nan(self):
         # the halving steps reach the grid point t = t_c = 1 before |pi| > 1e12
         a, b, pi0 = -1.0, 0.0, 1.0
@@ -201,3 +234,53 @@ class TestBitIdenticalAmplitudeReport:
         rows = [ln.split(",") for ln in text.splitlines()[1:-1]]
         assert rows[-1][:2] == ["1.0", "nan"]
         assert all(r[1] != "nan" for r in rows[:-1])
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5]
+_floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_cells = st.one_of(_floats, _floats.map(np.float64),
+                   st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(),
+                   st.booleans(), st.none(), st.text("abc_ ", max_size=4))
+
+
+@st.composite
+def tables(draw):
+    """(header, rows, footer): columns of Python floats alone or of mixed
+    cells, with zero rows, one row (as in the analyze table) or more."""
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 30))
+    columns = [draw(st.lists(draw(st.sampled_from([_floats, _cells])),
+                             min_size=n_rows, max_size=n_rows))
+               for _ in range(n_cols)]
+    header = [f"c{i}" for i in range(n_cols)]
+    footer = draw(st.none() | st.just({"pi0": 1e-5, "t_c": None}))
+    return header, [list(r) for r in zip(*columns)], footer
+
+
+def _reference_table(header, rows, footer):
+    lines = [",".join(header)] + [",".join(_reference_csv_field(x) for x in r)
+                                  for r in rows]
+    if footer:
+        lines.append("# " + cli.json_dumps(footer, indent=None))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnWiseTable:
+    """`write_table` formats a column at a time; the bytes are those of the
+    per-row, per-cell form."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(table=tables())
+    def test_matches_per_row_reference(self, table):
+        out = io.StringIO()
+        cli.write_table(out, *table, "csv")
+        assert out.getvalue() == _reference_table(*table)
+
+    def test_long_table_goes_out_in_pipe_buf_slices(self):
+        rows = [[float(i), i / 7.0] for i in range(2000)]
+        out = io.StringIO()
+        writes = []
+        with mock.patch.object(out, "write", side_effect=writes.append):
+            cli.write_table(out, ["x", "y"], rows, {"n": 2000}, "csv")
+        assert len(writes) > 1 and max(map(len, writes)) == cli._WRITE_CHUNK
+        assert "".join(writes) == _reference_table(["x", "y"], rows, {"n": 2000})

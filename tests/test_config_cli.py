@@ -11,6 +11,7 @@ import pytest
 
 from accelwave import (
     ConfigError,
+    SingularLimitError,
     bundled_config_path,
     coefficients_ab,
     load_scenario,
@@ -261,9 +262,17 @@ class TestAmplitudeCommand:
                        "production": {"kind": "power_law", "k_cons": 1.0, "m": 2.0}}}
         path = tmp_path / "thick.json"
         path.write_text(json.dumps(d))
-        code, _, err = run_cli(capsys, "amplitude", "--config", str(path),
-                               "--pi0", "1.0", "--t-end", "1.0")
-        assert code == 3 and "numerical error" in err
+        argv = ["amplitude", "--config", str(path), "--pi0", "1.0", "--t-end", "1.0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == ("numerical error: amplitude trajectory is not defined in "
+                       "the singular limit; sweep the regularization parameter "
+                       "instead\n")
+        # its own class: the fast field is genuinely nonlinear (a != 0)
+        args = build_parser().parse_args(argv)
+        args.format = args.default_format
+        with pytest.raises(SingularLimitError):
+            args.func(args)
 
 
 class TestNumericFlags:
