@@ -8,6 +8,7 @@ damping limit b(eps) = b0/eps**n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,12 @@ def classify(a: float, b: float, pi0: float) -> AmplitudeOutcome:
             return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=pi_cr)
         t_c = -math.log(1.0 - pi_cr / p0) / b
         return AmplitudeOutcome(global_existence=False, t_c=t_c, pi_cr=pi_cr)
-    # b = 0: every amplitude on the blow-up side has a critical time
+    # b = 0: every amplitude on the blow-up side has a critical time, which
+    # overflows to inf where a*pi0 underflows to zero
     if p0 > 0.0:
-        return AmplitudeOutcome(global_existence=False, t_c=-1.0 / (a * pi0), pi_cr=0.0)
+        rate = a * pi0
+        return AmplitudeOutcome(global_existence=False,
+                                t_c=-1.0 / rate if rate else math.inf, pi_cr=0.0)
     return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=0.0)
 
 
@@ -102,11 +106,12 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
 
     A trial step whose amplitude grows more than GROWTH_LIMIT-fold (or goes
     non-finite) is retried at half the step; blow-up is declared once
-    |pi| > BLOWUP_FACTOR * max(1, |pi0|) and the trajectory is truncated
-    there.  Coefficient a may be zero here (plain linear decay).  The first
-    RK4 stage and the growth limit GROWTH_LIMIT * max(|pi|, 1e-300) depend
-    only on the accepted amplitude, so each is computed once per accepted
-    step, not once per halving.
+    |pi| > BLOWUP_FACTOR * max(1, |pi0|) or |pi| reaches the largest float
+    (a trajectory pinned there would creep on in steps of about 1e-15), and
+    the trajectory is truncated there.  Coefficient a may be zero here
+    (plain linear decay).  The first RK4 stage and the growth limit
+    GROWTH_LIMIT * max(|pi|, 1e-300) depend only on the accepted amplitude,
+    so each is computed once per accepted step, not once per halving.
 
     Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
     for an infinite b, and for a grid of more than MAX_POINTS steps.
@@ -125,6 +130,7 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     na = -a
     ap = abs(p)
     isfinite = math.isfinite
+    fmax = sys.float_info.max
     for k in range(1, n_out + 1):
         target = t_end if t_end < k * dt else k * dt
         while t < target:
@@ -144,7 +150,7 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
                 h *= 0.5
             t, p = t + h, trial
             ap = abs(p)
-            if ap > threshold or not isfinite(p):
+            if ap > threshold or not ap < fmax:
                 t_blowup = t
                 break
         if t_blowup is not None:

@@ -28,7 +28,6 @@ from .characteristics import (
     Degenerate,
     DegenerateWaveError,
     DissipativeFinite,
-    HyperbolicityError,
     SingularLimit,
     SingularLimitError,
     WaveCoefficients,
@@ -132,27 +131,33 @@ def _rows(*columns: np.ndarray) -> list[tuple]:
 _WRITE_CHUNK = 4096
 
 
+def _emit(stream, text: str) -> None:
+    """Write a report's text in _WRITE_CHUNK slices; every report goes out
+    through here."""
+    for i in range(0, len(text), _WRITE_CHUNK):
+        stream.write(text[i:i + _WRITE_CHUNK])
+
+
 def write_table(stream, header: list[str], rows: list[list], footer: dict | None,
                 fmt: str) -> None:
-    """Delimited table (or JSON records) with an optional '#' metadata footer.
+    """Delimited table (or JSON records) with an optional '#' metadata footer,
+    written through _emit.
 
     The CSV is formatted a column at a time (see _csv_column) and its rows
-    are joined once; the text then goes out in _WRITE_CHUNK slices.
+    are joined once.
     """
     if fmt == "json":
         payload = {"columns": header,
                    "rows": [dict(zip(header, row)) for row in rows]}
         if footer:
             payload["meta"] = footer
-        stream.write(json_dumps(payload) + "\n")
+        _emit(stream, json_dumps(payload) + "\n")
         return
     lines = [",".join(header),
              *map(",".join, zip(*map(_csv_column, zip(*rows))))]
     if footer:
         lines.append("# " + json_dumps(footer, indent=None))
-    text = "\n".join(lines) + "\n"
-    for i in range(0, len(text), _WRITE_CHUNK):
-        stream.write(text[i:i + _WRITE_CHUNK])
+    _emit(stream, "\n".join(lines) + "\n")
 
 
 @contextmanager
@@ -223,7 +228,7 @@ def cmd_analyze(args) -> int:
             row += [report["k_condition"]["weak_K"], report["k_condition"]["full_K"]]
             write_table(stream, keys, [row], {"input": report["input"]}, "csv")
         else:
-            stream.write(json_dumps(report) + "\n")
+            _emit(stream, json_dumps(report) + "\n")
     return 0
 
 
@@ -266,15 +271,15 @@ def cmd_simulate(args) -> int:
     if cfg.sim is None:
         raise ConfigError("simulate needs a 'sim' block in the config")
     sim = cfg.sim
-    result = simulate(cfg.material, sim.grid(), sim.kink(), sim.t_end,
+    result = simulate(cfg.material, sim.grid, sim.kink, sim.t_end,
                       output_every=sim.output_every)
     tr = result.trace
     rows = _rows(tr.t, tr.measured_pi, tr.predicted_pi, tr.front_x, tr.energy,
                  tr.max_sigma_production)
     footer = {"lambda0": tr.lambda0, "a": tr.a, "b": tr.b,
               "steepening_time": tr.steepening_time,
-              "n_cells": sim.n_cells, "dx": sim.grid().dx, "cfl": sim.cfl,
-              "pi0": sim.pi0}
+              "n_cells": sim.grid.n_cells, "dx": sim.grid.dx, "cfl": sim.grid.cfl,
+              "pi0": sim.kink.pi0}
     out = args.out or cfg.out
     with _output(out) as stream:
         write_table(stream,
@@ -396,9 +401,8 @@ def cmd_paper_tables(args) -> int:
     lines.append("")
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
 
-    text = "\n".join(lines) + "\n"
     with _output(args.out) as stream:
-        stream.write(text)
+        _emit(stream, "\n".join(lines) + "\n")
     return 0
 
 
@@ -433,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def add_common(p):
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("--config", required=config_required,
+        p.add_argument("--config", required=True,
                        help="scenario config (JSON); bundled names like "
                             "'rubber.json' are resolved automatically")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -486,8 +490,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (HyperbolicityError, DegenerateWaveError, SimulationError,
-            ValueError, ArithmeticError) as exc:
+    except (DegenerateWaveError, SimulationError, ValueError,
+            ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +32,6 @@ __all__ = [
     "material_from_dict",
     "material_to_dict",
     "scenario_from_dict",
-    "scenario_to_dict",
     "load_scenario",
     "bundled_config_path",
     "apply_sweep_value",
@@ -130,23 +129,10 @@ def material_to_dict(m: MaterialModel) -> dict:
 
 @dataclass(frozen=True)
 class SimConfig:
-    x_min: float
-    x_max: float
-    n_cells: int
-    cfl: float
-    x_front: float
-    pi0: float
-    ramp_width: float    # defaults to 10% of the domain when omitted
+    grid: Grid
+    kink: KinkIC
     t_end: float
     output_every: float | None = None
-
-    def grid(self) -> Grid:
-        return Grid(x_min=self.x_min, x_max=self.x_max,
-                    n_cells=self.n_cells, cfl=self.cfl)
-
-    def kink(self) -> KinkIC:
-        return KinkIC(x_front=self.x_front, pi0=self.pi0,
-                      ramp_width=self.ramp_width)
 
 
 @dataclass(frozen=True)
@@ -168,26 +154,30 @@ class ScenarioConfig:
 
 
 def _sim_from_dict(d: dict) -> SimConfig:
-    names = [f.name for f in fields(SimConfig)]
+    """The flat 'sim' block: the fields of Grid and KinkIC, t_end and
+    output_every.  ramp_width defaults to 10% of the domain."""
+    grid_names = [f.name for f in fields(Grid)]
+    kink_names = [f.name for f in fields(KinkIC)]
+    names = [*grid_names, *kink_names, "t_end", "output_every"]
     _check_keys(d, set(names), "'sim'")
     n_cells = d.get("n_cells")
     if not isinstance(n_cells, int) or isinstance(n_cells, bool):
         raise ConfigError("'n_cells' in 'sim' must be an integer")
     optional = ("ramp_width", "output_every")
-    kwargs = {name: _number(d, name, "'sim'", optional=name in optional)
+    values = {name: _number(d, name, "'sim'", optional=name in optional)
               for name in names if name != "n_cells"}
+    values["n_cells"] = n_cells
     for name in ("t_end", "output_every"):
-        if kwargs[name] is not None and kwargs[name] <= 0.0:
-            raise ConfigError(f"'{name}' in 'sim' must be > 0, got {kwargs[name]!r}")
-    if kwargs["ramp_width"] is None:
-        kwargs["ramp_width"] = 0.1 * (kwargs["x_max"] - kwargs["x_min"])
+        if values[name] is not None and values[name] <= 0.0:
+            raise ConfigError(f"'{name}' in 'sim' must be > 0, got {values[name]!r}")
+    if values["ramp_width"] is None:
+        values["ramp_width"] = 0.1 * (values["x_max"] - values["x_min"])
     try:
-        cfg = SimConfig(n_cells=n_cells, **kwargs)
-        cfg.grid()
-        cfg.kink()
+        grid = Grid(**{name: values[name] for name in grid_names})
+        kink = KinkIC(**{name: values[name] for name in kink_names})
     except ValueError as exc:
         raise ConfigError(f"invalid 'sim' block: {exc}") from exc
-    return cfg
+    return SimConfig(grid, kink, values["t_end"], values["output_every"])
 
 
 def _sweep_from_dict(d: dict, material_dict: dict) -> SweepConfig:
@@ -246,19 +236,6 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("'out' must be a string path")
     return ScenarioConfig(material=material, sim=sim, sweep=sweep, pi0=pi0, out=out)
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    d = material_to_dict(cfg.material)
-    if cfg.sim is not None:
-        d["sim"] = {k: v for k, v in asdict(cfg.sim).items() if v is not None}
-    if cfg.sweep is not None:
-        d["sweep"] = asdict(cfg.sweep)
-    if cfg.pi0 is not None:
-        d["pi0"] = cfg.pi0
-    if cfg.out is not None:
-        d["out"] = cfg.out
-    return d
 
 
 def bundled_config_path(name: str) -> Path:

@@ -42,7 +42,6 @@ __all__ = [
     "elastic_derivs",
     "production",
     "production_jacobian",
-    "zener_relaxation_response",
 ]
 
 
@@ -593,43 +592,3 @@ def production_jacobian(model: MaterialModel, F: float, sigma: float) -> Product
     for the unregularized power law with m > 1 at sigma = 0."""
     _require_stretch(F)
     return model.production.dP(F, sigma, model)
-
-
-# ---------------------------------------------------------------------------
-# Standard-linear-solid relaxation response
-# ---------------------------------------------------------------------------
-
-def zener_relaxation_response(params: SolidParams, strain_history: np.ndarray,
-                              dt: float) -> np.ndarray:
-    """Total stress S(t) = E1*eps + sigma for a uniformly sampled strain history.
-
-    Integrates sigma' = E2*eps' - sigma/tau0 with RK4, treating the strain as
-    piecewise linear between samples.  The initial strain value is applied as
-    an instantaneous step from the virgin state, so sigma(0) = E2*eps(0) and
-    S(0+) = (E1 + E2)*eps(0).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not isinstance(params.elastic, QuadraticCubic):
-        raise ValueError("the standard-linear-solid reduction applies to the "
-                         "quadratic-cubic potential")
-    eps = np.asarray(strain_history, dtype=float)
-    if eps.ndim != 1 or eps.size < 1:
-        raise ValueError("strain_history must be a non-empty 1-D array")
-    E1, E2, tau0 = params.E1, params.E2, params.tau0
-    sigma = np.empty_like(eps)
-    sigma[0] = E2 * eps[0]
-    s = sigma[0]
-    for k in range(eps.size - 1):
-        rate = (eps[k + 1] - eps[k]) / dt
-
-        def rhs(x):
-            return E2 * rate - x / tau0
-
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * dt * k1)
-        k3 = rhs(s + 0.5 * dt * k2)
-        k4 = rhs(s + dt * k3)
-        s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sigma[k + 1] = s
-    return E1 * eps + sigma

@@ -469,18 +469,14 @@ def _initial_profile(model: MaterialModel, grid: Grid, ic: KinkIC,
 
 
 def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
-             output_every: float | None = None,
-             initial_fields: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-             ) -> SimResult:
-    """Run the wavefront experiment and sample the front amplitude.
+             output_every: float | None = None) -> SimResult:
+    """Run the wavefront experiment from the kink ic on grid and sample the
+    front amplitude.
 
     The predicted amplitude uses the material's coefficients a and b; a
     linearly degenerate material (a = 0) is predicted to decay as
     pi0*exp(-b*t).  Output samples land exactly on multiples of
     output_every (default t_end/50), at most MAX_POINTS after t = 0.
-    initial_fields overrides the kink profile with caller-supplied (v, F,
-    sigma) cell values (diagnostics hook; ic still anchors the front
-    tracking).
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
@@ -519,16 +515,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     dx = grid.dx
     x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
     x_int = x_all[_NG:-_NG]
-    if initial_fields is None:
-        v, F, sig = _initial_profile(model, grid, ic, x_all)
-    else:
-        v0, F0, s0 = (np.asarray(f, dtype=float) for f in initial_fields)
-        if v0.shape != x_int.shape or F0.shape != x_int.shape or s0.shape != x_int.shape:
-            raise ValueError("initial_fields must match the grid cell count")
-        v = np.concatenate([v0[:1].repeat(_NG), v0, v0[-1:].repeat(_NG)])
-        F = np.concatenate([F0[:1].repeat(_NG), F0, F0[-1:].repeat(_NG)])
-        sig = np.concatenate([s0[:1].repeat(_NG), s0, s0[-1:].repeat(_NG)])
-
+    v, F, sig = _initial_profile(model, grid, ic, x_all)
     q = np.stack([rho * v, F, om * sig])
     _fill_ghosts(q)
 

@@ -205,7 +205,7 @@ def test_criterion_7_entropy_dissipation():
     for name in ("rubber.json", "newtonian.json", "shear_thinning.json",
                  "shear_thickening_eps.json"):
         cfg = load_scenario(name)
-        res = simulate(cfg.material, cfg.sim.grid(), cfg.sim.kink(), t_end=cfg.sim.t_end,
+        res = simulate(cfg.material, cfg.sim.grid, cfg.sim.kink, t_end=cfg.sim.t_end,
                        output_every=cfg.sim.output_every)
         tr = res.trace
         ok &= bool(np.max(tr.max_sigma_production) <= 0.0)

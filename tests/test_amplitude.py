@@ -1,6 +1,8 @@
 """Amplitude evolution: closed form, classification, RK4 companion, eps scan."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,20 @@ class TestClassify:
         assert not out.global_existence
         assert out.t_c == pytest.approx(1.0, rel=1e-15)
         assert out.pi_cr == 0.0
+
+    def test_zero_damping_rate_underflow_is_an_infinite_critical_time(self):
+        # a*pi0 underflows to -0.0: t_c = -1/(a*pi0) would divide by zero
+        for a, pi0 in ((-0.5, 5e-324), (0.5, -5e-324), (-1e-300, 1e-30)):
+            out = classify(a, 0.0, pi0)
+            assert not out.global_existence and out.t_c == math.inf
+
+    def test_zero_damping_critical_time_is_unchanged(self, rng):
+        # away from the underflow t_c keeps its one expression, bit for bit
+        for _ in range(200):
+            a = -(10.0 ** rng.uniform(-150, 150))
+            pi0 = 10.0 ** rng.uniform(-150, 150)
+            assert classify(a, 0.0, pi0).t_c == -1.0 / (a * pi0)
+            assert classify(-a, 0.0, -pi0).t_c == -1.0 / (-a * -pi0)
 
     def test_negative_amplitude_decays(self):
         out = classify(-0.009, 2.93, -50.0)
@@ -152,6 +168,22 @@ class TestIntegrate:
             traj = integrate(a, b, pi0, t_end=1.5 * out.t_c, dt=out.t_c / 400.0)
             assert traj.blew_up
             assert traj.t_blowup == pytest.approx(out.t_c, rel=0.01)
+
+    def test_trajectory_at_the_largest_float_is_a_blow_up(self):
+        # BLOWUP_FACTOR*|pi0| is inf, and pi reaches the largest float at
+        # t = 44.37; the run crept on there in steps of about 3e-15.  In a
+        # subprocess, so that a run without bound fails instead of hanging.
+        code = ("from accelwave import integrate\n"
+                "traj = integrate(-1e-310, 0.0, 1e308, 50.0, 1.0)\n"
+                "print(traj.blew_up, repr(traj.t_blowup), traj.t.size)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        blew_up, t_blowup, size = proc.stdout.split()
+        assert blew_up == "True" and size == "45"
+        # the exact solution 1e308/(1 - 1e-2*t) leaves the float range at 44.35
+        assert float(t_blowup) == pytest.approx(100.0 * (1.0 - 1e308 / sys.float_info.max),
+                                                rel=1e-3)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):

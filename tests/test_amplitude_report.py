@@ -196,8 +196,10 @@ class TestBitIdenticalAmplitudeReport:
     @pytest.mark.parametrize("a, b, pi0, t_end, dt", [
         pytest.param(-1.0, 1.0, 5e-324, 2.0, 0.01, id="subnormal-pi0"),
         pytest.param(1.0, 0.0, -5e-324, 1.0, 0.1, id="subnormal-pi0-b0"),
-        # BLOWUP_FACTOR*|pi0| overflows: only a non-finite pi is a blow-up
+        # BLOWUP_FACTOR*|pi0| overflows: only a pi at the largest float or
+        # beyond is a blow-up, and one just below it is not
         pytest.param(-1.0, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-blowup"),
+        pytest.param(0.0, 1.0, 1.7e308, 1.0, 0.01, id="near-largest-float-decay"),
         pytest.param(-1.0, 1.0, -1e300, 1.0, 0.01, id="huge-negative-pi0"),
         pytest.param(1e-300, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-decay"),
         pytest.param(-1e-300, 1.0, -1e300, 1.0, 0.01, id="huge-pi0-decay-mirrored"),

@@ -1,5 +1,7 @@
 """Config ingestion, serialization round-trips, CLI contracts."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,16 +13,20 @@ import pytest
 
 from accelwave import (
     ConfigError,
+    Grid,
+    KinkIC,
+    SimConfig,
     SingularLimitError,
+    SweepConfig,
     bundled_config_path,
     coefficients_ab,
     load_scenario,
     material_from_dict,
     material_to_dict,
     scenario_from_dict,
-    scenario_to_dict,
 )
 import accelwave
+from accelwave import cli
 from accelwave.cli import build_parser, main
 from conftest import rubber_solid
 
@@ -77,9 +83,14 @@ class TestConfig:
         d["sweep"] = {"param": "solid.tau0", "min": 0.01, "max": 1.0,
                       "count": 5, "scale": "log"}
         d["pi0"] = 10.0
-        cfg1 = scenario_from_dict(d)
-        cfg2 = scenario_from_dict(scenario_to_dict(cfg1))
-        assert cfg1 == cfg2
+        cfg = scenario_from_dict(d)
+        assert cfg.material == rubber_solid()
+        assert cfg.sim == SimConfig(Grid(x_min=0.0, x_max=26.0, n_cells=100, cfl=0.9),
+                                    KinkIC(x_front=4.5, pi0=32.0, ramp_width=2.0),
+                                    t_end=0.1, output_every=None)
+        assert cfg.sweep == SweepConfig(param="solid.tau0", min=0.01, max=1.0,
+                                        count=5, scale="log")
+        assert cfg.pi0 == 10.0 and cfg.out is None
 
     def test_rubber_config_matches_library_model(self):
         assert material_from_dict(RUBBER_DICT) == rubber_solid()
@@ -129,7 +140,7 @@ class TestConfig:
         d["sim"] = {"x_min": 0.0, "x_max": 40.0, "n_cells": 100, "cfl": 0.9,
                     "x_front": 10.0, "pi0": 1.0, "t_end": 0.1}
         cfg = scenario_from_dict(d)
-        assert cfg.sim.ramp_width == 4.0
+        assert cfg.sim.kink.ramp_width == 4.0
 
 
 class TestAnalyzeCommand:
@@ -255,6 +266,22 @@ class TestAmplitudeCommand:
                                "--pi0=2.2e-313", "--t-end", "1")
         assert code == 0
         assert json.loads(out.strip().split("\n")[-1][2:])["t_c"] == "inf"
+
+    def test_underflowing_rate_asks_for_t_end(self, capsys):
+        # b = 0: a*pi0 underflows to zero, so t_c = inf as in the overflow
+        code, out, err = run_cli(capsys, "amplitude", "--config", "shear_thinning.json",
+                                 "--pi0", "5e-324")
+        assert code == 3 and out == ""
+        assert err == ("numerical error: the critical time t_c overflows to inf "
+                       "at pi0=5e-324; give --t-end\n")
+        code, out, err = run_cli(capsys, "amplitude", "--config", "shear_thinning.json",
+                                 "--pi0", "5e-324", "--t-end", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out.strip().split("\n")[-1][2:])["t_c"] == "inf"
+        code, out, err = run_cli(capsys, "analyze", "--config", "shear_thinning.json",
+                                 "--pi0", "5e-324")
+        assert code == 0 and err == ""
+        assert json.loads(out)["outcome"] == {"global_existence": False, "t_c": "inf"}
 
     def test_singular_limit_has_no_trajectory(self, capsys, tmp_path):
         d = {"kind": "fluid",
@@ -449,7 +476,7 @@ class TestSimulateCommand:
         lines = out.strip().split("\n")
         sim = load_scenario(name).sim
         assert len(lines) == round(sim.t_end / sim.output_every) + 3  # t = 0, header, footer
-        assert json.loads(lines[-1][2:])["n_cells"] == sim.n_cells
+        assert json.loads(lines[-1][2:])["n_cells"] == sim.grid.n_cells
 
     def test_sim_block_required(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -489,19 +516,61 @@ class TestPaperTablesCommand:
 
 
 class TestClosedStdout:
-    def test_closed_pipe_ends_quietly(self):
-        # about 0.5 MB of rows: the report is still being written when the
-        # reader stops after one line, as `| head -n 1` does
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt, first_line", [("csv", b"t,pi_closed_form,pi_rk4\n"),
+                                                 ("json", b"{\n")], ids=["csv", "json"])
+    def test_closed_pipe_ends_quietly(self, fmt, first_line, unbuffered):
+        # about 0.5 MB of rows (1.3 MB as JSON): the report is still being
+        # written when the reader stops after one line, as `| head -n 1`
+        # does.  With an unbuffered stdout a write longer than PIPE_BUF would
+        # be cut short without an error.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "accelwave.cli", "amplitude", "--config",
-             "rubber.json", "--pi0", "-1e-3", "--t-end", "1", "--dt", "1e-4"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.readline() == b"t,pi_closed_form,pi_rk4\n"
+             "rubber.json", "--pi0", "-1e-3", "--t-end", "1", "--dt", "1e-4",
+             "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == first_line
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait() == 1
         assert err == b""
+
+
+class _WriteLog(io.StringIO):
+    """A stream that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestOneWriter:
+    """Every report leaves in writes of at most _WRITE_CHUNK characters."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--config", "rubber.json", "--pi0", "50"],
+        ["analyze", "--config", "shear_thickening_eps.json", "--format", "csv"],
+        ["amplitude", "--config", "rubber.json", "--pi0", "50", "--format", "json"],
+        ["paper-tables"],
+    ], ids=["analyze-json", "analyze-csv", "amplitude-json", "paper-tables"])
+    def test_reports_go_out_in_slices(self, monkeypatch, argv):
+        whole = io.StringIO()
+        with contextlib.redirect_stdout(whole):
+            assert main(argv) == 0
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", 64)
+        stub = _WriteLog()
+        with contextlib.redirect_stdout(stub):
+            assert main(argv) == 0
+        assert stub.getvalue() == whole.getvalue()
+        assert len(stub.writes) > 1 and max(map(len, stub.writes)) <= 64
 
 
 class TestPackageExports:

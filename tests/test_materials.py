@@ -22,7 +22,6 @@ from accelwave import (
     elastic_derivs,
     production,
     production_jacobian,
-    zener_relaxation_response,
 )
 from accelwave import materials
 from accelwave.materials import _power_prefactor
@@ -559,43 +558,6 @@ class TestRegularizedSolveAgainstReference:
                 else:
                     hi = mid
             assert abs(mp.mpf(x) - lo) <= 1e-12 * abs(lo)
-
-
-# ---------------------------------------------------------------------------
-# Standard-linear-solid response
-# ---------------------------------------------------------------------------
-
-class TestZenerResponse:
-    def test_step_strain_response(self):
-        model = rubber_solid()
-        eps0 = 0.01
-        dt = model.tau0 / 1000.0
-        n = 3001                       # reaches t = 3*tau0
-        history = np.full(n, eps0)
-        S = zener_relaxation_response(model, history, dt)
-        E1, E2, tau0 = model.E1, model.E2, model.tau0
-        assert S[0] == (E1 + E2) * eps0                       # instantaneous modulus
-        t = np.arange(n) * dt
-        exact = E1 * eps0 + E2 * eps0 * np.exp(-t / tau0)
-        assert np.max(np.abs(S - exact) / exact) < 1e-4       # exponential oracle
-        k_tau = 1000                                          # t = tau0 sample
-        assert S[k_tau] == pytest.approx(E1 * eps0 + E2 * eps0 / math.e, rel=1e-4)
-        assert S[-1] == pytest.approx(E1 * eps0 + E2 * eps0 * math.exp(-3.0), rel=1e-4)
-
-    def test_long_time_reaches_equilibrium_modulus(self):
-        model = rubber_solid()
-        eps0 = 0.02
-        dt = model.tau0 / 100.0
-        history = np.full(2001, eps0)  # t = 20*tau0
-        S = zener_relaxation_response(model, history, dt)
-        assert S[-1] == pytest.approx(model.E1 * eps0, rel=1e-6)
-
-    def test_rejects_bad_inputs(self):
-        model = rubber_solid()
-        with pytest.raises(ValueError):
-            zener_relaxation_response(model, np.zeros(5), 0.0)
-        with pytest.raises(ValueError):
-            zener_relaxation_response(penn_solid(), np.zeros(5), 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ def _step(q, dt, dx, model):
     _hyperbolic_step(q, dt, dx, model, slice(None), _work(q.shape[1]))
 
 
+def _simulate_from(fields, model, grid, ic, t_end, **kw):
+    """simulate from the cell values fields = (v, F, sigma) in place of the
+    kink profile; ic still anchors the front tracking."""
+    padded = [np.pad(np.asarray(f, dtype=float), _NG, mode="edge") for f in fields]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavefront, "_initial_profile", lambda *args: padded)
+        return simulate(model, grid, ic, t_end, **kw)
+
+
 class TestEquilibriumAndMeasurement:
     def test_equilibrium_is_preserved_exactly(self):
         model, _, grid, _ = _rubber_setup(500, 0.0)
@@ -201,8 +210,8 @@ class TestEnergyAndDissipation:
         v0 = np.exp(-((x - 30.0) / 3.0) ** 2)
         fields = (v0, np.ones_like(x), np.zeros_like(x))
         ic = KinkIC(x_front=30.0, pi0=0.0, ramp_width=1.0)
-        res = simulate(dataclasses.replace(model, tau0=math.inf), grid, ic, t_end=0.02,
-                       output_every=0.01, initial_fields=fields)
+        res = _simulate_from(fields, dataclasses.replace(model, tau0=math.inf), grid, ic,
+                             t_end=0.02, output_every=0.01)
         E = res.trace.energy
         assert abs(E[-1] - E[0]) <= 1e-6 * E[0]
 
@@ -442,8 +451,7 @@ class TestCheckPaths:
         F = np.ones(200)
         F[50] = -0.5
         with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
-            simulate(model, grid, ic, t_end=0.01,
-                     initial_fields=(np.zeros(200), F, np.zeros(200)))
+            _simulate_from((np.zeros(200), F, np.zeros(200)), model, grid, ic, t_end=0.01)
 
     def test_nan_sigma_names_the_cell(self):
         model = rubber_solid()
@@ -453,8 +461,7 @@ class TestCheckPaths:
         sigma[50] = math.nan
         with pytest.raises(SimulationError,
                            match=r"^non-finite state at t=0\.00412187, cell 48$"):
-            simulate(model, grid, ic, t_end=1.0,
-                     initial_fields=(np.zeros(200), np.ones(200), sigma))
+            _simulate_from((np.zeros(200), np.ones(200), sigma), model, grid, ic, t_end=1.0)
 
     def test_nan_velocity_is_caught_by_the_interface_checks(self):
         # the predictor carries the NaN into the interface F before the
@@ -465,8 +472,7 @@ class TestCheckPaths:
         v = np.zeros(200)
         v[50] = math.nan
         with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
-            simulate(model, grid, ic, t_end=1.0,
-                     initial_fields=(v, np.ones(200), np.zeros(200)))
+            _simulate_from((v, np.ones(200), np.zeros(200)), model, grid, ic, t_end=1.0)
 
 
 class TestStallAndMeasurementTrace:
@@ -481,8 +487,7 @@ class TestStallAndMeasurementTrace:
         with np.errstate(divide="ignore", over="ignore"), \
                 pytest.raises(SimulationError,
                               match=r"does not advance t=0 after 0 steps .*cell 100\)"):
-            simulate(model, grid, ic, t_end=1.0, output_every=0.5,
-                     initial_fields=fields)
+            _simulate_from(fields, model, grid, ic, t_end=1.0, output_every=0.5)
 
     def test_failed_front_measurement_is_logged(self, caplog):
         # the front starts too close to the right boundary for the stencil
@@ -593,8 +598,7 @@ class TestFailureNamesInteriorCell:
         F = np.ones(200)
         F[50] = 2.0
         with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 50$"):
-            simulate(model, grid, ic, t_end=0.01,
-                     initial_fields=(np.zeros(200), F, np.zeros(200)))
+            _simulate_from((np.zeros(200), F, np.zeros(200)), model, grid, ic, t_end=0.01)
 
     def test_hyperbolicity_loss_at_an_interface(self):
         # the cells stay just inside the hyperbolic range (om*W2 + 1 > 0);
@@ -608,8 +612,7 @@ class TestFailureNamesInteriorCell:
         F = np.ones(200)
         F[45:56] = F_c - 2e-4
         with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 50$"):
-            simulate(model, grid, ic, t_end=0.01,
-                     initial_fields=(v, F, np.zeros(200)))
+            _simulate_from((v, F, np.zeros(200)), model, grid, ic, t_end=0.01)
 
     def test_unconverged_source_step(self, monkeypatch):
         monkeypatch.setattr(materials, "_RELAX_MAX_ITER", 1)
@@ -620,8 +623,7 @@ class TestFailureNamesInteriorCell:
         sigma[50] = 0.01
         with pytest.raises(SimulationError,
                            match=r"^source step failed at t=0, cell 50: .*did not converge"):
-            simulate(model, grid, ic, t_end=1.0,
-                     initial_fields=(np.zeros(200), np.ones(200), sigma))
+            _simulate_from((np.zeros(200), np.ones(200), sigma), model, grid, ic, t_end=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -629,18 +631,19 @@ class TestFailureNamesInteriorCell:
 # ---------------------------------------------------------------------------
 
 def _span_case(name):
-    """(model, grid, ic, t_end, simulate keywords) of a run with a window."""
+    """(model, grid, ic, t_end, initial cell values or None) of a run with a
+    window."""
     if name in ("rubber", "rubber_linear", "rubber_linear_no_relax"):
         model, wc, grid, ic = _rubber_setup(400, 0.1)
         model = {"rubber_linear": _linear_rubber(),
                  "rubber_linear_no_relax": _linear_rubber(tau0=math.inf)}.get(name, model)
-        return model, grid, ic, 0.5 / wc.b, {}
+        return model, grid, ic, 0.5 / wc.b, None
     if name == "penn":
         model = penn_solid()
         wc = coefficients_ab(model)
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
         ic = KinkIC(x_front=13.0, pi0=0.1 * wc.pi_cr, ramp_width=6.0)
-        return model, grid, ic, 10.0 / wc.lambda0, {}
+        return model, grid, ic, 10.0 / wc.lambda0, None
     if name == "initial_fields":
         # a bump at the left boundary, so the window reaches the ghosts, and
         # two different tail states meeting in a jump of F; zeros of both signs
@@ -654,11 +657,11 @@ def _span_case(name):
         sigma = np.full(300, -0.0)
         sigma[5:9] = 100.0
         ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
-        return model, grid, ic, 0.02, {"initial_fields": (v, F, sigma)}
+        return model, grid, ic, 0.02, (v, F, sigma)
     law = {"newtonian": Newtonian(), "power_law_0.5": PowerLaw(k_cons=1.0, m=0.5),
            "regularized": RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)}[name]
     grid = Grid(x_min=0.0, x_max=30.0, n_cells=400, cfl=0.9)
-    return unit_fluid(law), grid, KinkIC(x_front=12.0, pi0=0.05, ramp_width=2.0), 2.0, {}
+    return unit_fluid(law), grid, KinkIC(x_front=12.0, pi0=0.05, ramp_width=2.0), 2.0, None
 
 
 def _result_bytes(res):
@@ -694,7 +697,7 @@ class TestDisturbedSpan:
         "rubber", "penn", "newtonian", "power_law_0.5", "regularized",
         "rubber_linear", "rubber_linear_no_relax", "initial_fields"])
     def test_windowed_run_matches_whole_row_run(self, monkeypatch, name):
-        model, grid, ic, t_end, kw = _span_case(name)
+        model, grid, ic, t_end, fields = _span_case(name)
         spans = []
 
         def found(q, tails):
@@ -702,7 +705,10 @@ class TestDisturbedSpan:
             return spans[-1]
 
         def run():
-            return simulate(model, grid, ic, t_end=t_end, output_every=t_end / 4, **kw)
+            if fields is None:
+                return simulate(model, grid, ic, t_end=t_end, output_every=t_end / 4)
+            return _simulate_from(fields, model, grid, ic, t_end=t_end,
+                                  output_every=t_end / 4)
 
         monkeypatch.setattr(wavefront, "_disturbed_span", found)
         windowed = run()
@@ -721,8 +727,7 @@ class TestDisturbedSpan:
         v[100] = 1e-3
         F[:50] = 2.0
         with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 0$"):
-            simulate(model, grid, ic, t_end=0.01,
-                     initial_fields=(v, F, np.zeros(200)))
+            _simulate_from((v, F, np.zeros(200)), model, grid, ic, t_end=0.01)
 
     def test_span_of_rows_without_tails(self):
         n = 16 + 2 * _NG
