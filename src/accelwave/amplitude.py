@@ -68,7 +68,7 @@ def classify(a: float, b: float, pi0: float) -> AmplitudeOutcome:
         pi_cr = b / abs(a)
         if p0 <= pi_cr:   # pi0 = pi_cr rides the unstable constant solution
             return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=pi_cr)
-        t_c = -math.log(1.0 - pi_cr / p0) / b
+        t_c = -math.log1p(-pi_cr / p0) / b
         return AmplitudeOutcome(global_existence=False, t_c=t_c, pi_cr=pi_cr)
     # b = 0: every amplitude on the blow-up side has a critical time, which
     # overflows to inf where a*pi0 underflows to zero

@@ -36,7 +36,13 @@ the zero rule a cell whose 5-cell stencil is constant gets an update of
 exactly +0, and sigma = +-0 is a fixed point of every relax.  The CFL step,
 the source and the finiteness check see the same window, which holds cells
 of both tails, and the first step the whole row, so a failing tail state is
-named as before.  The step's arrays are views into per-run scratch.
+named as before.  The window is rounded out to multiples of _CHUNK padded
+cells, clipped to the row, and its views of q and of per-run scratch are
+built only when the rounded window changes (it grows by at most two cells
+a side a step).  Rounding changes no bit: the extra cells are tail cells,
+whose update is +0 and whose sigma relax keeps, and the window already
+holds their states, so the largest CFL discriminant and the regularized
+law's sub-cycle count (from the largest F) stay the same.
 
 A source step whose implicit solve does not converge raises SimulationError
 naming t and the cell, as does a state that turns non-finite or loses
@@ -77,6 +83,7 @@ __all__ = [
 ]
 
 _NG = 2  # ghost cells per side
+_CHUNK = 16  # a step's window is rounded out to multiples of this many padded cells
 _FIT_HALF_WIDTH = 16  # cells of each one-sided front fit in the trace
 
 _log = logging.getLogger("accelwave")
@@ -215,8 +222,10 @@ def _disturbed_span(q: np.ndarray, tails) -> tuple[int, int]:
 
 
 def _window(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """The padded cells a step of the span [lo, hi) reads."""
-    return max(lo - 2 * _NG, 0), min(hi + 2 * _NG, n)
+    """The padded cells a step of the span [lo, hi) reads, rounded out to
+    multiples of _CHUNK and clipped to the row."""
+    a, b = max(lo - 2 * _NG, 0), hi + 2 * _NG
+    return a - a % _CHUNK, min(b + -b % _CHUNK, n)
 
 
 def _grow_span(q: np.ndarray, lo: int, hi: int, tails) -> tuple[int, int]:
@@ -240,12 +249,57 @@ def _grow_span(q: np.ndarray, lo: int, hi: int, tails) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def _work(n: int) -> dict[str, np.ndarray]:
-    """Flat scratch of _hyperbolic_step for windows of up to n padded cells,
-    by rows per cell: a step reshapes a leading part of each to its shape."""
-    rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "p": 6,
+    """Flat scratch of the step plans for windows of up to n padded cells, by
+    rows per cell: a plan reshapes a leading part of each to its shape."""
+    rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "face": 6,
             "speed": 1, "jump": 3, "flux": 3, "du": 3}
     return {k: np.empty(r * n, dtype=bool if k == "mask" else float)
             for k, r in rows.items()}
+
+
+class _Plan:
+    """The views of q and of the work buffers (see :func:`_work`) that a step
+    of the window cells = (a, b) of padded cells takes, built once per
+    window.  The M = b - a - 2 inner cells have (3, 2, M) pairs of (left,
+    right) edge states, and their M - 1 interfaces (3, 2, M - 1) pairs."""
+
+    def __init__(self, q: np.ndarray, cells: tuple[int, int],
+                 work: dict[str, np.ndarray]):
+        def buf(key, *shape):
+            return work[key][:math.prod(shape)].reshape(shape)
+
+        a, b = self.cells = cells
+        self.n_cells = q.shape[1] - 2 * _NG
+        M = b - a - 2
+        # the window itself: the CFL step, the source and the finiteness check
+        self.w = w = q[:, a:b]
+        self.F, self.sigma = w[1], w[2]
+        self.w_next, self.w_prev, self.w_mid, self.w_in = (
+            w[:, 1:], w[:, :-1], w[:, 1:-1], w[:, _NG:-_NG])
+        self.d = d = buf("d", 3, M + 1)
+        self.d_prev, self.d_next = d[:, :-1], d[:, 1:]
+        self.half, self.s, self.mask = (buf(k, 3, M) for k in ("half", "s", "mask"))
+        e, g, self.sh = buf("e", 3, 2, M), buf("g", 2, 2, M), buf("sh", 2, M)
+        self.e_left, self.e_right = e[:, 0], e[:, 1]
+        self.g_left, self.g_right = g[:, 0], g[:, 1]
+        self.edge_rows = (*e, *g)
+        # interface states: right edge of cell i vs left edge of cell i+1,
+        # each an edge plus its cell's shift (shared by the F and omega*sigma
+        # rows), out of place: numpy copies an in-place operand it broadcasts
+        face, sh = buf("face", 3, 2, M - 1), self.sh
+        self.shifted = ((e[0, 1, :-1], sh[0, :-1], face[0, 0]),
+                        (e[1:, 1, :-1], sh[1, :-1], face[1:, 0]),
+                        (e[0, 0, 1:], sh[0, 1:], face[0, 1]),
+                        (e[1:, 0, 1:], sh[1, 1:], face[1:, 1]))
+        self.face_F, self.face_left, self.face_right = face[1], face[:, 0], face[:, 1]
+        self.f = f = buf("g", 2, 2, M - 1)
+        self.f_left, self.f_right = f[:, 0], f[:, 1]
+        self.face_rows = (*face, *f)
+        self.speed, self.jump = buf("speed", M - 1), buf("jump", 3, M - 1)
+        self.flux = fl = buf("flux", 3, M - 1)
+        self.flux_sv, self.flux_F, self.flux_s = fl[:2], fl[1], fl[2]
+        self.flux_next, self.flux_prev = fl[:, 1:], fl[:, :-1]
+        self.du = buf("du", 3, M - 2)
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
@@ -263,21 +317,18 @@ def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
     return out
 
 
-def _edge_flux(e: np.ndarray, model: MaterialModel, out: np.ndarray) -> np.ndarray:
-    """Rows of the edge states e = (rho*v, F, omega*sigma), shape (3, 2, M),
-    into out, shape (2, 2, M): T(F) + sigma, and v.  The flux is their
-    negative: the momentum row -(T + sigma), and -v, which the F and
-    omega*sigma rows share."""
-    np.add(model.elastic.T(e[1], model), np.divide(e[2], model.omega, out=out[0]),
-           out=out[0])
-    np.divide(e[0], model.rho_star, out=out[1])
-    return out
+def _edge_flux(mom, F, osig, out_s, out_v, model: MaterialModel) -> None:
+    """From the rows (rho*v, F, omega*sigma) of edge states, T(F) + sigma
+    into out_s and v into out_v.  The flux is their negative: the momentum
+    row -(T + sigma), and -v, which the F and omega*sigma rows share."""
+    np.add(model.elastic.T(F, model), np.divide(osig, model.omega, out=out_s), out=out_s)
+    np.divide(mom, model.rho_star, out=out_v)
 
 
-def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, model: MaterialModel,
-                     cells: slice, work: dict[str, np.ndarray]) -> None:
+def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> None:
     """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma),
-    in place, on all but the two padded cells at each end of q[:, cells].
+    in place, on all but the two padded cells at each end of the window of
+    the plan p, whose views hold every array of the step.
 
     Edge states are held as (3, 2, M) pairs, so T and the wave speeds are
     evaluated once per pair: the (left, right) edges of each cell for the
@@ -287,61 +338,44 @@ def _hyperbolic_step(q: np.ndarray, dt: float, dx: float, model: MaterialModel,
     speed is 0.5*sqrt(max(d_L, d_R)/(rho*om)) of the discriminants
     d = om*W'' + 1, bit for bit the larger of the two speeds: correctly
     rounded division by a positive constant and sqrt are both monotone.
-    The step's arrays are views into work (see :func:`_work`).
     """
     rho, om = model.rho_star, model.omega
-    first, stop, _ = cells.indices(q.shape[1])
-    w = q[:, first:stop]
-    m = w.shape[1]
     # limited slopes on cells 1 .. m-2
-    d = np.subtract(w[:, 1:], w[:, :-1], out=work["d"][:3 * (m - 1)].reshape(3, m - 1))
-    half = _minmod(d[:, :-1], d[:, 1:], work["half"][:3 * (m - 2)].reshape(3, m - 2),
-                   work["s"][:3 * (m - 2)].reshape(3, m - 2),
-                   work["mask"][:3 * (m - 2)].reshape(3, m - 2))
+    np.subtract(p.w_next, p.w_prev, out=p.d)
+    half = _minmod(p.d_prev, p.d_next, p.half, p.s, p.mask)
     half *= 0.5
-    wc = w[:, 1:-1]
-    e = work["e"][:6 * (m - 2)].reshape(3, 2, m - 2)
-    np.subtract(wc, half, out=e[:, 0])
-    np.add(wc, half, out=e[:, 1])
+    np.subtract(p.w_mid, half, out=p.e_left)
+    np.add(p.w_mid, half, out=p.e_right)
     # half-step predictor from the rows g = -flux: c*(f_L - f_R) = c*(g_R - g_L)
     # exactly; the shift of the F and omega*sigma rows is the same
-    g = _edge_flux(e, model, work["g"][:4 * (m - 2)].reshape(2, 2, m - 2))
-    sh = np.subtract(g[:, 1], g[:, 0], out=work["sh"][:2 * (m - 2)].reshape(2, m - 2))
+    _edge_flux(*p.edge_rows, model)
+    sh = np.subtract(p.g_right, p.g_left, out=p.sh)
     sh *= 0.5 * dt / dx
-    # interface states: right edge of cell i vs left edge of cell i+1
-    p = work["p"][:6 * (m - 3)].reshape(3, 2, m - 3)
-    np.add(e[0, 1, :-1], sh[0, :-1], out=p[0, 0])
-    np.add(e[1:, 1, :-1], sh[1, :-1], out=p[1:, 0])
-    np.add(e[0, 0, 1:], sh[0, 1:], out=p[0, 1])
-    np.add(e[1:, 0, 1:], sh[1, 1:], out=p[1:, 1])
-    disc = _discriminant(p[1], model, q.shape[1] - 2 * _NG, first)
-    half_s = np.maximum(disc[0], disc[1], out=work["speed"][:m - 3])
+    for edge, shift, state in p.shifted:
+        np.add(edge, shift, out=state)
+    disc = _discriminant(p.face_F, model, p.n_cells, p.cells[0])
+    half_s = np.maximum(disc[0], disc[1], out=p.speed)
     half_s /= rho * om
     np.sqrt(half_s, out=half_s)
     half_s *= 0.5
     # the interface flux in negated form: folding the negation into the
     # difference below would flip the sign of some zeros of du
-    f = _edge_flux(p, model, work["g"][:4 * (m - 3)].reshape(2, 2, m - 3))
-    np.negative(f, out=f)
-    jump = np.subtract(p[:, 1], p[:, 0],
-                       out=work["jump"][:3 * (m - 3)].reshape(3, m - 3))
+    _edge_flux(*p.face_rows, model)
+    np.negative(p.f, out=p.f)
+    jump = np.subtract(p.face_right, p.face_left, out=p.jump)
     jump *= half_s
-    f_iface = work["flux"][:3 * (m - 3)].reshape(3, m - 3)
-    np.add(f[:, 0], f[:, 1], out=f_iface[:2])
-    f_iface[:2] *= 0.5
-    f_iface[2] = f_iface[1]
-    f_iface -= jump
-    du = np.subtract(f_iface[:, 1:], f_iface[:, :-1],
-                     out=work["du"][:3 * (m - 4)].reshape(3, m - 4))
+    np.add(p.f_left, p.f_right, out=p.flux_sv)
+    p.flux_sv *= 0.5
+    p.flux_s[:] = p.flux_F
+    p.flux -= jump
+    du = np.subtract(p.flux_next, p.flux_prev, out=p.du)
     du *= dt / dx
-    w[:, _NG:-_NG] -= du
+    p.w_in -= du
 
 
 def _fill_ghosts(q: np.ndarray) -> None:
-    q[:, 0] = q[:, _NG]
-    q[:, 1] = q[:, _NG]
-    q[:, -1] = q[:, -_NG - 1]
-    q[:, -2] = q[:, -_NG - 1]
+    q[:, :_NG] = q[:, _NG:_NG + 1]
+    q[:, -_NG:] = q[:, -_NG - 1:-_NG]
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +593,16 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     tails = _tail_states(q)
     lo, hi = _disturbed_span(q, tails)
     work = _work(n_pad)
+    # the first step takes the whole row: a failing tail state fails there
+    plan = _Plan(q, (0, n_pad), work)
 
-    def source(h: float, a: int, b: int) -> None:
+    def source(h: float) -> None:
         try:
-            q[2, a:b] = om * model.production.relax(q[1, a:b], q[2, a:b] / om, h, model)
+            plan.sigma[:] = om * model.production.relax(plan.F, plan.sigma / om, h, model)
         except RelaxationError as exc:
-            raise SimulationError(f"source step failed at t={t:.6g}, cell "
-                                  f"{_interior(a + exc.cell, n_cells)}: {exc}") from exc
+            cell = _interior(plan.cells[0] + exc.cell, n_cells)
+            msg = f"source step failed at t={t:.6g}, cell {cell}: {exc}"
+            raise SimulationError(msg) from exc
 
     record(0.0)
     t = 0.0
@@ -574,11 +611,11 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     for k in range(1, n_out + 1):
         target = min(k * out_dt, t_end)
         while t < target - 1e-14 * t_end:
-            # the first step takes the whole row: a failing tail state fails there
-            a, b = _window(lo, hi, n_pad) if n_steps else (0, n_pad)
+            if n_steps and (cells := _window(lo, hi, n_pad)) != plan.cells:
+                plan = _Plan(q, cells, work)
             # CFL step from the largest discriminant: one scalar sqrt (exact,
             # as sqrt and division by rho*om > 0 are monotone)
-            disc = _discriminant(q[1, a:b], model, n_cells, a)
+            disc = _discriminant(plan.F, model, n_cells, plan.cells[0])
             dt = min(grid.cfl * dx / math.sqrt(float(disc.max()) / (rho * om)),
                      target - t)
             if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
@@ -592,20 +629,22 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
                     f"{_interior(i_cfl, n_cells)})")
             # the last step's trailing half-step merged with this one's
             # leading half-step: relax leaves F, and so dt, unchanged
-            source(pending + 0.5 * dt, a, b)
+            source(pending + 0.5 * dt)
             pending = 0.5 * dt
-            _hyperbolic_step(q, dt, dx, model, slice(a, b), work)
+            _hyperbolic_step(plan, dt, dx, model)
             lo, hi = _grow_span(q, lo, hi, tails)
             t += dt
             n_steps += 1
             # the sum is finite unless some entry is (or the sum overflows)
-            if not math.isfinite(q[:, a:b].sum()):
-                bad = np.argwhere(~np.isfinite(q[:, a:b]))
+            if not math.isfinite(plan.w.sum()):
+                bad = np.argwhere(~np.isfinite(plan.w))
                 if bad.size:
-                    raise SimulationError(f"non-finite state at t={t:.6g}, cell "
-                                          f"{_interior(a + int(bad[0][1]), n_cells)}")
+                    cell = _interior(plan.cells[0] + int(bad[0][1]), n_cells)
+                    raise SimulationError(f"non-finite state at t={t:.6g}, cell {cell}")
         if pending:
-            source(pending, *_window(lo, hi, n_pad))
+            # the last step's window still covers the span, which grew by at
+            # most two cells a side, and holds cells of the same tails
+            source(pending)
             pending = 0.0
         t = target
         record(t)

@@ -35,6 +35,22 @@ class TestClassify:
         assert traj.blew_up
         assert traj.t_blowup == pytest.approx(out.t_c, rel=0.01)
 
+    @pytest.mark.parametrize("ratio", [2.0, 3.7, 1e3, 1e8, 1e15, 1e16, 1e17, 1e19,
+                                       1e50, 1e150, 1e300])
+    def test_supercritical_critical_time_matches_mpmath(self, ratio):
+        # t_c = -log(1 - pi_cr/pi0)/b: far above pi_cr, 1 - pi_cr/pi0 rounds
+        # to 1 and t_c to -0.0 unless the logarithm is taken as log1p
+        mpmath = pytest.importorskip("mpmath")
+        wc = coefficients_ab(rubber_solid())
+        for a, pi0 in ((wc.a, ratio * wc.pi_cr), (-wc.a, -ratio * wc.pi_cr)):
+            with mpmath.workdps(60):
+                x = mpmath.mpf(wc.b) / abs(mpmath.mpf(a)) / abs(mpmath.mpf(pi0))
+                ref = float(-mpmath.log1p(-x) / mpmath.mpf(wc.b))
+            t_c = classify(a, wc.b, pi0).t_c
+            assert t_c == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert ref == pytest.approx(1.0 / (abs(wc.a) * ratio * wc.pi_cr),
+                                    rel=1.0 / ratio + 1e-15, abs=0.0)
+
     def test_zero_damping_critical_time(self):
         out = classify(-0.01, 0.0, 100.0)
         assert not out.global_existence

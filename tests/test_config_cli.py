@@ -240,6 +240,17 @@ class TestAmplitudeCommand:
         footer = json.loads(out.strip().split("\n")[-1][2:])
         assert footer["t_c"] == pytest.approx(math.log(2.0) / wc.b, rel=1e-12)
 
+    @pytest.mark.parametrize("pi0", ["1e19", "1e300"])
+    def test_far_supercritical_amplitude_has_its_critical_time(self, capsys, pi0):
+        # far above pi_cr, 1 - pi_cr/pi0 rounds to 1: t_c must still come out
+        # near 1/(|a|*pi0), or the default t_end = 0.99*t_c is no valid time
+        code, out, err = run_cli(capsys, "amplitude", "--config", "rubber.json",
+                                 "--pi0", pi0)
+        assert code == 0 and err == ""
+        wc = coefficients_ab(rubber_solid())
+        t_c = json.loads(out.strip().split("\n")[-1][2:])["t_c"]
+        assert t_c == pytest.approx(1.0 / (abs(wc.a) * float(pi0)), rel=1e-12, abs=0.0)
+
     def test_zero_amplitude_is_identically_zero(self, capsys, tmp_path):
         path = tmp_path / "rubber.json"
         path.write_text(json.dumps(RUBBER_DICT))

@@ -26,11 +26,13 @@ from accelwave import (
     eigensystem,
     entropy_monitor,
     equilibrium_state,
+    load_scenario,
     measure_front_slope,
     simulate,
 )
 from accelwave import materials, wavefront
 from accelwave.wavefront import (
+    _CHUNK,
     _NG,
     _auto_gap,
     _disturbed_span,
@@ -39,6 +41,7 @@ from accelwave.wavefront import (
     _hyperbolic_step,
     _initial_profile,
     _minmod,
+    _Plan,
     _tail_states,
     _window,
     _work,
@@ -62,7 +65,7 @@ def _linear_rubber(tau0=0.1):
 
 def _step(q, dt, dx, model):
     """One whole-row step of q in place, on its own scratch."""
-    _hyperbolic_step(q, dt, dx, model, slice(None), _work(q.shape[1]))
+    _hyperbolic_step(_Plan(q, (0, q.shape[1]), _work(q.shape[1])), dt, dx, model)
 
 
 def _simulate_from(fields, model, grid, ic, t_end, **kw):
@@ -444,6 +447,31 @@ class TestCheckPaths:
         with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
             _step(q, dt, dx, model)
 
+    @pytest.mark.parametrize("past_last", [False, True])
+    def test_stretch_lost_at_the_last_interface_of_a_window(self, past_last):
+        # as above, but a velocity kink in cell c alone drives both its
+        # predicted F edges to -1.  With c = b - 2 its left edge is the right
+        # state of the last interface of the window [a, b); with c = b - 1
+        # the window holds no edge of c, and the step goes through.
+        model = unit_fluid()
+        dx = 0.05
+        dt = 0.9 * dx / float(_lam_fn(model)(1.0))
+        n = 64 + 2 * _NG
+        a, b = _CHUNK, 3 * _CHUNK
+        c = b - 2 + past_last
+        q = np.zeros((3, n))
+        q[1] = 1.0
+        q[0, c] = model.rho_star * -4.0 * dx / dt
+        q[0, c + 1:] = 2.0 * q[0, c]
+        plan = _Plan(q, (a, b), _work(n))
+        if past_last:
+            _hyperbolic_step(plan, dt, dx, model)
+            return
+        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+            _hyperbolic_step(plan, dt, dx, model)
+        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+            _step(q, dt, dx, model)
+
     def test_negative_stretch_in_a_cell_is_rejected(self):
         model = _linear_rubber(tau0=math.inf)
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
@@ -614,6 +642,29 @@ class TestFailureNamesInteriorCell:
         with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 50$"):
             _simulate_from((v, F, np.zeros(200)), model, grid, ic, t_end=0.01)
 
+    @pytest.mark.parametrize("from_end", [3, 2])
+    def test_hyperbolicity_loss_at_the_last_interface_of_a_window(self, from_end):
+        # the recipe above, stepped directly on the window [a, b), with the
+        # velocity kink in padded cell c = b - 3 (the left state of the last
+        # interface fails) or c = b - 2 (only its right state is in the
+        # window): either way the cell named is c, as by a whole-row step
+        model = rubber_solid()
+        F_c = 1.0 + (1.0 + model.E2 / model.E1) / (2.0 * model.elastic.R)
+        n = 64 + 2 * _NG
+        a, b = _CHUNK, 3 * _CHUNK
+        c = b - from_end
+        q = np.zeros((3, n))
+        q[0, :c], q[0, c + 1:] = -model.rho_star, model.rho_star
+        q[1] = 1.0
+        q[1, c - 5:c + 6] = F_c - 2e-4
+        dx = 68.0 / 200
+        dt = 0.9 * dx / float(_lam_fn(model)(q[1]).max())
+        named = rf"^hyperbolicity lost at cell {c - _NG}$"
+        with pytest.raises(SimulationError, match=named):
+            _hyperbolic_step(_Plan(q, (a, b), _work(n)), dt, dx, model)
+        with pytest.raises(SimulationError, match=named):
+            _step(q, dt, dx, model)
+
     def test_unconverged_source_step(self, monkeypatch):
         monkeypatch.setattr(materials, "_RELAX_MAX_ITER", 1)
         model = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
@@ -644,6 +695,13 @@ def _span_case(name):
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
         ic = KinkIC(x_front=13.0, pi0=0.1 * wc.pi_cr, ramp_width=6.0)
         return model, grid, ic, 10.0 / wc.lambda0, None
+    if name.endswith(".json"):
+        cfg = load_scenario(name)
+        return cfg.material, cfg.sim.grid, cfg.sim.kink, cfg.sim.t_end, None
+    if name == "oracle_500":
+        # the acceptance oracle run of the benchmark's fv_oracle, at n = 500
+        model, wc, grid, ic = _rubber_setup(500, 0.1)
+        return model, grid, ic, 2.0 / wc.b, None
     if name == "initial_fields":
         # a bump at the left boundary, so the window reaches the ghosts, and
         # two different tail states meeting in a jump of F; zeros of both signs
@@ -695,14 +753,20 @@ class TestDisturbedSpan:
 
     @pytest.mark.parametrize("name", [
         "rubber", "penn", "newtonian", "power_law_0.5", "regularized",
-        "rubber_linear", "rubber_linear_no_relax", "initial_fields"])
+        "rubber_linear", "rubber_linear_no_relax", "initial_fields", "oracle_500",
+        "rubber.json", "newtonian.json", "shear_thinning.json",
+        "shear_thickening_eps.json"])
     def test_windowed_run_matches_whole_row_run(self, monkeypatch, name):
         model, grid, ic, t_end, fields = _span_case(name)
-        spans = []
+        spans, windows = [], []
 
         def found(q, tails):
             spans.append(_disturbed_span(q, tails))
             return spans[-1]
+
+        def planned(q, cells, work):
+            windows.append(cells)
+            return _Plan(q, cells, work)
 
         def run():
             if fields is None:
@@ -711,11 +775,34 @@ class TestDisturbedSpan:
                                   output_every=t_end / 4)
 
         monkeypatch.setattr(wavefront, "_disturbed_span", found)
+        monkeypatch.setattr(wavefront, "_Plan", planned)
         windowed = run()
         lo, hi = spans[0]
         assert hi - lo < grid.n_cells   # the run did step a window
+        n = grid.n_cells + 2 * _NG
+        # ... rounded out to whole chunks, or to the ends of the row
+        assert any(b - a < n for a, b in windows)
+        assert all(a % _CHUNK == 0 and (b % _CHUNK == 0 or b == n) for a, b in windows)
         monkeypatch.setattr(wavefront, "_disturbed_span", lambda q, tails: (0, q.shape[1]))
         assert _result_bytes(windowed) == _result_bytes(run())
+
+    def test_plan_is_built_once_per_window(self, monkeypatch):
+        # the window grows by at most two cells a side per step, so its
+        # chunk-rounded ends change far less often than once a step
+        model, wc, grid, ic = _rubber_setup(1000, 0.1)
+        built, steps = [], []
+        step = wavefront._hyperbolic_step
+
+        def planned(q, cells, work):
+            built.append(cells)
+            return _Plan(q, cells, work)
+
+        monkeypatch.setattr(wavefront, "_Plan", planned)
+        monkeypatch.setattr(wavefront, "_hyperbolic_step",
+                            lambda *args: steps.append(args[0]) or step(*args))
+        simulate(model, grid, ic, t_end=2.0 / wc.b, output_every=0.05 / wc.b)
+        assert len(built) <= grid.n_cells // _CHUNK + 2
+        assert len(steps) > 10 * len(built)
 
     def test_failing_tail_state_is_named_as_by_a_whole_row_step(self):
         # the first step takes the whole row: the left tail at F = 2 has lost
@@ -762,7 +849,7 @@ class TestDisturbedSpan:
             a, b = _window(lo, hi, n)
             win[2, a:b] = om * model.production.relax(win[1, a:b], win[2, a:b] / om,
                                                       0.5 * dt, model)
-            _hyperbolic_step(win, dt, dx, model, slice(a, b), work)
+            _hyperbolic_step(_Plan(win, (a, b), work), dt, dx, model)
             lo, hi = _grow_span(win, lo, hi, tails)
             assert win.tobytes() == full.tobytes()
             assert all(c.tobytes() == tails[0] for c in win[:, :lo].T)
@@ -772,11 +859,11 @@ class TestDisturbedSpan:
         n = 4000
         model = unit_fluid()
         q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, 0.05, 0.05, 0.05)
-        work = _work(q.shape[1])
+        plan = _Plan(q, (0, q.shape[1]), _work(q.shape[1]))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _hyperbolic_step(q, 1e-3, 0.05, model, slice(None), work)
+            _hyperbolic_step(plan, 1e-3, 0.05, model)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
