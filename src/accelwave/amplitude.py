@@ -113,6 +113,12 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     GROWTH_LIMIT * max(|pi|, 1e-300) depend only on the accepted amplitude,
     so each is computed once per accepted step, not once per halving.
 
+    For |pi0| >= 1 the steps run on p = pi/s, where the power of two s
+    takes pi0's exponent, and p' = -(a*s)*p**2 - b*p, so that a*pi**2 need
+    not be finite: a*pi0**2 overflows from |pi0| of about 1e154/sqrt(|a|)
+    on.  Scaling by a power of two is exact, so every operation rounds as
+    on pi wherever nothing overflows or underflows.
+
     Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
     for an infinite b, and for a grid of more than MAX_POINTS steps.
     """
@@ -123,19 +129,22 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     n_out = int(math.ceil(t_end / dt - 1e-12))
     if n_out > MAX_POINTS:
         raise ValueError(f"t_end/dt asks for {n_out + 1} output points, over {MAX_POINTS + 1}")
-    threshold = BLOWUP_FACTOR * max(1.0, abs(pi0))
+    scale = math.ldexp(1.0, max(math.frexp(pi0)[1] - 1, 0))
+    threshold = BLOWUP_FACTOR * (max(1.0, abs(pi0)) / scale)
     h_min = dt * 2.0 ** -60
     ts, ps = [0.0], [pi0]
-    t, p, t_blowup = 0.0, pi0, None
-    na = -a
+    t, p, t_blowup = 0.0, pi0 / scale, None
+    na = -a * scale
     ap = abs(p)
-    isfinite = math.isfinite
-    fmax = sys.float_info.max
+    fmax = sys.float_info.max / scale   # |p| <= fmax iff pi is finite
+    tiny = 1e-300 / scale
     for k in range(1, n_out + 1):
         target = t_end if t_end < k * dt else k * dt
         while t < target:
             k1 = na * p * p - b * p
-            limit = GROWTH_LIMIT * (ap if ap > 1e-300 else 1e-300)
+            limit = GROWTH_LIMIT * (ap if ap > tiny else tiny)
+            if limit > fmax:
+                limit = fmax
             h = target - t
             while True:
                 x = p + 0.5 * h * k1
@@ -145,7 +154,7 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
                 x = p + h * k3
                 k4 = na * x * x - b * x
                 trial = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if isfinite(trial) and abs(trial) <= limit or h <= h_min:
+                if abs(trial) <= limit or h <= h_min:
                     break
                 h *= 0.5
             t, p = t + h, trial
@@ -156,7 +165,7 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
         if t_blowup is not None:
             break
         ts.append(t)
-        ps.append(p)
+        ps.append(p * scale)
     return Trajectory(t=np.array(ts), pi=np.array(ps),
                       blew_up=t_blowup is not None, t_blowup=t_blowup)
 

@@ -14,6 +14,14 @@ omega*sigma_t = P at frozen F); the parts take the material last for its
 constants.  The module-level functions check the stretch and delegate to the
 parts, which accept scalar or ndarray stretch/stress inputs (the simulator
 relies on the vectorized paths).
+
+The finite-volume step passes ``out``, an array of F's shape, to T, W2 and
+relax, and to T and W2 also ``scratch``, a second such array for formulas
+that hold two arrays at once.  The result is then written into out, bit for
+bit the value of the call without out, which runs the plain expression
+(scalar inputs keep their Python floats).  The elastic laws, Maxwell and
+Newtonian then allocate no array of F's size; the power laws' relax copies
+its result into out.
 """
 
 from __future__ import annotations
@@ -114,12 +122,24 @@ class QuadraticCubic:
         e = F - 1.0
         return solid.E1 * e * e * (0.5 - self.R * e / 3.0)
 
-    def T(self, F, solid: SolidParams):
-        e = F - 1.0
-        return solid.E1 * e * (1.0 - self.R * e)
+    def T(self, F, solid: SolidParams, out=None, scratch=None):
+        if out is None:
+            e = F - 1.0
+            return solid.E1 * e * (1.0 - self.R * e)
+        e = np.subtract(F, 1.0, out=out)
+        c = np.subtract(1.0, np.multiply(e, self.R, out=scratch), out=scratch)
+        e *= solid.E1
+        e *= c
+        return e
 
-    def W2(self, F, solid: SolidParams):
-        return solid.E1 * (1.0 - 2.0 * self.R * (F - 1.0))
+    def W2(self, F, solid: SolidParams, out=None, scratch=None):
+        if out is None:
+            return solid.E1 * (1.0 - 2.0 * self.R * (F - 1.0))
+        out = np.subtract(F, 1.0, out=out)
+        out *= 2.0 * self.R
+        np.subtract(1.0, out, out=out)
+        out *= solid.E1
+        return out
 
     def W3(self, F, solid: SolidParams):
         return -2.0 * solid.E1 * self.R + 0.0 * F
@@ -187,20 +207,23 @@ class MooneyRivlin:
                 W = W + c * np.expm1((e + 1.0) * np.log(F)) / (e + 1.0)
         return W
 
-    def _stress_derivative(self, F, k: int):
+    def _stress_derivative(self, F, k: int, out=None, scratch=None):
         """k-th stretch derivative of T = sum of c * F**e."""
-        out = 0.0 * F
+        total = 0.0 * F if out is None else np.multiply(F, 0.0, out=out)
         for c, e in self.power_terms():
             for j in range(k):
                 c = c * (e - j)
-            out = out + c * F ** (e - k)
-        return out
+            if out is None:
+                total = total + c * F ** (e - k)
+            else:
+                total += np.multiply(np.power(F, e - k, out=scratch), c, out=scratch)
+        return total
 
-    def T(self, F, solid: SolidParams | None = None):
-        return self._stress_derivative(F, 0)
+    def T(self, F, solid: SolidParams | None = None, out=None, scratch=None):
+        return self._stress_derivative(F, 0, out, scratch)
 
-    def W2(self, F, solid: SolidParams | None = None):
-        return self._stress_derivative(F, 1)
+    def W2(self, F, solid: SolidParams | None = None, out=None, scratch=None):
+        return self._stress_derivative(F, 1, out, scratch)
 
     def W3(self, F, solid: SolidParams | None = None):
         return self._stress_derivative(F, 2)
@@ -213,11 +236,15 @@ class IdealGas:
     def W(self, F, fluid: FluidParams):
         return -fluid.p_ref * np.log(F) + 0.0 * F
 
-    def T(self, F, fluid: FluidParams):
-        return -fluid.p_ref / F
+    def T(self, F, fluid: FluidParams, out=None, scratch=None):
+        if out is None:
+            return -fluid.p_ref / F
+        return np.divide(-fluid.p_ref, F, out=out)
 
-    def W2(self, F, fluid: FluidParams):
-        return fluid.p_ref / F ** 2
+    def W2(self, F, fluid: FluidParams, out=None, scratch=None):
+        if out is None:
+            return fluid.p_ref / F ** 2
+        return np.divide(fluid.p_ref, np.power(F, 2, out=out), out=out)
 
     def W3(self, F, fluid: FluidParams):
         return -2.0 * fluid.p_ref / F ** 3
@@ -241,9 +268,22 @@ class Maxwell:
             P_sigma=-(F ** q) / solid.mu0,
         )
 
-    def relax(self, F, sigma, h, solid: SolidParams):
-        rate = F ** (1.0 + 2.0 * solid.nu_bar) / solid.tau0
-        return sigma * np.exp(-h * rate)
+    def relax(self, F, sigma, h, solid: SolidParams, out=None):
+        if out is None:
+            rate = F ** (1.0 + 2.0 * solid.nu_bar) / solid.tau0
+            return sigma * np.exp(-h * rate)
+        rate = np.power(F, 1.0 + 2.0 * solid.nu_bar, out=out)
+        rate /= solid.tau0
+        rate *= -h
+        return np.multiply(np.exp(rate, out=rate), sigma, out=rate)
+
+
+def _copy_of(sigma, out):
+    """sigma as a float array of its own: copied into out, if given."""
+    if out is None:
+        return np.array(sigma, dtype=float)
+    np.copyto(out, sigma)
+    return out
 
 
 def _power_prefactor(k_cons: float, m: float) -> float:
@@ -263,8 +303,12 @@ class Newtonian:
     def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
         return ProductionJacobian(P_F=-sigma / fluid.mu0, P_sigma=-F / fluid.mu0)
 
-    def relax(self, F, sigma, h, fluid: FluidParams):
-        return sigma * np.exp(-h * F / fluid.tau0)
+    def relax(self, F, sigma, h, fluid: FluidParams, out=None):
+        if out is None:
+            return sigma * np.exp(-h * F / fluid.tau0)
+        rate = np.multiply(F, -h, out=out)
+        rate /= fluid.tau0
+        return np.multiply(np.exp(rate, out=rate), sigma, out=rate)
 
 
 @dataclass(frozen=True)
@@ -302,17 +346,17 @@ class PowerLaw:
             P_sigma = SingularProductionSlope(n=(m - 1.0) / m, coeff=F * c)
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
-    def relax(self, F, sigma, h, fluid: FluidParams):
+    def relax(self, F, sigma, h, fluid: FluidParams, out=None):
         om = fluid.omega
         m = self.m
         if m == 1.0:
-            return sigma * np.exp(-h * F / (om * self.k_cons))
+            return np.multiply(sigma, np.exp(-h * F / (om * self.k_cons)), out=out)
         c = _power_prefactor(self.k_cons, m)
         K = F * c / om
         alpha = 1.0 / m
         # a zero keeps its sign bit; a non-finite sigma passes through to
         # the caller's finiteness check, as with the exact laws
-        out = np.array(sigma, dtype=float)
+        out = _copy_of(sigma, out)
         a_abs = np.abs(out)
         nz = np.isfinite(a_abs) & (a_abs > 0.0)
         if m > 1.0:
@@ -363,7 +407,7 @@ class RegularizedPowerLaw:
         P_sigma = -F * c * (au ** (-n) - n * sigma * math.copysign(au ** (-n - 1.0), u))
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
-    def relax(self, F, sigma, h, fluid: FluidParams):
+    def relax(self, F, sigma, h, fluid: FluidParams, out=None):
         """Backward Euler, sub-cycled so each sub-step stays within the
         stiff-rate scale, with every sub-step solved to tolerance.
 
@@ -377,7 +421,7 @@ class RegularizedPowerLaw:
         through, and a cell with a non-finite F comes out NaN and does not set
         the sub-cycle count, for the caller's finiteness check.
         """
-        out = np.array(sigma, dtype=float)
+        out = _copy_of(sigma, out)
         flat = out.reshape(-1)
         live = np.isfinite(flat) & (flat != 0.0)
         F = np.asarray(F, dtype=float)

@@ -19,13 +19,16 @@ sigma passes through to the finiteness check.  Boundaries are zero-gradient.
 The minmod limiter is taken in clip form, min(max(a, min(b, 0)), max(b, 0)),
 with the zero rule that it is +0.0 wherever a*b <= 0, also where the product
 of two same-signed slopes underflows.  The CFL step and the Rusanov speeds
-compare the discriminants om*W'' + 1 before the square root: division by
-rho*om > 0 and sqrt are correctly rounded and monotone, so the root of the
-largest discriminant is bit for bit the largest speed.  Each step checks the
-stretch F > 0 once on the cells (for the CFL step) and once on the predicted
-interface states, by one reduction that also rejects NaN.  The cell edges
-need none: a minmod-limited edge lies between its cell and the mean with a
-neighbour, so positive cells give positive edges.  A linear or non-relaxing
+reduce W'' first and then scale: the largest discriminant om*W'' + 1 of the
+cells is om*max(W'') + 1, and that of an interface om*max(W''_L, W''_R) + 1,
+as x -> fl(fl(om*x) + 1) is monotone for om > 0; division by rho*om > 0 and
+sqrt are correctly rounded and monotone too, so the root of the largest
+discriminant is bit for bit the largest speed.  The discriminants are checked
+> 0 by om*min(W'') + 1 in the same way.  Each step checks the stretch F > 0
+once on the cells (for the CFL step) and once on the predicted interface
+states, by one reduction that also rejects NaN.  The cell edges need none: a
+minmod-limited edge lies between its cell and the mean with a neighbour, so
+positive cells give positive edges.  A linear or non-relaxing
 run is a choice of material, not of solver: QuadraticCubic(R=0) has a = 0,
 and a solid with tau0 = inf has b = 0.
 
@@ -44,6 +47,15 @@ whose update is +0 and whose sigma relax keeps, and the window already
 holds their states, so the largest CFL discriminant and the regularized
 law's sub-cycle count (from the largest F) stay the same.
 
+A step allocates no array of the window's size: the CFL row's W'', the
+source's sigma and every array of the hyperbolic step are views of work
+buffers allocated once per run, and the laws write T, W'' and the exact
+relax into them (see :mod:`accelwave.materials`; the power laws' relax still
+makes its own temporaries).  numpy itself buffers an
+operation on (3, M) views whose rows it cannot join into one (up to 64 KB a
+call), so the differences of shifted views are taken row by row, and the
+limiter and the flux difference run on their rows laid end to end.
+
 A source step whose implicit solve does not converge raises SimulationError
 naming t and the cell, as does a state that turns non-finite or loses
 hyperbolicity; a CFL step that is not finite and positive, or too small to
@@ -55,6 +67,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +98,8 @@ __all__ = [
 _NG = 2  # ghost cells per side
 _CHUNK = 16  # a step's window is rounded out to multiples of this many padded cells
 _FIT_HALF_WIDTH = 16  # cells of each one-sided front fit in the trace
+_EPS = np.finfo(float).eps
+_RankWarning = getattr(np, "exceptions", np).RankWarning  # np.RankWarning before numpy 1.25
 
 _log = logging.getLogger("accelwave")
 
@@ -202,6 +217,38 @@ def _discriminant(F: np.ndarray, model: MaterialModel, n_cells: int,
     return disc
 
 
+def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int,
+                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """W''(F) into out (scratch: a second array of F's shape), after the
+    checks of :func:`_discriminant`, which a failing F goes through to name
+    the cell.  The discriminants are checked by their least value
+    om*min(W'') + 1: x -> fl(fl(om*x) + 1) is monotone for om > 0."""
+    if not F.min() > 0.0:
+        _require_stretch(F)
+    W2 = model.elastic.W2(F, model, out=out, scratch=scratch)
+    if not model.omega * W2.min() + 1.0 > 0.0:
+        _discriminant(F, model, n_cells, first)
+    return W2
+
+
+def _max_speed(p: _Plan, model: MaterialModel) -> float:
+    """The largest wave speed over the window of the plan p, from its
+    largest discriminant om*max(W'') + 1, after the checks of
+    :func:`_checked_W2`."""
+    om = model.omega
+    W2 = _checked_W2(p.F, model, p.n_cells, p.cells[0], p.w2, p.tmp)
+    return math.sqrt((om * float(W2.max()) + 1.0) / (model.rho_star * om))
+
+
+def _source(p: _Plan, h: float, model: MaterialModel) -> None:
+    """The relaxation source over h on the window of the plan p, in place:
+    om*relax(F, sigma, h) into its omega*sigma row."""
+    om = model.omega
+    model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model,
+                           out=p.sigma)
+    p.sigma *= om
+
+
 def _tail_states(q: np.ndarray) -> tuple[bytes | None, bytes | None]:
     """The bits of each boundary state of q that can bound a tail (finite,
     F > 0, sigma = +-0), else None."""
@@ -231,12 +278,12 @@ def _window(lo: int, hi: int, n: int) -> tuple[int, int]:
 def _grow_span(q: np.ndarray, lo: int, hi: int, tails) -> tuple[int, int]:
     """The span after a step of _window(lo, hi): the new cells on each side
     (two, or all up to a boundary, whose ghosts are refilled here) that
-    differ from their tail state are taken in."""
+    differ from their tail state are taken in.  The ghosts of a boundary
+    the span does not reach already equal its tail cells."""
     n = q.shape[1]
     new_lo = lo - _NG if lo > 2 * _NG else 0
     new_hi = hi + _NG if hi < n - 2 * _NG else n
-    if new_lo == 0 or new_hi == n:
-        _fill_ghosts(q)
+    _fill_ghosts(q, new_lo == 0, new_hi == n)
     while new_lo < lo and q[:, new_lo].tobytes() == tails[0]:
         new_lo += 1
     while new_hi > hi and q[:, new_hi - 1].tobytes() == tails[1]:
@@ -252,16 +299,18 @@ def _work(n: int) -> dict[str, np.ndarray]:
     """Flat scratch of the step plans for windows of up to n padded cells, by
     rows per cell: a plan reshapes a leading part of each to its shape."""
     rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "face": 6,
-            "speed": 1, "jump": 3, "flux": 3, "du": 3}
-    return {k: np.empty(r * n, dtype=bool if k == "mask" else float)
-            for k, r in rows.items()}
+            "speed": 1, "jump": 3, "flux": 3, "du": 3, "w2": 2, "tmp": 2}
+    return {k: np.empty(r * n) for k, r in rows.items()}
 
 
 class _Plan:
     """The views of q and of the work buffers (see :func:`_work`) that a step
     of the window cells = (a, b) of padded cells takes, built once per
     window.  The M = b - a - 2 inner cells have (3, 2, M) pairs of (left,
-    right) edge states, and their M - 1 interfaces (3, 2, M - 1) pairs."""
+    right) edge states, and their M - 1 interfaces (3, 2, M - 1) pairs.
+    w2 and tmp hold the laws' results and scratch: W'' of the window's cells
+    for the CFL step (tmp also sigma for the source), the edge and interface
+    T, and the interface W''."""
 
     def __init__(self, q: np.ndarray, cells: tuple[int, int],
                  work: dict[str, np.ndarray]):
@@ -274,15 +323,18 @@ class _Plan:
         # the window itself: the CFL step, the source and the finiteness check
         self.w = w = q[:, a:b]
         self.F, self.sigma = w[1], w[2]
-        self.w_next, self.w_prev, self.w_mid, self.w_in = (
-            w[:, 1:], w[:, :-1], w[:, 1:-1], w[:, _NG:-_NG])
-        self.d = d = buf("d", 3, M + 1)
-        self.d_prev, self.d_next = d[:, :-1], d[:, 1:]
-        self.half, self.s, self.mask = (buf(k, 3, M) for k in ("half", "s", "mask"))
+        self.w_mid, self.w_in = w[:, 1:-1], w[:, _NG:-_NG]
+        self.w2, self.tmp = buf("w2", b - a), buf("tmp", b - a)
+        # the slopes d row by row, and the limiter on d as one flat row,
+        # whose pairs across a row end give two junk values that half skips
+        self.slope_rows = tuple(zip(w[:, 1:], w[:, :-1], buf("d", 3, M + 1)))
+        d, half, s, mask = (buf(k, 3 * (M + 1)) for k in ("d", "half", "s", "mask"))
+        self.limiter = (d[:-1], d[1:], half[:-1], s[:-1], mask[:-1])
+        self.half = half.reshape(3, M + 1)[:, :M]
         e, g, self.sh = buf("e", 3, 2, M), buf("g", 2, 2, M), buf("sh", 2, M)
         self.e_left, self.e_right = e[:, 0], e[:, 1]
         self.g_left, self.g_right = g[:, 0], g[:, 1]
-        self.edge_rows = (*e, *g)
+        self.edge_rows = (*e, *g, buf("tmp", 2, M))
         # interface states: right edge of cell i vs left edge of cell i+1,
         # each an edge plus its cell's shift (shared by the F and omega*sigma
         # rows), out of place: numpy copies an in-place operand it broadcasts
@@ -291,15 +343,22 @@ class _Plan:
                         (e[1:, 1, :-1], sh[1, :-1], face[1:, 0]),
                         (e[0, 0, 1:], sh[0, 1:], face[0, 1]),
                         (e[1:, 0, 1:], sh[1, 1:], face[1:, 1]))
-        self.face_F, self.face_left, self.face_right = face[1], face[:, 0], face[:, 1]
+        self.face_F = face[1]
         self.f = f = buf("g", 2, 2, M - 1)
         self.f_left, self.f_right = f[:, 0], f[:, 1]
-        self.face_rows = (*face, *f)
-        self.speed, self.jump = buf("speed", M - 1), buf("jump", 3, M - 1)
+        self.face_w2, self.face_tmp = buf("w2", 2, M - 1), buf("tmp", 2, M - 1)
+        self.face_rows = (*face, *f, self.face_tmp)
+        # the jump (right - left)*speed, row by row
+        self.jump = buf("jump", 3, M - 1)
+        self.jump_rows = tuple(zip(face[:, 1], face[:, 0], buf("s", 3, M - 1), self.jump))
+        self.speed = buf("speed", M - 1)
         self.flux = fl = buf("flux", 3, M - 1)
         self.flux_sv, self.flux_F, self.flux_s = fl[:2], fl[1], fl[2]
-        self.flux_next, self.flux_prev = fl[:, 1:], fl[:, :-1]
-        self.du = buf("du", 3, M - 2)
+        # the flux difference as one flat row too, with two junk values
+        # that du skips
+        fl, du = buf("flux", 3 * (M - 1)), buf("du", 3 * (M - 1))
+        self.flux_diff = (fl[1:], fl[:-1], du[:-1])
+        self.du = du.reshape(3, M - 1)[:, :M - 2]
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
@@ -307,21 +366,27 @@ def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
     """minmod in clip form, min(max(a, min(b, 0)), max(b, 0)), with the zero
     rule: +0.0 wherever a*b <= 0.  The rule covers the -0.0 the clip form
     gives for some mixes of zeros and signs, and same-signed slopes whose
-    product underflows to 0, which the clip form alone would keep.  out,
-    scratch and mask (bool) are optional arrays of the shape of a."""
+    product underflows to 0, which the clip form alone would keep.  It is
+    applied as out *= (a*b > 0), then out += 0.0, which turns -0.0 into +0.0
+    and changes nothing else; a NaN slope gives NaN either way, and a zero
+    clip form at a*b = 0*inf comes out +0.0.  out, scratch and mask are
+    optional float arrays of the shape of a (a float mask spares the
+    product a buffered cast)."""
     out = np.minimum(b, 0.0, out=out)
     np.maximum(a, out, out=out)
     np.minimum(out, np.maximum(b, 0.0, out=scratch), out=out)
-    np.copyto(out, 0.0, where=np.less_equal(np.multiply(a, b, out=scratch), 0.0,
-                                            out=mask))
+    out *= np.greater(np.multiply(a, b, out=scratch), 0.0, out=mask)
+    out += 0.0
     return out
 
 
-def _edge_flux(mom, F, osig, out_s, out_v, model: MaterialModel) -> None:
+def _edge_flux(mom, F, osig, out_s, out_v, scratch, model: MaterialModel) -> None:
     """From the rows (rho*v, F, omega*sigma) of edge states, T(F) + sigma
-    into out_s and v into out_v.  The flux is their negative: the momentum
-    row -(T + sigma), and -v, which the F and omega*sigma rows share."""
-    np.add(model.elastic.T(F, model), np.divide(osig, model.omega, out=out_s), out=out_s)
+    into out_s and v into out_v (scratch: an array of their shape).  The
+    flux is their negative: the momentum row -(T + sigma), and -v, which the
+    F and omega*sigma rows share."""
+    T = model.elastic.T(F, model, out=out_s, scratch=scratch)
+    np.add(T, np.divide(osig, model.omega, out=scratch), out=out_s)
     np.divide(mom, model.rho_star, out=out_v)
 
 
@@ -335,17 +400,19 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     predictor, then the (left, right) states of each interface for the
     Rusanov flux.  The F row of the interface states is checked once (the
     caller checks the cells, whose edges then need no check).  The Rusanov
-    speed is 0.5*sqrt(max(d_L, d_R)/(rho*om)) of the discriminants
-    d = om*W'' + 1, bit for bit the larger of the two speeds: correctly
-    rounded division by a positive constant and sqrt are both monotone.
+    speed is 0.5*sqrt((om*max(W''_L, W''_R) + 1)/(rho*om)), bit for bit the
+    larger of the two speeds: x -> fl(fl(om*x) + 1), correctly rounded
+    division by a positive constant and sqrt are all monotone.  Every array
+    of the step is a view of the plan, so the step allocates none.
     """
     rho, om = model.rho_star, model.omega
     # limited slopes on cells 1 .. m-2
-    np.subtract(p.w_next, p.w_prev, out=p.d)
-    half = _minmod(p.d_prev, p.d_next, p.half, p.s, p.mask)
+    for nxt, prev, d in p.slope_rows:
+        np.subtract(nxt, prev, out=d)
+    half = _minmod(*p.limiter)
     half *= 0.5
-    np.subtract(p.w_mid, half, out=p.e_left)
-    np.add(p.w_mid, half, out=p.e_right)
+    np.subtract(p.w_mid, p.half, out=p.e_left)
+    np.add(p.w_mid, p.half, out=p.e_right)
     # half-step predictor from the rows g = -flux: c*(f_L - f_R) = c*(g_R - g_L)
     # exactly; the shift of the F and omega*sigma rows is the same
     _edge_flux(*p.edge_rows, model)
@@ -353,8 +420,10 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     sh *= 0.5 * dt / dx
     for edge, shift, state in p.shifted:
         np.add(edge, shift, out=state)
-    disc = _discriminant(p.face_F, model, p.n_cells, p.cells[0])
-    half_s = np.maximum(disc[0], disc[1], out=p.speed)
+    W2 = _checked_W2(p.face_F, model, p.n_cells, p.cells[0], p.face_w2, p.face_tmp)
+    half_s = np.maximum(W2[0], W2[1], out=p.speed)
+    half_s *= om
+    half_s += 1.0
     half_s /= rho * om
     np.sqrt(half_s, out=half_s)
     half_s *= 0.5
@@ -362,20 +431,23 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     # difference below would flip the sign of some zeros of du
     _edge_flux(*p.face_rows, model)
     np.negative(p.f, out=p.f)
-    jump = np.subtract(p.face_right, p.face_left, out=p.jump)
-    jump *= half_s
+    for right, left, diff, jump in p.jump_rows:
+        np.multiply(np.subtract(right, left, out=diff), half_s, out=jump)
     np.add(p.f_left, p.f_right, out=p.flux_sv)
     p.flux_sv *= 0.5
     p.flux_s[:] = p.flux_F
-    p.flux -= jump
-    du = np.subtract(p.flux_next, p.flux_prev, out=p.du)
+    p.flux -= p.jump
+    du = np.subtract(*p.flux_diff)
     du *= dt / dx
-    p.w_in -= du
+    p.w_in -= p.du
 
 
-def _fill_ghosts(q: np.ndarray) -> None:
-    q[:, :_NG] = q[:, _NG:_NG + 1]
-    q[:, -_NG:] = q[:, -_NG - 1:-_NG]
+def _fill_ghosts(q: np.ndarray, left: bool = True, right: bool = True) -> None:
+    """Zero-gradient ghosts: those of each side asked for copy its last cell."""
+    if left:
+        q[:, :_NG] = q[:, _NG:_NG + 1]
+    if right:
+        q[:, -_NG:] = q[:, -_NG - 1:-_NG]
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +471,31 @@ def _front_windows(snapshot: Snapshot, front_x: float, half_width: int, gap: int
 
 def _side_slopes(snapshot: Snapshot, front_x: float, half_width: int, gap: int,
                  degree: int):
-    """One-sided fits of v; returns (slope, value) of each side at front_x."""
+    """One-sided fits of v; returns (slope, value) of each side at front_x.
+
+    Each fit is np.polyfit's without its argument checks: x + 0.0 and
+    v + 0.0, the least-squares solve of its column-scaled Vandermonde system
+    with its rcond, and its RankWarning when the system is rank deficient.
+    The fit is evaluated at front_x by the Horner steps of np.polyval and
+    np.polyder, so each value is bit for bit theirs."""
     behind, ahead = _front_windows(snapshot, front_x, half_width, gap)
     x, v = snapshot.x, snapshot.v
     out = []
     for sl in (behind, ahead):
-        deg = min(degree, len(x[sl]) - 1)
-        coef = np.polyfit(x[sl] - front_x, v[sl], deg)
-        out.append((float(np.polyval(np.polyder(coef), 0.0)),
-                    float(np.polyval(coef, 0.0))))
+        xs = x[sl] - front_x + 0.0
+        deg = min(degree, xs.size - 1)
+        lhs = np.vander(xs, deg + 1)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        coef, _, rank, _ = np.linalg.lstsq(lhs, v[sl] + 0.0, xs.size * _EPS)
+        if rank != deg + 1:
+            warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
+        slope = value = 0.0
+        for i, c in enumerate((coef / scale).tolist()):
+            value = value * 0.0 + c
+            if i < deg:
+                slope = slope * 0.0 + c * (deg - i)
+        out.append((slope, value))
     return out
 
 
@@ -598,7 +686,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
 
     def source(h: float) -> None:
         try:
-            plan.sigma[:] = om * model.production.relax(plan.F, plan.sigma / om, h, model)
+            _source(plan, h, model)
         except RelaxationError as exc:
             cell = _interior(plan.cells[0] + exc.cell, n_cells)
             msg = f"source step failed at t={t:.6g}, cell {cell}: {exc}"
@@ -613,11 +701,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         while t < target - 1e-14 * t_end:
             if n_steps and (cells := _window(lo, hi, n_pad)) != plan.cells:
                 plan = _Plan(q, cells, work)
-            # CFL step from the largest discriminant: one scalar sqrt (exact,
-            # as sqrt and division by rho*om > 0 are monotone)
-            disc = _discriminant(plan.F, model, n_cells, plan.cells[0])
-            dt = min(grid.cfl * dx / math.sqrt(float(disc.max()) / (rho * om)),
-                     target - t)
+            dt = min(grid.cfl * dx / _max_speed(plan, model), target - t)
             if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
                 # the first largest speed of the row, not discriminant:
                 # rounding can make distinct discriminants give equal speeds
@@ -635,8 +719,9 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             lo, hi = _grow_span(q, lo, hi, tails)
             t += dt
             n_steps += 1
-            # the sum is finite unless some entry is (or the sum overflows)
-            if not math.isfinite(plan.w.sum()):
+            # the sum is finite unless some entry is (or the sum overflows);
+            # row by row, as numpy buffers a sum over a strided window
+            if not math.isfinite(plan.w.sum(axis=1).sum()):
                 bad = np.argwhere(~np.isfinite(plan.w))
                 if bad.size:
                     cell = _interior(plan.cells[0] + int(bad[0][1]), n_cells)

@@ -1,5 +1,6 @@
 """Amplitude evolution: closed form, classification, RK4 companion, eps scan."""
 
+import json
 import math
 import subprocess
 import sys
@@ -200,6 +201,28 @@ class TestIntegrate:
         # the exact solution 1e308/(1 - 1e-2*t) leaves the float range at 44.35
         assert float(t_blowup) == pytest.approx(100.0 * (1.0 - 1e308 / sys.float_info.max),
                                                 rel=1e-3)
+
+    @pytest.mark.parametrize("pi0", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_amplitudes_whose_square_overflows_track_the_closed_form(self, pi0, sign):
+        # a*pi0**2 overflows for rubber from |pi0| of about 1.4e155 on, which
+        # made every first stage inf and declared a blow-up at dt*2**-60
+        wc = coefficients_ab(rubber_solid())
+        a = sign * abs(wc.a)
+        pi0 = -math.copysign(pi0, a)           # on the blow-up side
+        t_c = classify(a, wc.b, pi0).t_c
+        traj = integrate(a, wc.b, pi0, 0.99 * t_c, 0.99 * t_c / 1000.0)
+        assert not traj.blew_up and traj.t.size == 1001
+        exact = closed_form(a, wc.b, pi0, traj.t)
+        assert np.max(np.abs(traj.pi / exact - 1.0)) < 1e-4
+
+    def test_cli_report_of_an_overflowing_amplitude(self, capsys):
+        from accelwave.cli import main
+        assert main(["amplitude", "--config", "rubber.json", "--pi0", "1e300",
+                     "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["meta"]["blew_up"] is False and report["meta"]["t_blowup"] is None
+        assert len(report["rows"]) == 1001
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):

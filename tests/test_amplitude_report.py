@@ -199,7 +199,6 @@ class TestBitIdenticalAmplitudeReport:
         # BLOWUP_FACTOR*|pi0| overflows: only a pi at the largest float or
         # beyond is a blow-up, and one just below it is not
         pytest.param(-1.0, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-blowup"),
-        pytest.param(0.0, 1.0, 1.7e308, 1.0, 0.01, id="near-largest-float-decay"),
         pytest.param(-1.0, 1.0, -1e300, 1.0, 0.01, id="huge-negative-pi0"),
         pytest.param(1e-300, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-decay"),
         pytest.param(-1e-300, 1.0, -1e300, 1.0, 0.01, id="huge-pi0-decay-mirrored"),
@@ -207,7 +206,6 @@ class TestBitIdenticalAmplitudeReport:
         pytest.param(-1.0, 0.0, 1e100, 1.0, 1.0, id="b0-halves-to-h_min"),
         # GROWTH_LIMIT*|pi| overflows: the finiteness test alone rejects
         pytest.param(-1e-310, 0.1, 1e308, 1.0, 0.01, id="growth-limit-overflow-decay"),
-        pytest.param(-1e-320, 0.1, 1e308, 30.0, 30.0, id="growth-limit-overflow-inf-trial"),
         pytest.param(-1e-310, 0.0, 1e308, 1.0, 0.1, id="growth-limit-overflow-growth"),
     ])
     def test_extreme_magnitudes_match_reference(self, a, b, pi0, t_end, dt):
@@ -216,6 +214,25 @@ class TestBitIdenticalAmplitudeReport:
         assert new.pi.tobytes() == ref.pi.tobytes()
         assert (new.blew_up, new.t_blowup) == (ref.blew_up, ref.t_blowup)
 
+    @pytest.mark.parametrize("a, b, pi0, t_end, dt", [
+        # the stage sum k1 + 2*k2 + 2*k3 + k4 of pi overflows for every h
+        pytest.param(0.0, 1.0, 1.7e308, 1.0, 0.01, id="near-largest-float-decay"),
+        # 0.5*h*k1 overflows at h = 30, though the trial does not
+        pytest.param(-1e-320, 0.1, 1e308, 30.0, 30.0, id="growth-limit-overflow-inf-trial"),
+    ])
+    def test_stages_that_overflow_on_pi_run_on_the_scaled_amplitude(self, a, b, pi0,
+                                                                     t_end, dt):
+        # the reference halves down to h_min and takes a non-finite trial, or
+        # halves a step whose end state is finite; the amplitude scaled by
+        # s = 2**1023 runs as one of order 1, with a*s in place of a
+        s = 2.0 ** 1023
+        new, scaled = integrate(a, b, pi0, t_end, dt), integrate(a * s, b, pi0 / s, t_end, dt)
+        assert not new.blew_up and not scaled.blew_up
+        assert new.t.tobytes() == scaled.t.tobytes()
+        assert new.pi.tobytes() == (scaled.pi * s).tobytes()
+        if a == 0.0:
+            assert new.pi == pytest.approx(pi0 * np.exp(-b * new.t), rel=1e-9)
+
     def test_extreme_cases_take_the_named_paths(self):
         assert BLOWUP_FACTOR * 1e300 == math.inf
         assert GROWTH_LIMIT * 1e308 == math.inf
@@ -223,9 +240,10 @@ class TestBitIdenticalAmplitudeReport:
         assert traj.blew_up and traj.t_blowup == 2.0 ** -60
         traj = integrate(-1e-310, 0.0, 1e308, 1.0, 0.1)
         assert not traj.blew_up and traj.pi[-1] > traj.pi[0]
-        # the first trial, at h = 30, is +inf against an infinite growth limit
+        # the trial at h = 30 stays below the largest float, as RK4 at
+        # b*h = 3 amplifies by 1.375; its stages no longer overflow on pi
         traj = integrate(-1e-320, 0.1, 1e308, 30.0, 30.0)
-        assert not traj.blew_up and 0.0 < traj.pi[-1] < traj.pi[0]
+        assert not traj.blew_up and traj.pi[-1] == pytest.approx(1.375 * 1e308, rel=1e-9)
 
     def test_rows_from_the_critical_time_on_are_nan(self):
         # the halving steps reach the grid point t = t_c = 1 before |pi| > 1e12

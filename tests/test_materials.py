@@ -1,5 +1,6 @@
 """Constitutive layer: potentials, production terms, dissipation structure."""
 
+import dataclasses
 import math
 import warnings
 
@@ -338,6 +339,58 @@ class TestRelaxZeroPadding:
             padded = law.relax(F_pad, s_pad, h, model)
             assert padded[at].tobytes() == zeros.tobytes(), type(law).__name__
             assert padded[keep].tobytes() == alone.tobytes(), type(law).__name__
+
+
+@st.composite
+def _buffered_cases(draw):
+    """A material whose laws take out (and scratch), stretches from the least
+    subnormal to 1e300, stresses of any finite size and zeros of both signs,
+    and a step h."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = draw(st.sampled_from([
+        lambda: random_solid(rng),
+        lambda: dataclasses.replace(random_solid(rng), elastic=QuadraticCubic(R=0.0)),
+        lambda: dataclasses.replace(random_solid(rng), tau0=math.inf),
+        penn_solid,
+        lambda: random_mr_solid(rng),
+        lambda: random_fluid(rng, "newtonian"),
+    ]))()
+    n = draw(st.integers(1, 12))
+    stretch = st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 2.2250738585072014e-308,
+                                                          1.0, 1e300])
+    stress = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+    F = np.array(draw(st.lists(stretch, min_size=n, max_size=n)))
+    sigma = np.array(draw(st.lists(stress, min_size=n, max_size=n)))
+    return model, F, sigma, draw(st.floats(1e-300, 1e3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_buffered_cases())
+def test_buffered_laws_equal_the_allocating_calls(case):
+    # the FV step's T, W2 and exact relax write into its buffers, bit for bit
+    model, F, sigma, h = case
+    with np.errstate(all="ignore"):
+        for law in (model.elastic.T, model.elastic.W2):
+            out, scratch = np.full_like(F, np.nan), np.full_like(F, np.nan)
+            assert law(F, model, out=out, scratch=scratch) is out
+            assert out.tobytes() == np.asarray(law(F, model), dtype=float).tobytes()
+        out = np.full_like(F, np.nan)
+        assert model.production.relax(F, sigma, h, model, out=out) is out
+        assert out.tobytes() == model.production.relax(F, sigma, h, model).tobytes()
+
+
+def test_power_law_relax_writes_into_out(rng):
+    # the FV source passes out to every law's relax
+    fluids = [random_fluid(rng, kind) for kind in ("power_law", "regularized")
+              for _ in range(3)] + [unit_fluid(PowerLaw(k_cons=2.0, m=1.0))]
+    for fluid in fluids:
+        F = 10.0 ** rng.uniform(-0.2, 0.2, 20)
+        sigma = rng.standard_normal(20)
+        sigma[::5] = -0.0
+        h = 0.01 * fluid.tau0
+        out = np.full(20, np.nan)
+        assert fluid.production.relax(F, sigma, h, fluid, out=out) is out
+        assert out.tobytes() == fluid.production.relax(F, sigma, h, fluid).tobytes()
 
 
 def test_power_law_relax_passes_nan_through():

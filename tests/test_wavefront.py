@@ -40,8 +40,11 @@ from accelwave.wavefront import (
     _grow_span,
     _hyperbolic_step,
     _initial_profile,
+    _max_speed,
     _minmod,
     _Plan,
+    _side_slopes,
+    _source,
     _tail_states,
     _window,
     _work,
@@ -109,6 +112,46 @@ class TestEquilibriumAndMeasurement:
         r2 = simulate(model, grid, ic, t_end=0.05, output_every=0.01)
         assert np.array_equal(r1.final.v, r2.final.v)
         assert np.array_equal(r1.trace.measured_pi, r2.trace.measured_pi)
+
+
+def _polyfit_side_slopes(snapshot, front_x, half_width, gap, degree):
+    """The front fits as np.polyfit, np.polyder and np.polyval give them."""
+    out = []
+    for sl in wavefront._front_windows(snapshot, front_x, half_width, gap):
+        x = snapshot.x[sl] - front_x
+        coef = np.polyfit(x, snapshot.v[sl], min(degree, x.size - 1))
+        out.append((float(np.polyval(np.polyder(coef), 0.0)), float(np.polyval(coef, 0.0))))
+    return out
+
+
+class TestFrontFits:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-320.0, 300.0),
+           zeros=st.sampled_from(["none", "signed", "all", "subnormal"]),
+           stencil=st.sampled_from([(16, 3, 2), (4, 2, 1), (1, 2, 2), (3, 0, 2), (2, 1, 0)]))
+    def test_fits_equal_polyfit(self, seed, log_scale, zeros, stencil):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-5.0, 80.0) + (np.arange(120) + 0.5) * rng.uniform(0.01, 1.0)
+        v = rng.standard_normal(120) * 10.0 ** log_scale
+        if zeros == "signed":
+            v[rng.random(120) < 0.5] = -0.0
+        elif zeros == "all":
+            v = rng.choice([0.0, -0.0], 120)
+        elif zeros == "subnormal":
+            v = rng.choice([0.0, -0.0, 1e-320, -1e-320], 120)
+        snap = Snapshot(t=0.0, x=x, v=v, F=np.ones(120), sigma=np.zeros(120))
+        front_x = float(x[60] + rng.uniform(-0.5, 0.5) * (x[1] - x[0]))
+        new = _side_slopes(snap, front_x, *stencil)
+        assert np.array(new).tobytes() == np.array(
+            _polyfit_side_slopes(snap, front_x, *stencil)).tobytes()
+
+    def test_rank_deficient_fit_warns(self):
+        # cells far behind the front make the columns (x**2, x, 1) collinear
+        x = np.arange(100.0)
+        x[45:48] = 1e9 + np.array([0.0, 1e-6, 2e-6])
+        snap = Snapshot(t=0.0, x=x, v=x ** 2, F=np.ones(100), sigma=np.zeros(100))
+        with pytest.warns(wavefront._RankWarning, match="poorly conditioned"):
+            _side_slopes(snap, 50.2, 3, 2, 2)
 
 
 class TestOracleAgreement:
@@ -393,6 +436,25 @@ class TestBitIdenticalFastStep:
         assert np.signbit(_minmod(np.array([-0.0, 1e-170, -1e-170]),
                                   np.array([1.0, 1e-170, -3e-170]))).sum() == 0
         assert not _minmod(np.array([1e-170]), np.array([3e-170]))[0]
+
+    def test_minmod_zero_rule_matches_the_masked_copy(self):
+        # the zero rule as a product, out *= (a*b > 0); out += 0.0, against
+        # the masked copy it replaced, on every pair of zeros of both signs,
+        # subnormals, normals whose products underflow, and NaNs of both signs
+        def copyto_minmod(a, b):
+            out = np.minimum(b, 0.0)
+            np.maximum(a, out, out=out)
+            np.minimum(out, np.maximum(b, 0.0), out=out)
+            np.copyto(out, 0.0, where=np.less_equal(a * b, 0.0))
+            return out
+
+        values = np.concatenate([_LIMITER_VALUES, -_LIMITER_VALUES,
+                                 [math.nan, -math.nan, 1e-310, -1e-310, 1e-160, -2e-160]])
+        a, b = np.meshgrid(values, values)
+        out, scratch, mask = (np.empty_like(a) for _ in range(3))
+        expect = copyto_minmod(a, b).tobytes()
+        assert _minmod(a, b).tobytes() == expect
+        assert _minmod(a, b, out, scratch, mask) is out and out.tobytes() == expect
 
     def test_minmod_matches_reference_on_random_slopes(self, rng):
         # signs, magnitudes across the whole exponent range, and exact ties
@@ -731,6 +793,17 @@ def _result_bytes(res):
         fin.x, fin.v, fin.F, fin.sigma))
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated during fn()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def _tailed_state(seed, model, scales, n, lo, hi, right_differs):
     """A padded state whose cells outside [lo, hi) hold two constant tail
     states with sigma = +-0 (and some -0.0 in v), random in between."""
@@ -856,15 +929,48 @@ class TestDisturbedSpan:
             assert all(c.tobytes() == tails[1] for c in win[:, hi:].T)
 
     def test_buffered_step_allocates_no_pair_array(self):
+        # nor any other array of a grid row (numpy's small cast buffer aside)
         n = 4000
         model = unit_fluid()
         q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, 0.05, 0.05, 0.05)
         plan = _Plan(q, (0, q.shape[1]), _work(q.shape[1]))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _hyperbolic_step(plan, 1e-3, 0.05, model)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < np.empty((3, 2, n)).nbytes
+        assert _traced_peak(lambda: _hyperbolic_step(plan, 1e-3, 0.05, model)) < 8 * n
+
+    @pytest.mark.parametrize("name, model, scales",
+                             [c for c in _STEP_CASES if c[0] in ("rubber", "penn", "fluid")])
+    def test_step_loop_iteration_allocates_less_than_a_row(self, name, model, scales):
+        # the CFL step, the source half-step, the hyperbolic step and the
+        # span growth of simulate's loop, on the whole row of n = 4000 cells
+        n = 4000
+        q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, *scales)
+        tails = _tail_states(q)
+        span = _disturbed_span(q, tails)
+        plan = _Plan(q, (0, q.shape[1]), _work(q.shape[1]))
+        dx = 0.05
+
+        def iteration():
+            dt = 0.9 * dx / _max_speed(plan, model)
+            _source(plan, 0.5 * dt, model)
+            _hyperbolic_step(plan, dt, dx, model)
+            _grow_span(q, *span, tails)
+
+        iteration()   # numpy sets up its loops on a first call
+        assert _traced_peak(iteration) < 8 * n
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_span_growth_refills_only_the_ghosts_it_reaches(self, side):
+        model = rubber_solid()
+        n = 64 + 2 * _NG
+        lo, hi = (1, 40) if side == "left" else (24, n - 1)
+        q = _tailed_state(3, model, (0.05, 0.01, 2e4), n, lo, hi, right_differs=True)
+        tails = _tail_states(q)
+        lo, hi = _disturbed_span(q, tails)
+        assert (lo <= 2 * _NG) == (side == "left") and (hi >= n - 2 * _NG) == (side == "right")
+        reached, other = (slice(0, _NG), slice(n - _NG, n)) if side == "left" else \
+            (slice(n - _NG, n), slice(0, _NG))
+        edge = _NG if side == "left" else n - _NG - 1
+        q[:, edge] += 1.0             # a step that moved the cell at the boundary
+        q[:, other] = math.nan        # ghosts that a refill would overwrite
+        _grow_span(q, lo, hi, tails)
+        assert np.isnan(q[:, other]).all()
+        assert (q[:, reached] == q[:, edge:edge + 1]).all()
