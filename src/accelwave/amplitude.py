@@ -97,7 +97,15 @@ def closed_form(a: float, b: float, pi0: float, t):
         out = pi0 / (1.0 + a * pi0 * t)
     else:
         growth = -np.expm1(-b * t)    # 1 - exp(-b t), accurate for small b*t
-        out = pi0 * np.exp(-b * t) / (1.0 + (a / b) * pi0 * growth)
+        c = (a / b) * pi0
+        if math.isfinite(c):
+            out = pi0 * np.exp(-b * t) / (1.0 + c * growth)
+        else:
+            # c*growth would be inf*0 at t = 0: divide numerator and
+            # denominator by the power of two s that takes pi0's exponent
+            s = math.ldexp(1.0, math.frexp(pi0)[1] - 1)
+            p0 = pi0 / s
+            out = p0 * np.exp(-b * t) / (1.0 / s + (a / b) * p0 * growth)
     return float(out) if out.ndim == 0 else out
 
 
@@ -120,7 +128,11 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     on pi wherever nothing overflows or underflows.
 
     Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
-    for an infinite b, and for a grid of more than MAX_POINTS steps.
+    for an infinite b, and for a grid of more than MAX_POINTS steps.  Raises
+    ArithmeticError, never reporting a blow-up, for a pi0 on the decay side
+    (-a*pi0 <= b, global existence) whose step still fails the growth limit
+    at the floor h_min = dt*2**-60 (at least the least positive float), or
+    whose RK4 steps overshoot into a blow-up.
     """
     if not (math.isfinite(pi0) and 0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("pi0, t_end and dt must be finite, and t_end and dt > 0")
@@ -131,10 +143,11 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
         raise ValueError(f"t_end/dt asks for {n_out + 1} output points, over {MAX_POINTS + 1}")
     scale = math.ldexp(1.0, max(math.frexp(pi0)[1] - 1, 0))
     threshold = BLOWUP_FACTOR * (max(1.0, abs(pi0)) / scale)
-    h_min = dt * 2.0 ** -60
+    h_min = max(dt * 2.0 ** -60, math.ulp(0.0))   # never a zero-length step
     ts, ps = [0.0], [pi0]
     t, p, t_blowup = 0.0, pi0 / scale, None
     na = -a * scale
+    grows = na * p > b    # |pi| grows iff -a*pi > b, and then blows up
     ap = abs(p)
     fmax = sys.float_info.max / scale   # |p| <= fmax iff pi is finite
     tiny = 1e-300 / scale
@@ -154,12 +167,25 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
                 x = p + h * k3
                 k4 = na * x * x - b * x
                 trial = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if abs(trial) <= limit or h <= h_min:
+                if abs(trial) <= limit:
+                    break
+                if h <= h_min:
+                    if not grows:
+                        rate = abs(na * p - b)
+                        raise ArithmeticError(
+                            f"RK4 cannot resolve the decay at t = {t!r}: its rate "
+                            f"|a*pi + b| = {rate!r} 1/s times the step floor "
+                            f"h_min = {h_min!r} s is {rate * h_min:.3g}")
                     break
                 h *= 0.5
             t, p = t + h, trial
             ap = abs(p)
             if ap > threshold or not ap < fmax:
+                if not grows:
+                    raise ArithmeticError(
+                        f"RK4 overshoot: pi0 = {pi0!r} lies on the global-existence "
+                        f"branch, yet the RK4 amplitude reached {p * scale!r} at "
+                        f"t = {t!r}; take a smaller dt")
                 t_blowup = t
                 break
         if t_blowup is not None:

@@ -3,9 +3,11 @@
 Subcommands: analyze, amplitude, simulate, sweep, paper-tables.  Reports are
 deterministic: floats are written with their shortest round-trip form in CSV
 and with 17 significant digits in JSON, and no timestamps enter the data
-streams.  Exit codes: 0 success, 1 stdout closed before the report was
-written (quietly), 2 config error or bad flag, 3 numerical error.  The
-argument parser is built once per process, on the first `main`.
+streams.  Tables pass to `write_table` as columns; a float column is a
+float64 array, formatted straight from the array with no row tuples.  Exit
+codes: 0 success, 1 stdout closed before the report was written (quietly),
+2 config error or bad flag, 3 numerical error.  The argument parser is built
+once per process, on the first `main`.
 """
 
 from __future__ import annotations
@@ -111,18 +113,13 @@ def _csv_field(x) -> str:
     return str(x)
 
 
-def _csv_column(cells: tuple) -> list[str]:
-    """The CSV fields of one column.  A column of Python floats alone is
-    formatted in one C-level pass: a float's repr holds no ", ", so the
-    list's repr splits back into the cells' reprs."""
-    if {*map(type, cells)} == {float}:
-        return repr(list(cells))[1:-1].split(", ")
-    return list(map(_csv_field, cells))
-
-
-def _rows(*columns: np.ndarray) -> list[tuple]:
-    """Table rows of Python floats from equal-length float arrays."""
-    return list(zip(*(c.tolist() for c in columns)))
+def _csv_column(column) -> list[str]:
+    """The CSV fields of one column.  A float64 array goes to text in one
+    C-level pass: a float's repr holds no ", ", so the repr of its list splits
+    back into the cells' reprs.  Any other column goes a cell at a time."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return repr(column.tolist())[1:-1].split(", ") if column.size else []
+    return list(map(_csv_field, column))
 
 
 # A pipe takes a write of at most PIPE_BUF bytes (4096 on Linux) whole or
@@ -138,23 +135,25 @@ def _emit(stream, text: str) -> None:
         stream.write(text[i:i + _WRITE_CHUNK])
 
 
-def write_table(stream, header: list[str], rows: list[list], footer: dict | None,
+def write_table(stream, header: list[str], columns: list, footer: dict | None,
                 fmt: str) -> None:
     """Delimited table (or JSON records) with an optional '#' metadata footer,
     written through _emit.
 
-    The CSV is formatted a column at a time (see _csv_column) and its rows
-    are joined once.
+    The table passes as columns, one per header name: float64 arrays (which
+    go to text straight from the array, see _csv_column) or sequences of
+    cells.  The CSV rows are joined once; JSON builds its row records from
+    the same columns.
     """
     if fmt == "json":
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         payload = {"columns": header,
-                   "rows": [dict(zip(header, row)) for row in rows]}
+                   "rows": [dict(zip(header, row)) for row in zip(*cells)]}
         if footer:
             payload["meta"] = footer
         _emit(stream, json_dumps(payload) + "\n")
         return
-    lines = [",".join(header),
-             *map(",".join, zip(*map(_csv_column, zip(*rows))))]
+    lines = [",".join(header), *map(",".join, zip(*map(_csv_column, columns)))]
     if footer:
         lines.append("# " + json_dumps(footer, indent=None))
     _emit(stream, "\n".join(lines) + "\n")
@@ -226,7 +225,8 @@ def cmd_analyze(args) -> int:
                         report["outcome"]["t_c"]]
             keys += ["weak_K", "full_K"]
             row += [report["k_condition"]["weak_K"], report["k_condition"]["full_K"]]
-            write_table(stream, keys, [row], {"input": report["input"]}, "csv")
+            write_table(stream, keys, [[x] for x in row], {"input": report["input"]},
+                        "csv")
         else:
             _emit(stream, json_dumps(report) + "\n")
     return 0
@@ -255,14 +255,13 @@ def cmd_amplitude(args) -> int:
     cf = np.full(traj.t.size, math.nan)   # pi(t) is undefined from t_c on
     defined = slice(None) if outcome.t_c is None else traj.t < outcome.t_c
     cf[defined] = closed_form(wc.a, wc.b, pi0, traj.t[defined])
-    rows = _rows(traj.t, cf, traj.pi)
     footer = {"a": wc.a, "b": wc.b, "pi_cr": wc.pi_cr, "pi0": pi0,
               "global_existence": outcome.global_existence, "t_c": outcome.t_c,
               "blew_up": traj.blew_up, "t_blowup": traj.t_blowup,
               "units": {"t": "s", "pi": "m/s^2"}}
     with _output(args.out or cfg.out) as stream:
-        write_table(stream, ["t", "pi_closed_form", "pi_rk4"], rows, footer,
-                    args.format)
+        write_table(stream, ["t", "pi_closed_form", "pi_rk4"], [traj.t, cf, traj.pi],
+                    footer, args.format)
     return 0
 
 
@@ -274,8 +273,6 @@ def cmd_simulate(args) -> int:
     result = simulate(cfg.material, sim.grid, sim.kink, sim.t_end,
                       output_every=sim.output_every)
     tr = result.trace
-    rows = _rows(tr.t, tr.measured_pi, tr.predicted_pi, tr.front_x, tr.energy,
-                 tr.max_sigma_production)
     footer = {"lambda0": tr.lambda0, "a": tr.a, "b": tr.b,
               "steepening_time": tr.steepening_time,
               "n_cells": sim.grid.n_cells, "dx": sim.grid.dx, "cfl": sim.grid.cfl,
@@ -285,12 +282,13 @@ def cmd_simulate(args) -> int:
         write_table(stream,
                     ["t", "measured_pi", "predicted_pi", "front_x", "energy",
                      "max_sigma_production"],
-                    rows, footer, args.format)
+                    [tr.t, tr.measured_pi, tr.predicted_pi, tr.front_x, tr.energy,
+                     tr.max_sigma_production], footer, args.format)
     if out is not None:
         snap = result.final
         with _output(out + ".snapshot.csv") as fh:
             write_table(fh, ["x", "v", "F", "sigma"],
-                        _rows(snap.x, snap.v, snap.F, snap.sigma), {"t": snap.t}, "csv")
+                        [snap.x, snap.v, snap.F, snap.sigma], {"t": snap.t}, "csv")
     return 0
 
 
@@ -303,18 +301,18 @@ def cmd_sweep(args) -> int:
     values = space(sw.min, sw.max, sw.count)
     material_dict = material_to_dict(cfg.material)
 
-    rows = []
-    for value in values:
-        model = apply_sweep_value(material_dict, sw.param, float(value))
-        wc = coefficients_ab(model)
-        kc = k_condition(model)
-        rows.append([float(value), wc.lambda0, wc.a, wc.b, wc.pi_cr,
-                     _case_name(wc), kc.weak_K, kc.full_K])
+    wcs, kcs = [], []
+    for value in values.tolist():
+        model = apply_sweep_value(material_dict, sw.param, value)
+        wcs.append(coefficients_ab(model))
+        kcs.append(k_condition(model))
+    lambda0, a, b, pi_cr = np.array([(wc.lambda0, wc.a, wc.b, wc.pi_cr) for wc in wcs],
+                                    dtype=float).T
 
-    if sw.param.endswith(".eps") and len(rows) > 1:
+    if sw.param.endswith(".eps") and pi_cr.size > 1:
         # singular-limit structure: pi_cr must fall and 1/b rise with eps
-        sorted_pi = [rows[i][4] for i in np.argsort(values)]
-        if any(sorted_pi[i + 1] >= sorted_pi[i] for i in range(len(sorted_pi) - 1)):
+        sorted_pi = pi_cr[np.argsort(values)]
+        if np.any(sorted_pi[1:] >= sorted_pi[:-1]):
             raise SimulationError("eps sweep violated pi_cr monotonicity")
     footer = {"param": sw.param, "scale": sw.scale,
               "input": material_dict}
@@ -322,7 +320,9 @@ def cmd_sweep(args) -> int:
         write_table(stream,
                     [sw.param, "lambda0", "a", "b", "pi_cr", "case",
                      "weak_K", "full_K"],
-                    rows, footer, args.format)
+                    [values, lambda0, a, b, pi_cr, list(map(_case_name, wcs)),
+                     [kc.weak_K for kc in kcs], [kc.full_K for kc in kcs]],
+                    footer, args.format)
     return 0
 
 

@@ -4,9 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from accelwave import (
     RegularizedPowerLaw,
@@ -156,6 +159,46 @@ class TestClosedForm:
         bound = pi0 * np.exp(-b * t) / (1.0 - pi0 / pi_cr)
         assert np.all(vals <= bound + 1e-15)
 
+    @pytest.mark.parametrize("pi0", [1e300, 1.7e308, sys.float_info.max, 5e-324])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("model", [rubber_solid, unit_fluid])
+    def test_initial_value_is_pi0_up_to_the_largest_float(self, model, sign, pi0):
+        # (a/b)*pi0 overflows for the Newtonian fluid (|a/b| = 1.41) from
+        # |pi0| of about 1.3e308 on, and (a/b)*pi0*growth was inf*0 = nan at t = 0
+        wc = coefficients_ab(model())
+        pi0 *= sign
+        assert closed_form(wc.a, wc.b, pi0, 0.0) == pi0
+        if classify(wc.a, wc.b, pi0).global_existence:
+            vals = closed_form(wc.a, wc.b, pi0, np.linspace(0.0, 5.0 / wc.b, 6))
+            assert vals[0] == pi0 and np.all(np.abs(vals[1:]) <= np.abs(vals[:-1]))
+
+    def test_overflowing_ratio_tracks_the_scaled_problem(self):
+        # pi(t; a, b, pi0) = s*pi(t; a*s, b, pi0/s), exact for a power of two s
+        wc = coefficients_ab(unit_fluid())
+        pi0, s = 1.7e308, 2.0 ** 1000
+        assert math.isinf((wc.a / wc.b) * pi0)
+        t_c = classify(wc.a, wc.b, pi0).t_c
+        t = np.linspace(0.0, 0.05 * t_c, 50)    # pi(t) < 1.79e308
+        scaled = s * closed_form(wc.a * s, wc.b, pi0 / s, t)
+        assert closed_form(wc.a, wc.b, pi0, t) == pytest.approx(scaled, rel=1e-14)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-1e300, 1e300).filter(lambda x: x != 0.0),
+           b=st.floats(1e-300, 1e300), pi0=st.floats(-1e308, 1e308),
+           frac=st.floats(0.0, 1.0))
+    def test_bit_identical_where_the_ratio_is_finite(self, a, b, pi0, frac):
+        assume(math.isfinite((a / b) * pi0))
+        t_c = classify(a, b, pi0).t_c
+        t = np.array([0.0, frac * (t_c if t_c is not None else 10.0 / b)])
+        t = t[t < t_c] if t_c is not None else t
+        with np.errstate(all="ignore"):
+            growth = -np.expm1(-b * t)
+            old = pi0 * np.exp(-b * t) / (1.0 + (a / b) * pi0 * growth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            new = closed_form(a, b, pi0, t)
+        assert new.tobytes() == old.tobytes()
+
 
 class TestIntegrate:
     def test_linear_decay_exact(self):
@@ -223,6 +266,47 @@ class TestIntegrate:
         report = json.loads(capsys.readouterr().out)
         assert report["meta"]["blew_up"] is False and report["meta"]["t_blowup"] is None
         assert len(report["rows"]) == 1001
+
+    @pytest.mark.parametrize("pi0", [-1e155, -1e300])
+    @pytest.mark.parametrize("model", [rubber_solid, unit_fluid])
+    def test_unresolvable_decay_is_an_error_not_a_blow_up(self, model, pi0):
+        # global existence, but |a*pi0|*dt*2**-60 is 1e130 or more: the trial
+        # taken at the step floor went non-finite and was called a blow-up
+        wc = coefficients_ab(model())
+        assert classify(wc.a, wc.b, pi0).global_existence
+        with pytest.raises(ArithmeticError, match=r"rate \|a\*pi \+ b\| = .* 1/s "
+                                                  r"times the step floor h_min = "):
+            integrate(wc.a, wc.b, pi0, 5.0 / wc.b, 5e-3 / wc.b)
+
+    @pytest.mark.parametrize("dt", [3.0, 10.0])
+    def test_rk4_overshoot_on_the_decay_side_is_an_error(self, dt):
+        # RK4 takes pi' = pi**2 from -1 to +0.68 at a step of 2.5, within the
+        # growth limit, and the amplitude then blows up on the positive side
+        assert classify(-1.0, 0.0, -1.0).global_existence
+        with pytest.raises(ArithmeticError, match="RK4 overshoot: pi0 = -1.0 lies on "
+                                                  "the global-existence branch"):
+            integrate(-1.0, 0.0, -1.0, 20.0, dt)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(a=st.sampled_from([-1.0, 1.0]), b=st.sampled_from([0.0, 1.0]),
+           log_pi0=st.floats(-3.0, 300.0), log_dt=st.floats(-3.0, 1.0))
+    def test_global_existence_never_reports_a_blow_up(self, a, b, log_pi0, log_dt):
+        pi0 = math.copysign(10.0 ** log_pi0, a)    # on the decay side
+        assert classify(a, b, pi0).global_existence
+        try:
+            traj = integrate(a, b, pi0, 20.0 * 10.0 ** log_dt, 10.0 ** log_dt)
+        except ArithmeticError:
+            return
+        assert not traj.blew_up and np.all(np.isfinite(traj.pi))
+
+    def test_subnormal_step_never_gives_a_zero_length_step(self):
+        # dt = 0.99*t_c/1000 is subnormal, dt*2**-60 underflows to 0, and the
+        # stages overflow at every h: the step floor is the least positive float
+        wc = coefficients_ab(unit_fluid())
+        t_c = classify(wc.a, wc.b, 1.7e308).t_c
+        assert 0.99 * t_c / 1000.0 * 2.0 ** -60 == 0.0
+        traj = integrate(wc.a, wc.b, 1.7e308, 0.99 * t_c, 0.99 * t_c / 1000.0)
+        assert traj.blew_up and traj.t_blowup == math.ulp(0.0)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """The `amplitude` report and `integrate` against copies of their per-row forms.
 
 `cmd_amplitude` evaluates the closed-form column with one array call,
-`integrate` runs its RK4 stages inline, and `write_table` formats a CSV column
-at a time.  The references below are the earlier forms: a scalar
-`closed_form` call per row, `float()` per cell, an RK4 step function with a
-nested right-hand side, and a field function per cell.  The CSV and JSON bytes
-and the trajectory arrays must be identical.
+`integrate` runs its RK4 stages inline, and `write_table` takes the table as
+columns and formats a float64 array column straight from the array.  The
+references below are the earlier forms: a scalar `closed_form` call per row,
+`float()` per cell, an RK4 step function with a nested right-hand side, and a
+field function per cell of each row.  The CSV and JSON bytes and the
+trajectory arrays must be identical.
 """
 
 import contextlib
@@ -199,7 +200,6 @@ class TestBitIdenticalAmplitudeReport:
         # BLOWUP_FACTOR*|pi0| overflows: only a pi at the largest float or
         # beyond is a blow-up, and one just below it is not
         pytest.param(-1.0, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-blowup"),
-        pytest.param(-1.0, 1.0, -1e300, 1.0, 0.01, id="huge-negative-pi0"),
         pytest.param(1e-300, 1.0, 1e300, 1.0, 0.01, id="huge-pi0-decay"),
         pytest.param(-1e-300, 1.0, -1e300, 1.0, 0.01, id="huge-pi0-decay-mirrored"),
         # b = 0: every trial overflows, so h halves down to h_min
@@ -265,16 +265,27 @@ _cells = st.one_of(_floats, _floats.map(np.float64),
 
 @st.composite
 def tables(draw):
-    """(header, rows, footer): columns of Python floats alone or of mixed
-    cells, with zero rows, one row (as in the analyze table) or more."""
+    """(header, columns, footer): float64 arrays, lists of Python floats or
+    lists of mixed cells, side by side, with zero rows, one row (as in the
+    analyze table) or more."""
     n_cols = draw(st.integers(1, 4))
     n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 30))
-    columns = [draw(st.lists(draw(st.sampled_from([_floats, _cells])),
-                             min_size=n_rows, max_size=n_rows))
-               for _ in range(n_cols)]
+    columns = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["array", "floats", "cells"]))
+        cells = draw(st.lists(_cells if kind == "cells" else _floats,
+                              min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(cells, dtype=np.float64) if kind == "array" else cells)
     header = [f"c{i}" for i in range(n_cols)]
     footer = draw(st.none() | st.just({"pi0": 1e-5, "t_c": None}))
-    return header, [list(r) for r in zip(*columns)], footer
+    return header, columns, footer
+
+
+def _row_form(columns):
+    """The table's rows as the CLI built them before it passed columns: the
+    cells of each array column as Python floats."""
+    return [list(r) for r in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                   for c in columns))]
 
 
 def _reference_table(header, rows, footer):
@@ -285,22 +296,65 @@ def _reference_table(header, rows, footer):
     return "\n".join(lines) + "\n"
 
 
+def _reference_json(header, rows, footer):
+    payload = {"columns": header, "rows": [dict(zip(header, row)) for row in rows]}
+    if footer:
+        payload["meta"] = footer
+    return cli.json_dumps(payload) + "\n"
+
+
+def _written(header, columns, footer, fmt):
+    out = io.StringIO()
+    cli.write_table(out, header, columns, footer, fmt)
+    return out.getvalue()
+
+
 class TestColumnWiseTable:
-    """`write_table` formats a column at a time; the bytes are those of the
-    per-row, per-cell form."""
+    """`write_table` takes columns; the bytes are those of the per-row,
+    per-cell form."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(table=tables())
     def test_matches_per_row_reference(self, table):
-        out = io.StringIO()
-        cli.write_table(out, *table, "csv")
-        assert out.getvalue() == _reference_table(*table)
+        header, columns, footer = table
+        assert _written(header, columns, footer, "csv") == \
+            _reference_table(header, _row_form(columns), footer)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(table=tables())
+    def test_json_matches_the_row_form_payload(self, table):
+        header, columns, footer = table
+        assert _written(header, columns, footer, "json") == \
+            _reference_json(header, _row_form(columns), footer)
+
+    def test_special_floats_in_arrays(self):
+        x = np.array(_SPECIAL_FLOATS)
+        columns = [x, -x, list(_SPECIAL_FLOATS), [str(v) for v in _SPECIAL_FLOATS]]
+        header = ["x", "minus_x", "as_list", "text"]
+        text = _written(header, columns, {"n": 8}, "csv")
+        assert text == _reference_table(header, _row_form(columns), {"n": 8})
+        assert text.splitlines()[1:4] == ["nan,nan,nan,nan", "inf,-inf,inf,inf",
+                                          "-inf,inf,-inf,-inf"]
+        assert text.splitlines()[6:9] == ["5e-324,-5e-324,5e-324,5e-324",
+                                          "1e+16,-1e+16,1e+16,1e+16",
+                                          "1e-05,-1e-05,1e-05,1e-05"]
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", 'x,y,name\n# {"t": 0.5}\n'),
+        ("json", cli.json_dumps({"columns": ["x", "y", "name"], "rows": [],
+                                 "meta": {"t": 0.5}}) + "\n"),
+    ])
+    def test_zero_length_columns_give_the_header_alone(self, fmt, expected):
+        # the repr of an empty list splits into one empty field, not none
+        columns = [np.empty(0), np.array([], dtype=np.float64), []]
+        assert _written(["x", "y", "name"], columns, {"t": 0.5}, fmt) == expected
 
     def test_long_table_goes_out_in_pipe_buf_slices(self):
+        columns = [np.arange(2000.0), np.arange(2000) / 7.0]
         rows = [[float(i), i / 7.0] for i in range(2000)]
         out = io.StringIO()
         writes = []
         with mock.patch.object(out, "write", side_effect=writes.append):
-            cli.write_table(out, ["x", "y"], rows, {"n": 2000}, "csv")
+            cli.write_table(out, ["x", "y"], columns, {"n": 2000}, "csv")
         assert len(writes) > 1 and max(map(len, writes)) == cli._WRITE_CHUNK
         assert "".join(writes) == _reference_table(["x", "y"], rows, {"n": 2000})

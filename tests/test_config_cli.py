@@ -251,6 +251,34 @@ class TestAmplitudeCommand:
         t_c = json.loads(out.strip().split("\n")[-1][2:])["t_c"]
         assert t_c == pytest.approx(1.0 / (abs(wc.a) * float(pi0)), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("pi0", ["-1e155", "-1e300"])
+    @pytest.mark.parametrize("config", ["rubber.json", "newtonian.json"])
+    def test_unresolvable_decay_exits_3(self, capsys, config, pi0):
+        # global existence: this used to print "blew_up": true, with no RK4 row
+        # after t = 0
+        code, out, err = run_cli(capsys, "amplitude", "--config", config, "--pi0", pi0)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: RK4 cannot resolve the decay at t = 0.0: ")
+        assert "1/s times the step floor h_min = " in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_largest_amplitude_report_starts_at_pi0(self, capsys, fmt):
+        # (a/b)*pi0 overflows: the closed form at t = 0 was nan, with a numpy
+        # RuntimeWarning, and the blow-up came at a zero-length step
+        code, out, err = run_cli(capsys, "amplitude", "--config", "newtonian.json",
+                                 "--pi0", "1.7e308", "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "csv":
+            lines = out.splitlines()
+            assert lines[1] == "0.0,1.7e+308,1.7e+308"
+            meta = json.loads(lines[-1][2:])
+        else:
+            report = json.loads(out)
+            assert report["rows"][0] == {"t": 0, "pi_closed_form": 1.7e308,
+                                         "pi_rk4": 1.7e308}
+            meta = report["meta"]
+        assert meta["blew_up"] is True and meta["t_blowup"] == 5e-324
+
     def test_zero_amplitude_is_identically_zero(self, capsys, tmp_path):
         path = tmp_path / "rubber.json"
         path.write_text(json.dumps(RUBBER_DICT))
