@@ -10,8 +10,11 @@ backward Euler (regularized power law): its cells take Newton steps together
 until each passes the step test in the same iteration, and a cell bisects
 only when a step leaves its bracket.  The trailing source half-step of one
 step and the leading half-step of the next are merged into one relax() call
-(the source leaves F, and so the CFL step, unchanged); the pending half-step
-is applied before every output, so outputs are synchronized states.
+(the source leaves F, and so the CFL step, unchanged).  simulate advances a
+private stepper, which owns the state, its span and window plan, t and the
+pending half-step, to each output time, where the pending half-step is
+applied; its record then reads a snapshot of that synchronized state (front
+fits, energy audit, max|v_X|) and never writes the state.
 sigma = 0 is a fixed point of every law's source step, so cells at
 sigma = +-0 come out of it untouched, sign bit included, and a non-finite
 sigma passes through to the finiteness check.  Boundaries are zero-gradient.
@@ -229,24 +232,6 @@ def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int,
     if not model.omega * W2.min() + 1.0 > 0.0:
         _discriminant(F, model, n_cells, first)
     return W2
-
-
-def _max_speed(p: _Plan, model: MaterialModel) -> float:
-    """The largest wave speed over the window of the plan p, from its
-    largest discriminant om*max(W'') + 1, after the checks of
-    :func:`_checked_W2`."""
-    om = model.omega
-    W2 = _checked_W2(p.F, model, p.n_cells, p.cells[0], p.w2, p.tmp)
-    return math.sqrt((om * float(W2.max()) + 1.0) / (model.rho_star * om))
-
-
-def _source(p: _Plan, h: float, model: MaterialModel) -> None:
-    """The relaxation source over h on the window of the plan p, in place:
-    om*relax(F, sigma, h) into its omega*sigma row."""
-    om = model.omega
-    model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model,
-                           out=p.sigma)
-    p.sigma *= om
 
 
 def _tail_states(q: np.ndarray) -> tuple[bytes | None, bytes | None]:
@@ -590,6 +575,80 @@ def _initial_profile(model: MaterialModel, grid: Grid, ic: KinkIC,
     return v, F, sig
 
 
+class _Stepper:
+    """The step loop on grid's ghost-padded state q = (rho*v, F, omega*sigma),
+    in place, with q's tails and span, the work buffers and window plan, t,
+    the step count and the pending half-step."""
+
+    def __init__(self, model: MaterialModel, grid: Grid, q: np.ndarray):
+        _fill_ghosts(q)
+        self.model, self.grid, self.q = model, grid, q
+        self.tails = _tail_states(q)
+        self.span = _disturbed_span(q, self.tails)
+        self.work = _work(q.shape[1])
+        # the first step takes the whole row: a failing tail state fails there
+        self.plan = _Plan(q, (0, q.shape[1]), self.work)
+        self.t, self.n_steps = 0.0, 0
+        self.pending = 0.0  # trailing source half-step not yet applied
+
+    def _source(self, h: float) -> None:
+        """The relaxation source over h on the plan's window, in place:
+        om*relax(F, sigma, h) into its omega*sigma row."""
+        p, model, om = self.plan, self.model, self.model.omega
+        try:
+            model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model,
+                                   out=p.sigma)
+        except RelaxationError as exc:
+            cell = _interior(p.cells[0] + exc.cell, self.grid.n_cells)
+            msg = f"source step failed at t={self.t:.6g}, cell {cell}: {exc}"
+            raise SimulationError(msg) from exc
+        p.sigma *= om
+
+    def advance_to(self, target: float, t_end: float) -> None:
+        """Step q to t = target, to within 1e-14*t_end (t_end the run's end),
+        and apply the pending half-step, so q is the synchronized state."""
+        model, grid, q = self.model, self.grid, self.q
+        rho, om, n_cells, dx = model.rho_star, model.omega, grid.n_cells, grid.dx
+        while self.t < target - 1e-14 * t_end:
+            if self.n_steps and (cells := _window(*self.span, q.shape[1])) != self.plan.cells:
+                self.plan = _Plan(q, cells, self.work)
+            p, t = self.plan, self.t
+            # the largest speed is the root of the largest discriminant
+            W2 = _checked_W2(p.F, model, n_cells, p.cells[0], p.w2, p.tmp)
+            speed = math.sqrt((om * float(W2.max()) + 1.0) / (rho * om))
+            dt = min(grid.cfl * dx / speed, target - t)
+            if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
+                # the first largest speed of the row, not discriminant:
+                # rounding can make distinct discriminants give equal speeds
+                disc = _discriminant(q[1], model, n_cells)
+                i_cfl = int(np.argmax(np.sqrt(disc / (rho * om))))
+                raise SimulationError(
+                    f"time step dt={dt:.6g} does not advance t={t:.6g} after "
+                    f"{self.n_steps} steps (CFL limited by cell "
+                    f"{_interior(i_cfl, n_cells)})")
+            # the last step's trailing half-step merged with this one's
+            # leading half-step: relax leaves F, and so dt, unchanged
+            self._source(self.pending + 0.5 * dt)
+            self.pending = 0.5 * dt
+            _hyperbolic_step(p, dt, dx, model)
+            self.span = _grow_span(q, *self.span, self.tails)
+            self.t = t = t + dt
+            self.n_steps += 1
+            # the sum is finite unless some entry is (or the sum overflows);
+            # row by row, as numpy buffers a sum over a strided window
+            if not math.isfinite(p.w.sum(axis=1).sum()):
+                bad = np.argwhere(~np.isfinite(p.w))
+                if bad.size:
+                    cell = _interior(p.cells[0] + int(bad[0][1]), n_cells)
+                    raise SimulationError(f"non-finite state at t={t:.6g}, cell {cell}")
+        if self.pending:
+            # the last step's window still covers the span, which grew by at
+            # most two cells a side, and holds cells of the same tails
+            self._source(self.pending)
+            self.pending = 0.0
+        self.t = target
+
+
 def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
              output_every: float | None = None) -> SimResult:
     """Run the wavefront experiment from the kink ic on grid and sample the
@@ -611,10 +670,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
                          f"output records")
     n_out = int(math.ceil(ratio))
 
-    rho = model.rho_star
-    om = model.omega
-    n_cells = grid.n_cells
-
+    rho, om, dx = model.rho_star, model.omega, grid.dx
     lam0 = eigensystem(model, equilibrium_state()).lam
 
     # the material's amplitude coefficients for the prediction column
@@ -634,27 +690,18 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         except ValueError:
             return math.nan
 
-    dx = grid.dx
     x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
-    x_int = x_all[_NG:-_NG]
     v, F, sig = _initial_profile(model, grid, ic, x_all)
-    q = np.stack([rho * v, F, om * sig])
-    _fill_ghosts(q)
+    stepper = _Stepper(model, grid, np.stack([rho * v, F, om * sig]))
+    q = stepper.q
 
     def snapshot(t: float) -> Snapshot:
-        return Snapshot(t=t, x=x_int.copy(), v=(q[0, _NG:-_NG] / rho).copy(),
-                        F=q[1, _NG:-_NG].copy(), sigma=(q[2, _NG:-_NG] / om).copy())
+        return Snapshot(t=t, x=x_all[_NG:-_NG].copy(), v=q[0, _NG:-_NG] / rho,
+                        F=q[1, _NG:-_NG].copy(), sigma=q[2, _NG:-_NG] / om)
 
-    def vx_max() -> float:
-        vv = q[0, _NG:-_NG] / rho
-        return float(np.max(np.abs(np.diff(vv)))) / dx
-
-    ts, measured, predicted, fronts, energies, max_sps = [], [], [], [], [], []
-    steepening_time = None
-    vx0 = max(vx_max(), 1e-300)
+    ts, measured, predicted, fronts, energies, max_sps, vx_maxes = ([] for _ in range(7))
 
     def record(t: float) -> None:
-        nonlocal steepening_time
         snap = snapshot(t)
         gap = _auto_gap(lam0, t, dx)
         fx = ic.x_front + lam0 * t
@@ -668,72 +715,23 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
             _log.debug("front measurement failed at t=%.6g: %s", t, exc)
             pi_m, fd = math.nan, math.nan
         rep = entropy_monitor(model, snap)
-        if steepening_time is None and vx_max() > STEEPENING_FACTOR * vx0:
-            steepening_time = t
         ts.append(t)
         measured.append(pi_m)
         predicted.append(predict(t))
         fronts.append(fd)
         energies.append(rep.total_energy)
         max_sps.append(rep.max_sigma_production)
-
-    n_pad = q.shape[1]
-    tails = _tail_states(q)
-    lo, hi = _disturbed_span(q, tails)
-    work = _work(n_pad)
-    # the first step takes the whole row: a failing tail state fails there
-    plan = _Plan(q, (0, n_pad), work)
-
-    def source(h: float) -> None:
-        try:
-            _source(plan, h, model)
-        except RelaxationError as exc:
-            cell = _interior(plan.cells[0] + exc.cell, n_cells)
-            msg = f"source step failed at t={t:.6g}, cell {cell}: {exc}"
-            raise SimulationError(msg) from exc
+        vx_maxes.append(float(np.max(np.abs(np.diff(snap.v)))) / dx)
 
     record(0.0)
-    t = 0.0
-    n_steps = 0
-    pending = 0.0  # trailing source half-step not yet applied
     for k in range(1, n_out + 1):
         target = min(k * out_dt, t_end)
-        while t < target - 1e-14 * t_end:
-            if n_steps and (cells := _window(lo, hi, n_pad)) != plan.cells:
-                plan = _Plan(q, cells, work)
-            dt = min(grid.cfl * dx / _max_speed(plan, model), target - t)
-            if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
-                # the first largest speed of the row, not discriminant:
-                # rounding can make distinct discriminants give equal speeds
-                disc = _discriminant(q[1], model, n_cells)
-                i_cfl = int(np.argmax(np.sqrt(disc / (rho * om))))
-                raise SimulationError(
-                    f"time step dt={dt:.6g} does not advance t={t:.6g} after "
-                    f"{n_steps} steps (CFL limited by cell "
-                    f"{_interior(i_cfl, n_cells)})")
-            # the last step's trailing half-step merged with this one's
-            # leading half-step: relax leaves F, and so dt, unchanged
-            source(pending + 0.5 * dt)
-            pending = 0.5 * dt
-            _hyperbolic_step(plan, dt, dx, model)
-            lo, hi = _grow_span(q, lo, hi, tails)
-            t += dt
-            n_steps += 1
-            # the sum is finite unless some entry is (or the sum overflows);
-            # row by row, as numpy buffers a sum over a strided window
-            if not math.isfinite(plan.w.sum(axis=1).sum()):
-                bad = np.argwhere(~np.isfinite(plan.w))
-                if bad.size:
-                    cell = _interior(plan.cells[0] + int(bad[0][1]), n_cells)
-                    raise SimulationError(f"non-finite state at t={t:.6g}, cell {cell}")
-        if pending:
-            # the last step's window still covers the span, which grew by at
-            # most two cells a side, and holds cells of the same tails
-            source(pending)
-            pending = 0.0
-        t = target
-        record(t)
+        stepper.advance_to(target, t_end)
+        record(target)
 
+    vx0 = max(vx_maxes[0], 1e-300)
+    steepening_time = next((t for t, vx in zip(ts, vx_maxes)
+                            if vx > STEEPENING_FACTOR * vx0), None)
     trace = FrontTrace(
         t=np.array(ts), measured_pi=np.array(measured),
         predicted_pi=np.array(predicted), front_x=np.array(fronts),

@@ -24,6 +24,7 @@ from accelwave import (
     material_from_dict,
     material_to_dict,
     scenario_from_dict,
+    simulate,
 )
 import accelwave
 from accelwave import cli
@@ -506,6 +507,13 @@ class TestSimulateCommand:
         snap = (tmp_path / "trace.csv.snapshot.csv").read_text().strip().split("\n")
         assert snap[0] == "x,v,F,sigma"
         assert len(snap) == 200 + 2  # header + cells + footer
+        assert snap[-1].startswith("# ") and json.loads(snap[-1][2:]) == {"t": 0.05}
+        cfg = load_scenario(str(path))
+        final = simulate(cfg.material, cfg.sim.grid, cfg.sim.kink, cfg.sim.t_end,
+                         output_every=cfg.sim.output_every).final
+        cells = np.array([[float(c) for c in line.split(",")] for line in snap[1:-1]])
+        assert cells.tobytes() == np.column_stack(
+            [final.x, final.v, final.F, final.sigma]).tobytes()
 
     @pytest.mark.parametrize("name", ["rubber.json", "newtonian.json",
                                       "shear_thinning.json", "shear_thickening_eps.json"])

@@ -40,11 +40,10 @@ from accelwave.wavefront import (
     _grow_span,
     _hyperbolic_step,
     _initial_profile,
-    _max_speed,
     _minmod,
     _Plan,
     _side_slopes,
-    _source,
+    _Stepper,
     _tail_states,
     _window,
     _work,
@@ -939,20 +938,19 @@ class TestDisturbedSpan:
     @pytest.mark.parametrize("name, model, scales",
                              [c for c in _STEP_CASES if c[0] in ("rubber", "penn", "fluid")])
     def test_step_loop_iteration_allocates_less_than_a_row(self, name, model, scales):
-        # the CFL step, the source half-step, the hyperbolic step and the
-        # span growth of simulate's loop, on the whole row of n = 4000 cells
+        # one step of the stepper (the CFL step, the source half-steps, the
+        # hyperbolic step, the span growth and the finiteness check) on the
+        # whole row of n = 4000 cells
         n = 4000
         q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, *scales)
-        tails = _tail_states(q)
-        span = _disturbed_span(q, tails)
-        plan = _Plan(q, (0, q.shape[1]), _work(q.shape[1]))
-        dx = 0.05
+        grid = Grid(x_min=0.0, x_max=0.05 * n, n_cells=n, cfl=0.9)
+        stepper = _Stepper(model, grid, q)
+        dt = 0.5 * grid.cfl * grid.dx / float(_lam_fn(model)(q[1]).max())
 
         def iteration():
-            dt = 0.9 * dx / _max_speed(plan, model)
-            _source(plan, 0.5 * dt, model)
-            _hyperbolic_step(plan, dt, dx, model)
-            _grow_span(q, *span, tails)
+            n_steps = stepper.n_steps
+            stepper.advance_to(stepper.t + dt, 1.0)
+            assert stepper.n_steps == n_steps + 1
 
         iteration()   # numpy sets up its loops on a first call
         assert _traced_peak(iteration) < 8 * n
@@ -974,3 +972,55 @@ class TestDisturbedSpan:
         _grow_span(q, lo, hi, tails)
         assert np.isnan(q[:, other]).all()
         assert (q[:, reached] == q[:, edge:edge + 1]).all()
+
+
+# ---------------------------------------------------------------------------
+# The stepper without simulate's record
+# ---------------------------------------------------------------------------
+
+def _padded_state(model, fields):
+    """The ghost-padded state (rho*v, F, omega*sigma) of the cell values
+    fields = (v, F, sigma)."""
+    v, F, sigma = (np.pad(np.asarray(f, dtype=float), _NG, mode="edge") for f in fields)
+    return np.stack([model.rho_star * v, F, model.omega * sigma])
+
+
+class TestStepper:
+    @pytest.mark.parametrize("name", ["rubber", "newtonian", "regularized"])
+    def test_advanced_through_the_outputs_it_ends_on_simulates_final_state(self, name):
+        # so the record never writes the state
+        model, grid, ic, t_end, _ = _span_case(name)
+        out_dt = t_end / 4
+        final = simulate(model, grid, ic, t_end=t_end, output_every=out_dt).final
+        x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * grid.dx
+        fields = [f[_NG:-_NG] for f in _initial_profile(model, grid, ic, x_all)]
+        stepper = _Stepper(model, grid, _padded_state(model, fields))
+        for k in range(1, 5):
+            target = min(k * out_dt, t_end)
+            stepper.advance_to(target, t_end)
+            assert stepper.pending == 0.0 and stepper.t == target
+        q = stepper.q[:, _NG:-_NG]
+        assert (q[0] / model.rho_star).tobytes() == final.v.tobytes()
+        assert q[1].tobytes() == final.F.tobytes()
+        assert (q[2] / model.omega).tobytes() == final.sigma.tobytes()
+
+    @pytest.mark.parametrize("name, row, cell, value, match", [
+        ("regularized", 2, 50, 0.01,
+         r"^source step failed at t=0, cell 50: .*did not converge"),
+        ("rubber", 1, 50, 2.0, r"^hyperbolicity lost at cell 50$"),
+        ("fluid", 1, 100, 1e-200,
+         r"^time step dt=0 does not advance t=0 after 0 steps \(CFL limited by cell 100\)$"),
+    ])
+    def test_failures_keep_their_messages(self, monkeypatch, name, row, cell, value, match):
+        # the unconverged source step of the regularized law, the cell that
+        # loses hyperbolicity, and p_ref/F**2 overflowing to a CFL step of 0
+        monkeypatch.setattr(materials, "_RELAX_MAX_ITER", 1)
+        model = {"regularized": unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)),
+                 "rubber": rubber_solid(), "fluid": unit_fluid()}[name]
+        fields = [np.zeros(200), np.ones(200), np.zeros(200)]
+        fields[row][cell] = value
+        grid = Grid(x_min=0.0, x_max=30.0, n_cells=200, cfl=0.9)
+        stepper = _Stepper(model, grid, _padded_state(model, fields))
+        with np.errstate(divide="ignore", over="ignore"), \
+                pytest.raises(SimulationError, match=match):
+            stepper.advance_to(1.0, 1.0)
