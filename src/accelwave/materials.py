@@ -9,11 +9,12 @@ power law.
 
 Each law is a frozen dataclass that owns its math and its config ``kind``.
 A material is an elastic part (W, T = W', W'' and W''') plus a production
-part (P, dP and relax(F, sigma, h), the exact or implicit step of
-omega*sigma_t = P at frozen F); the parts take the material last for its
-constants.  The module-level functions check the stretch and delegate to the
-parts, which accept scalar or ndarray stretch/stress inputs (the simulator
-relies on the vectorized paths).
+part (P, dP and relax(F, sigma, h), the step of omega*sigma_t = P at
+frozen F: exact, or for the regularized power law explicit exponential
+midpoint steps); the parts take the material last for its constants.  The
+module-level functions check the stretch and delegate to the parts, which
+accept scalar or ndarray stretch/stress inputs (the simulator relies on the
+vectorized paths).
 
 The finite-volume step passes ``out``, an array of F's shape, to T, W2 and
 relax, and to T and W2 also ``scratch``, a second such array for formulas
@@ -41,7 +42,6 @@ __all__ = [
     "Newtonian",
     "PowerLaw",
     "RegularizedPowerLaw",
-    "RelaxationError",
     "FluidParams",
     "MaterialModel",
     "PotentialDerivs",
@@ -374,7 +374,11 @@ class PowerLaw:
 
 @dataclass(frozen=True)
 class RegularizedPowerLaw:
-    """Shear-thickening power law with |eps + sigma| regularizing sigma=0."""
+    """Shear-thickening power law with |eps + sigma| regularizing sigma=0.
+
+    Its relax has no closed form; it takes sub-cycled exponential midpoint
+    steps, explicit and second order away from sigma = -eps.
+    """
 
     kind: ClassVar[str] = "regularized"
     k_cons: float
@@ -408,18 +412,22 @@ class RegularizedPowerLaw:
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
     def relax(self, F, sigma, h, fluid: FluidParams, out=None):
-        """Backward Euler, sub-cycled so each sub-step stays within the
-        stiff-rate scale, with every sub-step solved to tolerance.
+        """Exponential midpoint steps, sub-cycled so each sub-step stays
+        within the stiff-rate scale.
 
-        A sub-step from s0 solves s - s0 + K*s*(eps+s)**(-n) = 0 on the
-        branch s > -eps, where the left side rises strictly from -inf to
-        +inf: the one root lies between 0 and s0, or between -eps and 0 when
-        s0 < -eps.  The finite non-zero cells are solved together by
-        :func:`_regularized_substep`; one that does not converge raises
-        :class:`RelaxationError`, so no unconverged value is returned.
-        sigma = +-0 is the exact root for s0 = +-0; a non-finite sigma passes
-        through, and a cell with a non-finite F comes out NaN and does not set
-        the sub-cycle count, for the caller's finiteness check.
+        At frozen F the source is sigma' = -rate(sigma)*sigma with
+        rate(s) = k*|eps + s|**(-n) and k = F*c/omega.  A sub-step of length
+        h freezes the rate twice: s_m = s*exp(-(h/2)*rate(s)), then
+        s*exp(-h*rate(s_m)), which is second order away from s = -eps
+        (Hochbruck & Ostermann, Acta Numerica 2010).  Each factor lies in
+        [0, 1], so the sign is kept and |sigma| never grows, on both sides
+        of -eps; nothing iterates.  A sub-step from s = -eps (rate inf) has
+        s_m = -0 and ends finite; one whose midpoint lands on -eps, or so
+        near it that its factor underflows, ends at +-0 of its sign.
+        sigma = +-0 is a fixed point and h = 0 returns sigma as it is; a
+        non-finite sigma passes through, and a cell with a non-finite F
+        comes out NaN and does not set the sub-cycle count, for the caller's
+        finiteness check.
         """
         out = _copy_of(sigma, out)
         flat = out.reshape(-1)
@@ -434,82 +442,28 @@ class RegularizedPowerLaw:
             F_max = F.max(where=finite, initial=0.0)
         om, m, eps = fluid.omega, self.m, self.eps
         c, n = _power_prefactor(self.k_cons, m), (m - 1.0) / m
-        n_sub = max(1, int(math.ceil(h * (F_max * c / om * eps ** (-n)) / 5.0)))
-        K = F[live] * (h / n_sub * c / om)
+        n_sub = math.ceil(h * (F_max * c / om * eps ** (-n)) / 5.0)
+        if n_sub == 0:   # h = 0, where h*rate would be NaN at sigma = -eps
+            return out
+        full = F[live] * (-h / n_sub * c / om)   # -h*k of a sub-step
+        half = full * 0.5
         s = flat[live]
-        for _ in range(n_sub):
-            s = _regularized_substep(s, K, eps, n, live)
+        x = np.empty_like(s)
+        with np.errstate(divide="ignore", over="ignore"):   # rate(-eps) = inf
+            for _ in range(n_sub):
+                s_m = np.multiply(s, _decay(s, eps, n, half, x), out=x)
+                s *= _decay(s_m, eps, n, full, x)
         flat[live] = s
         return out
 
 
-class RelaxationError(ArithmeticError):
-    """An implicit source step that did not converge; ``cell`` is the flat
-    index of the first failing cell in the sigma array."""
-
-    def __init__(self, msg: str, cell: int):
-        super().__init__(msg)
-        self.cell = cell
-
-
-_RELAX_RTOL = 1e-13     # per-cell relative step tolerance of the implicit solve
-_RELAX_MAX_ITER = 100   # Newton/bisection iterations before a cell fails
-_TINY = np.finfo(float).tiny
-
-
-def _regularized_substep(s0, K, eps, n, live):
-    """Per cell, the root s > -eps of r(s) = (s - s0)*(eps+s)**n + K*s.
-
-    r has the sign of the backward-Euler residual, so the root is bracketed
-    by [0, s0] for s0 > 0 and by [max(s0, -eps), 0] for s0 < 0.  For
-    s0 > -eps, r is convex on the bracket, and Newton from the frozen-rate
-    start s0/(1 + K*(eps+s0)**(-n)), which lies right of the root, never
-    overshoots.  For s0 <= -eps the start is -eps + u with u**n =
-    K*eps/(-s0 - eps), which bounds (eps + root)**n from above; a start that
-    rounds to -eps is within half an ulp of the root and is kept.  The other
-    cells all step until each passes the step test in the same iteration (a
-    converged cell stays so: its steps are a few ulps).  A cell whose step
-    leaves the starting bracket tightens it and bisects.  ``live`` masks the
-    solved cells of sigma."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = s0 / (1.0 + K * np.abs(eps + s0) ** (-n))
-        far = s0 <= -eps
-        s[far] = np.minimum((K[far] * eps / (-s0[far] - eps)) ** (1.0 / n) - eps, 0.0)
-        act = s != -eps                   # a start at -eps is kept as it is
-        if np.count_nonzero(act) == act.size:
-            act = slice(None)
-        x0, Ka, x = s0[act], K[act], s[act]
-        lo, hi = np.maximum(np.minimum(x0, 0.0), -eps), np.maximum(x0, 0.0)
-        x_prev, r_prev = x, 0.0           # no residual sign before the loop
-        for _ in range(_RELAX_MAX_ITER):
-            u = eps + x
-            p = u ** n                    # the one power of the iteration
-            dp = (x - x0) * p
-            r = dp + Ka * x
-            step = r / (n * dp / u + p + Ka)
-            x_new = x - step
-            inside = (x_new >= lo) & (x_new <= hi)
-            if np.count_nonzero(inside) < inside.size:
-                x_new = _bisect_outside(inside, x_new, lo, hi, (x, r), (x_prev, r_prev))
-                step = x - x_new
-            done = np.abs(step) <= _RELAX_RTOL * np.abs(x_new) + _TINY
-            x_prev, r_prev, x = x, r, x_new
-            if np.count_nonzero(done) == done.size:
-                s[act] = x
-                return s
-    i = np.arange(s0.size)[act][np.argmin(done)]
-    raise RelaxationError(
-        f"implicit source step did not converge in {_RELAX_MAX_ITER} "
-        f"iterations (sigma={s0[i]:.6g})", int(np.flatnonzero(live)[i]))
-
-
-def _bisect_outside(inside, x_new, lo, hi, *pairs):
-    """x_new, but bisecting [lo, hi] where x_new left it, after tightening it in place
-    at the (x, r) pairs (the last two iterates, as a step onto -eps is NaN)."""
-    for x, r in pairs:
-        np.copyto(lo, x, where=~inside & (r < 0.0))
-        np.copyto(hi, x, where=~inside & (r > 0.0))
-    return np.where(inside, x_new, 0.5 * (lo + hi))
+def _decay(s, eps, n, hk, out):
+    """exp(hk*|eps + s|**(-n)) into out: the factor of a frozen-rate step of
+    the regularized law, with hk = -h*k < 0."""
+    np.add(s, eps, out=out)
+    np.power(np.abs(out, out=out), -n, out=out)
+    out *= hk
+    return np.exp(out, out=out)
 
 
 # ---------------------------------------------------------------------------

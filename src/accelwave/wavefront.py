@@ -6,9 +6,8 @@ The balance system is solved in conserved variables (rho*v, F, omega*sigma)
 with MUSCL-Hancock reconstruction (minmod limiter), a Rusanov interface flux,
 and Strang splitting for the relaxation source, which each law's relax()
 integrates exactly (solid, Newtonian, plain power law) or by sub-cycled
-backward Euler (regularized power law): its cells take Newton steps together
-until each passes the step test in the same iteration, and a cell bisects
-only when a step leaves its bracket.  The trailing source half-step of one
+explicit exponential midpoint steps (regularized power law), which keep the
+sign of sigma and never grow |sigma|.  The trailing source half-step of one
 step and the leading half-step of the next are merged into one relax() call
 (the source leaves F, and so the CFL step, unchanged).  simulate advances a
 private stepper, which owns the state, its span and window plan, t and the
@@ -59,9 +58,8 @@ operation on (3, M) views whose rows it cannot join into one (up to 64 KB a
 call), so the differences of shifted views are taken row by row, and the
 limiter and the flux difference run on their rows laid end to end.
 
-A source step whose implicit solve does not converge raises SimulationError
-naming t and the cell, as does a state that turns non-finite or loses
-hyperbolicity; a CFL step that is not finite and positive, or too small to
+A state that turns non-finite or loses hyperbolicity raises SimulationError
+naming the cell; a CFL step that is not finite and positive, or too small to
 advance t, raises instead of stalling.  Front measurements that fail are
 recorded as NaN and logged at debug level on the ``accelwave`` logger.
 """
@@ -82,7 +80,7 @@ from .characteristics import (
     eigensystem,
     equilibrium_state,
 )
-from .materials import MaterialModel, RelaxationError, _require_stretch, production
+from .materials import MaterialModel, _require_stretch, production
 
 __all__ = [
     "Grid",
@@ -595,13 +593,7 @@ class _Stepper:
         """The relaxation source over h on the plan's window, in place:
         om*relax(F, sigma, h) into its omega*sigma row."""
         p, model, om = self.plan, self.model, self.model.omega
-        try:
-            model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model,
-                                   out=p.sigma)
-        except RelaxationError as exc:
-            cell = _interior(p.cells[0] + exc.cell, self.grid.n_cells)
-            msg = f"source step failed at t={self.t:.6g}, cell {cell}: {exc}"
-            raise SimulationError(msg) from exc
+        model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model, out=p.sigma)
         p.sigma *= om
 
     def advance_to(self, target: float, t_end: float) -> None:
