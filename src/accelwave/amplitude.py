@@ -1,14 +1,13 @@
 """Amplitude evolution of the front jump: pi' = -a*pi^2 - b*pi.
 
-Closed-form solution, blow-up classification and critical time, a fixed-grid
-RK4 companion with step refinement near blow-up, and the scan of the singular
-damping limit b(eps) = b0/eps**n.
+Closed-form solution, blow-up classification and critical time, a
+sign-preserving RK4 companion on log|pi| with step refinement near blow-up,
+and the scan of the singular damping limit b(eps) = b0/eps**n.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ __all__ = [
 ]
 
 BLOWUP_FACTOR = 1e12          # |pi| > BLOWUP_FACTOR*max(1, |pi0|) declares blow-up
-GROWTH_LIMIT = 10.0           # halve the step when |pi| grows by more than this
+GROWTH_LIMIT = 10.0           # halve the step when |pi| changes more than this-fold
 MAX_POINTS = 10 ** 6          # ceiling on the output grid of one integrate call
 
 
@@ -62,21 +61,15 @@ def classify(a: float, b: float, pi0: float) -> AmplitudeOutcome:
         raise ValueError(f"initial amplitude pi0 must be finite, got {pi0}")
     if math.isinf(b):
         return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=math.inf)
-    s = 1.0 if a < 0.0 else -1.0   # s*pi0 is the amplitude in the canonical frame
-    p0 = s * pi0
-    if b > 0.0:
-        pi_cr = b / abs(a)
-        if p0 <= pi_cr:   # pi0 = pi_cr rides the unstable constant solution
-            return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=pi_cr)
-        t_c = -math.log1p(-pi_cr / p0) / b
-        return AmplitudeOutcome(global_existence=False, t_c=t_c, pi_cr=pi_cr)
-    # b = 0: every amplitude on the blow-up side has a critical time, which
-    # overflows to inf where a*pi0 underflows to zero
-    if p0 > 0.0:
-        rate = a * pi0
-        return AmplitudeOutcome(global_existence=False,
-                                t_c=-1.0 / rate if rate else math.inf, pi_cr=0.0)
-    return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=0.0)
+    p0 = pi0 if a < 0.0 else -pi0   # the amplitude in the canonical frame
+    pi_cr = b / abs(a)     # 0.0 when b = 0
+    if p0 <= pi_cr:   # pi0 = pi_cr rides the unstable constant solution
+        return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=pi_cr)
+    rate = abs(a) * p0     # b = 0: t_c = 1/rate, inf where rate underflows
+    t_c = -math.log1p(-pi_cr / p0) / b if b else (1.0 / rate if rate else math.inf)
+    if t_c == 0.0:   # |a|*pi0 overflowed, or pi_cr/pi0 underflowed: the b -> 0 limit
+        t_c = (1.0 / abs(a)) / p0
+    return AmplitudeOutcome(global_existence=False, t_c=t_c, pi_cr=pi_cr)
 
 
 def closed_form(a: float, b: float, pi0: float, t):
@@ -110,90 +103,77 @@ def closed_form(a: float, b: float, pi0: float, t):
 
 
 def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajectory:
-    """RK4 on the output grid 0, dt, 2*dt, ..., t_end with internal refinement.
+    """Sign-preserving RK4 on log|pi| on the output grid 0, dt, 2*dt, ..., t_end.
 
-    A trial step whose amplitude grows more than GROWTH_LIMIT-fold (or goes
-    non-finite) is retried at half the step; blow-up is declared once
-    |pi| > BLOWUP_FACTOR * max(1, |pi0|) or |pi| reaches the largest float
-    (a trajectory pinned there would creep on in steps of about 1e-15), and
-    the trajectory is truncated there.  Coefficient a may be zero here
-    (plain linear decay).  The first RK4 stage and the growth limit
-    GROWTH_LIMIT * max(|pi|, 1e-300) depend only on the accepted amplitude,
-    so each is computed once per accepted step, not once per halving.
-
-    For |pi0| >= 1 the steps run on p = pi/s, where the power of two s
-    takes pi0's exponent, and p' = -(a*s)*p**2 - b*p, so that a*pi**2 need
-    not be finite: a*pi0**2 overflows from |pi0| of about 1e154/sqrt(|a|)
-    on.  Scaling by a power of two is exact, so every operation rounds as
-    on pi wherever nothing overflows or underflows.
+    pi = 0 is an equilibrium, so pi keeps pi0's sign: the steps run on
+    z = log(pi/pi0), z' = -a*pi0*exp(z) - b, with both rates divided by
+    r = max(|a*pi0|, b) and each stage formed as an increment (h*r)*k_i, and
+    the output is pi0*exp(z).  A trial that changes z by more than
+    log(GROWTH_LIMIT) or leaves the float range is retried at half the step.
+    Blow-up is declared, and the trajectory truncated, once |pi| >
+    BLOWUP_FACTOR * max(1, |pi0|), or where a trial still fails at the step
+    floor h_min = dt*2**-60 (at least the least positive float).  On the decay
+    side (-a*pi0 <= b, global existence) every stage lowers z.
 
     Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
-    for an infinite b, and for a grid of more than MAX_POINTS steps.  Raises
-    ArithmeticError, never reporting a blow-up, for a pi0 on the decay side
-    (-a*pi0 <= b, global existence) whose step still fails the growth limit
-    at the floor h_min = dt*2**-60 (at least the least positive float), or
-    whose RK4 steps overshoot into a blow-up.
+    for an infinite b, or for more than MAX_POINTS steps, and ArithmeticError,
+    never reporting a blow-up, where a decay-side step fails at the floor.
     """
     if not (math.isfinite(pi0) and 0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("pi0, t_end and dt must be finite, and t_end and dt > 0")
     if math.isinf(b):
         raise ValueError("integrate needs a finite b")
-    n_out = int(math.ceil(t_end / dt - 1e-12))
-    if n_out > MAX_POINTS:
-        raise ValueError(f"t_end/dt asks for {n_out + 1} output points, over {MAX_POINTS + 1}")
-    scale = math.ldexp(1.0, max(math.frexp(pi0)[1] - 1, 0))
-    threshold = BLOWUP_FACTOR * (max(1.0, abs(pi0)) / scale)
-    h_min = max(dt * 2.0 ** -60, math.ulp(0.0))   # never a zero-length step
+    ratio = t_end / dt - 1e-12     # compared before the ceil: it may be inf
+    if ratio > MAX_POINTS:
+        raise ValueError(f"t_end/dt asks for {np.ceil(ratio) + 1:.0f} output points, "
+                         f"over {MAX_POINTS + 1}")
+    na = -a * pi0
+    r = max(abs(na), b) or 1.0     # pi' = 0 when a*pi0 and b are 0
+    c = na / r if r < math.inf else math.copysign(1.0, na)   # a*pi0 overflows
+    beta = b / r    # |pi| grows iff c > beta, and then blows up
+    z_max = math.log(BLOWUP_FACTOR) - math.log(min(abs(pi0), 1.0)) if pi0 else math.inf
+    dz_max, h_min = math.log(GROWTH_LIMIT), max(dt * 2.0 ** -60, math.ulp(0.0))
+    exp = math.exp
     ts, ps = [0.0], [pi0]
-    t, p, t_blowup = 0.0, pi0 / scale, None
-    na = -a * scale
-    grows = na * p > b    # |pi| grows iff -a*pi > b, and then blows up
-    ap = abs(p)
-    fmax = sys.float_info.max / scale   # |p| <= fmax iff pi is finite
-    tiny = 1e-300 / scale
-    for k in range(1, n_out + 1):
-        target = t_end if t_end < k * dt else k * dt
+    t, z, e, p = 0.0, 0.0, 1.0, pi0
+    for target in np.minimum(np.arange(1, math.ceil(ratio) + 1) * dt, t_end).tolist():
         while t < target:
-            k1 = na * p * p - b * p
-            limit = GROWTH_LIMIT * (ap if ap > tiny else tiny)
-            if limit > fmax:
-                limit = fmax
             h = target - t
+            ce = c * e
+            k1 = ce - beta
             while True:
-                x = p + 0.5 * h * k1
-                k2 = na * x * x - b * x
-                x = p + 0.5 * h * k2
-                k3 = na * x * x - b * x
-                x = p + h * k3
-                k4 = na * x * x - b * x
-                trial = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if abs(trial) <= limit:
-                    break
+                hr = h * r
+                try:
+                    d2 = hr * (ce * exp(0.5 * hr * k1) - beta)
+                    d3 = hr * (ce * exp(0.5 * d2) - beta)
+                    d4 = hr * (ce * exp(d3) - beta)
+                    dz = (hr * k1 + 2.0 * (d2 + d3) + d4) / 6.0
+                    zn = z + dz
+                    e = exp(zn)
+                    q = pi0 * e
+                    # p = 0 is the equilibrium; a rise of z lost to rounding
+                    # fails, or the steps would creep on at the float limit
+                    if p == 0.0 or (abs(dz) <= dz_max and (zn > z or dz <= 0.0)
+                                    and abs(q) < math.inf):
+                        break
+                except OverflowError:
+                    pass
                 if h <= h_min:
-                    if not grows:
-                        rate = abs(na * p - b)
+                    if c <= beta:
+                        rate = abs(r * k1)
                         raise ArithmeticError(
                             f"RK4 cannot resolve the decay at t = {t!r}: its rate "
                             f"|a*pi + b| = {rate!r} 1/s times the step floor "
                             f"h_min = {h_min!r} s is {rate * h_min:.3g}")
+                    zn = q = math.inf   # no step resolves the growth: a blow-up
                     break
                 h *= 0.5
-            t, p = t + h, trial
-            ap = abs(p)
-            if ap > threshold or not ap < fmax:
-                if not grows:
-                    raise ArithmeticError(
-                        f"RK4 overshoot: pi0 = {pi0!r} lies on the global-existence "
-                        f"branch, yet the RK4 amplitude reached {p * scale!r} at "
-                        f"t = {t!r}; take a smaller dt")
-                t_blowup = t
-                break
-        if t_blowup is not None:
-            break
+            t, z, p = t + h, zn, q
+            if z > z_max:
+                return Trajectory(t=np.array(ts), pi=np.array(ps), blew_up=True, t_blowup=t)
         ts.append(t)
-        ps.append(p * scale)
-    return Trajectory(t=np.array(ts), pi=np.array(ps),
-                      blew_up=t_blowup is not None, t_blowup=t_blowup)
+        ps.append(p)
+    return Trajectory(t=np.array(ts), pi=np.array(ps), blew_up=False, t_blowup=None)
 
 
 @dataclass(frozen=True)

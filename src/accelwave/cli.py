@@ -309,10 +309,10 @@ def cmd_sweep(args) -> int:
     lambda0, a, b, pi_cr = np.array([(wc.lambda0, wc.a, wc.b, wc.pi_cr) for wc in wcs],
                                     dtype=float).T
 
-    if sw.param.endswith(".eps") and pi_cr.size > 1:
+    if sw.param.endswith(".eps"):
         # singular-limit structure: pi_cr must fall and 1/b rise with eps
-        sorted_pi = pi_cr[np.argsort(values)]
-        if np.any(sorted_pi[1:] >= sorted_pi[:-1]):
+        by_eps = pi_cr[np.unique(values, return_index=True)[1]]   # per distinct eps
+        if np.any(by_eps[1:] >= by_eps[:-1]):
             raise SimulationError("eps sweep violated pi_cr monotonicity")
     footer = {"param": sw.param, "scale": sw.scale,
               "input": material_dict}

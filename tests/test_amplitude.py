@@ -75,6 +75,26 @@ class TestClassify:
             assert classify(a, 0.0, pi0).t_c == -1.0 / (a * pi0)
             assert classify(-a, 0.0, -pi0).t_c == -1.0 / (-a * -pi0)
 
+    def test_overflowing_rate_keeps_its_critical_time(self):
+        # b = 0 and a*pi0 overflows: -1/(a*pi0) was 0.0
+        for a, pi0 in ((-4.0, 1e308), (4.0, -1e308)):
+            assert classify(a, 0.0, pi0).t_c == pytest.approx(2.5e-309, rel=1e-12, abs=0.0)
+
+    def test_underflowing_threshold_takes_the_zero_damping_limit(self):
+        # pi_cr = b/|a| underflows to 0, and -log1p(-pi_cr/pi0)/b was 0.0;
+        # t_c tends to 1/(|a|*pi0) as b -> 0
+        out = classify(-10.0, 5e-324, 1.0)
+        assert not out.global_existence and out.pi_cr == 0.0
+        assert out.t_c == pytest.approx(0.1, rel=1e-15)
+
+    def test_finite_nonzero_critical_time_is_unchanged(self, rng):
+        for _ in range(200):
+            a = -(10.0 ** rng.uniform(-150, 150))
+            b = 10.0 ** rng.uniform(-150, 150)
+            pi0 = rng.uniform(1.0 + 1e-9, 1e6) * (b / -a)
+            t_c = -math.log1p(-(b / -a) / pi0) / b
+            assert 0.0 < t_c < math.inf and classify(a, b, pi0).t_c == t_c
+
     def test_negative_amplitude_decays(self):
         out = classify(-0.009, 2.93, -50.0)
         assert out.global_existence
@@ -279,13 +299,48 @@ class TestIntegrate:
             integrate(wc.a, wc.b, pi0, 5.0 / wc.b, 5e-3 / wc.b)
 
     @pytest.mark.parametrize("dt", [3.0, 10.0])
-    def test_rk4_overshoot_on_the_decay_side_is_an_error(self, dt):
-        # RK4 takes pi' = pi**2 from -1 to +0.68 at a step of 2.5, within the
-        # growth limit, and the amplitude then blows up on the positive side
+    def test_decay_side_keeps_the_sign_of_pi0(self, dt):
+        # RK4 on pi took pi' = pi**2 from -1 to +0.68 at a step of 2.5, and the
+        # amplitude then blew up on the positive side
         assert classify(-1.0, 0.0, -1.0).global_existence
-        with pytest.raises(ArithmeticError, match="RK4 overshoot: pi0 = -1.0 lies on "
-                                                  "the global-existence branch"):
-            integrate(-1.0, 0.0, -1.0, 20.0, dt)
+        traj = integrate(-1.0, 0.0, -1.0, 20.0, dt)
+        assert not traj.blew_up and np.all(traj.pi < 0.0)
+        assert np.all(np.diff(np.abs(traj.pi)) < 0.0)
+        exact = closed_form(-1.0, 0.0, -1.0, traj.t)
+        assert np.max(np.abs(traj.pi / exact - 1.0)) < 0.2
+
+    @pytest.mark.parametrize("b, pi0, t_end, dt", [
+        (1.4476539909982218, -0.5581363809918632, 13.88, 1.388),
+        (7.158925736252973, -26.29150668000137, 10 * 0.10592554774723378,
+         0.10592554774723378),
+    ])
+    def test_decay_that_rk4_on_pi_took_across_zero(self, b, pi0, t_end, dt):
+        # RK4 on pi returned +0.435 at t = 1.388 in the first run, and jumped
+        # from -26.3 to +7.160, just above pi_cr, in one row of the second
+        traj = integrate(-1.0, b, pi0, t_end, dt)
+        assert not traj.blew_up and traj.t.size == 11 and np.all(traj.pi < 0.0)
+        # the second run takes its first row in one step, with |dz| = 1.9,
+        # and that step makes its largest error
+        exact = closed_form(-1.0, b, pi0, traj.t)
+        assert np.max(np.abs(traj.pi / exact - 1.0)) < 0.1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(a=st.sampled_from([-1.0, 1.0]), log_a=st.floats(-2.0, 2.0),
+           b=st.sampled_from([0.0, 1.0]), log_b=st.floats(-1.0, 1.0),
+           frac=st.floats(-30.0, 1.0), log_dt=st.floats(-1.0, math.log10(5.0)))
+    def test_decay_side_draws_keep_their_sign(self, a, log_a, b, log_b, frac, log_dt):
+        # pi0 = -frac*pi_cr*sgn(a): below pi_cr on the blow-up side's sign
+        # (0 < frac <= 1), or of the other sign (frac < 0), where |pi| falls
+        # like 1/(|a|*t); b = 0 takes pi_cr = 1/|a| as the scale
+        a *= 10.0 ** log_a
+        b *= 10.0 ** log_b
+        pi0 = -frac * math.copysign((b if b else 1.0) / abs(a), a)
+        assume(pi0 != 0.0 and classify(a, b, pi0).global_existence)
+        dt = 10.0 ** log_dt
+        traj = integrate(a, b, pi0, 10.0 * dt, dt)
+        assert not traj.blew_up and traj.t.size == 11
+        assert np.all(np.sign(traj.pi) == math.copysign(1.0, pi0))
+        assert np.all(np.diff(np.abs(traj.pi)) <= 0.0)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(a=st.sampled_from([-1.0, 1.0]), b=st.sampled_from([0.0, 1.0]),
@@ -300,13 +355,33 @@ class TestIntegrate:
         assert not traj.blew_up and np.all(np.isfinite(traj.pi))
 
     def test_subnormal_step_never_gives_a_zero_length_step(self):
-        # dt = 0.99*t_c/1000 is subnormal, dt*2**-60 underflows to 0, and the
-        # stages overflow at every h: the step floor is the least positive float
+        # dt = 0.99*t_c/1000 is subnormal and dt*2**-60 underflows to 0, so
+        # the step floor is the least positive float.  The stage sum of pi
+        # overflowed at every h, which declared the blow-up at t = 5e-324;
+        # pi = pi0/(1 + a*pi0*t) (b*t is below 1e-300) reaches the largest
+        # float at t*, 55 rows on
         wc = coefficients_ab(unit_fluid())
-        t_c = classify(wc.a, wc.b, 1.7e308).t_c
+        pi0 = 1.7e308
+        t_c = classify(wc.a, wc.b, pi0).t_c
         assert 0.99 * t_c / 1000.0 * 2.0 ** -60 == 0.0
-        traj = integrate(wc.a, wc.b, 1.7e308, 0.99 * t_c, 0.99 * t_c / 1000.0)
-        assert traj.blew_up and traj.t_blowup == math.ulp(0.0)
+        traj = integrate(wc.a, wc.b, pi0, 0.99 * t_c, 0.99 * t_c / 1000.0)
+        t_star = (pi0 / sys.float_info.max - 1.0) / (wc.a * pi0)
+        assert traj.blew_up and traj.t.size == 55
+        assert traj.t_blowup == pytest.approx(t_star, rel=1e-12, abs=0.0)
+        assert np.all(np.isfinite(traj.pi))
+        exact = closed_form(wc.a, wc.b, pi0, traj.t)
+        assert np.max(np.abs(traj.pi / exact - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("a", [-1e10, 1e10])
+    def test_overflowing_rate_is_a_blow_up(self, a):
+        # |a*pi0| overflows: the blow-up comes at the step floor, long before
+        # the first grid point, and the mirrored decay cannot be resolved
+        pi0 = -math.copysign(1e300, a)
+        assert math.isinf(a * pi0) and not classify(a, 0.5, pi0).global_existence
+        traj = integrate(a, 0.5, pi0, 1.0, 0.1)
+        assert traj.blew_up and traj.t.size == 1 and traj.t_blowup <= 0.1 * 2.0 ** -60
+        with pytest.raises(ArithmeticError, match="cannot resolve the decay"):
+            integrate(a, 0.5, -pi0, 1.0, 0.1)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
@@ -328,6 +403,11 @@ class TestIntegrate:
             integrate(-1.0, 1.0, 0.5, t_end=1.0, dt=1e-7)
         with pytest.raises(ValueError, match="output points"):
             integrate(-1.0, 1.0, 0.5, t_end=1.0, dt=1.0 / (MAX_POINTS + 1))
+
+    def test_overflowing_grid_ratio_is_refused(self):
+        # t_end/dt = inf: the ceil raised OverflowError before the comparison
+        with pytest.raises(ValueError, match="asks for inf output points"):
+            integrate(-1.0, 1.0, 0.5, t_end=1e300, dt=1e-300)
 
 
 class TestSingularLimitScan:

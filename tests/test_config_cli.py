@@ -29,7 +29,7 @@ from accelwave import (
 import accelwave
 from accelwave import cli
 from accelwave.cli import build_parser, main
-from conftest import rubber_solid
+from conftest import rubber_solid, unit_fluid
 
 RUBBER_DICT = {
     "kind": "solid",
@@ -265,20 +265,27 @@ class TestAmplitudeCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_largest_amplitude_report_starts_at_pi0(self, capsys, fmt):
         # (a/b)*pi0 overflows: the closed form at t = 0 was nan, with a numpy
-        # RuntimeWarning, and the blow-up came at a zero-length step
+        # RuntimeWarning, and the blow-up came at a zero-length step, with
+        # one row; pi reaches the largest float 55 rows on
         code, out, err = run_cli(capsys, "amplitude", "--config", "newtonian.json",
                                  "--pi0", "1.7e308", "--format", fmt)
         assert code == 0 and err == ""
         if fmt == "csv":
             lines = out.splitlines()
             assert lines[1] == "0.0,1.7e+308,1.7e+308"
+            rows = [ln.split(",") for ln in lines[1:-1]]
             meta = json.loads(lines[-1][2:])
         else:
             report = json.loads(out)
             assert report["rows"][0] == {"t": 0, "pi_closed_form": 1.7e308,
                                          "pi_rk4": 1.7e308}
+            rows = [list(map(str, r.values())) for r in report["rows"]]
             meta = report["meta"]
-        assert meta["blew_up"] is True and meta["t_blowup"] == 5e-324
+        assert len(rows) == 55 and all(float(v) < math.inf for r in rows for v in r)
+        wc = coefficients_ab(unit_fluid())
+        t_star = (1.7e308 / sys.float_info.max - 1.0) / (wc.a * 1.7e308)
+        assert meta["blew_up"] is True
+        assert meta["t_blowup"] == pytest.approx(t_star, rel=1e-12, abs=0.0)
 
     def test_zero_amplitude_is_identically_zero(self, capsys, tmp_path):
         path = tmp_path / "rubber.json"
@@ -390,6 +397,13 @@ class TestNumericFlags:
         assert exc.value.code == 2
         assert f"argument --dt: {message}" in capsys.readouterr().err
 
+    def test_overflowing_grid_ratio_is_a_numerical_error(self, capsys):
+        # t_end/dt = inf exited 3 with "cannot convert float infinity to integer"
+        code, out, err = run_cli(capsys, "amplitude", "--config", "rubber.json",
+                                 "--pi0", "1", "--t-end", "1e300", "--dt", "1e-300")
+        assert code == 3 and out == ""
+        assert "asks for inf output points" in err
+
     def test_oversized_output_grid_is_a_numerical_error(self, capsys):
         # 2.5e8 rows at the default t_end = 5/b; refused before any step
         code, out, err = run_cli(capsys, "amplitude", "--config", "rubber.json",
@@ -481,6 +495,17 @@ class TestSweepCommand:
         assert float(row[2]) == wc.a
         assert float(row[3]) == wc.b
         assert float(row[4]) == wc.pi_cr
+
+    def test_repeated_eps_is_no_monotonicity_violation(self, capsys, tmp_path):
+        # min == max repeats one eps three times, with one pi_cr: the check
+        # compared the repeats and exited 3
+        d = json.loads(bundled_config_path("shear_thickening_eps.json").read_text())
+        d["sweep"] = {"param": "fluid.production.eps", "min": 0.01, "max": 0.01,
+                      "count": 3}
+        code, out, err = run_cli(capsys, "sweep", "--config", self._write(tmp_path, d))
+        assert code == 0 and err == ""
+        rows = [ln.split(",") for ln in out.splitlines()[1:-1]]
+        assert len(rows) == 3 and len({tuple(r) for r in rows}) == 1
 
     def test_sweep_block_required(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep",
