@@ -8,6 +8,7 @@ and the scan of the singular damping limit b(eps) = b0/eps**n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,14 @@ def classify(a: float, b: float, pi0: float) -> AmplitudeOutcome:
     if p0 <= pi_cr:   # pi0 = pi_cr rides the unstable constant solution
         return AmplitudeOutcome(global_existence=True, t_c=None, pi_cr=pi_cr)
     rate = abs(a) * p0     # b = 0: t_c = 1/rate, inf where rate underflows
-    t_c = -math.log1p(-pi_cr / p0) / b if b else (1.0 / rate if rate else math.inf)
+    if not b:
+        t_c = 1.0 / rate if rate else math.inf
+    elif pi_cr >= sys.float_info.min:
+        t_c = -math.log1p(-pi_cr / p0) / b
+    else:   # pi_cr is subnormal or 0 and has lost bits: x = pi_cr/p0 from b,
+        # and where x < eps, log1p(-x) = -x and t_c = 1/(|a|*p0)
+        x = b / p0 / abs(a)
+        t_c = -math.log1p(-x) / b if x > sys.float_info.epsilon else (1.0 / abs(a)) / p0
     if t_c == 0.0:   # |a|*pi0 overflowed, or pi_cr/pi0 underflowed: the b -> 0 limit
         t_c = (1.0 / abs(a)) / p0
     return AmplitudeOutcome(global_existence=False, t_c=t_c, pi_cr=pi_cr)
@@ -76,8 +84,11 @@ def closed_form(a: float, b: float, pi0: float, t):
     """Exact solution pi(t); accepts scalar or array t.
 
     Raises for evaluation at or beyond the critical time of a blow-up
-    solution.  b = 0 uses the algebraic branch pi0/(1 + a*pi0*t); the general
-    branch is continuous in b down to 0 (expm1 keeps it accurate).
+    solution.  b = 0 uses the algebraic branch pi0/(1 + a*pi0*t), and so does
+    a b so small that a/b overflows, as its b -> 0 limit; the general branch
+    is continuous in b down to 0 (expm1 keeps it accurate).  A coefficient
+    a*pi0 or (a/b)*pi0 that overflows is taken in a frame scaled by pi0's
+    power of two.
     """
     outcome = classify(a, b, pi0)
     if math.isinf(b):
@@ -86,19 +97,19 @@ def closed_form(a: float, b: float, pi0: float, t):
     if not outcome.global_existence and np.any(t >= outcome.t_c):
         raise ValueError(f"solution blows up at t_c = {outcome.t_c:.6g}; "
                          "closed_form evaluated at t >= t_c")
-    if b == 0.0:
-        out = pi0 / (1.0 + a * pi0 * t)
+    if b == 0.0 or math.isinf(a / b):   # a/b overflows: the b -> 0 limit
+        k, decay, growth = a, 1.0, t
     else:
-        growth = -np.expm1(-b * t)    # 1 - exp(-b t), accurate for small b*t
-        c = (a / b) * pi0
-        if math.isfinite(c):
-            out = pi0 * np.exp(-b * t) / (1.0 + c * growth)
-        else:
-            # c*growth would be inf*0 at t = 0: divide numerator and
-            # denominator by the power of two s that takes pi0's exponent
-            s = math.ldexp(1.0, math.frexp(pi0)[1] - 1)
-            p0 = pi0 / s
-            out = p0 * np.exp(-b * t) / (1.0 / s + (a / b) * p0 * growth)
+        k, decay, growth = a / b, np.exp(-b * t), -np.expm1(-b * t)
+    c = k * pi0
+    if math.isfinite(c):
+        out = pi0 * decay / (1.0 + c * growth)
+    else:
+        # c*growth would be inf*0 at t = 0: divide numerator and
+        # denominator by the power of two s that takes pi0's exponent
+        s = math.ldexp(1.0, math.frexp(pi0)[1] - 1)
+        p0 = pi0 / s
+        out = p0 * decay / (1.0 / s + k * p0 * growth)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,8 +118,9 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
 
     pi = 0 is an equilibrium, so pi keeps pi0's sign: the steps run on
     z = log(pi/pi0), z' = -a*pi0*exp(z) - b, with both rates divided by
-    r = max(|a*pi0|, b) and each stage formed as an increment (h*r)*k_i, and
-    the output is pi0*exp(z).  A trial that changes z by more than
+    r = max(|a*pi0|, b) and each stage formed as an increment (h*r)*k_i
+    (h/tau with tau = (1/|a|)/|pi0| where r overflows), and the output is
+    pi0*exp(z).  A trial that changes z by more than
     log(GROWTH_LIMIT) or leaves the float range is retried at half the step.
     Blow-up is declared, and the trajectory truncated, once |pi| >
     BLOWUP_FACTOR * max(1, |pi0|), or where a trial still fails at the step
@@ -130,6 +142,8 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     na = -a * pi0
     r = max(abs(na), b) or 1.0     # pi' = 0 when a*pi0 and b are 0
     c = na / r if r < math.inf else math.copysign(1.0, na)   # a*pi0 overflows
+    # tau = 0: r is finite, or no finite tau exists and h*r = inf
+    tau = (1.0 / abs(a)) / abs(pi0) if r == math.inf else 0.0
     beta = b / r    # |pi| grows iff c > beta, and then blows up
     z_max = math.log(BLOWUP_FACTOR) - math.log(min(abs(pi0), 1.0)) if pi0 else math.inf
     dz_max, h_min = math.log(GROWTH_LIMIT), max(dt * 2.0 ** -60, math.ulp(0.0))
@@ -142,7 +156,7 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
             ce = c * e
             k1 = ce - beta
             while True:
-                hr = h * r
+                hr = h / tau if tau else h * r
                 try:
                     d2 = hr * (ce * exp(0.5 * hr * k1) - beta)
                     d3 = hr * (ce * exp(0.5 * d2) - beta)
@@ -160,7 +174,7 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
                     pass
                 if h <= h_min:
                     if c <= beta:
-                        rate = abs(r * k1)
+                        rate = abs(k1) / tau if tau else abs(r * k1)
                         raise ArithmeticError(
                             f"RK4 cannot resolve the decay at t = {t!r}: its rate "
                             f"|a*pi + b| = {rate!r} 1/s times the step floor "

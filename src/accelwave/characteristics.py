@@ -103,13 +103,14 @@ def quasilinear_matrix(model: MaterialModel, state: StateVector) -> np.ndarray:
     ])
 
 
-def _lambda(model: MaterialModel, F: float) -> float:
+def _lambda_sq(model: MaterialModel, F: float) -> float:
+    """The squared fast speed, after the hyperbolicity check."""
     om = model.omega
     disc = om * model.elastic.W2(F, model) + 1.0
     if disc <= 0.0:
         raise HyperbolicityError(
             f"omega*W''(F) + 1 = {disc:.6g} <= 0 at F={F}: system not hyperbolic")
-    return math.sqrt(disc / (model.rho_star * om))
+    return disc / (model.rho_star * om)
 
 
 def eigensystem(model: MaterialModel, state: StateVector) -> Eigensystem:
@@ -117,7 +118,7 @@ def eigensystem(model: MaterialModel, state: StateVector) -> Eigensystem:
     w2 = model.elastic.W2(state.F, model)
     rho = model.rho_star
     om = model.omega
-    lam = _lambda(model, state.F)
+    lam = math.sqrt(_lambda_sq(model, state.F))
     d_plus = np.array([-1.0 / lam, 1.0 / lam ** 2, 1.0 / (lam ** 2 * om)])
     l_plus = 0.5 * np.array([-lam, w2 / rho, 1.0 / rho])
     d_minus = np.array([1.0 / lam, 1.0 / lam ** 2, 1.0 / (lam ** 2 * om)])
@@ -136,7 +137,7 @@ def grad_lambda(model: MaterialModel, state: StateVector) -> np.ndarray:
     The sigma component vanishes: omega is constant for the quadratic
     viscous energy.
     """
-    lam = _lambda(model, state.F)
+    lam = math.sqrt(_lambda_sq(model, state.F))
     rho = model.rho_star
     w3 = model.elastic.W3(state.F, model)
     return (1.0 / (2.0 * lam * rho)) * np.array([0.0, w3, 0.0])
@@ -203,10 +204,10 @@ def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
     el = model.elastic
     rho = model.rho_star
     om = model.omega
-    lam0 = _lambda(model, eq.F)
-    # lam0^2 written without squaring the square root keeps b exact for
+    # lam0^2 taken without squaring the square root keeps b exact for
     # closed-form-friendly constants
-    lam0_sq = (om * el.W2(eq.F, model) + 1.0) / (rho * om)
+    lam0_sq = _lambda_sq(model, eq.F)
+    lam0 = math.sqrt(lam0_sq)
     # the om**3 factors of the general form (omega' = 0 here) fix the rounding
     a = om ** 3 * el.W3(eq.F, model) / (2.0 * lam0 * lam0_sq * rho * om ** 3)
     ps = production_jacobian(model, eq.F, eq.sigma).P_sigma

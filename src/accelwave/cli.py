@@ -437,48 +437,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, fmt):
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config", required=True,
                        help="scenario config (JSON); bundled names like "
                             "'rubber.json' are resolved automatically")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
 
     p = sub.add_parser("analyze", help="wave coefficients and coupling verdicts")
-    add_common(p)
+    add_common(p, "json")
     p.add_argument("--pi0", type=_finite_float, default=None,
                    help="initial jump for the blow-up classification [m/s^2]")
-    p.set_defaults(func=cmd_analyze, default_format="json")
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("amplitude", help="closed-form and RK4 amplitude trajectory")
-    add_common(p)
+    add_common(p, "csv")
     p.add_argument("--pi0", type=_finite_float, default=None)
     p.add_argument("--t-end", type=_finite_float, default=None, dest="t_end")
     p.add_argument("--dt", type=_finite_float, default=None)
-    p.set_defaults(func=cmd_amplitude, default_format="csv")
+    p.set_defaults(func=cmd_amplitude)
 
     p = sub.add_parser("simulate", help="finite-volume wavefront experiment")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate, default_format="csv")
+    add_common(p, "csv")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweep of the wave coefficients")
-    add_common(p)
-    p.set_defaults(func=cmd_sweep, default_format="csv")
+    add_common(p, "csv")
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("paper-tables",
                        help="built-in benchmark report: rubber constants and "
                             "fluid case classifications")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_paper_tables, default_format="text")
+    p.set_defaults(func=cmd_paper_tables)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "format", None) is None:
-        args.format = args.default_format
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -201,17 +201,13 @@ def _sweep_from_dict(d: dict, material_dict: dict) -> SweepConfig:
 
 def _resolve_param(material_dict: dict, dotted: str) -> tuple[dict, str]:
     node = material_dict
-    parts = dotted.split(".")
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
+    for key in dotted.split("."):
+        if not isinstance(node, dict) or key not in node:
             raise ConfigError(f"sweep parameter '{dotted}' not found in the material schema")
-        node = node[p]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"sweep parameter '{dotted}' not found in the material schema")
-    if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
+        parent, node = node, node[key]
+    if not isinstance(node, (int, float)) or isinstance(node, bool):
         raise ConfigError(f"sweep parameter '{dotted}' is not numeric")
-    return node, leaf
+    return parent, key
 
 
 def apply_sweep_value(material_dict: dict, dotted: str, value: float) -> MaterialModel:

@@ -12,9 +12,11 @@ A material is an elastic part (W, T = W', W'' and W''') plus a production
 part (P, dP and relax(F, sigma, h), the step of omega*sigma_t = P at
 frozen F: exact, or for the regularized power law explicit exponential
 midpoint steps); the parts take the material last for its constants.  The
-module-level functions check the stretch and delegate to the parts, which
-accept scalar or ndarray stretch/stress inputs (the simulator relies on the
-vectorized paths).
+plain power law's exact step is one formula for every m != 1:
+|sigma|^(1 - 1/m) falls linearly in t, clamped at 0, which it reaches in
+finite time for m > 1 only.  The module-level functions check the stretch
+and delegate to the parts, which accept scalar or ndarray stretch/stress
+inputs (the simulator relies on the vectorized paths).
 
 The finite-volume step passes ``out``, an array of F's shape, to T, W2 and
 relax, and to T and W2 also ``scratch``, a second such array for formulas
@@ -359,15 +361,12 @@ class PowerLaw:
         out = _copy_of(sigma, out)
         a_abs = np.abs(out)
         nz = np.isfinite(a_abs) & (a_abs > 0.0)
-        if m > 1.0:
-            # |sigma|^(1-alpha) decays linearly and hits zero in finite time
+        # base is > 0 or NaN for m < 1, so only m > 1 meets the clamp; an
+        # overflow (of K*h, or of a subnormal |sigma|'s power for m < 1) ends
+        # at 0
+        with np.errstate(over="ignore"):
             base = a_abs[nz] ** (1.0 - alpha) - (1.0 - alpha) * K[nz] * h
             mag = np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha))
-        else:
-            # algebraic decay, never reaching zero
-            with np.errstate(over="ignore"):  # a subnormal |sigma|: inf here, 0 below
-                base = a_abs[nz] ** (1.0 - alpha) + (alpha - 1.0) * K[nz] * h
-            mag = base ** (1.0 / (1.0 - alpha))
         out[nz] = np.sign(out[nz]) * mag
         return out
 

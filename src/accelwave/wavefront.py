@@ -25,10 +25,11 @@ reduce W'' first and then scale: the largest discriminant om*W'' + 1 of the
 cells is om*max(W'') + 1, and that of an interface om*max(W''_L, W''_R) + 1,
 as x -> fl(fl(om*x) + 1) is monotone for om > 0; division by rho*om > 0 and
 sqrt are correctly rounded and monotone too, so the root of the largest
-discriminant is bit for bit the largest speed.  The discriminants are checked
-> 0 by om*min(W'') + 1 in the same way.  Each step checks the stretch F > 0
-once on the cells (for the CFL step) and once on the predicted interface
-states, by one reduction that also rejects NaN.  The cell edges need none: a
+discriminant is bit for bit the largest speed.  One checked W'' serves both:
+each step evaluates W'' once on the cells (for the CFL step) and once on the
+predicted interface states, after checking the stretch F > 0 by one
+reduction that also rejects NaN, and checks the discriminants > 0 by
+om*min(W'') + 1 in the same way.  The cell edges need no check: a
 minmod-limited edge lies between its cell and the mean with a neighbour, so
 positive cells give positive edges.  A linear or non-relaxing
 run is a choice of material, not of solver: QuadraticCubic(R=0) has a = 0,
@@ -130,9 +131,6 @@ class Grid:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
-    def centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
-
 
 @dataclass(frozen=True)
 class KinkIC:
@@ -199,36 +197,24 @@ def _interior(i: int, n_cells: int) -> int:
     return min(max(i - _NG, 0), n_cells - 1)
 
 
-def _discriminant(F: np.ndarray, model: MaterialModel, n_cells: int,
-                  first: int = 0) -> np.ndarray:
-    """om*W''(F) + 1, the squared wave speed times rho*om, after the stretch
-    check (one reduction, which also rejects NaN).  F is the ghost-padded
-    row of cells from padded cell first on, or the (left, right) state rows
-    of the interfaces, where interface j takes its left state from padded
-    cell first + j + 1 and its right state from the next.
-    Where it is not > 0, raises SimulationError naming the first failing
-    cell of the first failing row."""
-    if not F.min() > 0.0:
-        _require_stretch(F)
-    disc = model.omega * model.elastic.W2(F, model) + 1.0
-    if not disc.min() > 0.0:
-        bad = np.argwhere(~(disc > 0.0))[0]
-        i = int(bad[0]) if disc.ndim == 1 else int(bad[1] + bad[0]) + 1
-        raise SimulationError(f"hyperbolicity lost at cell {_interior(first + i, n_cells)}")
-    return disc
-
-
-def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int,
-                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """W''(F) into out (scratch: a second array of F's shape), after the
-    checks of :func:`_discriminant`, which a failing F goes through to name
-    the cell.  The discriminants are checked by their least value
-    om*min(W'') + 1: x -> fl(fl(om*x) + 1) is monotone for om > 0."""
+def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int = 0,
+                out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """W''(F), into out if given (scratch: a second array of F's shape),
+    after the stretch check (one reduction, which also rejects NaN) and the
+    check om*W'' + 1 > 0 of the discriminants.  F is the ghost-padded row of
+    cells from padded cell first on, or the (left, right) state rows of the
+    interfaces, where interface j takes its left state from padded cell
+    first + j + 1 and its right state from the next.  Where a discriminant
+    is not > 0, raises SimulationError naming the first failing cell of the
+    first failing row."""
     if not F.min() > 0.0:
         _require_stretch(F)
     W2 = model.elastic.W2(F, model, out=out, scratch=scratch)
     if not model.omega * W2.min() + 1.0 > 0.0:
-        _discriminant(F, model, n_cells, first)
+        bad = np.argwhere(~(model.omega * W2 + 1.0 > 0.0))[0]
+        i = int(bad[0]) if W2.ndim == 1 else int(bad[1] + bad[0]) + 1
+        raise SimulationError(f"hyperbolicity lost at cell {_interior(first + i, n_cells)}")
     return W2
 
 
@@ -612,8 +598,8 @@ class _Stepper:
             if not (math.isfinite(dt) and dt > 0.0) or t + dt == t:
                 # the first largest speed of the row, not discriminant:
                 # rounding can make distinct discriminants give equal speeds
-                disc = _discriminant(q[1], model, n_cells)
-                i_cfl = int(np.argmax(np.sqrt(disc / (rho * om))))
+                W2 = _checked_W2(q[1], model, n_cells)
+                i_cfl = int(np.argmax(np.sqrt((om * W2 + 1.0) / (rho * om))))
                 raise SimulationError(
                     f"time step dt={dt:.6g} does not advance t={t:.6g} after "
                     f"{self.n_steps} steps (CFL limited by cell "

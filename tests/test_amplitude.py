@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from accelwave import (
     RegularizedPowerLaw,
@@ -20,7 +21,13 @@ from accelwave import (
     singular_limit_scan,
 )
 from accelwave.amplitude import MAX_POINTS
+from accelwave.config import material_from_dict
 from conftest import rubber_solid, unit_fluid
+
+# a shear-thinning fluid with a = -1000 and b = 0, whose a*pi0 overflows at
+# pi0 = 1e308
+_OVERFLOW_FLUID = {"rho_star": 1.0, "R_gas": 1e-6, "tau0": 1e6, "mu0": 1e-6,
+                   "production": {"kind": "power_law", "k_cons": 1.0, "m": 0.5}}
 
 # RK4 oracle at dt=1e-5 for (a, b, pi0) = (-1, 1, 0.5) evaluated at t=2,
 # frozen from a 30-digit mpmath run (matches the closed form to 3.5e-23)
@@ -86,6 +93,22 @@ class TestClassify:
         out = classify(-10.0, 5e-324, 1.0)
         assert not out.global_existence and out.pi_cr == 0.0
         assert out.t_c == pytest.approx(0.1, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b, pi0", [(-3.0, 1e-320, 1.0), (-7.0, 3e-322, 1.0),
+                                           (7.0, 3e-322, -1.0), (-1e10, 1e-300, 2e-310),
+                                           (-1e-10, 1e-318, 1e-3), (-1e15, 1e-310, 1e-323)])
+    def test_subnormal_threshold_keeps_its_critical_time(self, a, b, pi0):
+        # pi_cr = b/|a| rounded to a subnormal lost its bits before
+        # -log1p(-pi_cr/pi0)/b divided by b again: t_c was 0.33350 for
+        # a = -3 and 0.14754 for a = -7.  At pi_cr/pi0 = 0.5 (a = -1e10) the
+        # b -> 0 limit 1/(|a|*pi0) is 28% short, and 0.5% short where pi_cr
+        # underflows to 0 at pi_cr/pi0 = 0.01 (a = -1e15)
+        with mp.workdps(50):
+            A, B, P = (mp.mpf(x) for x in (a, b, pi0))
+            t_c = float(-mp.log1p(-B / abs(A * P)) / B)
+        out = classify(a, b, pi0)
+        assert out.pi_cr < sys.float_info.min
+        assert out.t_c == pytest.approx(t_c, rel=4 * sys.float_info.epsilon)
 
     def test_finite_nonzero_critical_time_is_unchanged(self, rng):
         for _ in range(200):
@@ -202,6 +225,35 @@ class TestClosedForm:
         scaled = s * closed_form(wc.a * s, wc.b, pi0 / s, t)
         assert closed_form(wc.a, wc.b, pi0, t) == pytest.approx(scaled, rel=1e-14)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_overflowing_rate_at_zero_damping(self, sign):
+        # a*pi0 overflows, and pi0/(1 + a*pi0*t) was [nan, -0.0]
+        a, pi0, t = -4.0 * sign, 1e308 * sign, np.array([0.0, 1e-312])
+        out = closed_form(a, 0.0, pi0, t)
+        assert out[0] == pi0
+        assert out[1] == pytest.approx(pi0 / (1.0 - 4e-4), rel=1e-12)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_overflowing_ratio_takes_the_zero_damping_limit(self, sign):
+        # a/b overflows, and the scaled form gave [nan, -0.0]
+        a, pi0, t = -1.0 * sign, 1.0 * sign, np.array([0.0, 1e-3])
+        assert math.isinf(a / 1e-320)
+        out = closed_form(a, 1e-320, pi0, t)
+        assert out[0] == pi0
+        assert out[1] == pytest.approx(pi0 / (1.0 - 1e-3), rel=1e-15)
+
+    def test_bit_identical_at_zero_damping_where_the_rate_is_finite(self, rng):
+        for _ in range(200):
+            a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+            pi0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+            t_c = classify(a, 0.0, pi0).t_c if math.isfinite(a * pi0) else math.inf
+            if t_c == math.inf:
+                continue
+            t = np.array([0.0, rng.uniform() * (t_c if t_c is not None else 1e3)])
+            with np.errstate(all="ignore"):
+                old = pi0 / (1.0 + a * pi0 * t)
+            assert closed_form(a, 0.0, pi0, t).tobytes() == old.tobytes()
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(a=st.floats(-1e300, 1e300).filter(lambda x: x != 0.0),
            b=st.floats(1e-300, 1e300), pi0=st.floats(-1e308, 1e308),
@@ -286,6 +338,28 @@ class TestIntegrate:
         report = json.loads(capsys.readouterr().out)
         assert report["meta"]["blew_up"] is False and report["meta"]["t_blowup"] is None
         assert len(report["rows"]) == 1001
+
+    def test_overflowing_rate_blows_up_where_pi_leaves_the_float_range(self):
+        # |a*pi0| = 1e311 overflows, so every trial step h*|a*pi0| was inf
+        # and the blow-up came at the step floor, t = 5e-324, though
+        # pi0/(1 + a*pi0*t) is finite up to 4.437e-312
+        wc = coefficients_ab(material_from_dict({"kind": "fluid", "fluid": _OVERFLOW_FLUID}))
+        pi0 = 1e308
+        t_c = classify(wc.a, wc.b, pi0).t_c
+        traj = integrate(wc.a, wc.b, pi0, 0.99 * t_c, 0.99 * t_c / 1000.0)
+        t_star = (1.0 - pi0 / sys.float_info.max) / (abs(wc.a) * pi0)
+        assert traj.blew_up and traj.t_blowup == pytest.approx(t_star, rel=0.01)
+        exact = closed_form(wc.a, wc.b, pi0, traj.t)
+        assert traj.t.size > 1 and np.max(np.abs(traj.pi / exact - 1.0)) < 1e-9
+
+    def test_cli_report_of_an_overflowing_rate(self, capsys, tmp_path):
+        from accelwave.cli import main
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"kind": "fluid", "fluid": _OVERFLOW_FLUID}))
+        assert main(["amplitude", "--config", str(path), "--pi0", "1e308"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert not any("nan" in row for row in out.splitlines()[1:3])   # t = 0 and dt
 
     @pytest.mark.parametrize("pi0", [-1e155, -1e300])
     @pytest.mark.parametrize("model", [rubber_solid, unit_fluid])

@@ -344,7 +344,6 @@ class TestAmplitudeCommand:
                        "instead\n")
         # its own class: the fast field is genuinely nonlinear (a != 0)
         args = build_parser().parse_args(argv)
-        args.format = args.default_format
         with pytest.raises(SingularLimitError):
             args.func(args)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -412,6 +413,62 @@ def test_power_law_relax_at_subnormal_sigma_warns_nothing():
                                      0.1, fluid)
     assert out[:3].tobytes() == np.array([0.0, 0.0, -0.0]).tobytes()
     assert 0.0 < out[3] < 1.0
+
+
+def test_power_law_relax_with_an_overflowing_step_warns_nothing():
+    # (1 - 1/m)*K*h overflows to inf: every stress falls to 0 of its sign
+    fluid = unit_fluid(PowerLaw(1.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fluid.production.relax(np.full(3, 1e300), np.array([1.0, -1e300, -0.0]),
+                                     1e10, fluid)
+    assert out.tobytes() == np.array([0.0, -0.0, -0.0]).tobytes()
+
+
+def _two_branch_relax(law, F, sigma, h, fluid):
+    """PowerLaw.relax (m != 1) with its former separate m > 1 and m < 1
+    branches, the reference for the one expression that replaced them."""
+    K = F * _power_prefactor(law.k_cons, law.m) / fluid.omega
+    alpha = 1.0 / law.m
+    out = np.array(sigma, dtype=float)
+    a_abs = np.abs(out)
+    nz = np.isfinite(a_abs) & (a_abs > 0.0)
+    if law.m > 1.0:
+        base = a_abs[nz] ** (1.0 - alpha) - (1.0 - alpha) * K[nz] * h
+        mag = np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha))
+    else:
+        base = a_abs[nz] ** (1.0 - alpha) + (alpha - 1.0) * K[nz] * h
+        mag = base ** (1.0 / (1.0 - alpha))
+    out[nz] = np.sign(out[nz]) * mag
+    return out
+
+
+@st.composite
+def _power_law_cases(draw):
+    """A power-law fluid with m in (0, 1) or (1, 3), stretches with NaN among
+    them, stresses of any finite size with subnormals and zeros of both
+    signs, and a step h up to where K*h overflows."""
+    m = draw(st.floats(0.01, 1.0, exclude_max=True) | st.floats(1.0, 3.0, exclude_min=True))
+    fluid = FluidParams(rho_star=1.0, R_gas=1.0, tau0=draw(st.floats(1e-3, 1e3)),
+                        mu0=draw(st.floats(1e-3, 1e3)),
+                        production=PowerLaw(k_cons=draw(st.floats(0.1, 10.0)), m=m))
+    n = draw(st.integers(1, 12))
+    stretch = st.floats(1e-3, 1e300) | st.just(math.nan)
+    stress = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                                          1e-310, -1e-310])
+    F = np.array(draw(st.lists(stretch, min_size=n, max_size=n)))
+    sigma = np.array(draw(st.lists(stress, min_size=n, max_size=n)))
+    return fluid, F, sigma, draw(st.floats(0.0, 1e300) | st.just(sys.float_info.max))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_power_law_cases())
+def test_power_law_relax_keeps_the_bits_of_its_two_branches(case):
+    fluid, F, sigma, h = case
+    with np.errstate(all="ignore"):
+        ref = _two_branch_relax(fluid.production, F, sigma, h, fluid)
+        out = fluid.production.relax(F, sigma, h, fluid)
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_regularized_relax_with_a_nan_stretch():

@@ -251,7 +251,7 @@ class TestEnergyAndDissipation:
         # zero and the residual is the scheme's own dissipation
         model = rubber_solid()
         grid = Grid(x_min=0.0, x_max=60.0, n_cells=4000, cfl=0.9)
-        x = grid.centers()
+        x = grid.x_min + (np.arange(grid.n_cells) + 0.5) * grid.dx
         v0 = np.exp(-((x - 30.0) / 3.0) ** 2)
         fields = (v0, np.ones_like(x), np.zeros_like(x))
         ic = KinkIC(x_front=30.0, pi0=0.0, ramp_width=1.0)
