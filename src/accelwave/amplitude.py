@@ -106,10 +106,13 @@ def closed_form(a: float, b: float, pi0: float, t):
         out = pi0 * decay / (1.0 + c * growth)
     else:
         # c*growth would be inf*0 at t = 0: divide numerator and
-        # denominator by the power of two s that takes pi0's exponent
+        # denominator by the power of two s that takes pi0's exponent, so
+        # p0 lies in [1, 2), and by 2s where k*p0 still overflows
         s = math.ldexp(1.0, math.frexp(pi0)[1] - 1)
-        p0 = pi0 / s
-        out = p0 * decay / (1.0 / s + k * p0 * growth)
+        p0, inv_s = pi0 / s, 1.0 / s
+        if math.isinf(k * p0):
+            p0, inv_s = 0.5 * p0, 0.5 * inv_s
+        out = p0 * decay / (inv_s + k * p0 * growth)
     return float(out) if out.ndim == 0 else out
 
 

@@ -242,6 +242,20 @@ class TestClosedForm:
         assert out[0] == pi0
         assert out[1] == pytest.approx(pi0 / (1.0 - 1e-3), rel=1e-15)
 
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_scaled_coefficient_that_still_overflows(self, b, sign):
+        # k*p0 overflows with k = a (b = 0) or a/b and p0 = 1.9 in [1, 2):
+        # the scaled form gave [nan, -0.0] and a RuntimeWarning
+        a, pi0, t = -1.7e308 * sign, 1.9 * sign, np.array([0.0, 1e-309])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = closed_form(a, b, pi0, t)
+        assert out[0] == pi0
+        # e**(-b*t) = 1 and -expm1(-b*t) = t at t = 1e-309
+        assert out[1] == pytest.approx(pi0 / (1.0 + (a * t[1]) * pi0), rel=1e-15)
+        assert abs(out[1]) == pytest.approx(2.8065, rel=1e-4)
+
     def test_bit_identical_at_zero_damping_where_the_rate_is_finite(self, rng):
         for _ in range(200):
             a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))

@@ -491,6 +491,41 @@ def _stiff_rate(law, fluid, F):
         * law.eps ** (-(law.m - 1.0) / law.m)
 
 
+@st.composite
+def _regularized_relax_cases(draw):
+    """A regularized fluid, finite stretches >= 0 with zeros, stresses within
+    1e3*eps of 0 with -eps, and zeros, infinities and NaNs of both signs,
+    and a step h of up to 100 times the stiff-rate scale (F taken >= 1e-3
+    there), 0 among them."""
+    fluid = random_fluid(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                         "regularized")
+    eps = fluid.production.eps
+    n = draw(st.integers(1, 12))
+    stretch = st.floats(0.0, 10.0) | st.sampled_from([0.0, 5e-324, 1.0])
+    stress = st.floats(-1e3, 1e3).map(lambda u: u * eps) | st.sampled_from(
+        [0.0, -0.0, -eps, math.inf, -math.inf, math.nan, -math.nan])
+    F = np.array(draw(st.lists(stretch, min_size=n, max_size=n)))
+    sigma = np.array(draw(st.lists(stress, min_size=n, max_size=n)))
+    log_stiffness = draw(st.none() | st.floats(-3.0, 2.0))
+    h = 0.0 if log_stiffness is None else \
+        10.0 ** log_stiffness / _stiff_rate(fluid.production, fluid, np.maximum(F, 1e-3))
+    return fluid, F, sigma, h
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_regularized_relax_cases())
+def test_regularized_relax_of_every_cell_equals_the_masked_solve(case):
+    # with every F finite and >= 0, relax steps every cell; a trailing cell
+    # with F = NaN and sigma = 0 sends the same row through the gather and
+    # scatter of the cells to solve, and changes nothing else
+    fluid, F, sigma, h = case
+    law = fluid.production
+    with np.errstate(all="ignore"):
+        whole = law.relax(F, sigma, h, fluid)
+        masked = law.relax(np.append(F, math.nan), np.append(sigma, 0.0), h, fluid)
+    assert whole.tobytes() == masked[:-1].tobytes()
+
+
 def _regularized_step(seed, log_stiffness):
     """A random regularized fluid and a sigma array with cells on both sides
     of -eps and across nine decades of |sigma|/eps; h is set so that

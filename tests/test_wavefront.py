@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from accelwave import (
     Grid,
@@ -475,6 +476,27 @@ _positive_cells = st.lists(
               st.integers(1, 3)),
     min_size=3, max_size=24,
 ).map(lambda runs: np.repeat([v for v, _ in runs], [k for _, k in runs]))
+
+
+# 1-D rows and (2, n) pairs of rows with NaN anywhere, and infinities and
+# zeros of both signs
+_any_rows = arrays(
+    float, st.tuples(st.integers(1, 24)) | st.tuples(st.just(2), st.integers(1, 12)),
+    elements=st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=_any_rows)
+def test_argmin_and_argmax_read_min_and_max(x):
+    # _checked_W2 reads a row's least and largest value as the entry that
+    # argmin and argmax pick: the first NaN wherever min and max give NaN,
+    # and else an equal value (a zero may differ in sign, which neither
+    # F > 0 nor om*W'' + 1 tells apart)
+    for got, want in ((x.item(x.argmin()), x.min()), (x.item(x.argmax()), x.max())):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    if np.isnan(x).any():
+        assert x.argmin() == x.argmax() == np.flatnonzero(np.isnan(x))[0]
 
 
 class TestCheckPaths:
