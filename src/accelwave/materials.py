@@ -19,14 +19,14 @@ and delegate to the parts, which accept scalar or ndarray stretch/stress
 inputs (the simulator relies on the vectorized paths).
 
 The finite-volume step passes ``out``, an array of F's shape, to T, W2 and
-relax, and to T and W2 also ``scratch``, a second such array for formulas
-that hold two arrays at once.  The result is then written into out, bit for
-bit the value of the call without out, which runs the plain expression
-(scalar inputs keep their Python floats).  The elastic laws, Maxwell and
-Newtonian then allocate no array of F's size; the power laws' relax copies
-its result into out.  The buffered paths take their constants as 0-d
-float64 arrays (see _zero_d), built once per law and material instance by
-its private ``_consts``.
+relax, and ``scratch``: a second such array to T and W2, whose formulas
+hold two arrays at once, and three to relax (the regularized law's steps).
+The result is then written into out, bit for bit the value of the call
+without out, which runs the plain expression (scalar inputs keep their
+Python floats).  Only the plain power law's relax then allocates arrays of
+F's size, and copies its result into out.  The buffered paths take their
+constants as 0-d float64 arrays (see _zero_d), built once per law and
+material instance by its private ``_consts``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _require_stretch(F) -> None:
-    if not np.all(np.asarray(F) > 0.0):
+    # argmin picks the first NaN, if any: at a third of the cost of all(F > 0)
+    F = np.asarray(F)
+    if F.size and not F.item(F.argmin()) > 0.0:
         raise ValueError("stretch F must be > 0")
 
 
@@ -292,7 +294,7 @@ class Maxwell:
             P_sigma=-(F ** q) / solid.mu0,
         )
 
-    def relax(self, F, sigma, h, solid: SolidParams, out=None):
+    def relax(self, F, sigma, h, solid: SolidParams, out=None, scratch=None):
         if out is None:
             rate = F ** (1.0 + 2.0 * solid.nu_bar) / solid.tau0
             return sigma * np.exp(-h * rate)
@@ -327,7 +329,7 @@ class Newtonian:
     def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
         return ProductionJacobian(P_F=-sigma / fluid.mu0, P_sigma=-F / fluid.mu0)
 
-    def relax(self, F, sigma, h, fluid: FluidParams, out=None):
+    def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
         if out is None:
             return sigma * np.exp(-h * F / fluid.tau0)
         rate = np.multiply(F, -h, out=out)
@@ -370,7 +372,7 @@ class PowerLaw:
             P_sigma = SingularProductionSlope(n=(m - 1.0) / m, coeff=F * c)
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
-    def relax(self, F, sigma, h, fluid: FluidParams, out=None):
+    def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
         om = fluid.omega
         m = self.m
         if m == 1.0:
@@ -436,7 +438,7 @@ class RegularizedPowerLaw:
         P_sigma = -F * c * (au ** (-n) - n * sigma * math.copysign(au ** (-n - 1.0), u))
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
-    def relax(self, F, sigma, h, fluid: FluidParams, out=None):
+    def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
         """Exponential midpoint steps, sub-cycled so each sub-step stays
         within the stiff-rate scale.
 
@@ -460,11 +462,16 @@ class RegularizedPowerLaw:
         is k*eps**(-n)), so it keeps its bits, and a cell at +-inf has rate 0
         and factors exp(-0) = 1.  The other cells take the same steps either
         way.  (A NaN would come out NaN, but not always with its sign bit.)
+        The steps run on out where it is C-contiguous, else on a C-ordered
+        copy; scratch, three float arrays of sigma's size, holds their
+        temporaries where every cell is stepped.
         """
-        out = _copy_of(sigma, out)
-        flat = out.reshape(-1)
+        res = out if out is not None and out.flags.c_contiguous else \
+            np.empty(np.shape(sigma) if out is None else out.shape)
+        np.copyto(res, sigma)
+        flat = res.reshape(-1)
         F = np.asarray(F, dtype=float)
-        F = (F if F.shape == out.shape else np.broadcast_to(F, out.shape)).reshape(-1)
+        F = (F if F.shape == res.shape else np.broadcast_to(F, res.shape)).reshape(-1)
         # a NaN F is the first one argmin and argmax pick, and a NaN sigma
         # makes sigma.sigma NaN
         if F.size and F.item(F.argmin()) >= 0.0 and math.isfinite(F_max := F.item(F.argmax())) \
@@ -479,20 +486,24 @@ class RegularizedPowerLaw:
         om, m, eps = fluid.omega, self.m, self.eps
         c, n = _power_prefactor(self.k_cons, m), (m - 1.0) / m
         n_sub = math.ceil(h * (F_max * c / om * eps ** (-n)) / 5.0)
-        if n_sub == 0:   # h = 0, where h*rate would be NaN at sigma = -eps
-            return out
-        s, F = (flat, F) if live is None else (flat[live], F[live])
-        full = F * (-h / n_sub * c / om)   # -h*k of a sub-step
-        half = np.multiply(full, _NUM.half)
-        x = np.empty_like(s)
-        k = self._consts
-        with np.errstate(divide="ignore", over="ignore"):   # rate(-eps) = inf
-            for _ in range(n_sub):
-                s_m = np.multiply(s, _decay(s, k, half, x), out=x)
-                s *= _decay(s_m, k, full, x)
-        if live is not None:
-            flat[live] = s
-        return out
+        if n_sub:   # 0 for h = 0, where h*rate would be NaN at sigma = -eps
+            s, F = (flat, F) if live is None else (flat[live], F[live])
+            full, half, x = np.empty((3, s.size)) if scratch is None or live is not None \
+                else scratch
+            np.multiply(F, -h / n_sub * c / om, out=full)   # -h*k of a sub-step
+            np.multiply(full, _NUM.half, out=half)
+            _midpoint_steps(s, self._consts, half, full, x, n_sub)
+            if live is not None:
+                flat[live] = s
+        return res if out is None or res is out else _copy_of(res, out)
+
+
+@np.errstate(divide="ignore", over="ignore")   # rate(-eps) = inf; as a decorator, cheaper
+def _midpoint_steps(s, k, half, full, x, n_sub: int) -> None:
+    """n_sub sub-steps of s in place; half and full are -h*k/2 and -h*k."""
+    for _ in range(n_sub):
+        s_m = np.multiply(s, _decay(s, k, half, x), out=x)
+        s *= _decay(s_m, k, full, x)
 
 
 def _decay(s, k, hk, out):

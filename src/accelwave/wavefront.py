@@ -13,7 +13,8 @@ step and the leading half-step of the next are merged into one relax() call
 private stepper, which owns the state, its span and window plan, t and the
 pending half-step, to each output time, where the pending half-step is
 applied; its record then reads a snapshot of that synchronized state (front
-fits, energy audit, max|v_X|) and never writes the state.
+fits of both sides from one stacked system, energy audit, max|v_X|) and
+never writes the state.  The snapshots of the outputs share one x.
 sigma = 0 is a fixed point of every law's source step, so cells at
 sigma = +-0 come out of it untouched, sign bit included, and a non-finite
 sigma passes through to the finiteness check.  Boundaries are zero-gradient.
@@ -52,12 +53,13 @@ law's sub-cycle count (from the largest F) stay the same.
 
 A step allocates no array of the window's size: the CFL row's W'', the
 source's sigma and every array of the hyperbolic step are views of work
-buffers allocated once per run, and the laws write T, W'' and the exact
-relax into them (see :mod:`accelwave.materials`; the power laws' relax still
-makes its own temporaries).  numpy itself buffers an
-operation on (3, M) views whose rows it cannot join into one (up to 64 KB a
-call), so the differences of shifted views are taken row by row, and the
-limiter and the flux difference run on their rows laid end to end.
+buffers allocated once per run, and the laws write T, W'' and the source
+step into them (see :mod:`accelwave.materials`; only the plain power law's
+relax makes its own temporaries).  numpy itself buffers an operation on
+(3, M) views whose rows it cannot join into one (up to 64 KB a call), so
+the differences of shifted views are taken row by row, and the limiter and
+the flux difference run on their rows laid end to end.  The finiteness
+check is one product of the window with a row of weights.
 
 On a window of a few hundred cells most of a step is the fixed cost of its
 about 90 numpy calls.  So every constant operand is a 0-d float64 array,
@@ -78,6 +80,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -111,6 +114,8 @@ _CHUNK = 16  # a step's window is rounded out to multiples of this many padded c
 _FIT_HALF_WIDTH = 16  # cells of each one-sided front fit in the trace
 _EPS = np.finfo(float).eps
 _RankWarning = getattr(np, "exceptions", np).RankWarning  # np.RankWarning before numpy 1.25
+# the rows of an array by index, at half the cost of iterating over it
+_rows, _pair = operator.itemgetter(0, 1, 2), operator.itemgetter(0, 1)
 
 _log = logging.getLogger("accelwave")
 
@@ -253,22 +258,6 @@ def _window(lo: int, hi: int, n: int) -> tuple[int, int]:
     return a - a % _CHUNK, min(b + -b % _CHUNK, n)
 
 
-def _grow_span(q: np.ndarray, lo: int, hi: int, tails) -> tuple[int, int]:
-    """The span after a step of _window(lo, hi): the new cells on each side
-    (two, or all up to a boundary, whose ghosts are refilled here) that
-    differ from their tail state are taken in.  The ghosts of a boundary
-    the span does not reach already equal its tail cells."""
-    n = q.shape[1]
-    new_lo = lo - _NG if lo > 2 * _NG else 0
-    new_hi = hi + _NG if hi < n - 2 * _NG else n
-    _fill_ghosts(q, new_lo == 0, new_hi == n)
-    while new_lo < lo and q[:, new_lo].tobytes() == tails[0]:
-        new_lo += 1
-    while new_hi > hi and q[:, new_hi - 1].tobytes() == tails[1]:
-        new_hi -= 1
-    return new_lo, new_hi
-
-
 # ---------------------------------------------------------------------------
 # Hyperbolic step: MUSCL-Hancock + Rusanov
 # ---------------------------------------------------------------------------
@@ -278,7 +267,9 @@ def _work(n: int) -> dict[str, np.ndarray]:
     rows per cell: a plan reshapes a leading part of each to its shape."""
     rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "face": 6,
             "speed": 1, "jump": 3, "flux": 3, "du": 3, "w2": 2, "tmp": 2}
-    return {k: np.empty(r * n) for k, r in rows.items()}
+    # the finiteness check's weights 2**-k, 2**k > 2n: a finite row's sum never overflows
+    return {"weights": np.full(n, 0.5 ** (n.bit_length() + 1)),
+            **{k: np.empty(r * n) for k, r in rows.items()}}
 
 
 class _Plan:
@@ -288,53 +279,60 @@ class _Plan:
     right) edge states, and their M - 1 interfaces (3, 2, M - 1) pairs.
     w2 and tmp hold the laws' results and scratch: W'' of the window's cells
     for the CFL step (tmp also sigma for the source), the edge and interface
-    T, and the interface W''."""
+    T, and the interface W''.  The source's relax takes three rows of the
+    slope buffer d as scratch, the finiteness check a row of weights."""
 
     def __init__(self, q: np.ndarray, cells: tuple[int, int],
                  work: dict[str, np.ndarray]):
-        def buf(key, *shape):
-            return work[key][:math.prod(shape)].reshape(shape)
-
+        # each view is a leading part of its flat work buffer, reshaped
         a, b = self.cells = cells
         self.n_cells = q.shape[1] - 2 * _NG
-        M = b - a - 2
+        m = b - a
+        M, K = m - 2, 3 * (m - 3)
         # the window itself: the CFL step, the source and the finiteness check
         self.w = w = q[:, a:b]
         self.F, self.sigma = w[1], w[2]
         self.w_mid, self.w_in = w[:, 1:-1], w[:, _NG:-_NG]
-        self.w2, self.tmp = buf("w2", b - a), buf("tmp", b - a)
+        self.w2, tmp, self.weights = work["w2"][:m], work["tmp"], work["weights"][:m]
+        self.tmp = tmp[:m]
         # the slopes d row by row, and the limiter on d as one flat row,
         # whose pairs across a row end give two junk values that half skips
-        self.slope_rows = tuple(zip(w[:, 1:], w[:, :-1], buf("d", 3, M + 1)))
-        d, half, s, mask = (buf(k, 3 * (M + 1)) for k in ("d", "half", "s", "mask"))
-        self.limiter = (d[:-1], d[1:], half[:-1], s[:-1], mask[:-1])
-        self.half = half.reshape(3, M + 1)[:, :M]
-        e, g, self.sh = buf("e", 3, 2, M), buf("g", 2, 2, M), buf("sh", 2, M)
+        d, half = work["d"], work["half"]
+        self.relax_scratch = _rows(d[:3 * m].reshape(3, m))
+        self.slope_rows = tuple(zip(_rows(w[:, 1:]), _rows(w[:, :-1]),
+                                    _rows(d[:3 * (M + 1)].reshape(3, M + 1))))
+        self.limiter = (d[:3 * M + 2], d[1:3 * M + 3], half[:3 * M + 2], work["s"][:3 * M + 2],
+                        work["mask"][:3 * M + 2])
+        self.half = half[:3 * (M + 1)].reshape(3, M + 1)[:, :M]
+        e, g = work["e"][:6 * M].reshape(3, 2, M), work["g"][:4 * M].reshape(2, 2, M)
+        self.sh = sh = work["sh"][:2 * M].reshape(2, M)
         self.e_left, self.e_right = e[:, 0], e[:, 1]
         self.g_left, self.g_right = g[:, 0], g[:, 1]
-        self.edge_rows = (*e, *g, buf("tmp", 2, M))
+        self.edge_rows = (*_rows(e), *_pair(g), tmp[:2 * M].reshape(2, M))
         # interface states: right edge of cell i vs left edge of cell i+1,
         # each an edge plus its cell's shift (shared by the F and omega*sigma
         # rows), out of place: numpy copies an in-place operand it broadcasts
-        face, sh = buf("face", 3, 2, M - 1), self.sh
+        face = work["face"][:2 * K].reshape(3, 2, M - 1)
         self.shifted = ((e[0, 1, :-1], sh[0, :-1], face[0, 0]),
                         (e[1:, 1, :-1], sh[1, :-1], face[1:, 0]),
                         (e[0, 0, 1:], sh[0, 1:], face[0, 1]),
                         (e[1:, 0, 1:], sh[1, 1:], face[1:, 1]))
         self.face_F = face[1]
-        self.f = f = buf("g", 2, 2, M - 1)
+        self.f = f = work["g"][:4 * (M - 1)].reshape(2, 2, M - 1)
         self.f_left, self.f_right = f[:, 0], f[:, 1]
-        self.face_w2, self.face_tmp = buf("w2", 2, M - 1), buf("tmp", 2, M - 1)
-        self.face_rows = (*face, *f, self.face_tmp)
+        self.face_w2 = work["w2"][:2 * (M - 1)].reshape(2, M - 1)
+        self.face_tmp = tmp[:2 * (M - 1)].reshape(2, M - 1)
+        self.face_rows = (*_rows(face), *_pair(f), self.face_tmp)
         # the jump (right - left)*speed, row by row
-        self.jump = buf("jump", 3, M - 1)
-        self.jump_rows = tuple(zip(face[:, 1], face[:, 0], buf("s", 3, M - 1), self.jump))
-        self.speed = buf("speed", M - 1)
-        self.flux = fl = buf("flux", 3, M - 1)
-        self.flux_sv, self.flux_F, self.flux_s = fl[:2], fl[1], fl[2]
+        self.jump = work["jump"][:K].reshape(3, M - 1)
+        self.jump_rows = tuple(zip(_rows(face[:, 1]), _rows(face[:, 0]),
+                                   _rows(work["s"][:K].reshape(3, M - 1)), _rows(self.jump)))
+        self.speed = work["speed"][:M - 1]
+        fl, du = work["flux"][:K], work["du"][:K]
+        self.flux = fl2 = fl.reshape(3, M - 1)
+        self.flux_sv, self.flux_F, self.flux_s = fl2[:2], fl2[1], fl2[2]
         # the flux difference as one flat row too, with two junk values
         # that du skips
-        fl, du = buf("flux", 3 * (M - 1)), buf("du", 3 * (M - 1))
         self.flux_diff = (fl[1:], fl[:-1], du[:-1])
         self.du = du.reshape(3, M - 1)[:, :M - 2]
         # 0.5*dt/dx and dt/dx of the step
@@ -425,12 +423,10 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     p.w_in -= p.du
 
 
-def _fill_ghosts(q: np.ndarray, left: bool = True, right: bool = True) -> None:
-    """Zero-gradient ghosts: those of each side asked for copy its last cell."""
-    if left:
-        q[:, :_NG] = q[:, _NG:_NG + 1]
-    if right:
-        q[:, -_NG:] = q[:, -_NG - 1:-_NG]
+def _ghost_views(q: np.ndarray):
+    """(ghosts, last cell) views of q's left and right sides: zero-gradient
+    ghosts copy the last cell."""
+    return (q[:, :_NG], q[:, _NG:_NG + 1]), (q[:, -_NG:], q[:, -_NG - 1:-_NG])
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +455,21 @@ def _side_slopes(snapshot: Snapshot, front_x: float, half_width: int, gap: int,
     Each fit is np.polyfit's without its argument checks: x + 0.0 and
     v + 0.0, the least-squares solve of its column-scaled Vandermonde system
     with its rcond, and its RankWarning when the system is rank deficient.
-    The fit is evaluated at front_x by the Horner steps of np.polyval and
-    np.polyder, so each value is bit for bit theirs."""
+    The two sides' systems are built as one stacked array, whose column
+    sums add in the same order as one side's.  The fit is evaluated at
+    front_x by the Horner steps of np.polyval and np.polyder, so each value
+    is bit for bit theirs."""
     behind, ahead = _front_windows(snapshot, front_x, half_width, gap)
     x, v = snapshot.x, snapshot.v
+    xs = np.concatenate((x[behind], x[ahead])) - front_x + 0.0
+    deg = min(degree, half_width - 1)
+    lhs = np.vander(xs, deg + 1).reshape(2, half_width, deg + 1)
+    scales = np.sqrt((lhs * lhs).sum(axis=1))
+    lhs /= scales[:, None]
+    vs = np.concatenate((v[behind], v[ahead])).reshape(2, half_width) + 0.0
     out = []
-    for sl in (behind, ahead):
-        xs = x[sl] - front_x + 0.0
-        deg = min(degree, xs.size - 1)
-        lhs = np.vander(xs, deg + 1)
-        scale = np.sqrt((lhs * lhs).sum(axis=0))
-        lhs /= scale
-        coef, _, rank, _ = np.linalg.lstsq(lhs, v[sl] + 0.0, xs.size * _EPS)
+    for side, rhs, scale in zip(lhs, vs, scales):
+        coef, _, rank, _ = np.linalg.lstsq(side, rhs, half_width * _EPS)
         if rank != deg + 1:
             warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
         slope = value = 0.0
@@ -543,9 +542,28 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
     dx = snapshot.x[1] - snapshot.x[0]
     dens = 0.5 * model.rho_star * snapshot.v ** 2 + model.elastic.W(snapshot.F, model) \
         + 0.5 * om * snapshot.sigma ** 2
-    total = float(np.sum(dens) * dx)
+    total = float(dens.sum() * dx)
     sp = snapshot.sigma * model.production.P(snapshot.F, snapshot.sigma, model)
-    return EnergyReport(total_energy=total, max_sigma_production=float(np.max(sp)))
+    return EnergyReport(total_energy=total, max_sigma_production=float(sp.max()))
+
+
+def _record(model: MaterialModel, snap: Snapshot, lam0: float, x_front: float,
+            dx: float) -> tuple[float, float, float, float, float]:
+    """One output's trace columns: the front amplitude and position (one fit
+    of each side serves both; NaN where they fail), the energy audit and
+    max|v_X|."""
+    t = snap.t
+    fx = x_front + lam0 * t
+    try:
+        (sb, cb), (sa, ca) = _side_slopes(snap, fx, _FIT_HALF_WIDTH, _auto_gap(lam0, t, dx), 2)
+        pi_m, fd = -lam0 * (sb - sa), _crossing(fx, sb, cb, sa, ca)
+    except SimulationError as exc:
+        _log.debug("front measurement failed at t=%.6g: %s", t, exc)
+        pi_m = fd = math.nan
+    rep = entropy_monitor(model, snap)
+    dv = np.subtract(snap.v[1:], snap.v[:-1])
+    vx_max = np.abs(dv, out=dv).max() / dx
+    return pi_m, fd, rep.total_energy, rep.max_sigma_production, vx_max
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +597,9 @@ class _Stepper:
     the step count and the pending half-step."""
 
     def __init__(self, model: MaterialModel, grid: Grid, q: np.ndarray):
-        _fill_ghosts(q)
-        self.model, self.grid, self.q = model, grid, q
+        self.model, self.grid, self.q, self.ghosts = model, grid, q, _ghost_views(q)
+        for ghosts, cell in self.ghosts:
+            np.copyto(ghosts, cell)
         self.tails = _tail_states(q)
         self.span = _disturbed_span(q, self.tails)
         self.work = _work(q.shape[1])
@@ -589,12 +608,38 @@ class _Stepper:
         self.t, self.n_steps = 0.0, 0
         self.pending = 0.0  # trailing source half-step not yet applied
 
+    def snapshot(self, t: float, x: np.ndarray) -> Snapshot:
+        """The state, at time t and cell centres x, in new arrays (x aside)."""
+        q, model = self.q, self.model
+        return Snapshot(t=t, x=x, v=q[0, _NG:-_NG] / model.rho_star,
+                        F=q[1, _NG:-_NG].copy(), sigma=q[2, _NG:-_NG] / model.omega)
+
     def _source(self, h: float) -> None:
         """The relaxation source over h on the plan's window, in place:
         om*relax(F, sigma, h) into its omega*sigma row."""
         p, model, om = self.plan, self.model, self.model._consts.om
-        model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model, out=p.sigma)
+        model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model,
+                               out=p.sigma, scratch=p.relax_scratch)
         p.sigma *= om
+
+    def _grow_span(self) -> None:
+        """The span after a step of _window(*span): the new cells on each side
+        (two, or all up to a boundary, whose ghosts are refilled here) that
+        differ from their tail state are taken in.  The ghosts of a boundary
+        the span does not reach already equal its tail cells."""
+        q, (lo, hi), (left, right) = self.q, self.span, self.tails
+        n = q.shape[1]
+        new_lo = lo - _NG if lo > 2 * _NG else 0
+        new_hi = hi + _NG if hi < n - 2 * _NG else n
+        if new_lo == 0:
+            np.copyto(*self.ghosts[0])
+        if new_hi == n:
+            np.copyto(*self.ghosts[1])
+        while new_lo < lo and q[:, new_lo].tobytes() == left:
+            new_lo += 1
+        while new_hi > hi and q[:, new_hi - 1].tobytes() == right:
+            new_hi -= 1
+        self.span = new_lo, new_hi
 
     def advance_to(self, target: float, t_end: float) -> None:
         """Step q to t = target, to within 1e-14*t_end (t_end the run's end),
@@ -623,12 +668,12 @@ class _Stepper:
             self._source(self.pending + 0.5 * dt)
             self.pending = 0.5 * dt
             _hyperbolic_step(p, dt, dx, model)
-            self.span = _grow_span(q, *self.span, self.tails)
+            self._grow_span()
             self.t = t = t + dt
             self.n_steps += 1
-            # the sum is finite unless some entry is (or the sum overflows);
-            # row by row, as numpy buffers a sum over a strided window
-            if not math.isfinite(p.w.sum(axis=1).sum()):
+            # the weighted row sums, all of them one product, are finite
+            # unless some entry is (their total may overflow, silently)
+            if not math.isfinite(sum(p.w.dot(p.weights).tolist())):
                 bad = np.argwhere(~np.isfinite(p.w))
                 if bad.size:
                     cell = _interior(p.cells[0] + int(bad[0][1]), n_cells)
@@ -685,41 +730,15 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
     v, F, sig = _initial_profile(model, grid, ic, x_all)
     stepper = _Stepper(model, grid, np.stack([rho * v, F, om * sig]))
-    q = stepper.q
-
-    def snapshot(t: float) -> Snapshot:
-        return Snapshot(t=t, x=x_all[_NG:-_NG].copy(), v=q[0, _NG:-_NG] / rho,
-                        F=q[1, _NG:-_NG].copy(), sigma=q[2, _NG:-_NG] / om)
-
-    ts, measured, predicted, fronts, energies, max_sps, vx_maxes = ([] for _ in range(7))
-
-    def record(t: float) -> None:
-        snap = snapshot(t)
-        gap = _auto_gap(lam0, t, dx)
-        fx = ic.x_front + lam0 * t
-        try:
-            # one fit of each side serves measure_front_slope (degree 2) and
-            # detect_front_position alike
-            (sb, cb), (sa, ca) = _side_slopes(snap, fx, _FIT_HALF_WIDTH, gap, 2)
-            pi_m = -lam0 * (sb - sa)
-            fd = _crossing(fx, sb, cb, sa, ca)
-        except SimulationError as exc:
-            _log.debug("front measurement failed at t=%.6g: %s", t, exc)
-            pi_m, fd = math.nan, math.nan
-        rep = entropy_monitor(model, snap)
-        ts.append(t)
-        measured.append(pi_m)
-        predicted.append(predict(t))
-        fronts.append(fd)
-        energies.append(rep.total_energy)
-        max_sps.append(rep.max_sigma_production)
-        vx_maxes.append(float(np.max(np.abs(np.diff(snap.v)))) / dx)
-
-    record(0.0)
-    for k in range(1, n_out + 1):
+    # the per-output snapshots never leave simulate: they share one x
+    x = x_all[_NG:-_NG]
+    rows = []
+    for k in range(n_out + 1):
         target = min(k * out_dt, t_end)
         stepper.advance_to(target, t_end)
-        record(target)
+        rows.append((target, *_record(model, stepper.snapshot(target, x), lam0, ic.x_front, dx),
+                     predict(target)))
+    ts, measured, fronts, energies, max_sps, vx_maxes, predicted = zip(*rows)
 
     vx0 = max(vx_maxes[0], 1e-300)
     steepening_time = next((t for t, vx in zip(ts, vx_maxes)
@@ -730,4 +749,4 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         energy=np.array(energies), max_sigma_production=np.array(max_sps),
         steepening_time=steepening_time, lambda0=lam0, a=a_eff, b=b_eff,
     )
-    return SimResult(trace=trace, final=snapshot(t_end))
+    return SimResult(trace=trace, final=stepper.snapshot(t_end, x.copy()))

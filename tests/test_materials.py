@@ -390,6 +390,28 @@ def test_power_law_relax_writes_into_out(rng):
         out = np.full(20, np.nan)
         assert fluid.production.relax(F, sigma, h, fluid, out=out) is out
         assert out.tobytes() == fluid.production.relax(F, sigma, h, fluid).tobytes()
+        # and with the FV source's scratch rows, whatever they held
+        out, scratch = np.full(20, np.nan), tuple(np.full((3, 20), np.nan))
+        assert fluid.production.relax(F, sigma, h, fluid, out=out, scratch=scratch) is out
+        assert out.tobytes() == fluid.production.relax(F, sigma, h, fluid).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["transposed_out", "fortran_sigma", "strided_out"])
+def test_regularized_relax_of_any_memory_layout(layout):
+    # the steps run on a flat C-ordered array, which reshaping a
+    # non-contiguous out or an F-ordered copy of sigma would only copy
+    fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+    F, sigma = np.ones((4, 2)), np.full((4, 2), 0.5)
+    sigma[0, 1] = -0.25
+    ref = fluid.production.relax(F, sigma, 0.1, fluid)
+    assert ref[0, 0] == pytest.approx(0.4518, abs=1e-4)
+    if layout == "fortran_sigma":
+        got = fluid.production.relax(F, np.asfortranarray(sigma), 0.1, fluid)
+    else:
+        out = np.zeros((2, 4)).T if layout == "transposed_out" else np.zeros((4, 4))[:, ::2]
+        got = fluid.production.relax(F, sigma, 0.1, fluid, out=out)
+        assert got is out
+    assert np.array_equal(got, ref) and got.shape == ref.shape
 
 
 def test_power_law_relax_passes_nan_through():

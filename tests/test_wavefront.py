@@ -37,8 +37,7 @@ from accelwave.wavefront import (
     _NG,
     _auto_gap,
     _disturbed_span,
-    _fill_ghosts,
-    _grow_span,
+    _ghost_views,
     _hyperbolic_step,
     _initial_profile,
     _minmod,
@@ -64,6 +63,12 @@ def _linear_rubber(tau0=0.1):
     """Rubber with the linear potential: R = 0 makes the fast field linearly
     degenerate (a = 0), and tau0 = inf switches the relaxation off (b = 0)."""
     return dataclasses.replace(rubber_solid(), elastic=QuadraticCubic(R=0.0), tau0=tau0)
+
+
+def _fill_ghosts(q):
+    """Zero-gradient ghosts, as the stepper fills them."""
+    for ghosts, cell in _ghost_views(q):
+        np.copyto(ghosts, cell)
 
 
 def _step(q, dt, dx, model):
@@ -224,6 +229,27 @@ class TestOracleAgreement:
         assert res.trace.steepening_time is None
 
 
+_ENERGY_MODELS = [rubber_solid(), penn_solid(), unit_fluid(),
+                  unit_fluid(PowerLaw(k_cons=1.0, m=0.5)),
+                  unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))]
+
+
+@st.composite
+def _energy_snapshots(draw):
+    """A model of each of the five laws and a snapshot of n cells, whose
+    stresses include +-0, subnormals and, for the regularized law, -eps."""
+    model = draw(st.sampled_from(_ENERGY_MODELS))
+    n = draw(st.integers(2, 40))
+    scale = 1e4 if model in _ENERGY_MODELS[:2] else 1.0   # the solids' stresses
+    stress = st.floats(-scale, scale) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, -1e-2])
+    cells = lambda elements: arrays(np.float64, n, elements=elements)
+    v, F, sigma = (draw(cells(st.floats(-10.0, 10.0))), draw(cells(st.floats(0.5, 2.0))),
+                   draw(cells(stress)))
+    x = draw(st.floats(-10.0, 10.0)) + np.arange(n) * draw(st.floats(1e-3, 1.0))
+    return model, Snapshot(t=0.0, x=x, v=v, F=F, sigma=sigma)
+
+
 class TestEnergyAndDissipation:
     def test_energy_never_increases_between_outputs(self):
         model, wc, grid, ic = _rubber_setup(800, 0.1)
@@ -268,6 +294,20 @@ class TestEnergyAndDissipation:
         rep = entropy_monitor(model, res.final)
         assert rep.total_energy == pytest.approx(0.0, abs=1e-12)
         assert rep.max_sigma_production == 0.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(snap=_energy_snapshots())
+    def test_entropy_monitor_is_its_plain_expressions(self, snap):
+        # bit for bit, zero signs and subnormal stresses included
+        model, snap = snap
+        rho, om, W, P = model.rho_star, model.omega, model.elastic.W, model.production.P
+        v, F, sigma = snap.v, snap.F, snap.sigma
+        rep = entropy_monitor(model, snap)
+        energy = np.sum(0.5 * rho * v ** 2 + W(F, model) + 0.5 * om * sigma ** 2) \
+            * (snap.x[1] - snap.x[0])
+        assert np.float64(rep.total_energy).tobytes() == np.float64(energy).tobytes()
+        assert np.float64(rep.max_sigma_production).tobytes() == \
+            np.max(sigma * P(F, sigma, model)).tobytes()
 
 
 class TestValidation:
@@ -814,6 +854,12 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _stepper_of(model, q):
+    """A stepper on the ghost-padded state q, at dx = 0.05."""
+    n_cells = q.shape[1] - 2 * _NG
+    return _Stepper(model, Grid(x_min=0.0, x_max=0.05 * n_cells, n_cells=n_cells, cfl=0.9), q)
+
+
 def _tailed_state(seed, model, scales, n, lo, hi, right_differs):
     """A padded state whose cells outside [lo, hi) hold two constant tail
     states with sigma = +-0 (and some -0.0 in v), random in between."""
@@ -920,8 +966,8 @@ class TestDisturbedSpan:
         lo = int(start * (n - width))
         full = _tailed_state(seed, model, scales, n, lo, lo + width, right_differs)
         win = full.copy()
-        tails = _tail_states(win)
-        lo, hi = _disturbed_span(win, tails)
+        span = _stepper_of(model, win)   # holds win's tails and span
+        tails, (lo, hi) = span.tails, span.span
         work = _work(n)
         dx = 0.05
         for _ in range(k):
@@ -933,7 +979,8 @@ class TestDisturbedSpan:
             win[2, a:b] = om * model.production.relax(win[1, a:b], win[2, a:b] / om,
                                                       0.5 * dt, model)
             _hyperbolic_step(_Plan(win, (a, b), work), dt, dx, model)
-            lo, hi = _grow_span(win, lo, hi, tails)
+            span._grow_span()
+            lo, hi = span.span
             assert win.tobytes() == full.tobytes()
             assert all(c.tobytes() == tails[0] for c in win[:, :lo].T)
             assert all(c.tobytes() == tails[1] for c in win[:, hi:].T)
@@ -947,11 +994,13 @@ class TestDisturbedSpan:
         assert _traced_peak(lambda: _hyperbolic_step(plan, 1e-3, 0.05, model)) < 8 * n
 
     @pytest.mark.parametrize("name, model, scales",
-                             [c for c in _STEP_CASES if c[0] in ("rubber", "penn", "fluid")])
+                             [c for c in _STEP_CASES
+                              if c[0] in ("rubber", "penn", "fluid", "regularized")])
     def test_step_loop_iteration_allocates_less_than_a_row(self, name, model, scales):
         # one step of the stepper (the CFL step, the source half-steps, the
         # hyperbolic step, the span growth and the finiteness check) on the
-        # whole row of n = 4000 cells
+        # whole row of n = 4000 cells; the regularized law's relax takes the
+        # plan's scratch
         n = 4000
         q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, *scales)
         grid = Grid(x_min=0.0, x_max=0.05 * n, n_cells=n, cfl=0.9)
@@ -972,15 +1021,15 @@ class TestDisturbedSpan:
         n = 64 + 2 * _NG
         lo, hi = (1, 40) if side == "left" else (24, n - 1)
         q = _tailed_state(3, model, (0.05, 0.01, 2e4), n, lo, hi, right_differs=True)
-        tails = _tail_states(q)
-        lo, hi = _disturbed_span(q, tails)
+        stepper = _stepper_of(model, q)
+        lo, hi = stepper.span
         assert (lo <= 2 * _NG) == (side == "left") and (hi >= n - 2 * _NG) == (side == "right")
         reached, other = (slice(0, _NG), slice(n - _NG, n)) if side == "left" else \
             (slice(n - _NG, n), slice(0, _NG))
         edge = _NG if side == "left" else n - _NG - 1
         q[:, edge] += 1.0             # a step that moved the cell at the boundary
         q[:, other] = math.nan        # ghosts that a refill would overwrite
-        _grow_span(q, lo, hi, tails)
+        stepper._grow_span()
         assert np.isnan(q[:, other]).all()
         assert (q[:, reached] == q[:, edge:edge + 1]).all()
 
@@ -1031,3 +1080,51 @@ class TestStepper:
         with np.errstate(divide="ignore", over="ignore"), \
                 pytest.raises(SimulationError, match=match):
             stepper.advance_to(1.0, 1.0)
+
+    @staticmethod
+    def _poisoned_stepper(monkeypatch, where, poison):
+        """A stepper of a small pulse in rubber, one step on, whose next
+        hyperbolic step ends with poison(w, j) on its window w, j the
+        window's first, a middle or its last cell (where); returns the
+        stepper and the list that gets that cell's interior index."""
+        model = rubber_solid()
+        fields = [np.zeros(200), np.ones(200), np.zeros(200)]
+        fields[0][100] = 1e-3
+        grid = Grid(x_min=0.0, x_max=30.0, n_cells=200, cfl=0.9)
+        stepper = _Stepper(model, grid, _padded_state(model, fields))
+        stepper.advance_to(1e-6, 1.0)
+        step, cells = wavefront._hyperbolic_step, []
+
+        def poisoned(p, dt, dx, model):
+            step(p, dt, dx, model)
+            a, b = p.cells
+            assert b - a < grid.n_cells + 2 * _NG   # a window, not the whole row
+            j = {"first": 0, "middle": (b - a) // 2, "last": b - a - 1}[where]
+            poison(p.w, j)
+            cells.append(a + j - _NG)
+
+        monkeypatch.setattr(wavefront, "_hyperbolic_step", poisoned)
+        return stepper, cells
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_finiteness_check_names_the_non_finite_cell(self, monkeypatch, row, value, where):
+        def poison(w, j):
+            w[row, j] = value
+
+        stepper, cells = self._poisoned_stepper(monkeypatch, where, poison)
+        with pytest.raises(SimulationError,
+                           match=r"^non-finite state at t=2e-06, cell \d+$") as exc:
+            stepper.advance_to(2e-6, 1.0)
+        assert str(exc.value).endswith(f"cell {cells[0]}")
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_finite_window_whose_row_sums_overflow_does_not_raise(self, monkeypatch, where):
+        def poison(w, j):
+            w[0, [j, j - 1 if j else 1]] = 1e308   # momentum: the source leaves it
+
+        stepper, cells = self._poisoned_stepper(monkeypatch, where, poison)
+        stepper.advance_to(2e-6, 1.0)
+        assert cells and math.isinf(sum(stepper.plan.w[0].tolist()))
+        assert np.isfinite(stepper.q).all()
