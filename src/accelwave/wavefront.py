@@ -12,9 +12,15 @@ step and the leading half-step of the next are merged into one relax() call
 (the source leaves F, and so the CFL step, unchanged).  simulate advances a
 private stepper, which owns the state, its span and window plan, t and the
 pending half-step, to each output time, where the pending half-step is
-applied; its record then reads a snapshot of that synchronized state (front
-fits of both sides from one stacked system, energy audit, max|v_X|) and
-never writes the state.  The snapshots of the outputs share one x.
+applied; its record then reads that synchronized state and never writes
+it.  The record costs O(window) an output and takes no snapshot: it copies
+the v values of the two front-fit windows and refreshes per-run rows of the
+energy density, sigma*P and |v(i+1) - v(i)| on the stepper's window only,
+then reduces the whole rows.  That is bit for bit the record of a snapshot,
+because the window only grows and every cell outside it still holds its
+t = 0 state (the tail invariant below).  After the run one batch fits all
+the windows (one stacked Vandermonde system, one lstsq per window) and one
+closed_form call gives the prediction column.
 sigma = 0 is a fixed point of every law's source step, so cells at
 sigma = +-0 come out of it untouched, sign bit included, and a non-finite
 sigma passes through to the finiteness check.  Boundaries are zero-gradient.
@@ -86,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import MAX_POINTS, closed_form
+from .amplitude import MAX_POINTS, classify, closed_form
 from .characteristics import (
     DegenerateWaveError,
     coefficients_ab,
@@ -134,6 +140,16 @@ class Grid:
     cfl: float
 
     def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        # an int or numpy integer, kept as an int; a float or bool is refused
+        try:
+            if isinstance(self.n_cells, bool):
+                raise TypeError
+            object.__setattr__(self, "n_cells", operator.index(self.n_cells))
+        except TypeError:
+            raise TypeError(f"n_cells must be an integer, got {self.n_cells!r}") from None
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.n_cells < 16:
@@ -434,6 +450,9 @@ def _ghost_views(q: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _front_windows(snapshot: Snapshot, front_x: float, half_width: int, gap: int):
+    """The (behind, ahead) slices of the cells of the two one-sided fits
+    around front_x: half_width cells each, gap cells clear of front_x's
+    cell.  snapshot: a Snapshot, or anything with its cell centres x."""
     x = snapshot.x
     dx = x[1] - x[0]
     i_f = int(math.floor((front_x - (x[0] - 0.5 * dx)) / dx))
@@ -448,37 +467,47 @@ def _front_windows(snapshot: Snapshot, front_x: float, half_width: int, gap: int
     return slice(lo_b, hi_b), slice(lo_a, hi_a)
 
 
-def _side_slopes(snapshot: Snapshot, front_x: float, half_width: int, gap: int,
-                 degree: int):
-    """One-sided fits of v; returns (slope, value) of each side at front_x.
+def _fits(xs: np.ndarray, vs: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slope, value) at 0 of the least-squares polynomial of each row of
+    (xs, vs), both of shape (K, width).
 
-    Each fit is np.polyfit's without its argument checks: x + 0.0 and
-    v + 0.0, the least-squares solve of its column-scaled Vandermonde system
-    with its rcond, and its RankWarning when the system is rank deficient.
-    The two sides' systems are built as one stacked array, whose column
-    sums add in the same order as one side's.  The fit is evaluated at
-    front_x by the Horner steps of np.polyval and np.polyder, so each value
-    is bit for bit theirs."""
-    behind, ahead = _front_windows(snapshot, front_x, half_width, gap)
-    x, v = snapshot.x, snapshot.v
-    xs = np.concatenate((x[behind], x[ahead])) - front_x + 0.0
-    deg = min(degree, half_width - 1)
-    lhs = np.vander(xs, deg + 1).reshape(2, half_width, deg + 1)
+    Each fit is np.polyfit's without its argument checks: xs + 0.0 and
+    vs + 0.0, the least-squares solve of its column-scaled Vandermonde
+    system with its rcond, and its RankWarning when the system is rank
+    deficient.  The K systems are built as one stacked array, whose column
+    sums add in the same order as one system's, and solved one by one with
+    np.linalg.lstsq.  The fits are evaluated at 0 by the Horner steps of
+    np.polyval and np.polyder, on all rows at once, so each value is bit
+    for bit theirs."""
+    k, width = xs.shape
+    deg = min(degree, width - 1)
+    lhs = np.vander((xs + 0.0).reshape(-1), deg + 1).reshape(k, width, deg + 1)
     scales = np.sqrt((lhs * lhs).sum(axis=1))
     lhs /= scales[:, None]
-    vs = np.concatenate((v[behind], v[ahead])).reshape(2, half_width) + 0.0
-    out = []
-    for side, rhs, scale in zip(lhs, vs, scales):
-        coef, _, rank, _ = np.linalg.lstsq(side, rhs, half_width * _EPS)
+    coef = []
+    for side, rhs in zip(lhs, vs + 0.0):
+        c, _, rank, _ = np.linalg.lstsq(side, rhs, width * _EPS)
         if rank != deg + 1:
-            warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
-        slope = value = 0.0
-        for i, c in enumerate((coef / scale).tolist()):
-            value = value * 0.0 + c
-            if i < deg:
-                slope = slope * 0.0 + c * (deg - i)
-        out.append((slope, value))
-    return out
+            warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=3)
+        coef.append(c)
+    coef = np.array(coef) / scales
+    slope = value = np.zeros(k)
+    for i, c in enumerate(coef.T):
+        value = value * 0.0 + c
+        if i < deg:
+            slope = slope * 0.0 + c * (deg - i)
+    return slope, value
+
+
+def _side_slopes(snapshot: Snapshot, front_x: float, half_width: int, gap: int,
+                 degree: int):
+    """One-sided fits of v; returns (slope, value) of each side at front_x,
+    bit for bit those of np.polyfit (see :func:`_fits`)."""
+    x, v = snapshot.x, snapshot.v
+    windows = _front_windows(snapshot, front_x, half_width, gap)
+    slope, value = _fits(np.stack([x[w] for w in windows]) - front_x,
+                         np.stack([v[w] for w in windows]), degree)
+    return list(zip(slope.tolist(), value.tolist()))
 
 
 def measure_front_slope(model: MaterialModel, snapshot: Snapshot, front_x: float,
@@ -530,6 +559,15 @@ def _auto_gap(lam0: float, t: float, dx: float) -> int:
 # Energy audit
 # ---------------------------------------------------------------------------
 
+def _audit_rows(model: MaterialModel, v, F, sigma):
+    """The energy density rho*v^2/2 + W(F) + omega*sigma^2/2 and sigma*P(F,
+    sigma) of each cell, after the stretch check."""
+    _require_stretch(F)
+    dens = 0.5 * model.rho_star * v ** 2 + model.elastic.W(F, model) \
+        + 0.5 * model.omega * sigma ** 2
+    return dens, sigma * model.production.P(F, sigma, model)
+
+
 def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
     """Discrete total energy and the cellwise dissipation sign check.
 
@@ -537,33 +575,9 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
     max_sigma_production is max over cells of sigma*P(F, sigma) (<= 0 for
     every admissible model).
     """
-    _require_stretch(snapshot.F)
-    om = model.omega
-    dx = snapshot.x[1] - snapshot.x[0]
-    dens = 0.5 * model.rho_star * snapshot.v ** 2 + model.elastic.W(snapshot.F, model) \
-        + 0.5 * om * snapshot.sigma ** 2
-    total = float(dens.sum() * dx)
-    sp = snapshot.sigma * model.production.P(snapshot.F, snapshot.sigma, model)
+    dens, sp = _audit_rows(model, snapshot.v, snapshot.F, snapshot.sigma)
+    total = float(dens.sum() * (snapshot.x[1] - snapshot.x[0]))
     return EnergyReport(total_energy=total, max_sigma_production=float(sp.max()))
-
-
-def _record(model: MaterialModel, snap: Snapshot, lam0: float, x_front: float,
-            dx: float) -> tuple[float, float, float, float, float]:
-    """One output's trace columns: the front amplitude and position (one fit
-    of each side serves both; NaN where they fail), the energy audit and
-    max|v_X|."""
-    t = snap.t
-    fx = x_front + lam0 * t
-    try:
-        (sb, cb), (sa, ca) = _side_slopes(snap, fx, _FIT_HALF_WIDTH, _auto_gap(lam0, t, dx), 2)
-        pi_m, fd = -lam0 * (sb - sa), _crossing(fx, sb, cb, sa, ca)
-    except SimulationError as exc:
-        _log.debug("front measurement failed at t=%.6g: %s", t, exc)
-        pi_m = fd = math.nan
-    rep = entropy_monitor(model, snap)
-    dv = np.subtract(snap.v[1:], snap.v[:-1])
-    vx_max = np.abs(dv, out=dv).max() / dx
-    return pi_m, fd, rep.total_energy, rep.max_sigma_production, vx_max
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +700,92 @@ class _Stepper:
         self.t = target
 
 
+class _Record:
+    """simulate's trace columns, at a cost per output of the order of the
+    stepper's window.
+
+    At each output the record copies the v values of the two front-fit
+    windows from q (the snapshot's bits; a window that leaves the domain
+    gives NaN, logged at debug level) and refreshes per-run rows of the
+    energy density, sigma*P and |v(i+1) - v(i)| on the stepper's window and
+    one cell beyond each side, so every pair of neighbours with a cell in
+    the window.  The energy, max sigma*P and max|v_X| are reductions of the
+    whole rows, so they are bit for bit those of a snapshot: the window only
+    grows, and every cell outside it still holds its t = 0 state (the
+    stepper's tail invariant), so the row entries outside it keep their
+    t = 0 values.  The fits of all outputs are solved in one batch after the
+    run (see :func:`_fits`)."""
+
+    def __init__(self, stepper: _Stepper, x: np.ndarray, lam0: float, x_front: float,
+                 n_outputs: int):
+        n = x.size
+        self.stepper, self.x, self.lam0, self.x_front = stepper, x, lam0, x_front
+        self.dx = x[1] - x[0]   # the cell width of entropy_monitor
+        self.dens, self.sp, self.dv = np.empty(n), np.empty(n), np.empty(n - 1)
+        self.rows = []   # (t, energy, max sigma*P, max|v_X|) of each output
+        self.fits = []   # (output, front x, first cells of the windows) of each fit
+        self.fit_mom = np.empty((n_outputs, 2, _FIT_HALF_WIDTH))   # rho*v of the windows
+
+    def add(self, t: float) -> None:
+        """The record of the stepper's synchronized state at time t."""
+        st = self.stepper
+        q, model, grid = st.q, st.model, st.grid
+        fx = self.x_front + self.lam0 * t
+        try:
+            behind, ahead = _front_windows(self, fx, _FIT_HALF_WIDTH,
+                                           _auto_gap(self.lam0, t, grid.dx))
+        except SimulationError as exc:
+            _log.debug("front measurement failed at t=%.6g: %s", t, exc)
+        else:
+            k, mom = len(self.rows), q[0, _NG:-_NG]
+            self.fit_mom[k, 0], self.fit_mom[k, 1] = mom[behind], mom[ahead]
+            self.fits.append((k, fx, (behind.start, ahead.start)))
+        a, b = st.plan.cells
+        lo, hi = max(a - 1 - _NG, 0), min(b + 1 - _NG, grid.n_cells)
+        row = q[:, _NG + lo:_NG + hi]
+        v = row[0] / model.rho_star
+        self.dens[lo:hi], self.sp[lo:hi] = _audit_rows(model, v, row[1], row[2] / model.omega)
+        dv = np.subtract(v[1:], v[:-1], out=self.dv[lo:hi - 1])
+        np.abs(dv, out=dv)
+        # argmax reads the max at a third of the cost: no NaN, no -0.0
+        self.rows.append((t, float(self.dens.sum() * self.dx), float(self.sp.max()),
+                          self.dv.item(self.dv.argmax()) / grid.dx))
+
+    def columns(self):
+        """The output times, measured amplitude, front position, energy, max
+        sigma*P and max|v_X| as arrays."""
+        t, energy, max_sp, vx = (np.array(c) for c in zip(*self.rows))
+        measured, front = np.full(t.size, math.nan), np.full(t.size, math.nan)
+        if self.fits:
+            ks, fxs, starts = (np.array(c) for c in zip(*self.fits))
+            xs = self.x[starts[..., None] + np.arange(_FIT_HALF_WIDTH)] - fxs[:, None, None]
+            vs = self.fit_mom[ks] / self.stepper.model.rho_star
+            slope, value = (c.reshape(-1, 2) for c in _fits(
+                xs.reshape(-1, _FIT_HALF_WIDTH), vs.reshape(-1, _FIT_HALF_WIDTH), 2))
+            measured[ks] = -self.lam0 * (slope[:, 0] - slope[:, 1])
+            front[ks] = [_crossing(fx, sb, cb, sa, ca) for fx, (sb, sa), (cb, ca)
+                         in zip(fxs.tolist(), slope.tolist(), value.tolist())]
+        return t, measured, front, energy, max_sp, vx
+
+
+def _predicted(a: float, b: float, pi0: float, t: np.ndarray) -> np.ndarray:
+    """The predicted amplitude at the output times t: one closed_form call,
+    NaN from a blow-up's t_c on; pi0*exp(-b*t) where a = 0."""
+    if math.isinf(b):
+        return np.where(t == 0.0, pi0, 0.0)
+    if a == 0.0:
+        return np.array([pi0 * math.exp(-b * s) for s in t.tolist()])
+    out = np.full(t.size, math.nan)
+    try:
+        t_c = classify(a, b, pi0).t_c
+    except ValueError:
+        return out
+    live = t < (math.inf if t_c is None else t_c)
+    if live.any():
+        out[live] = closed_form(a, b, pi0, t[live])
+    return out
+
+
 def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
              output_every: float | None = None) -> SimResult:
     """Run the wavefront experiment from the kink ic on grid and sample the
@@ -717,36 +817,22 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     except DegenerateWaveError as exc:
         a_eff, b_eff = 0.0, exc.b
 
-    def predict(t: float) -> float:
-        if math.isinf(b_eff):
-            return ic.pi0 if t == 0.0 else 0.0
-        if a_eff == 0.0:
-            return ic.pi0 * math.exp(-b_eff * t)
-        try:
-            return closed_form(a_eff, b_eff, ic.pi0, t)
-        except ValueError:
-            return math.nan
-
     x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
     v, F, sig = _initial_profile(model, grid, ic, x_all)
     stepper = _Stepper(model, grid, np.stack([rho * v, F, om * sig]))
-    # the per-output snapshots never leave simulate: they share one x
-    x = x_all[_NG:-_NG]
-    rows = []
+    record = _Record(stepper, x_all[_NG:-_NG], lam0, ic.x_front, n_out + 1)
     for k in range(n_out + 1):
         target = min(k * out_dt, t_end)
         stepper.advance_to(target, t_end)
-        rows.append((target, *_record(model, stepper.snapshot(target, x), lam0, ic.x_front, dx),
-                     predict(target)))
-    ts, measured, fronts, energies, max_sps, vx_maxes, predicted = zip(*rows)
+        record.add(target)
+    ts, measured, fronts, energies, max_sps, vx_maxes = record.columns()
 
     vx0 = max(vx_maxes[0], 1e-300)
-    steepening_time = next((t for t, vx in zip(ts, vx_maxes)
+    steepening_time = next((t for t, vx in zip(ts.tolist(), vx_maxes)
                             if vx > STEEPENING_FACTOR * vx0), None)
     trace = FrontTrace(
-        t=np.array(ts), measured_pi=np.array(measured),
-        predicted_pi=np.array(predicted), front_x=np.array(fronts),
-        energy=np.array(energies), max_sigma_production=np.array(max_sps),
+        t=ts, measured_pi=measured, predicted_pi=_predicted(a_eff, b_eff, ic.pi0, ts),
+        front_x=fronts, energy=energies, max_sigma_production=max_sps,
         steepening_time=steepening_time, lambda0=lam0, a=a_eff, b=b_eff,
     )
-    return SimResult(trace=trace, final=stepper.snapshot(t_end, x.copy()))
+    return SimResult(trace=trace, final=stepper.snapshot(t_end, record.x.copy()))

@@ -22,6 +22,7 @@ from accelwave import (
     Snapshot,
     assemble_ab_numeric,
     classify,
+    closed_form,
     coefficients_ab,
     detect_front_position,
     eigensystem,
@@ -318,6 +319,27 @@ class TestValidation:
             Grid(x_min=0.0, x_max=1.0, n_cells=8, cfl=0.5)
         with pytest.raises(ValueError):
             Grid(x_min=0.0, x_max=1.0, n_cells=100, cfl=1.0)
+
+    @pytest.mark.parametrize("name", ["x_min", "x_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_grid_rejects_non_finite_ends(self, name, value):
+        # Grid(0, inf, ...) would make dx inf and every x NaN
+        ends = {"x_min": 0.0, "x_max": 30.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            Grid(**ends, n_cells=400, cfl=0.9)
+
+    @pytest.mark.parametrize("n_cells", [400.5, 400.0, np.float64(400.0), True,
+                                         np.bool_(True), "400", None])
+    def test_grid_rejects_a_cell_count_that_is_not_an_integer(self, n_cells):
+        # 400.5 would step 401 cells of dx = 30/400.5, past x_max
+        with pytest.raises(TypeError, match="^n_cells must be an integer, got "):
+            Grid(x_min=0.0, x_max=30.0, n_cells=n_cells, cfl=0.9)
+
+    @pytest.mark.parametrize("n_cells", [400, np.int64(400), np.uint16(400)])
+    def test_grid_takes_numpy_integers_as_ints(self, n_cells):
+        grid = Grid(x_min=0.0, x_max=30.0, n_cells=n_cells, cfl=0.9)
+        assert type(grid.n_cells) is int and grid.n_cells == 400
+        assert grid == Grid(x_min=0.0, x_max=30.0, n_cells=400, cfl=0.9)
 
     def test_kink_must_fit_domain(self):
         model = rubber_solid()
@@ -1128,3 +1150,86 @@ class TestStepper:
         stepper.advance_to(2e-6, 1.0)
         assert cells and math.isinf(sum(stepper.plan.w[0].tolist()))
         assert np.isfinite(stepper.q).all()
+
+
+# ---------------------------------------------------------------------------
+# simulate's record against the record of a snapshot at every output
+# ---------------------------------------------------------------------------
+
+def _record_case(name):
+    """(model, grid, ic, t_end, output_every) of a run for the record tests.
+    "both_ends": a super-critical rubber kink whose back ramp starts at the
+    left end and whose front runs out at the right, so the span reaches both
+    ends (their ghosts are refilled), the fits leave the domain (NaN) and
+    the prediction passes its blow-up time t_c (NaN)."""
+    if name == "both_ends":
+        model = rubber_solid()
+        ic = KinkIC(x_front=12.0, pi0=1.5 * coefficients_ab(model).pi_cr, ramp_width=6.0)
+        return model, Grid(x_min=0.0, x_max=24.0, n_cells=240, cfl=0.9), ic, 0.45, 0.025
+    model, grid, ic, t_end, _ = _span_case(name)
+    return model, grid, ic, t_end, t_end / 8
+
+
+def _snapshot_record(model, grid, ic, t_end, out_dt):
+    """The trace columns (t, measured, predicted, front, energy, max
+    sigma*P, max|v_X|) that entropy_monitor, _side_slopes and closed_form give
+    on the stepper's snapshot at every output, and the stepper."""
+    lam0, wc = eigensystem(model, equilibrium_state()).lam, coefficients_ab(model)
+    x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * grid.dx
+    fields = [f[_NG:-_NG] for f in _initial_profile(model, grid, ic, x_all)]
+    stepper = _Stepper(model, grid, _padded_state(model, fields))
+    rows = []
+    for k in range(int(math.ceil(t_end / out_dt - 1e-12)) + 1):
+        t = min(k * out_dt, t_end)
+        stepper.advance_to(t, t_end)
+        snap = stepper.snapshot(t, x_all[_NG:-_NG])
+        fx = ic.x_front + lam0 * t
+        try:
+            (sb, cb), (sa, ca) = _side_slopes(snap, fx, 16, _auto_gap(lam0, t, grid.dx), 2)
+            pi_m, front = -lam0 * (sb - sa), wavefront._crossing(fx, sb, cb, sa, ca)
+        except SimulationError:
+            pi_m = front = math.nan
+        try:
+            predicted = closed_form(wc.a, wc.b, ic.pi0, t)
+        except ValueError:
+            predicted = math.nan
+        rep = entropy_monitor(model, snap)
+        rows.append((t, pi_m, predicted, front, rep.total_energy,
+                     rep.max_sigma_production, np.abs(np.diff(snap.v)).max() / grid.dx))
+    return [np.array(c) for c in zip(*rows)], stepper
+
+
+class TestRecord:
+    """The record reads only the stepper's window and one fit pass per run,
+    and gives every column bit for bit as the snapshot of each output does."""
+
+    @pytest.mark.parametrize("name", ["rubber", "newtonian", "regularized", "both_ends"])
+    def test_every_column_is_that_of_the_snapshots(self, name):
+        model, grid, ic, t_end, out_dt = _record_case(name)
+        tr = simulate(model, grid, ic, t_end=t_end, output_every=out_dt).trace
+        cols, stepper = _snapshot_record(model, grid, ic, t_end, out_dt)
+        t, measured, predicted, front, energy, max_sp, vx = cols
+        for got, ref in [(tr.t, t), (tr.measured_pi, measured), (tr.predicted_pi, predicted),
+                         (tr.front_x, front), (tr.energy, energy),
+                         (tr.max_sigma_production, max_sp)]:
+            assert got.tobytes() == ref.tobytes()
+        vx0 = max(vx[0], 1e-300)
+        assert tr.steepening_time == next(
+            (s for s, v in zip(t.tolist(), vx) if v > wavefront.STEEPENING_FACTOR * vx0), None)
+        if name == "both_ends":
+            assert stepper.span == (0, grid.n_cells + 2 * _NG)
+            assert np.isnan(measured[-1]) and not np.isnan(measured[0])
+            assert np.isnan(predicted[-1]) and not np.isnan(predicted[0])
+        else:
+            assert not np.isnan(measured).any()
+            assert stepper.plan.cells[1] - stepper.plan.cells[0] < grid.n_cells
+
+    def test_outputs_take_no_snapshot(self, monkeypatch):
+        model, grid, ic, t_end, out_dt = _record_case("regularized")
+        taken = []
+        snapshot = _Stepper.snapshot
+        monkeypatch.setattr(_Stepper, "snapshot",
+                            lambda self, t, x: taken.append(t) or snapshot(self, t, x))
+        monkeypatch.setattr(wavefront, "entropy_monitor", None)
+        simulate(model, grid, ic, t_end=t_end, output_every=out_dt)
+        assert taken == [t_end]   # the final state's

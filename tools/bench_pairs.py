@@ -15,7 +15,11 @@ first, each run's `correct` and `failed`, and per end-to-end metric of the
 change tree's BENCHMARK.json: each side's runs, median and quartiles
 (linear interpolation, as numpy.percentile), the relative change of the
 median, the parent's interquartile range, the pairs in which the change is
-better, and whether the change's median is within the metric's bound.
+better (a tie counts for neither side), whether the change's median is
+within the metric's bound, and `gain_rule_met`: whether the change is
+better in at least nine pairs of ten and its median better than the
+parent's by more than the parent's interquartile range.  A gain is claimed
+only where that holds.  At least two seeds are needed for the quartiles.
 """
 
 from __future__ import annotations
@@ -67,13 +71,17 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
         rel = change / parent - 1.0
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(values["parent"], values["change"]))
+        pairs = len(values["parent"])
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        gap = parent - change if lower else change - parent
         out[name] = {
             "unit": metric["unit"], **stats,
             "median_change": rel,
-            "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
-            "change_better_in": f"{wins} of {len(values['parent'])}",
+            "parent_iqr": iqr,
+            "change_better_in": f"{wins} of {pairs}",
             "bound": metric["bound"],
             "within_bound": (rel if lower else -rel) <= metric["bound"],
+            "gain_rule_met": 10 * wins >= 9 * pairs and gap > iqr,
         }
     return out
 
@@ -88,6 +96,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--what", default="")
     args = p.parse_args(argv)
+    if len(args.seeds) < 2:
+        p.error(f"--seeds names {len(args.seeds)} seed(s); the quartiles need at least two")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     import numpy
