@@ -44,9 +44,9 @@ class AmplitudeOutcome:
 
 
 def _check_ab(a: float, b: float) -> None:
-    if a == 0.0:
-        raise ValueError("a must be nonzero (genuinely nonlinear field)")
-    if b < 0.0:
+    if not math.isfinite(a) or a == 0.0:
+        raise ValueError(f"a must be finite and nonzero (genuinely nonlinear field), got {a}")
+    if not b >= 0.0:
         raise ValueError(f"damping coefficient b must be >= 0, got {b}")
 
 
@@ -55,7 +55,7 @@ def classify(a: float, b: float, pi0: float) -> AmplitudeOutcome:
 
     The convention a < 0 makes positive super-critical amplitudes blow up;
     a > 0 is handled by the mirror symmetry pi -> -pi.  Raises ValueError for
-    a = 0, b < 0 or a non-finite pi0.
+    a = 0, a non-finite a, b < 0, a NaN b or a non-finite pi0.
     """
     _check_ab(a, b)
     if not math.isfinite(pi0):
@@ -116,6 +116,24 @@ def closed_form(a: float, b: float, pi0: float, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _predicted(a: float, b: float, pi0: float, t: np.ndarray) -> np.ndarray:
+    """pi at the times t: closed_form before a blow-up's t_c, NaN from t_c
+    on (pi is undefined there), in one closed_form call; pi0*exp(-b*t)
+    where a = 0, and pi0 at t = 0, else 0, where b = inf."""
+    if math.isinf(b):
+        return np.where(t == 0.0, pi0, 0.0)
+    if a == 0.0:
+        return np.array([pi0 * math.exp(-b * s) for s in t.tolist()])
+    out = np.full(t.size, math.nan)
+    try:
+        t_c = classify(a, b, pi0).t_c
+    except ValueError:
+        return out
+    live = slice(None) if t_c is None else t < t_c
+    out[live] = closed_form(a, b, pi0, t[live])
+    return out
+
+
 def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajectory:
     """Sign-preserving RK4 on log|pi| on the output grid 0, dt, 2*dt, ..., t_end.
 
@@ -131,13 +149,13 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     side (-a*pi0 <= b, global existence) every stage lowers z.
 
     Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
-    for an infinite b, or for more than MAX_POINTS steps, and ArithmeticError,
+    for a non-finite a or b, or for more than MAX_POINTS steps, and ArithmeticError,
     never reporting a blow-up, where a decay-side step fails at the floor.
     """
     if not (math.isfinite(pi0) and 0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("pi0, t_end and dt must be finite, and t_end and dt > 0")
-    if math.isinf(b):
-        raise ValueError("integrate needs a finite b")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrate needs a finite a and b, got a={a!r}, b={b!r}")
     ratio = t_end / dt - 1e-12     # compared before the ceil: it may be inf
     if ratio > MAX_POINTS:
         raise ValueError(f"t_end/dt asks for {np.ceil(ratio) + 1:.0f} output points, "
@@ -209,12 +227,12 @@ def singular_limit_scan(b0: float, n: float, eps_list, a: float, pi0: float) -> 
     pi_cr decreases and the decay time grows as eps increases; each row also
     classifies the given initial jump pi0 at that eps.
     """
-    if b0 <= 0.0 or n <= 0.0:
+    if not (b0 > 0.0 and n > 0.0):
         raise ValueError("b0 and n must be > 0")
     _check_ab(a, b0)
     rows = []
     for eps in eps_list:
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError(f"eps values must be > 0, got {eps}")
         b = b0 / eps ** n
         outcome = classify(a, b, pi0)

@@ -107,9 +107,9 @@ def _lambda_sq(model: MaterialModel, F: float) -> float:
     """The squared fast speed, after the hyperbolicity check."""
     om = model.omega
     disc = om * model.elastic.W2(F, model) + 1.0
-    if disc <= 0.0:
+    if not disc > 0.0:   # NaN fails too
         raise HyperbolicityError(
-            f"omega*W''(F) + 1 = {disc:.6g} <= 0 at F={F}: system not hyperbolic")
+            f"omega*W''(F) + 1 = {disc:.6g} is not > 0 at F={F}: system not hyperbolic")
     return disc / (model.rho_star * om)
 
 

@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .amplitude import classify, closed_form, integrate
+from .amplitude import _predicted, classify, integrate
 from .characteristics import (
     Degenerate,
     DegenerateWaveError,
@@ -161,11 +161,15 @@ def write_table(stream, header: list[str], columns: list, footer: dict | None,
 
 @contextmanager
 def _output(path: str | None):
-    """stdout, or the file at path (closed on exit)."""
+    """stdout, or the file at path (closed on exit; ConfigError if it cannot be opened)."""
     if path is None:
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    with fh:
         yield fh
 
 
@@ -217,16 +221,13 @@ def cmd_analyze(args) -> int:
     report = analysis_report(cfg, pi0)
     with _output(args.out or cfg.out) as stream:
         if args.format == "csv":
-            keys = ["lambda0", "a", "b", "pi_cr", "case"]
-            row = [report[k] for k in keys]
-            if "outcome" in report:
-                keys += ["pi0", "global_existence", "t_c"]
-                row += [report["pi0"], report["outcome"]["global_existence"],
-                        report["outcome"]["t_c"]]
-            keys += ["weak_K", "full_K"]
-            row += [report["k_condition"]["weak_K"], report["k_condition"]["full_K"]]
-            write_table(stream, keys, [[x] for x in row], {"input": report["input"]},
-                        "csv")
+            row = {k: report[k] for k in ("lambda0", "a", "b", "pi_cr", "case")}
+            if "outcome" in report:   # global_existence, t_c
+                row.update(pi0=report["pi0"], **report["outcome"])
+            kc = report["k_condition"]
+            row.update(weak_K=kc["weak_K"], full_K=kc["full_K"])
+            write_table(stream, list(row), [[x] for x in row.values()],
+                        {"input": report["input"]}, "csv")
         else:
             _emit(stream, json_dumps(report) + "\n")
     return 0
@@ -252,16 +253,13 @@ def cmd_amplitude(args) -> int:
                  else (5.0 / wc.b if wc.b > 0.0 else 1.0))
     dt = args.dt if args.dt is not None else t_end / 1000.0
     traj = integrate(wc.a, wc.b, pi0, t_end, dt)
-    cf = np.full(traj.t.size, math.nan)   # pi(t) is undefined from t_c on
-    defined = slice(None) if outcome.t_c is None else traj.t < outcome.t_c
-    cf[defined] = closed_form(wc.a, wc.b, pi0, traj.t[defined])
     footer = {"a": wc.a, "b": wc.b, "pi_cr": wc.pi_cr, "pi0": pi0,
               "global_existence": outcome.global_existence, "t_c": outcome.t_c,
               "blew_up": traj.blew_up, "t_blowup": traj.t_blowup,
               "units": {"t": "s", "pi": "m/s^2"}}
     with _output(args.out or cfg.out) as stream:
-        write_table(stream, ["t", "pi_closed_form", "pi_rk4"], [traj.t, cf, traj.pi],
-                    footer, args.format)
+        write_table(stream, ["t", "pi_closed_form", "pi_rk4"],
+                    [traj.t, _predicted(wc.a, wc.b, pi0, traj.t), traj.pi], footer, args.format)
     return 0
 
 

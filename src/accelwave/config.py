@@ -12,6 +12,7 @@ from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from .amplitude import MAX_POINTS
 from .materials import (
     FluidParams,
     MaterialModel,
@@ -186,8 +187,8 @@ def _sweep_from_dict(d: dict, material_dict: dict) -> SweepConfig:
     if not isinstance(param, str) or not param:
         raise ConfigError("'sweep' needs a string 'param'")
     count = d.get("count")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ConfigError("'count' in 'sweep' must be a positive integer")
+    if not isinstance(count, int) or isinstance(count, bool) or not 1 <= count <= MAX_POINTS + 1:
+        raise ConfigError(f"'count' in 'sweep' must be an integer in [1, {MAX_POINTS + 1}]")
     scale = d.get("scale", "linear")
     if scale not in ("linear", "log"):
         raise ConfigError(f"'scale' must be 'linear' or 'log', got {scale!r}")
@@ -258,4 +259,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {p}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return scenario_from_dict(data)

@@ -20,7 +20,7 @@ then reduces the whole rows.  That is bit for bit the record of a snapshot,
 because the window only grows and every cell outside it still holds its
 t = 0 state (the tail invariant below).  After the run one batch fits all
 the windows (one stacked Vandermonde system, one lstsq per window) and one
-closed_form call gives the prediction column.
+closed_form call gives the prediction column (see amplitude._predicted).
 sigma = 0 is a fixed point of every law's source step, so cells at
 sigma = +-0 come out of it untouched, sign bit included, and a non-finite
 sigma passes through to the finiteness check.  Boundaries are zero-gradient.
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import MAX_POINTS, classify, closed_form
+from .amplitude import MAX_POINTS, _predicted
 from .characteristics import (
     DegenerateWaveError,
     coefficients_ab,
@@ -449,11 +449,10 @@ def _ghost_views(q: np.ndarray):
 # Front measurement
 # ---------------------------------------------------------------------------
 
-def _front_windows(snapshot: Snapshot, front_x: float, half_width: int, gap: int):
-    """The (behind, ahead) slices of the cells of the two one-sided fits
-    around front_x: half_width cells each, gap cells clear of front_x's
-    cell.  snapshot: a Snapshot, or anything with its cell centres x."""
-    x = snapshot.x
+def _front_windows(x: np.ndarray, front_x: float, half_width: int, gap: int):
+    """The (behind, ahead) slices of the cell centres x of the two one-sided
+    fits around front_x: half_width cells each, gap cells clear of front_x's
+    cell."""
     dx = x[1] - x[0]
     i_f = int(math.floor((front_x - (x[0] - 0.5 * dx)) / dx))
     lo_b = i_f - gap - half_width
@@ -504,7 +503,7 @@ def _side_slopes(snapshot: Snapshot, front_x: float, half_width: int, gap: int,
     """One-sided fits of v; returns (slope, value) of each side at front_x,
     bit for bit those of np.polyfit (see :func:`_fits`)."""
     x, v = snapshot.x, snapshot.v
-    windows = _front_windows(snapshot, front_x, half_width, gap)
+    windows = _front_windows(x, front_x, half_width, gap)
     slope, value = _fits(np.stack([x[w] for w in windows]) - front_x,
                          np.stack([v[w] for w in windows]), degree)
     return list(zip(slope.tolist(), value.tolist()))
@@ -584,31 +583,10 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
 # Driver
 # ---------------------------------------------------------------------------
 
-def _initial_profile(model: MaterialModel, grid: Grid, ic: KinkIC,
-                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    eig = eigensystem(model, equilibrium_state())
-    d0 = eig.d_plus
-    w = wb = ic.ramp_width
-    if ic.x_front - w - wb < grid.x_min or not grid.x_min < ic.x_front < grid.x_max:
-        raise ValueError("kink profile does not fit inside the domain")
-    s = x - ic.x_front
-    # piecewise: equilibrium ahead; mandated ramp pi0*d0*s on [-w, 0];
-    # linear return to equilibrium on [-w-wb, -w]
-    ramp = np.clip(s, -w, 0.0)
-    back = np.clip((s + w + wb) / wb, 0.0, 1.0)
-    amp = np.where(s >= -w, ramp, -w * back)
-    v = ic.pi0 * d0[0] * amp
-    F = 1.0 + ic.pi0 * d0[1] * amp
-    sig = ic.pi0 * d0[2] * amp
-    if np.any(F <= 0.0):
-        raise ValueError("initial amplitude drives the deformation gradient non-positive")
-    return v, F, sig
-
-
 class _Stepper:
     """The step loop on grid's ghost-padded state q = (rho*v, F, omega*sigma),
     in place, with q's tails and span, the work buffers and window plan, t,
-    the step count and the pending half-step."""
+    the step count and the pending half-step (and x and lam0, see kink)."""
 
     def __init__(self, model: MaterialModel, grid: Grid, q: np.ndarray):
         self.model, self.grid, self.q, self.ghosts = model, grid, q, _ghost_views(q)
@@ -622,10 +600,36 @@ class _Stepper:
         self.t, self.n_steps = 0.0, 0
         self.pending = 0.0  # trailing source half-step not yet applied
 
-    def snapshot(self, t: float, x: np.ndarray) -> Snapshot:
-        """The state, at time t and cell centres x, in new arrays (x aside)."""
+    @classmethod
+    def kink(cls, model: MaterialModel, grid: Grid, ic: KinkIC) -> _Stepper:
+        """The stepper of the kink ic on grid (see :class:`KinkIC`), with the
+        interior cell centres x, which snapshot and the record read, and
+        lam0, the fast speed at equilibrium."""
+        eig = eigensystem(model, equilibrium_state())
+        w = wb = ic.ramp_width
+        if ic.x_front - w - wb < grid.x_min or not grid.x_min < ic.x_front < grid.x_max:
+            raise ValueError("kink profile does not fit inside the domain")
+        x = grid.x_min + (np.arange(grid.n_cells) + 0.5) * grid.dx
+        s = x - ic.x_front
+        # piecewise: equilibrium ahead; mandated ramp pi0*d0*s on [-w, 0];
+        # linear return to equilibrium on [-w-wb, -w]
+        ramp = np.clip(s, -w, 0.0)
+        back = np.clip((s + w + wb) / wb, 0.0, 1.0)
+        amp = np.where(s >= -w, ramp, -w * back)
+        F = 1.0 + ic.pi0 * eig.d_plus[1] * amp
+        if np.any(F <= 0.0):
+            raise ValueError("initial amplitude drives the deformation gradient non-positive")
+        q = np.empty((3, grid.n_cells + 2 * _NG))   # the ghosts are filled by __init__
+        q[:, _NG:-_NG] = (model.rho_star * (ic.pi0 * eig.d_plus[0] * amp), F,
+                          model.omega * (ic.pi0 * eig.d_plus[2] * amp))
+        stepper = cls(model, grid, q)
+        stepper.x, stepper.lam0 = x, eig.lam
+        return stepper
+
+    def snapshot(self, t: float) -> Snapshot:
+        """The state at time t, in new arrays."""
         q, model = self.q, self.model
-        return Snapshot(t=t, x=x, v=q[0, _NG:-_NG] / model.rho_star,
+        return Snapshot(t=t, x=self.x.copy(), v=q[0, _NG:-_NG] / model.rho_star,
                         F=q[1, _NG:-_NG].copy(), sigma=q[2, _NG:-_NG] / model.omega)
 
     def _source(self, h: float) -> None:
@@ -716,9 +720,8 @@ class _Record:
     t = 0 values.  The fits of all outputs are solved in one batch after the
     run (see :func:`_fits`)."""
 
-    def __init__(self, stepper: _Stepper, x: np.ndarray, lam0: float, x_front: float,
-                 n_outputs: int):
-        n = x.size
+    def __init__(self, stepper: _Stepper, lam0: float, x_front: float, n_outputs: int):
+        x, n = stepper.x, stepper.grid.n_cells
         self.stepper, self.x, self.lam0, self.x_front = stepper, x, lam0, x_front
         self.dx = x[1] - x[0]   # the cell width of entropy_monitor
         self.dens, self.sp, self.dv = np.empty(n), np.empty(n), np.empty(n - 1)
@@ -732,7 +735,7 @@ class _Record:
         q, model, grid = st.q, st.model, st.grid
         fx = self.x_front + self.lam0 * t
         try:
-            behind, ahead = _front_windows(self, fx, _FIT_HALF_WIDTH,
+            behind, ahead = _front_windows(self.x, fx, _FIT_HALF_WIDTH,
                                            _auto_gap(self.lam0, t, grid.dx))
         except SimulationError as exc:
             _log.debug("front measurement failed at t=%.6g: %s", t, exc)
@@ -768,24 +771,6 @@ class _Record:
         return t, measured, front, energy, max_sp, vx
 
 
-def _predicted(a: float, b: float, pi0: float, t: np.ndarray) -> np.ndarray:
-    """The predicted amplitude at the output times t: one closed_form call,
-    NaN from a blow-up's t_c on; pi0*exp(-b*t) where a = 0."""
-    if math.isinf(b):
-        return np.where(t == 0.0, pi0, 0.0)
-    if a == 0.0:
-        return np.array([pi0 * math.exp(-b * s) for s in t.tolist()])
-    out = np.full(t.size, math.nan)
-    try:
-        t_c = classify(a, b, pi0).t_c
-    except ValueError:
-        return out
-    live = t < (math.inf if t_c is None else t_c)
-    if live.any():
-        out[live] = closed_form(a, b, pi0, t[live])
-    return out
-
-
 def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
              output_every: float | None = None) -> SimResult:
     """Run the wavefront experiment from the kink ic on grid and sample the
@@ -807,9 +792,6 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
                          f"output records")
     n_out = int(math.ceil(ratio))
 
-    rho, om, dx = model.rho_star, model.omega, grid.dx
-    lam0 = eigensystem(model, equilibrium_state()).lam
-
     # the material's amplitude coefficients for the prediction column
     try:
         wc = coefficients_ab(model)
@@ -817,10 +799,8 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     except DegenerateWaveError as exc:
         a_eff, b_eff = 0.0, exc.b
 
-    x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
-    v, F, sig = _initial_profile(model, grid, ic, x_all)
-    stepper = _Stepper(model, grid, np.stack([rho * v, F, om * sig]))
-    record = _Record(stepper, x_all[_NG:-_NG], lam0, ic.x_front, n_out + 1)
+    stepper = _Stepper.kink(model, grid, ic)
+    record = _Record(stepper, stepper.lam0, ic.x_front, n_out + 1)
     for k in range(n_out + 1):
         target = min(k * out_dt, t_end)
         stepper.advance_to(target, t_end)
@@ -833,6 +813,6 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     trace = FrontTrace(
         t=ts, measured_pi=measured, predicted_pi=_predicted(a_eff, b_eff, ic.pi0, ts),
         front_x=fronts, energy=energies, max_sigma_production=max_sps,
-        steepening_time=steepening_time, lambda0=lam0, a=a_eff, b=b_eff,
+        steepening_time=steepening_time, lambda0=stepper.lam0, a=a_eff, b=b_eff,
     )
-    return SimResult(trace=trace, final=stepper.snapshot(t_end, record.x.copy()))
+    return SimResult(trace=trace, final=stepper.snapshot(t_end))

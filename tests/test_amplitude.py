@@ -144,6 +144,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(-1.0, -0.5, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(-1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                      (-math.inf, 0.0)])
+    def test_rejects_nan_or_infinite_coefficients(self, a, b):
+        # classify(-1, nan, 1) gave a blow-up with t_c = 1.0
+        with pytest.raises(ValueError):
+            classify(a, b, 1.0)
+        with pytest.raises(ValueError):
+            closed_form(a, b, 1.0, 0.5)
+
     @pytest.mark.parametrize("pi0", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_amplitude(self, pi0):
         # a NaN pi0 used to classify as a blow-up with t_c = NaN
@@ -477,6 +486,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(-1.0, math.inf, 0.5, t_end=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("a, b", [(-1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                      (-math.inf, 0.0)])
+    def test_rejects_nan_or_infinite_coefficients(self, a, b):
+        # integrate(-1, nan, 1, 1, 0.5) gave blew_up=True; a = 0 stays valid
+        with pytest.raises(ValueError, match="finite a and b"):
+            integrate(a, b, 1.0, 1.0, 0.5)
+
     @pytest.mark.parametrize("pi0, t_end, dt", [
         (math.nan, 1.0, 0.1), (0.5, math.inf, 0.1), (0.5, 1.0, math.nan),
         (0.5, math.nan, 0.1), (-math.inf, 1.0, 0.1)])
@@ -537,3 +553,9 @@ class TestSingularLimitScan:
             singular_limit_scan(1.0, 1.0, [0.0], a=-1.0, pi0=1.0)
         with pytest.raises(ValueError):
             singular_limit_scan(1.0, -1.0, [0.1], a=-1.0, pi0=1.0)
+
+    @pytest.mark.parametrize("b0, n, eps", [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1),
+                                            (1.0, 1.0, math.nan)])
+    def test_rejects_nan_inputs(self, b0, n, eps):
+        with pytest.raises(ValueError, match="must be > 0"):
+            singular_limit_scan(b0, n, [eps], a=-1.0, pi0=1.0)

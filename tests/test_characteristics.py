@@ -127,6 +127,15 @@ class TestEigensystem:
         with pytest.raises(HyperbolicityError):
             eigensystem(model, StateVector(v=0.0, F=cap + 0.1, sigma=0.0))
 
+    def test_nan_discriminant_is_not_hyperbolic(self):
+        # 2*R overflows, so W''(1) = E1*(1 - inf*0) is NaN, which passed a
+        # "<= 0" test and gave all-NaN coefficients
+        model = SolidParams(rho_star=929.0, E2=3.0e6, tau0=0.1,
+                            elastic=QuadraticCubic(R=1e308), E1=2.12e6)
+        for fn in (coefficients_ab, k_condition):
+            with pytest.raises(HyperbolicityError, match="nan is not > 0"):
+                fn(model)
+
 
 class TestGradLambda:
     def test_velocity_and_sigma_components_vanish(self, rng):

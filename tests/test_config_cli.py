@@ -28,6 +28,7 @@ from accelwave import (
 )
 import accelwave
 from accelwave import cli
+from accelwave.amplitude import MAX_POINTS
 from accelwave.cli import build_parser, main
 from conftest import rubber_solid, unit_fluid
 
@@ -136,6 +137,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             scenario_from_dict(d)
 
+    def test_sweep_count_is_capped_at_the_output_grid(self):
+        # only parsed: a sweep of this many points is never run
+        d = dict(RUBBER_DICT)
+        d["sweep"] = {"param": "solid.tau0", "min": 0.1, "max": 0.2, "count": MAX_POINTS + 1}
+        assert scenario_from_dict(d).sweep.count == MAX_POINTS + 1
+        d["sweep"] = dict(d["sweep"], count=MAX_POINTS + 2)
+        with pytest.raises(ConfigError, match="'count' in 'sweep'"):
+            scenario_from_dict(d)
+
     def test_ramp_width_defaults_to_tenth_of_domain(self):
         d = dict(RUBBER_DICT)
         d["sim"] = {"x_min": 0.0, "x_max": 40.0, "n_cells": 100, "cfl": 0.9,
@@ -181,6 +191,31 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--config",
                                str(tmp_path / "nope.json"))
         assert code == 2 and "config error" in err
+
+    def test_exit_code_on_a_directory_as_config(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "analyze", "--config", str(tmp_path))
+        assert code == 2 and err.startswith(f"config error: cannot read config file {tmp_path}")
+
+    def test_exit_code_on_non_utf8_config(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(RUBBER_DICT).replace("solid", "s\xf6lid").encode("latin-1"))
+        code, _, err = run_cli(capsys, "analyze", "--config", str(path))
+        assert code == 2 and err.startswith(f"config error: cannot read config file {path}")
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_exit_code_on_unwritable_output(self, capsys, tmp_path, command):
+        out = tmp_path / "missing" / "report.csv"
+        code, _, err = run_cli(capsys, command, "--config", "rubber.json", "--out", str(out))
+        assert code == 2 and err.startswith(f"config error: cannot write output file {out}")
+
+    def test_exit_code_on_a_nan_wave_speed(self, capsys, tmp_path):
+        # R = 1e308 makes W''(1) NaN: analyze printed NaN coefficients and exit 0
+        d = json.loads(json.dumps(RUBBER_DICT))
+        d["solid"]["elastic"]["R"] = 1e308
+        path = tmp_path / "huge_R.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(path), "--pi0", "1")
+        assert code == 3 and out == "" and "not hyperbolic" in err
 
     def test_exit_code_on_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

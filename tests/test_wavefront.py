@@ -40,7 +40,6 @@ from accelwave.wavefront import (
     _disturbed_span,
     _ghost_views,
     _hyperbolic_step,
-    _initial_profile,
     _minmod,
     _Plan,
     _side_slopes,
@@ -80,9 +79,15 @@ def _step(q, dt, dx, model):
 def _simulate_from(fields, model, grid, ic, t_end, **kw):
     """simulate from the cell values fields = (v, F, sigma) in place of the
     kink profile; ic still anchors the front tracking."""
-    padded = [np.pad(np.asarray(f, dtype=float), _NG, mode="edge") for f in fields]
+    kink = _Stepper.kink
+
+    def custom(model, grid, ic):
+        stepper, run = _Stepper(model, grid, _padded_state(model, fields)), kink(model, grid, ic)
+        stepper.x, stepper.lam0 = run.x, run.lam0
+        return stepper
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wavefront, "_initial_profile", lambda *args: padded)
+        mp.setattr(_Stepper, "kink", staticmethod(custom))
         return simulate(model, grid, ic, t_end, **kw)
 
 
@@ -123,7 +128,7 @@ class TestEquilibriumAndMeasurement:
 def _polyfit_side_slopes(snapshot, front_x, half_width, gap, degree):
     """The front fits as np.polyfit, np.polyder and np.polyval give them."""
     out = []
-    for sl in wavefront._front_windows(snapshot, front_x, half_width, gap):
+    for sl in wavefront._front_windows(snapshot.x, front_x, half_width, gap):
         x = snapshot.x[sl] - front_x
         coef = np.polyfit(x, snapshot.v[sl], min(degree, x.size - 1))
         out.append((float(np.polyval(np.polyder(coef), 0.0)), float(np.polyval(coef, 0.0))))
@@ -688,13 +693,11 @@ def _two_half_step_snapshots(model, grid, ic, t_end, out_dt):
     lam_fn = _lam_fn(model)
 
     dx = grid.dx
-    x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * dx
-    v, F, sig = _initial_profile(model, grid, ic, x_all)
-    q = np.stack([rho * v, F, om * sig])
-    _fill_ghosts(q)
+    stepper = _Stepper.kink(model, grid, ic)
+    q = stepper.q
 
     def snapshot(t):
-        return Snapshot(t=t, x=x_all[_NG:-_NG].copy(), v=(q[0, _NG:-_NG] / rho).copy(),
+        return Snapshot(t=t, x=stepper.x.copy(), v=(q[0, _NG:-_NG] / rho).copy(),
                         F=q[1, _NG:-_NG].copy(), sigma=(q[2, _NG:-_NG] / om).copy())
 
     snaps = [snapshot(0.0)]
@@ -1074,9 +1077,7 @@ class TestStepper:
         model, grid, ic, t_end, _ = _span_case(name)
         out_dt = t_end / 4
         final = simulate(model, grid, ic, t_end=t_end, output_every=out_dt).final
-        x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * grid.dx
-        fields = [f[_NG:-_NG] for f in _initial_profile(model, grid, ic, x_all)]
-        stepper = _Stepper(model, grid, _padded_state(model, fields))
+        stepper = _Stepper.kink(model, grid, ic)
         for k in range(1, 5):
             target = min(k * out_dt, t_end)
             stepper.advance_to(target, t_end)
@@ -1175,14 +1176,12 @@ def _snapshot_record(model, grid, ic, t_end, out_dt):
     sigma*P, max|v_X|) that entropy_monitor, _side_slopes and closed_form give
     on the stepper's snapshot at every output, and the stepper."""
     lam0, wc = eigensystem(model, equilibrium_state()).lam, coefficients_ab(model)
-    x_all = grid.x_min + (np.arange(grid.n_cells + 2 * _NG) - _NG + 0.5) * grid.dx
-    fields = [f[_NG:-_NG] for f in _initial_profile(model, grid, ic, x_all)]
-    stepper = _Stepper(model, grid, _padded_state(model, fields))
+    stepper = _Stepper.kink(model, grid, ic)
     rows = []
     for k in range(int(math.ceil(t_end / out_dt - 1e-12)) + 1):
         t = min(k * out_dt, t_end)
         stepper.advance_to(t, t_end)
-        snap = stepper.snapshot(t, x_all[_NG:-_NG])
+        snap = stepper.snapshot(t)
         fx = ic.x_front + lam0 * t
         try:
             (sb, cb), (sa, ca) = _side_slopes(snap, fx, 16, _auto_gap(lam0, t, grid.dx), 2)
@@ -1229,7 +1228,7 @@ class TestRecord:
         taken = []
         snapshot = _Stepper.snapshot
         monkeypatch.setattr(_Stepper, "snapshot",
-                            lambda self, t, x: taken.append(t) or snapshot(self, t, x))
+                            lambda self, t: taken.append(t) or snapshot(self, t))
         monkeypatch.setattr(wavefront, "entropy_monitor", None)
         simulate(model, grid, ic, t_end=t_end, output_every=out_dt)
         assert taken == [t_end]   # the final state's
