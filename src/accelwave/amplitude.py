@@ -149,13 +149,16 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     side (-a*pi0 <= b, global existence) every stage lowers z.
 
     Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
-    for a non-finite a or b, or for more than MAX_POINTS steps, and ArithmeticError,
-    never reporting a blow-up, where a decay-side step fails at the floor.
+    for a non-finite a or b, for b < 0 (a = 0 is valid), or for more than
+    MAX_POINTS steps, and ArithmeticError, never reporting a blow-up, where a
+    decay-side step fails at the floor.
     """
     if not (math.isfinite(pi0) and 0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ValueError("pi0, t_end and dt must be finite, and t_end and dt > 0")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integrate needs a finite a and b, got a={a!r}, b={b!r}")
+    if b < 0.0:
+        raise ValueError(f"damping coefficient b must be >= 0, got {b}")
     ratio = t_end / dt - 1e-12     # compared before the ceil: it may be inf
     if ratio > MAX_POINTS:
         raise ValueError(f"t_end/dt asks for {np.ceil(ratio) + 1:.0f} output points, "

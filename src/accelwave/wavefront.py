@@ -21,6 +21,10 @@ because the window only grows and every cell outside it still holds its
 t = 0 state (the tail invariant below).  After the run one batch fits all
 the windows (one stacked Vandermonde system, one lstsq per window) and one
 closed_form call gives the prediction column (see amplitude._predicted).
+There is one front measurement: measure_front_slope(model, snapshot,
+front_x) and detect_front_position(model, snapshot, front_x_guess) are its
+one-output case, so on a snapshot at an output time t, about the guess
+x_front + lambda0*t, they give exactly simulate's measured_pi and front_x.
 sigma = 0 is a fixed point of every law's source step, so cells at
 sigma = +-0 come out of it untouched, sign bit included, and a non-finite
 sigma passes through to the finiteness check.  Boundaries are zero-gradient.
@@ -117,7 +121,7 @@ __all__ = [
 
 _NG = 2  # ghost cells per side
 _CHUNK = 16  # a step's window is rounded out to multiples of this many padded cells
-_FIT_HALF_WIDTH = 16  # cells of each one-sided front fit in the trace
+_FIT_HALF_WIDTH = 16  # cells of each one-sided front fit
 _EPS = np.finfo(float).eps
 _RankWarning = getattr(np, "exceptions", np).RankWarning  # np.RankWarning before numpy 1.25
 # the rows of an array by index, at half the cost of iterating over it
@@ -449,21 +453,21 @@ def _ghost_views(q: np.ndarray):
 # Front measurement
 # ---------------------------------------------------------------------------
 
-def _front_windows(x: np.ndarray, front_x: float, half_width: int, gap: int):
+def _front_windows(x: np.ndarray, front_x: float, lam0: float, t: float):
     """The (behind, ahead) slices of the cell centres x of the two one-sided
-    fits around front_x: half_width cells each, gap cells clear of front_x's
-    cell."""
+    fits of the front at time t about the guess front_x: _FIT_HALF_WIDTH
+    cells each, gap cells clear of front_x's cell (dx = x[1] - x[0]).  A
+    second-order scheme smears the kink over ~ (lam0*dx^2*t)^(1/3) plus a
+    few cells of limiter bump, so the gap grows like (lam0*t/dx)^(1/3)."""
     dx = x[1] - x[0]
+    gap = max(2, int(math.ceil(1.4 * (lam0 * t / dx) ** (1.0 / 3.0)))) if t > 0.0 else 2
     i_f = int(math.floor((front_x - (x[0] - 0.5 * dx)) / dx))
-    lo_b = i_f - gap - half_width
-    hi_b = i_f - gap
-    lo_a = i_f + 1 + gap
-    hi_a = i_f + 1 + gap + half_width
-    if lo_b < 0 or hi_a > x.size:
+    behind, ahead = i_f - gap - _FIT_HALF_WIDTH, i_f + 1 + gap
+    if behind < 0 or ahead + _FIT_HALF_WIDTH > x.size:
         raise SimulationError(
             f"front at x={front_x:.6g} too close to the boundary for a "
-            f"{half_width}-cell stencil with gap {gap}")
-    return slice(lo_b, hi_b), slice(lo_a, hi_a)
+            f"{_FIT_HALF_WIDTH}-cell stencil with gap {gap}")
+    return slice(behind, behind + _FIT_HALF_WIDTH), slice(ahead, ahead + _FIT_HALF_WIDTH)
 
 
 def _fits(xs: np.ndarray, vs: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -498,60 +502,49 @@ def _fits(xs: np.ndarray, vs: np.ndarray, degree: int) -> tuple[np.ndarray, np.n
     return slope, value
 
 
-def _side_slopes(snapshot: Snapshot, front_x: float, half_width: int, gap: int,
-                 degree: int):
-    """One-sided fits of v; returns (slope, value) of each side at front_x,
-    bit for bit those of np.polyfit (see :func:`_fits`)."""
-    x, v = snapshot.x, snapshot.v
-    windows = _front_windows(x, front_x, half_width, gap)
-    slope, value = _fits(np.stack([x[w] for w in windows]) - front_x,
-                         np.stack([v[w] for w in windows]), degree)
-    return list(zip(slope.tolist(), value.tolist()))
+def _front_fits(xs: np.ndarray, vs: np.ndarray, fxs: np.ndarray,
+                lam0: float) -> tuple[np.ndarray, np.ndarray]:
+    """(measured pi, front x) of K outputs from the cell centres xs and v
+    values vs of their (behind, ahead) fit windows, of shape (K, 2,
+    _FIT_HALF_WIDTH), and their front guesses fxs: pi = -lam0*(slope_behind
+    - slope_ahead) of degree-2 fits about the guess (see :func:`_fits`),
+    whose slopes are extrapolated to the front, free of the window-offset
+    bias of curved profiles; and the crossing of the two fits linearized
+    about the guess, or the guess where the slopes are indistinguishable."""
+    slope, value = (c.reshape(-1, 2) for c in _fits(
+        (xs - fxs[:, None, None]).reshape(-1, _FIT_HALF_WIDTH),
+        vs.reshape(-1, _FIT_HALF_WIDTH), 2))
+    front = [fx if abs(sb - sa) <= 1e-14 * (abs(sb) + abs(sa) + 1e-300)
+             else fx + (ca - cb) / (sb - sa)
+             for fx, (sb, sa), (cb, ca) in zip(fxs.tolist(), slope.tolist(), value.tolist())]
+    return -lam0 * (slope[:, 0] - slope[:, 1]), np.array(front)
 
 
-def measure_front_slope(model: MaterialModel, snapshot: Snapshot, front_x: float,
-                        stencil_half_width: int = 4, gap: int = 2,
-                        degree: int = 1) -> float:
-    """Front amplitude -lambda0*(slope_behind - slope_ahead) at front_x.
-
-    One-sided polynomial fits of v on each side, skipping gap cells around
-    the numerically smeared kink.  degree=1 averages the slope over each
-    window (exact on piecewise-linear data); degree=2 extrapolates the
-    derivative to the front itself, which removes the window-offset bias of
-    curved profiles and is what the simulation driver uses.
-    """
-    (sb, _), (sa, _) = _side_slopes(snapshot, front_x, stencil_half_width, gap, degree)
+def _measure(model: MaterialModel, snapshot: Snapshot, front_x: float) -> tuple[float, float]:
+    """(measured pi, front x) of snapshot about the front guess front_x, bit
+    for bit as simulate's record measures its output at snapshot.t."""
     lam0 = eigensystem(model, equilibrium_state()).lam
-    return -lam0 * (sb - sa)
+    x, v = snapshot.x, snapshot.v
+    windows = _front_windows(x, front_x, lam0, snapshot.t)
+    measured, front = _front_fits(np.stack([x[w] for w in windows])[None],
+                                  np.stack([v[w] for w in windows])[None],
+                                  np.array([front_x]), lam0)
+    return measured.item(), front.item()
 
 
-def detect_front_position(snapshot: Snapshot, front_x_guess: float,
-                          stencil_half_width: int = 4, gap: int = 2,
-                          degree: int = 2) -> float:
-    """Kink location from the crossing of the one-sided fit extrapolations,
-    linearized about the guess.
-
-    Falls back to the guess when the side slopes are indistinguishable
-    (vanished amplitude).
-    """
-    (sb, cb), (sa, ca) = _side_slopes(snapshot, front_x_guess,
-                                      stencil_half_width, gap, degree)
-    return _crossing(front_x_guess, sb, cb, sa, ca)
+def measure_front_slope(model: MaterialModel, snapshot: Snapshot, front_x: float) -> float:
+    """Front amplitude -lambda0*(slope_behind - slope_ahead) about the front
+    guess front_x: simulate's measured_pi of snapshot (see :func:`_front_fits`).
+    Raises SimulationError where a fit window leaves the domain."""
+    return _measure(model, snapshot, front_x)[0]
 
 
-def _crossing(front_x_guess: float, sb: float, cb: float, sa: float, ca: float) -> float:
-    if abs(sb - sa) <= 1e-14 * (abs(sb) + abs(sa) + 1e-300):
-        return front_x_guess
-    return front_x_guess + (ca - cb) / (sb - sa)
-
-
-def _auto_gap(lam0: float, t: float, dx: float) -> int:
-    # A second-order scheme smears the kink over ~ (lam0 * dx^2 * t)^(1/3)
-    # plus a few cells of limiter bump; keep the fit windows clear of it
-    # (in cells the zone grows like (lam0*t/dx)^(1/3)).
-    if t <= 0.0:
-        return 2
-    return max(2, int(math.ceil(1.4 * (lam0 * t / dx) ** (1.0 / 3.0))))
+def detect_front_position(model: MaterialModel, snapshot: Snapshot,
+                          front_x_guess: float) -> float:
+    """Kink location from the crossing of the one-sided fits, linearized about
+    the guess: simulate's front_x of snapshot (see :func:`_front_fits`).
+    Raises SimulationError where a fit window leaves the domain."""
+    return _measure(model, snapshot, front_x_guess)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +711,7 @@ class _Record:
     grows, and every cell outside it still holds its t = 0 state (the
     stepper's tail invariant), so the row entries outside it keep their
     t = 0 values.  The fits of all outputs are solved in one batch after the
-    run (see :func:`_fits`)."""
+    run (see :func:`_front_fits`)."""
 
     def __init__(self, stepper: _Stepper, lam0: float, x_front: float, n_outputs: int):
         x, n = stepper.x, stepper.grid.n_cells
@@ -735,8 +728,7 @@ class _Record:
         q, model, grid = st.q, st.model, st.grid
         fx = self.x_front + self.lam0 * t
         try:
-            behind, ahead = _front_windows(self.x, fx, _FIT_HALF_WIDTH,
-                                           _auto_gap(self.lam0, t, grid.dx))
+            behind, ahead = _front_windows(self.x, fx, self.lam0, t)
         except SimulationError as exc:
             _log.debug("front measurement failed at t=%.6g: %s", t, exc)
         else:
@@ -761,13 +753,9 @@ class _Record:
         measured, front = np.full(t.size, math.nan), np.full(t.size, math.nan)
         if self.fits:
             ks, fxs, starts = (np.array(c) for c in zip(*self.fits))
-            xs = self.x[starts[..., None] + np.arange(_FIT_HALF_WIDTH)] - fxs[:, None, None]
-            vs = self.fit_mom[ks] / self.stepper.model.rho_star
-            slope, value = (c.reshape(-1, 2) for c in _fits(
-                xs.reshape(-1, _FIT_HALF_WIDTH), vs.reshape(-1, _FIT_HALF_WIDTH), 2))
-            measured[ks] = -self.lam0 * (slope[:, 0] - slope[:, 1])
-            front[ks] = [_crossing(fx, sb, cb, sa, ca) for fx, (sb, sa), (cb, ca)
-                         in zip(fxs.tolist(), slope.tolist(), value.tolist())]
+            measured[ks], front[ks] = _front_fits(
+                self.x[starts[..., None] + np.arange(_FIT_HALF_WIDTH)],
+                self.fit_mom[ks] / self.stepper.model.rho_star, fxs, self.lam0)
         return t, measured, front, energy, max_sp, vx
 
 

@@ -493,6 +493,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="finite a and b"):
             integrate(a, b, 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+    def test_rejects_negative_damping(self, a):
+        # integrate(-1, -1, 0.5, 1, 0.25) gave a growing pi with blew_up
+        # False, where classify and closed_form refuse b < 0
+        with pytest.raises(ValueError, match=r"b must be >= 0, got -1\.0"):
+            integrate(a, -1.0, 0.5, 1.0, 0.25)
+        assert not integrate(a, 0.0, 0.5, 1.0, 0.25).blew_up
+
     @pytest.mark.parametrize("pi0, t_end, dt", [
         (math.nan, 1.0, 0.1), (0.5, math.inf, 0.1), (0.5, 1.0, math.nan),
         (0.5, math.nan, 0.1), (-math.inf, 1.0, 0.1)])

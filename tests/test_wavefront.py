@@ -36,13 +36,13 @@ from accelwave import wavefront
 from accelwave.wavefront import (
     _CHUNK,
     _NG,
-    _auto_gap,
     _disturbed_span,
+    _fits,
+    _front_windows,
     _ghost_views,
     _hyperbolic_step,
     _minmod,
     _Plan,
-    _side_slopes,
     _Stepper,
     _tail_states,
     _window,
@@ -107,7 +107,7 @@ class TestEquilibriumAndMeasurement:
         res = simulate(model, grid, ic, t_end=1e-7, output_every=1e-7)
         assert res.trace.measured_pi[0] == pytest.approx(ic.pi0, rel=1e-10)
         assert res.trace.front_x[0] == pytest.approx(13.0, abs=1e-9)
-        # and through the standalone operation with its plain defaults
+        # and through the public measurement of the final snapshot
         pi_est = measure_front_slope(model, res.final, 13.0 + wc.lambda0 * 1e-7)
         assert pi_est == pytest.approx(ic.pi0, rel=1e-6)
 
@@ -125,12 +125,13 @@ class TestEquilibriumAndMeasurement:
         assert np.array_equal(r1.trace.measured_pi, r2.trace.measured_pi)
 
 
-def _polyfit_side_slopes(snapshot, front_x, half_width, gap, degree):
-    """The front fits as np.polyfit, np.polyder and np.polyval give them."""
+def _polyfit_fits(x, v, windows, front_x, degree):
+    """The (slope, value) at front_x of each window's fit as np.polyfit,
+    np.polyder and np.polyval give them."""
     out = []
-    for sl in wavefront._front_windows(snapshot.x, front_x, half_width, gap):
-        x = snapshot.x[sl] - front_x
-        coef = np.polyfit(x, snapshot.v[sl], min(degree, x.size - 1))
+    for sl in windows:
+        xs = x[sl] - front_x
+        coef = np.polyfit(xs, v[sl], min(degree, xs.size - 1))
         out.append((float(np.polyval(np.polyder(coef), 0.0)), float(np.polyval(coef, 0.0))))
     return out
 
@@ -150,19 +151,22 @@ class TestFrontFits:
             v = rng.choice([0.0, -0.0], 120)
         elif zeros == "subnormal":
             v = rng.choice([0.0, -0.0, 1e-320, -1e-320], 120)
-        snap = Snapshot(t=0.0, x=x, v=v, F=np.ones(120), sigma=np.zeros(120))
         front_x = float(x[60] + rng.uniform(-0.5, 0.5) * (x[1] - x[0]))
-        new = _side_slopes(snap, front_x, *stencil)
+        half_width, gap, degree = stencil
+        windows = (slice(60 - gap - half_width, 60 - gap),
+                   slice(61 + gap, 61 + gap + half_width))
+        new = list(zip(*(c.tolist() for c in _fits(
+            np.stack([x[w] for w in windows]) - front_x, np.stack([v[w] for w in windows]),
+            degree))))
         assert np.array(new).tobytes() == np.array(
-            _polyfit_side_slopes(snap, front_x, *stencil)).tobytes()
+            _polyfit_fits(x, v, windows, front_x, degree)).tobytes()
 
     def test_rank_deficient_fit_warns(self):
         # cells far behind the front make the columns (x**2, x, 1) collinear
         x = np.arange(100.0)
         x[45:48] = 1e9 + np.array([0.0, 1e-6, 2e-6])
-        snap = Snapshot(t=0.0, x=x, v=x ** 2, F=np.ones(100), sigma=np.zeros(100))
         with pytest.warns(wavefront._RankWarning, match="poorly conditioned"):
-            _side_slopes(snap, 50.2, 3, 2, 2)
+            _fits(np.stack([x[45:48], x[53:56]]) - 50.2, np.stack([x[45:48], x[53:56]]) ** 2, 2)
 
 
 class TestOracleAgreement:
@@ -716,15 +720,14 @@ def _two_half_step_snapshots(model, grid, ic, t_end, out_dt):
     return snaps
 
 
-def _trace_from_snapshots(model, snaps, ic, dx):
+def _trace_from_snapshots(model, snaps, ic):
     """The trace columns simulate() records, computed from snapshots."""
     lam0 = eigensystem(model, equilibrium_state()).lam
     cols = {"measured_pi": [], "front_x": [], "energy": [], "max_sigma_production": []}
     for snap in snaps:
         fx = ic.x_front + lam0 * snap.t
-        gap = _auto_gap(lam0, snap.t, dx)
-        cols["measured_pi"].append(measure_front_slope(model, snap, fx, 16, gap, degree=2))
-        cols["front_x"].append(detect_front_position(snap, fx, 16, gap))
+        cols["measured_pi"].append(measure_front_slope(model, snap, fx))
+        cols["front_x"].append(detect_front_position(model, snap, fx))
         rep = entropy_monitor(model, snap)
         cols["energy"].append(rep.total_energy)
         cols["max_sigma_production"].append(rep.max_sigma_production)
@@ -755,7 +758,7 @@ class TestMergedHalfSteps:
         for field in ("v", "F", "sigma"):
             got, ref = getattr(res.final, field), getattr(snaps[-1], field)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), field
-        ref_trace = _trace_from_snapshots(model, snaps, ic, grid.dx)
+        ref_trace = _trace_from_snapshots(model, snaps, ic)
         assert np.array_equal(res.trace.t, [s.t for s in snaps])
         for col, ref in ref_trace.items():
             got = getattr(res.trace, col)
@@ -1173,8 +1176,9 @@ def _record_case(name):
 
 def _snapshot_record(model, grid, ic, t_end, out_dt):
     """The trace columns (t, measured, predicted, front, energy, max
-    sigma*P, max|v_X|) that entropy_monitor, _side_slopes and closed_form give
-    on the stepper's snapshot at every output, and the stepper."""
+    sigma*P, max|v_X|) that entropy_monitor, measure_front_slope,
+    detect_front_position and closed_form give on the stepper's snapshot at
+    every output, and the stepper."""
     lam0, wc = eigensystem(model, equilibrium_state()).lam, coefficients_ab(model)
     stepper = _Stepper.kink(model, grid, ic)
     rows = []
@@ -1184,8 +1188,8 @@ def _snapshot_record(model, grid, ic, t_end, out_dt):
         snap = stepper.snapshot(t)
         fx = ic.x_front + lam0 * t
         try:
-            (sb, cb), (sa, ca) = _side_slopes(snap, fx, 16, _auto_gap(lam0, t, grid.dx), 2)
-            pi_m, front = -lam0 * (sb - sa), wavefront._crossing(fx, sb, cb, sa, ca)
+            pi_m = measure_front_slope(model, snap, fx)
+            front = detect_front_position(model, snap, fx)
         except SimulationError:
             pi_m = front = math.nan
         try:
@@ -1232,3 +1236,47 @@ class TestRecord:
         monkeypatch.setattr(wavefront, "entropy_monitor", None)
         simulate(model, grid, ic, t_end=t_end, output_every=out_dt)
         assert taken == [t_end]   # the final state's
+
+
+class TestOneMeasurement:
+    """measure_front_slope and detect_front_position are simulate's own
+    front measurement: on the stepper's snapshot at each output, about the
+    guess x_front + lam0*t, they give its measured_pi and front_x bit for
+    bit, and raise SimulationError where its columns are NaN."""
+
+    @pytest.mark.parametrize("name", ["rubber", "newtonian", "regularized", "both_ends"])
+    def test_public_functions_give_simulates_columns(self, name):
+        model, grid, ic, t_end, out_dt = _record_case(name)
+        tr = simulate(model, grid, ic, t_end=t_end, output_every=out_dt).trace
+        stepper = _Stepper.kink(model, grid, ic)
+        failed = 0
+        for t, measured, front in zip(tr.t.tolist(), tr.measured_pi, tr.front_x):
+            stepper.advance_to(t, t_end)
+            snap, fx = stepper.snapshot(t), ic.x_front + stepper.lam0 * t
+            if math.isnan(measured):
+                assert math.isnan(front)
+                for fn in (measure_front_slope, detect_front_position):
+                    with pytest.raises(SimulationError, match="too close to the boundary"):
+                        fn(model, snap, fx)
+                failed += 1
+                continue
+            assert np.float64(measure_front_slope(model, snap, fx)).tobytes() == \
+                measured.tobytes()
+            assert np.float64(detect_front_position(model, snap, fx)).tobytes() == \
+                front.tobytes()
+        assert (failed > 0) == (name == "both_ends")
+
+    @pytest.mark.parametrize("t", [0.0, 2.0])
+    def test_windows_may_reach_either_end_of_the_domain(self, t):
+        # the gap is set by t, lam0 and dx alone: 2 cells at t = 0, 4 at t = 2
+        x, lam0 = (np.arange(100) + 0.5) * 0.1, 1.0
+        behind, ahead = _front_windows(x, x[50], lam0, t)
+        gap = ahead.start - 51
+        assert (50 - behind.stop, behind.stop - behind.start, ahead.stop - ahead.start) == \
+            (gap, 16, 16)
+        assert gap == (2 if t == 0.0 else 4)
+        assert _front_windows(x, x[gap + 16], lam0, t)[0].start == 0
+        assert _front_windows(x, x[x.size - gap - 17], lam0, t)[1].stop == x.size
+        for i in (gap + 15, x.size - gap - 16):
+            with pytest.raises(SimulationError, match="too close to the boundary"):
+                _front_windows(x, x[i], lam0, t)
