@@ -20,13 +20,15 @@ inputs (the simulator relies on the vectorized paths).
 
 The finite-volume step passes ``out``, an array of F's shape, to T, W2 and
 relax, and ``scratch``: a second such array to T and W2, whose formulas
-hold two arrays at once, and three to relax (the regularized law's steps).
-The result is then written into out, bit for bit the value of the call
-without out, which runs the plain expression (scalar inputs keep their
+hold two arrays at once, and three to relax (the regularized law's steps;
+the exact laws' rate, which takes the first).  relax takes sigma itself as
+out.  The result is then written into out, bit for bit the value of the
+call without out, which runs the plain expression (scalar inputs keep their
 Python floats).  Only the plain power law's relax then allocates arrays of
 F's size, and copies its result into out.  The buffered paths take their
 constants as 0-d float64 arrays (see _zero_d), built once per law and
-material instance by its private ``_consts``.
+material instance by its private ``_consts``; the regularized law's also
+holds c, n and eps**(-n) as Python floats, for its scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -298,10 +300,11 @@ class Maxwell:
         if out is None:
             rate = F ** (1.0 + 2.0 * solid.nu_bar) / solid.tau0
             return sigma * np.exp(-h * rate)
-        rate = np.power(F, solid._consts.q, out=out)
+        rate = np.empty_like(out) if scratch is None else scratch[0]
+        np.power(F, solid._consts.q, out=rate)
         rate /= solid._consts.tau0
         rate *= -h
-        return np.multiply(np.exp(rate, out=rate), sigma, out=rate)
+        return np.multiply(np.exp(rate, out=rate), sigma, out=out)
 
 
 def _copy_of(sigma, out):
@@ -332,9 +335,9 @@ class Newtonian:
     def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
         if out is None:
             return sigma * np.exp(-h * F / fluid.tau0)
-        rate = np.multiply(F, -h, out=out)
+        rate = np.multiply(F, -h, out=np.empty_like(out) if scratch is None else scratch[0])
         rate /= fluid._consts.tau0
-        return np.multiply(np.exp(rate, out=rate), sigma, out=rate)
+        return np.multiply(np.exp(rate, out=rate), sigma, out=out)
 
 
 @dataclass(frozen=True)
@@ -415,21 +418,23 @@ class RegularizedPowerLaw:
 
     @cached_property
     def _consts(self) -> SimpleNamespace:
-        return _zero_d(eps=self.eps, neg_n=-((self.m - 1.0) / self.m))
-
-    def P(self, F, sigma, fluid: FluidParams):
-        c = _power_prefactor(self.k_cons, self.m)
         n = (self.m - 1.0) / self.m
-        u = self.eps + sigma
-        with np.errstate(divide="ignore"):
-            out = -F * c * np.abs(u) ** (-n) * sigma
-        return np.where(u == 0.0, math.inf, out)[()]  # inf: the limit as sigma -> -eps
+        k = _zero_d(eps=self.eps, neg_n=-n)
+        k.c, k.n, k.eps_neg_n = _power_prefactor(self.k_cons, self.m), n, self.eps ** (-n)
+        return k
+
+    @np.errstate(divide="ignore")   # as a decorator, cheaper
+    def P(self, F, sigma, fluid: FluidParams):
+        k, u = self._consts, self.eps + sigma
+        out = -F * k.c * np.abs(u) ** (-k.n) * sigma
+        # inf where u = 0, the limit as sigma -> -eps: out is +inf, -inf or
+        # NaN there, so an array with no NaN and no -inf holds it already
+        if np.ndim(out) and out.size and out.item(out.argmin()) > -math.inf:
+            return out
+        return np.where(u == 0.0, math.inf, out)[()]
 
     def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
-        m = self.m
-        c = _power_prefactor(self.k_cons, m)
-        n = (m - 1.0) / m
-        u = self.eps + sigma
+        c, n, u = self._consts.c, self._consts.n, self.eps + sigma
         if u == 0.0:
             # one-sided limit from sigma > -eps
             return ProductionJacobian(P_F=math.inf, P_sigma=-math.inf)
@@ -463,15 +468,16 @@ class RegularizedPowerLaw:
         and factors exp(-0) = 1.  The other cells take the same steps either
         way.  (A NaN would come out NaN, but not always with its sign bit.)
         The steps run on out where it is C-contiguous, else on a C-ordered
-        copy; scratch, three float arrays of sigma's size, holds their
-        temporaries where every cell is stepped.
+        copy, and out may be sigma itself; scratch, three float arrays of
+        sigma's size, holds their temporaries where every cell is stepped.
         """
         res = out if out is not None and out.flags.c_contiguous else \
             np.empty(np.shape(sigma) if out is None else out.shape)
-        np.copyto(res, sigma)
-        flat = res.reshape(-1)
-        F = np.asarray(F, dtype=float)
-        F = (F if F.shape == res.shape else np.broadcast_to(F, res.shape)).reshape(-1)
+        if sigma is not res:
+            np.copyto(res, sigma)
+        flat, F = res, np.asarray(F, dtype=float)
+        if res.ndim != 1 or F.shape != res.shape:
+            flat, F = res.reshape(-1), np.broadcast_to(F, res.shape).reshape(-1)
         # a NaN F is the first one argmin and argmax pick, and a NaN sigma
         # makes sigma.sigma NaN
         if F.size and F.item(F.argmin()) >= 0.0 and math.isfinite(F_max := F.item(F.argmax())) \
@@ -483,16 +489,15 @@ class RegularizedPowerLaw:
             flat[live & ~finite] = math.nan
             live &= finite
             F_max = F.max(where=finite, initial=0.0)
-        om, m, eps = fluid.omega, self.m, self.eps
-        c, n = _power_prefactor(self.k_cons, m), (m - 1.0) / m
-        n_sub = math.ceil(h * (F_max * c / om * eps ** (-n)) / 5.0)
+        k, om = self._consts, fluid.omega
+        n_sub = math.ceil(h * (F_max * k.c / om * k.eps_neg_n) / 5.0)
         if n_sub:   # 0 for h = 0, where h*rate would be NaN at sigma = -eps
             s, F = (flat, F) if live is None else (flat[live], F[live])
             full, half, x = np.empty((3, s.size)) if scratch is None or live is not None \
                 else scratch
-            np.multiply(F, -h / n_sub * c / om, out=full)   # -h*k of a sub-step
+            np.multiply(F, -h / n_sub * k.c / om, out=full)   # -h*k of a sub-step
             np.multiply(full, _NUM.half, out=half)
-            _midpoint_steps(s, self._consts, half, full, x, n_sub)
+            _midpoint_steps(s, k, half, full, x, n_sub)
             if live is not None:
                 flat[live] = s
         return res if out is None or res is out else _copy_of(res, out)

@@ -61,15 +61,16 @@ whose update is +0 and whose sigma relax keeps, and the window already
 holds their states, so the largest CFL discriminant and the regularized
 law's sub-cycle count (from the largest F) stay the same.
 
-A step allocates no array of the window's size: the CFL row's W'', the
-source's sigma and every array of the hyperbolic step are views of work
-buffers allocated once per run, and the laws write T, W'' and the source
-step into them (see :mod:`accelwave.materials`; only the plain power law's
-relax makes its own temporaries).  numpy itself buffers an operation on
-(3, M) views whose rows it cannot join into one (up to 64 KB a call), so
-the differences of shifted views are taken row by row, and the limiter and
-the flux difference run on their rows laid end to end.  The finiteness
-check is one product of the window with a row of weights.
+A step allocates no array of the window's size: the CFL row's W'' and
+every array of the hyperbolic step are views of work buffers allocated once
+per run, and the laws write T, W'' and the source step into them (see
+:mod:`accelwave.materials`; only the plain power law's relax makes its own
+temporaries): the source divides the window's omega*sigma row by omega in
+place, relaxes it there and multiplies it back.  numpy itself buffers an
+operation on (3, M) views whose rows it cannot join into one (up to 64 KB
+a call), so the differences of shifted views are taken row by row, and the
+limiter and the flux difference run on their rows laid end to end.  The
+finiteness check is one product of the window with a row of weights.
 
 On a window of a few hundred cells most of a step is the fixed cost of its
 about 90 numpy calls.  So every constant operand is a 0-d float64 array,
@@ -79,6 +80,11 @@ plan's 0.5*dt/dx and dt/dx.  And the checks and the CFL step read a row's
 least or largest value as the entry argmin or argmax picks, at a third of
 the cost of min or max: the first NaN wherever those give NaN, else an
 equal value (a zero's sign may differ, which F > 0 and om*W'' + 1 ignore).
+The work around the calls is kept small too: a plan is about 90 views,
+built about 20 times a run, and views that are free at some point of a step
+serve as scratch there (see :class:`_Plan`); the span grows by comparing
+each new cell with its tail state entry by entry as int64 bits, F first,
+where a disturbed cell mostly differs already.
 
 A state that turns non-finite or loses hyperbolicity raises SimulationError
 naming the cell; a CFL step that is not finite and positive, or too small to
@@ -286,9 +292,10 @@ def _work(n: int) -> dict[str, np.ndarray]:
     """Flat scratch of the step plans for windows of up to n padded cells, by
     rows per cell: a plan reshapes a leading part of each to its shape."""
     rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "face": 6,
-            "speed": 1, "jump": 3, "flux": 3, "du": 3, "w2": 2, "tmp": 2}
+            "speed": 1, "jump": 3, "flux": 3, "du": 3, "w2": 2, "tmp": 1}
     # the finiteness check's weights 2**-k, 2**k > 2n: a finite row's sum never overflows
     return {"weights": np.full(n, 0.5 ** (n.bit_length() + 1)),
+            "half_dt_dx": np.empty(()), "dt_dx": np.empty(()),   # of a step
             **{k: np.empty(r * n) for k, r in rows.items()}}
 
 
@@ -297,10 +304,12 @@ class _Plan:
     of the window cells = (a, b) of padded cells takes, built once per
     window.  The M = b - a - 2 inner cells have (3, 2, M) pairs of (left,
     right) edge states, and their M - 1 interfaces (3, 2, M - 1) pairs.
-    w2 and tmp hold the laws' results and scratch: W'' of the window's cells
-    for the CFL step (tmp also sigma for the source), the edge and interface
-    T, and the interface W''.  The source's relax takes three rows of the
-    slope buffer d as scratch, the finiteness check a row of weights."""
+    w2 and tmp hold W'' of the window's cells and its scratch for the CFL
+    step, w2 also the interface W''.  Views free at some point of a step are
+    scratch there: w2, tmp and a row of speeds for the source's relax, sh
+    for the edge T, a row pair of the interface flux for the interface W''
+    and the interface W'' for the interface T.  The finiteness check takes
+    a row of weights."""
 
     def __init__(self, q: np.ndarray, cells: tuple[int, int],
                  work: dict[str, np.ndarray]):
@@ -313,12 +322,11 @@ class _Plan:
         self.w = w = q[:, a:b]
         self.F, self.sigma = w[1], w[2]
         self.w_mid, self.w_in = w[:, 1:-1], w[:, _NG:-_NG]
-        self.w2, tmp, self.weights = work["w2"][:m], work["tmp"], work["weights"][:m]
-        self.tmp = tmp[:m]
+        self.w2, self.tmp, self.weights = work["w2"][:m], work["tmp"][:m], work["weights"][:m]
+        self.relax_scratch = (self.w2, self.tmp, work["speed"][:m])
         # the slopes d row by row, and the limiter on d as one flat row,
         # whose pairs across a row end give two junk values that half skips
         d, half = work["d"], work["half"]
-        self.relax_scratch = _rows(d[:3 * m].reshape(3, m))
         self.slope_rows = tuple(zip(_rows(w[:, 1:]), _rows(w[:, :-1]),
                                     _rows(d[:3 * (M + 1)].reshape(3, M + 1))))
         self.limiter = (d[:3 * M + 2], d[1:3 * M + 3], half[:3 * M + 2], work["s"][:3 * M + 2],
@@ -328,25 +336,27 @@ class _Plan:
         self.sh = sh = work["sh"][:2 * M].reshape(2, M)
         self.e_left, self.e_right = e[:, 0], e[:, 1]
         self.g_left, self.g_right = g[:, 0], g[:, 1]
-        self.edge_rows = (*_rows(e), *_pair(g), tmp[:2 * M].reshape(2, M))
+        self.edge_rows = (*_rows(e), *_pair(g), sh)
         # interface states: right edge of cell i vs left edge of cell i+1,
         # each an edge plus its cell's shift (shared by the F and omega*sigma
         # rows), out of place: numpy copies an in-place operand it broadcasts
         face = work["face"][:2 * K].reshape(3, 2, M - 1)
-        self.shifted = ((e[0, 1, :-1], sh[0, :-1], face[0, 0]),
-                        (e[1:, 1, :-1], sh[1, :-1], face[1:, 0]),
-                        (e[0, 0, 1:], sh[0, 1:], face[0, 1]),
-                        (e[1:, 0, 1:], sh[1, 1:], face[1:, 1]))
-        self.face_F = face[1]
+        left, right = face[:, 0], face[:, 1]
+        lefts, rights = _rows(left), _rows(right)
+        self.shifted = ((e[0, 1, :-1], sh[0, :-1], lefts[0]),
+                        (e[1:, 1, :-1], sh[1, :-1], left[1:]),
+                        (e[0, 0, 1:], sh[0, 1:], rights[0]),
+                        (e[1:, 0, 1:], sh[1, 1:], right[1:]))
         self.f = f = work["g"][:4 * (M - 1)].reshape(2, 2, M - 1)
         self.f_left, self.f_right = f[:, 0], f[:, 1]
         self.face_w2 = work["w2"][:2 * (M - 1)].reshape(2, M - 1)
-        self.face_tmp = tmp[:2 * (M - 1)].reshape(2, M - 1)
-        self.face_rows = (*_rows(face), *_pair(f), self.face_tmp)
-        # the jump (right - left)*speed, row by row
+        self.face_tmp, f_v = _pair(f)
+        face_mom, self.face_F, face_osig = _rows(face)
+        self.face_rows = (face_mom, self.face_F, face_osig, self.face_tmp, f_v, self.face_w2)
+        # the jump (right - left)*speed, row by row, in place
         self.jump = work["jump"][:K].reshape(3, M - 1)
-        self.jump_rows = tuple(zip(_rows(face[:, 1]), _rows(face[:, 0]),
-                                   _rows(work["s"][:K].reshape(3, M - 1)), _rows(self.jump)))
+        jumps = _rows(self.jump)
+        self.jump_rows = tuple(zip(rights, lefts, jumps, jumps))
         self.speed = work["speed"][:M - 1]
         fl, du = work["flux"][:K], work["du"][:K]
         self.flux = fl2 = fl.reshape(3, M - 1)
@@ -356,7 +366,7 @@ class _Plan:
         self.flux_diff = (fl[1:], fl[:-1], du[:-1])
         self.du = du.reshape(3, M - 1)[:, :M - 2]
         # 0.5*dt/dx and dt/dx of the step
-        self.half_dt_dx, self.dt_dx = np.empty(()), np.empty(())
+        self.half_dt_dx, self.dt_dx = work["half_dt_dx"], work["dt_dx"]
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
@@ -551,13 +561,16 @@ def detect_front_position(model: MaterialModel, snapshot: Snapshot,
 # Energy audit
 # ---------------------------------------------------------------------------
 
-def _audit_rows(model: MaterialModel, v, F, sigma):
+def _audit_rows(model: MaterialModel, v, F, sigma, dens=None, sp=None):
     """The energy density rho*v^2/2 + W(F) + omega*sigma^2/2 and sigma*P(F,
-    sigma) of each cell, after the stretch check."""
+    sigma) of each cell, after the stretch check, into the arrays dens and
+    sp if given (only W and P then make temporaries)."""
     _require_stretch(F)
-    dens = 0.5 * model.rho_star * v ** 2 + model.elastic.W(F, model) \
-        + 0.5 * model.omega * sigma ** 2
-    return dens, sigma * model.production.P(F, sigma, model)
+    dens = np.multiply(v, v, out=dens)
+    dens *= 0.5 * model.rho_star
+    dens += model.elastic.W(F, model)
+    dens += np.multiply(np.multiply(sigma, sigma, out=sp), 0.5 * model.omega, out=sp)
+    return dens, np.multiply(sigma, model.production.P(F, sigma, model), out=sp)
 
 
 def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
@@ -587,6 +600,8 @@ class _Stepper:
             np.copyto(ghosts, cell)
         self.tails = _tail_states(q)
         self.span = _disturbed_span(q, self.tails)
+        self.q_bits = q.view(np.int64).item   # _grow_span compares cells as int64 bits
+        self.tail_bits = [t and np.frombuffer(t, np.int64).tolist() for t in self.tails]
         self.work = _work(q.shape[1])
         # the first step takes the whole row: a failing tail state fails there
         self.plan = _Plan(q, (0, q.shape[1]), self.work)
@@ -606,15 +621,16 @@ class _Stepper:
         s = x - ic.x_front
         # piecewise: equilibrium ahead; mandated ramp pi0*d0*s on [-w, 0];
         # linear return to equilibrium on [-w-wb, -w]
-        ramp = np.clip(s, -w, 0.0)
-        back = np.clip((s + w + wb) / wb, 0.0, 1.0)
+        ramp = s.clip(-w, 0.0)
+        back = ((s + w + wb) / wb).clip(0.0, 1.0)
         amp = np.where(s >= -w, ramp, -w * back)
-        F = 1.0 + ic.pi0 * eig.d_plus[1] * amp
-        if np.any(F <= 0.0):
-            raise ValueError("initial amplitude drives the deformation gradient non-positive")
+        # row i: (pi0*d_i*amp)*(rho, 1, omega)[i], and F = 1 + row 1
         q = np.empty((3, grid.n_cells + 2 * _NG))   # the ghosts are filled by __init__
-        q[:, _NG:-_NG] = (model.rho_star * (ic.pi0 * eig.d_plus[0] * amp), F,
-                          model.omega * (ic.pi0 * eig.d_plus[2] * amp))
+        for d, c, row in zip(eig.d_plus, (model.rho_star, 1.0, model.omega), q[:, _NG:-_NG]):
+            np.multiply(np.multiply(ic.pi0 * d, amp, out=row), c, out=row)
+        F = np.add(q[1, _NG:-_NG], 1.0, out=q[1, _NG:-_NG])
+        if (F <= 0.0).any():
+            raise ValueError("initial amplitude drives the deformation gradient non-positive")
         stepper = cls(model, grid, q)
         stepper.x, stepper.lam0 = x, eig.lam
         return stepper
@@ -629,26 +645,28 @@ class _Stepper:
         """The relaxation source over h on the plan's window, in place:
         om*relax(F, sigma, h) into its omega*sigma row."""
         p, model, om = self.plan, self.model, self.model._consts.om
-        model.production.relax(p.F, np.divide(p.sigma, om, out=p.tmp), h, model,
-                               out=p.sigma, scratch=p.relax_scratch)
-        p.sigma *= om
+        sigma = np.divide(p.sigma, om, out=p.sigma)
+        model.production.relax(p.F, sigma, h, model, out=sigma, scratch=p.relax_scratch)
+        sigma *= om
 
     def _grow_span(self) -> None:
         """The span after a step of _window(*span): the new cells on each side
         (two, or all up to a boundary, whose ghosts are refilled here) that
         differ from their tail state are taken in.  The ghosts of a boundary
         the span does not reach already equal its tail cells."""
-        q, (lo, hi), (left, right) = self.q, self.span, self.tails
-        n = q.shape[1]
+        item, (lo, hi), (left, right) = self.q_bits, self.span, self.tail_bits
+        n = self.q.shape[1]
         new_lo = lo - _NG if lo > 2 * _NG else 0
         new_hi = hi + _NG if hi < n - 2 * _NG else n
         if new_lo == 0:
             np.copyto(*self.ghosts[0])
         if new_hi == n:
             np.copyto(*self.ghosts[1])
-        while new_lo < lo and q[:, new_lo].tobytes() == left:
+        while new_lo < lo and left and item(1, new_lo) == left[1] \
+                and item(0, new_lo) == left[0] and item(2, new_lo) == left[2]:
             new_lo += 1
-        while new_hi > hi and q[:, new_hi - 1].tobytes() == right:
+        while new_hi > hi and right and item(1, new_hi - 1) == right[1] \
+                and item(0, new_hi - 1) == right[0] and item(2, new_hi - 1) == right[2]:
             new_hi -= 1
         self.span = new_lo, new_hi
 
@@ -718,6 +736,7 @@ class _Record:
         self.stepper, self.x, self.lam0, self.x_front = stepper, x, lam0, x_front
         self.dx = x[1] - x[0]   # the cell width of entropy_monitor
         self.dens, self.sp, self.dv = np.empty(n), np.empty(n), np.empty(n - 1)
+        self.v, self.sigma = np.empty(n), np.empty(n)
         self.rows = []   # (t, energy, max sigma*P, max|v_X|) of each output
         self.fits = []   # (output, front x, first cells of the windows) of each fit
         self.fit_mom = np.empty((n_outputs, 2, _FIT_HALF_WIDTH))   # rho*v of the windows
@@ -737,9 +756,10 @@ class _Record:
             self.fits.append((k, fx, (behind.start, ahead.start)))
         a, b = st.plan.cells
         lo, hi = max(a - 1 - _NG, 0), min(b + 1 - _NG, grid.n_cells)
-        row = q[:, _NG + lo:_NG + hi]
-        v = row[0] / model.rho_star
-        self.dens[lo:hi], self.sp[lo:hi] = _audit_rows(model, v, row[1], row[2] / model.omega)
+        row, c = q[:, _NG + lo:_NG + hi], model._consts
+        v = np.divide(row[0], c.rho, out=self.v[lo:hi])
+        _audit_rows(model, v, row[1], np.divide(row[2], c.om, out=self.sigma[lo:hi]),
+                    self.dens[lo:hi], self.sp[lo:hi])
         dv = np.subtract(v[1:], v[:-1], out=self.dv[lo:hi - 1])
         np.abs(dv, out=dv)
         # argmax reads the max at a third of the cost: no NaN, no -0.0

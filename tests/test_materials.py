@@ -508,6 +508,67 @@ def test_regularized_relax_with_a_nan_stretch():
         assert out[1:].tobytes() == ref.tobytes()
 
 
+
+def _alias_cases(rng):
+    """A model of each law, random ones included, with stretches and
+    stresses that hold zeros of both signs."""
+    models = [rubber_solid(), penn_solid(), random_solid(rng), random_mr_solid(rng),
+              unit_fluid(), unit_fluid(PowerLaw(k_cons=1.0, m=0.5)),
+              unit_fluid(PowerLaw(k_cons=1.0, m=2.0)), unit_fluid(PowerLaw(k_cons=2.0, m=1.0)),
+              unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))]
+    models += [random_fluid(rng, kind) for kind in ("newtonian", "power_law", "regularized")
+               for _ in range(2)]
+    for model in models:
+        F = 10.0 ** rng.uniform(-0.2, 0.2, 12)
+        sigma = rng.standard_normal(12) / model.omega * 1e-3
+        sigma[::4], sigma[1::4] = 0.0, -0.0
+        yield model, F, sigma, 0.01 * model.tau0 if math.isfinite(model.tau0) else 0.01
+
+
+def test_relax_into_sigma_itself_equals_the_allocating_call(rng):
+    # the FV source relaxes its sigma row in place: relax(F, s, h, out=s)
+    for model, F, sigma, h in _alias_cases(rng):
+        ref = model.production.relax(F, sigma.copy(), h, model)
+        for scratch in (None, tuple(np.full((3, F.size), np.nan))):
+            s = sigma.copy()
+            assert model.production.relax(F, s, h, model, out=s, scratch=scratch) is s
+            assert s.tobytes() == ref.tobytes(), type(model.production).__name__
+
+
+def _former_regularized_P(law, F, sigma):
+    """RegularizedPowerLaw.P as it computed its constants on each call."""
+    c = _power_prefactor(law.k_cons, law.m)
+    n = (law.m - 1.0) / law.m
+    u = law.eps + sigma
+    with np.errstate(divide="ignore"):
+        out = -F * c * np.abs(u) ** (-n) * sigma
+    return np.where(u == 0.0, math.inf, out)[()]
+
+
+def test_regularized_P_keeps_the_bits_of_its_former_expression(rng):
+    law = RegularizedPowerLaw(k_cons=0.7, m=2.3, eps=1e-2)
+    fluid = unit_fluid(law)
+    eps = law.eps
+    sigma = np.array([0.0, -0.0, -eps, math.nan, -math.nan, 5e-324, -5e-324, eps, -2 * eps,
+                      1e300, -1e300, math.inf, -math.inf, 0.3, -0.3])
+    F = np.array([1.0, 0.5, 2.0, 1.0, 1.0, 3.0, 1.0, 1e-300, 1.0, 1e300, 1.0, 1.0, 1.0,
+                  0.0, -0.0])
+    cases = [(F, sigma), (1.0, sigma), (F, -eps), (F, 0.0), (np.full(3, 2.0), np.full(3, -eps)),
+             (F[:0], sigma[:0]), (np.array(1.5), np.array(-eps)), (np.array(1.5), 0.25)]
+    # u = 0 where the stretch is 0, negative or NaN: the where, not the product
+    cases += [(np.array([bad, 1.0]), np.array([-eps, 0.5]))
+              for bad in (0.0, -0.0, -1.0, math.nan, math.inf)]
+    cases += [(f, s) for f in (1.0, 0.0, -1.0, math.nan) for s in (0.0, -0.0, -eps, 0.5,
+                                                                      math.nan)]
+    cases.append((10.0 ** rng.uniform(-1, 1, 50), rng.standard_normal(50) * eps))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for F_, s_ in cases:
+            got, ref = law.P(F_, s_, fluid), _former_regularized_P(law, F_, s_)
+            assert type(got) is type(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (F_, s_)
+    assert type(law.P(1.0, 0.5, fluid)) is np.float64
+
+
 def _stiff_rate(law, fluid, F):
     return float(np.max(F)) * _power_prefactor(law.k_cons, law.m) / fluid.omega \
         * law.eps ** (-(law.m - 1.0) / law.m)

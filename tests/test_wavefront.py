@@ -1107,6 +1107,32 @@ class TestStepper:
                 pytest.raises(SimulationError, match=match):
             stepper.advance_to(1.0, 1.0)
 
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan_sigma"])
+    @pytest.mark.parametrize("name, model, sigma_scale", [
+        ("rubber", rubber_solid(), 2e4), ("penn", penn_solid(), 2e4),
+        ("newtonian", unit_fluid(), 0.05),
+        ("power_law_0.5", unit_fluid(PowerLaw(k_cons=1.0, m=0.5)), 0.05),
+        ("power_law_2", unit_fluid(PowerLaw(k_cons=1.0, m=2.0)), 0.05),
+        ("regularized", unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)), 0.05)])
+    def test_source_step_is_the_relax_of_copies(self, name, model, sigma_scale, nan):
+        # _source relaxes the window's omega*sigma row in place, with the
+        # plan's scratch; a NaN sigma sends the regularized law down its
+        # masked path
+        n = 64 + 2 * _NG
+        q = _random_state(np.random.default_rng(5), model, n, 0.05, 0.01, sigma_scale)
+        q[2, ::5], q[2, 1::5] = 0.0, -0.0
+        if nan:
+            q[2, 2 * _CHUNK + 3] = math.nan
+        stepper = _stepper_of(model, q)
+        a, b = _CHUNK, 4 * _CHUNK
+        stepper.plan = _Plan(q, (a, b), stepper.work)
+        om, h = model.omega, 0.5 * model.tau0
+        expected = q.copy()
+        F, sigma = q[1, a:b].copy(), q[2, a:b] / om
+        expected[2, a:b] = om * model.production.relax(F, sigma, h, model)
+        stepper._source(h)
+        assert q.tobytes() == expected.tobytes()
+
     @staticmethod
     def _poisoned_stepper(monkeypatch, where, poison):
         """A stepper of a small pulse in rubber, one step on, whose next
