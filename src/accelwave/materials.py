@@ -262,7 +262,7 @@ class IdealGas:
     """The fluid's elastic part: isothermal pressure p = p_ref/F, W' = -p."""
 
     def W(self, F, fluid: FluidParams):
-        return -fluid.p_ref * np.log(F) + 0.0 * F
+        return -fluid.p_ref * np.log(F)
 
     def T(self, F, fluid: FluidParams, out=None, scratch=None):
         if out is None:

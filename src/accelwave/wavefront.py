@@ -48,15 +48,21 @@ and a solid with tau0 = inf has b = 0.
 
 A step advances only the span between two tails of cells equal bit for bit
 to their boundary state (finite, F > 0, sigma = +-0, as ahead of a kink and
-behind its ramp), and two cells on each side.  The tails stay constant: by
-the zero rule a cell whose 5-cell stencil is constant gets an update of
-exactly +0, and sigma = +-0 is a fixed point of every relax.  The CFL step,
-the source and the finiteness check see the same window, which holds cells
-of both tails, and the first step the whole row, so a failing tail state is
-named as before.  The window is rounded out to multiples of _CHUNK padded
-cells, clipped to the row, and its views of q and of per-run scratch are
-built only when the rounded window changes (it grows by at most two cells
-a side a step).  Rounding changes no bit: the extra cells are tail cells,
+behind its ramp), and two cells on each side.  The span is found from q
+once; after that it is the scheme's numerical domain of dependence, one
+cell more a side a step, and growing it reads no cell.  An interface reads
+the edge states of its two cells, and by the zero rule a cell next to an
+equal cell has a slope of +0, so the cell two beyond the span sees tail
+states at both its interfaces and gets an update of exactly +0, as every
+cell whose 5-cell stencil is constant does; and sigma = +-0 is a fixed
+point of every relax.  So the tails stay constant.  Within 2*_NG cells of a
+boundary the span takes the rest of the row, and that boundary's ghosts are
+refilled after each step.  The CFL step, the source and the finiteness
+check see the same window, which holds cells of both tails, and the first
+step the whole row, so a failing tail state is named as before.  The window
+is rounded out to multiples of _CHUNK padded cells, clipped to the row, and
+its views of q and of per-run scratch are built only when the rounded
+window changes.  Rounding changes no bit: the extra cells are tail cells,
 whose update is +0 and whose sigma relax keeps, and the window already
 holds their states, so the largest CFL discriminant and the regularized
 law's sub-cycle count (from the largest F) stay the same.
@@ -82,9 +88,7 @@ the cost of min or max: the first NaN wherever those give NaN, else an
 equal value (a zero's sign may differ, which F > 0 and om*W'' + 1 ignore).
 The work around the calls is kept small too: a plan is about 90 views,
 built about 20 times a run, and views that are free at some point of a step
-serve as scratch there (see :class:`_Plan`); the span grows by comparing
-each new cell with its tail state entry by entry as int64 bits, F first,
-where a disturbed cell mostly differs already.
+serve as scratch there (see :class:`_Plan`).
 
 A state that turns non-finite or loses hyperbolicity raises SimulationError
 naming the cell; a CFL step that is not finite and positive, or too small to
@@ -164,6 +168,10 @@ class Grid:
             raise ValueError("x_max must exceed x_min")
         if self.n_cells < 16:
             raise ValueError(f"n_cells must be >= 16, got {self.n_cells}")
+        # an inf dx makes every x NaN, and a subnormal one steps too small to end a run
+        if not np.finfo(float).tiny <= self.dx < math.inf:
+            raise ValueError(f"cell width (x_max - x_min)/n_cells must be a finite normal "
+                             f"float, got {self.dx!r}")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
 
@@ -258,20 +266,14 @@ def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int = 
     return W2
 
 
-def _tail_states(q: np.ndarray) -> tuple[bytes | None, bytes | None]:
-    """The bits of each boundary state of q that can bound a tail (finite,
-    F > 0, sigma = +-0), else None."""
-    return tuple(c.tobytes() if np.isfinite(c).all() and c[1] > 0.0 and c[2] == 0.0
-                 else None for c in (q[:, 0], q[:, -1]))
-
-
-def _disturbed_span(q: np.ndarray, tails) -> tuple[int, int]:
+def _initial_span(q: np.ndarray) -> tuple[int, int]:
     """[lo, hi): the padded cells of q between the leading run of cells equal
-    to the left tail state bit for bit and the trailing run equal to the right."""
-    n = q.shape[1]
-    off = [np.ones(n, dtype=bool) if tail is None else
-           (q.view(np.int64) != np.frombuffer(tail, np.int64)[:, None]).any(axis=0)
-           for tail in tails]
+    bit for bit to its left boundary state and the trailing run equal to its
+    right one.  A boundary state bounds a tail only if it is finite, with
+    F > 0 and sigma = +-0; else its run is empty."""
+    bits, n = q.view(np.int64), q.shape[1]
+    off = [(bits != bits[:, [i]]).any(axis=0) if np.isfinite(q[:, i]).all()
+           and q[1, i] > 0.0 and q[2, i] == 0.0 else np.ones(n, dtype=bool) for i in (0, -1)]
     lo = int(off[0].argmax()) if off[0].any() else n
     hi = n - int(off[1][::-1].argmax()) if off[1].any() else 0
     return lo, max(lo, hi)
@@ -591,17 +593,14 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
 
 class _Stepper:
     """The step loop on grid's ghost-padded state q = (rho*v, F, omega*sigma),
-    in place, with q's tails and span, the work buffers and window plan, t,
-    the step count and the pending half-step (and x and lam0, see kink)."""
+    in place, with q's span, the work buffers and window plan, t, the step
+    count and the pending half-step (and x and lam0, see kink)."""
 
     def __init__(self, model: MaterialModel, grid: Grid, q: np.ndarray):
         self.model, self.grid, self.q, self.ghosts = model, grid, q, _ghost_views(q)
         for ghosts, cell in self.ghosts:
             np.copyto(ghosts, cell)
-        self.tails = _tail_states(q)
-        self.span = _disturbed_span(q, self.tails)
-        self.q_bits = q.view(np.int64).item   # _grow_span compares cells as int64 bits
-        self.tail_bits = [t and np.frombuffer(t, np.int64).tolist() for t in self.tails]
+        self.span = _initial_span(q)
         self.work = _work(q.shape[1])
         # the first step takes the whole row: a failing tail state fails there
         self.plan = _Plan(q, (0, q.shape[1]), self.work)
@@ -650,25 +649,18 @@ class _Stepper:
         sigma *= om
 
     def _grow_span(self) -> None:
-        """The span after a step of _window(*span): the new cells on each side
-        (two, or all up to a boundary, whose ghosts are refilled here) that
-        differ from their tail state are taken in.  The ghosts of a boundary
-        the span does not reach already equal its tail cells."""
-        item, (lo, hi), (left, right) = self.q_bits, self.span, self.tail_bits
-        n = self.q.shape[1]
-        new_lo = lo - _NG if lo > 2 * _NG else 0
-        new_hi = hi + _NG if hi < n - 2 * _NG else n
-        if new_lo == 0:
+        """The span after a step of _window(*span), from the span alone: one
+        cell more a side, or all cells up to a boundary within 2*_NG of it,
+        whose ghosts are refilled here.  The ghosts of a boundary the span
+        does not reach already equal its tail cells."""
+        (lo, hi), n = self.span, self.q.shape[1]
+        lo = lo - 1 if lo > 2 * _NG else 0
+        hi = hi + 1 if hi < n - 2 * _NG else n
+        if lo == 0:
             np.copyto(*self.ghosts[0])
-        if new_hi == n:
+        if hi == n:
             np.copyto(*self.ghosts[1])
-        while new_lo < lo and left and item(1, new_lo) == left[1] \
-                and item(0, new_lo) == left[0] and item(2, new_lo) == left[2]:
-            new_lo += 1
-        while new_hi > hi and right and item(1, new_hi - 1) == right[1] \
-                and item(0, new_hi - 1) == right[0] and item(2, new_hi - 1) == right[2]:
-            new_hi -= 1
-        self.span = new_lo, new_hi
+        self.span = lo, hi
 
     def advance_to(self, target: float, t_end: float) -> None:
         """Step q to t = target, to within 1e-14*t_end (t_end the run's end),
@@ -708,8 +700,8 @@ class _Stepper:
                     cell = _interior(p.cells[0] + int(bad[0][1]), n_cells)
                     raise SimulationError(f"non-finite state at t={t:.6g}, cell {cell}")
         if self.pending:
-            # the last step's window still covers the span, which grew by at
-            # most two cells a side, and holds cells of the same tails
+            # the last step's window still covers the span, which grew by
+            # one cell a side, and holds cells of the same tails
             self._source(self.pending)
             self.pending = 0.0
         self.t = target

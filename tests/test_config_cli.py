@@ -604,6 +604,20 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert f"config error: '{key}' in 'sim' must be > 0, got {value!r}" in err
 
+    @pytest.mark.parametrize("ends, message", [
+        ((-1e308, 1e308), "must be a finite normal float, got inf"),
+        ((0.0, 1e-320), "must be a finite normal float, got 2.5e-323")])
+    def test_a_width_that_is_not_a_finite_normal_float_is_a_config_error(
+            self, capsys, tmp_path, ends, message):
+        d = dict(RUBBER_DICT)
+        d["sim"] = {"x_min": ends[0], "x_max": ends[1], "n_cells": 400, "cfl": 0.9,
+                    "x_front": 0.0, "pi0": 32.0, "t_end": 0.05}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: invalid 'sim' block: ") and message in err
+
 
 class TestPaperTablesCommand:
     def test_report_passes_all_reference_checks(self, capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,15 +36,14 @@ from accelwave import wavefront
 from accelwave.wavefront import (
     _CHUNK,
     _NG,
-    _disturbed_span,
     _fits,
     _front_windows,
     _ghost_views,
     _hyperbolic_step,
+    _initial_span,
     _minmod,
     _Plan,
     _Stepper,
-    _tail_states,
     _window,
     _work,
 )
@@ -336,6 +335,14 @@ class TestValidation:
         ends = {"x_min": 0.0, "x_max": 30.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
             Grid(**ends, n_cells=400, cfl=0.9)
+
+    def test_grid_rejects_a_width_or_cell_width_that_is_not_a_finite_normal_float(self):
+        # an inf width gave dx = inf, and simulate failed converting NaN to an
+        # integer; a subnormal dx gave steps too small to end the run
+        with pytest.raises(ValueError, match=r"must be a finite normal float, got inf$"):
+            Grid(x_min=-1e308, x_max=1e308, n_cells=400, cfl=0.9)
+        with pytest.raises(ValueError, match=r"must be a finite normal float, got 2\.5e-323$"):
+            Grid(x_min=0.0, x_max=1e-320, n_cells=400, cfl=0.9)
 
     @pytest.mark.parametrize("n_cells", [400.5, 400.0, np.float64(400.0), True,
                                          np.bool_(True), "400", None])
@@ -917,8 +924,8 @@ class TestDisturbedSpan:
         model, grid, ic, t_end, fields = _span_case(name)
         spans, windows = [], []
 
-        def found(q, tails):
-            spans.append(_disturbed_span(q, tails))
+        def found(q):
+            spans.append(_initial_span(q))
             return spans[-1]
 
         def planned(q, cells, work):
@@ -931,7 +938,7 @@ class TestDisturbedSpan:
             return _simulate_from(fields, model, grid, ic, t_end=t_end,
                                   output_every=t_end / 4)
 
-        monkeypatch.setattr(wavefront, "_disturbed_span", found)
+        monkeypatch.setattr(wavefront, "_initial_span", found)
         monkeypatch.setattr(wavefront, "_Plan", planned)
         windowed = run()
         lo, hi = spans[0]
@@ -940,11 +947,11 @@ class TestDisturbedSpan:
         # ... rounded out to whole chunks, or to the ends of the row
         assert any(b - a < n for a, b in windows)
         assert all(a % _CHUNK == 0 and (b % _CHUNK == 0 or b == n) for a, b in windows)
-        monkeypatch.setattr(wavefront, "_disturbed_span", lambda q, tails: (0, q.shape[1]))
+        monkeypatch.setattr(wavefront, "_initial_span", lambda q: (0, q.shape[1]))
         assert _result_bytes(windowed) == _result_bytes(run())
 
     def test_plan_is_built_once_per_window(self, monkeypatch):
-        # the window grows by at most two cells a side per step, so its
+        # the window grows by one cell a side per step, so its
         # chunk-rounded ends change far less often than once a step
         model, wc, grid, ic = _rubber_setup(1000, 0.1)
         built, steps = [], []
@@ -976,16 +983,18 @@ class TestDisturbedSpan:
     def test_span_of_rows_without_tails(self):
         n = 16 + 2 * _NG
         q = np.stack([np.zeros(n), np.ones(n), np.zeros(n)])
-        assert _disturbed_span(q, _tail_states(q)) == (n, n)   # constant: empty
-        q[2, 0] = 1e-3                                          # sigma != 0
-        q[0, -1] = math.nan
-        assert _tail_states(q) == (None, None)
-        assert _disturbed_span(q, _tail_states(q)) == (0, n)
+        assert _initial_span(q) == (n, n)   # constant: empty
+        q[2, 0] = 1e-3                       # sigma != 0: no left tail
+        assert _initial_span(q) == (0, 1)
+        q[0, -1] = math.nan                  # nor a right one
+        assert _initial_span(q) == (0, n)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=st.sampled_from(_STEP_CASES), seed=st.integers(0, 2 ** 32 - 1),
            width=st.integers(0, 24), start=st.floats(0.0, 1.0),
            right_differs=st.booleans(), k=st.integers(1, 8))
+    # two different tails that meet with no cell between them
+    @example(case=_STEP_CASES[0], seed=0, width=0, start=0.5, right_differs=True, k=8)
     def test_windowed_steps_equal_whole_row_steps(self, case, seed, width, start,
                                                   right_differs, k):
         _, model, scales = case
@@ -994,8 +1003,9 @@ class TestDisturbedSpan:
         lo = int(start * (n - width))
         full = _tailed_state(seed, model, scales, n, lo, lo + width, right_differs)
         win = full.copy()
-        span = _stepper_of(model, win)   # holds win's tails and span
-        tails, (lo, hi) = span.tails, span.span
+        tails = [c.tobytes() for c in (win[:, 0], win[:, -1])]
+        span = _stepper_of(model, win)   # holds win's span
+        lo, hi = span.span
         work = _work(n)
         dx = 0.05
         for _ in range(k):
