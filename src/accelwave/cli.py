@@ -40,8 +40,8 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     apply_sweep_value,
+    bundled_config_path,
     load_scenario,
-    material_from_dict,
     material_to_dict,
 )
 from .materials import (
@@ -328,10 +328,6 @@ def cmd_sweep(args) -> int:
 # Built-in benchmark tables
 # ---------------------------------------------------------------------------
 
-_RUBBER = {"kind": "solid",
-           "solid": {"rho_star": 929.0, "E1": 2.12e6, "E2": 3.0e6, "tau0": 0.1,
-                     "elastic": {"kind": "quadratic_cubic", "R": 1.63}}}
-
 _PENN_MR = MooneyRivlin(C1=0.092e6, C2=0.237e6, k_bulk=2000.20e6, nu_bar=0.4998)
 
 # reference values and relative tolerances for the rubber benchmark
@@ -356,7 +352,7 @@ def cmd_paper_tables(args) -> int:
     lines = []
     all_ok = True
 
-    model = material_from_dict(_RUBBER)
+    model = load_scenario(bundled_config_path("rubber.json")).material
     wc = coefficients_ab(model)
     kc = k_condition(model)
     lines.append("Vulcanized-rubber benchmark (quadratic-cubic potential)")
@@ -486,8 +482,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateWaveError, SimulationError, ValueError,
-            ArithmeticError) as exc:
+    except (DegenerateWaveError, SimulationError, ValueError, ArithmeticError,
+            MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -23,7 +23,7 @@ from .materials import (
     RegularizedPowerLaw,
     SolidParams,
 )
-from .wavefront import Grid, KinkIC
+from .wavefront import Grid, KinkIC, _outputs, _require_fits
 
 __all__ = [
     "ConfigError",
@@ -161,13 +161,10 @@ def _sim_from_dict(d: dict) -> SimConfig:
     kink_names = [f.name for f in fields(KinkIC)]
     names = [*grid_names, *kink_names, "t_end", "output_every"]
     _check_keys(d, set(names), "'sim'")
-    n_cells = d.get("n_cells")
-    if not isinstance(n_cells, int) or isinstance(n_cells, bool):
-        raise ConfigError("'n_cells' in 'sim' must be an integer")
     optional = ("ramp_width", "output_every")
     values = {name: _number(d, name, "'sim'", optional=name in optional)
               for name in names if name != "n_cells"}
-    values["n_cells"] = n_cells
+    values["n_cells"] = d.get("n_cells")   # Grid refuses all but an integer
     for name in ("t_end", "output_every"):
         if values[name] is not None and values[name] <= 0.0:
             raise ConfigError(f"'{name}' in 'sim' must be > 0, got {values[name]!r}")
@@ -176,7 +173,9 @@ def _sim_from_dict(d: dict) -> SimConfig:
     try:
         grid = Grid(**{name: values[name] for name in grid_names})
         kink = KinkIC(**{name: values[name] for name in kink_names})
-    except ValueError as exc:
+        _require_fits(grid, kink)   # simulate's own checks
+        _outputs(values["t_end"], values["output_every"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'sim' block: {exc}") from exc
     return SimConfig(grid, kink, values["t_end"], values["output_every"])
 

@@ -10,17 +10,11 @@ explicit exponential midpoint steps (regularized power law), which keep the
 sign of sigma and never grow |sigma|.  The trailing source half-step of one
 step and the leading half-step of the next are merged into one relax() call
 (the source leaves F, and so the CFL step, unchanged).  simulate advances a
-private stepper, which owns the state, its span and window plan, t and the
-pending half-step, to each output time, where the pending half-step is
-applied; its record then reads that synchronized state and never writes
-it.  The record costs O(window) an output and takes no snapshot: it copies
-the v values of the two front-fit windows and refreshes per-run rows of the
-energy density, sigma*P and |v(i+1) - v(i)| on the stepper's window only,
-then reduces the whole rows.  That is bit for bit the record of a snapshot,
-because the window only grows and every cell outside it still holds its
-t = 0 state (the tail invariant below).  After the run one batch fits all
-the windows (one stacked Vandermonde system, one lstsq per window) and one
-closed_form call gives the prediction column (see amplitude._predicted).
+private stepper (see :class:`_Stepper`) to each output time, where the
+pending half-step is applied; its record (see :class:`_Record`) then reads
+that synchronized state, at a cost of the order of the span, and never
+writes it.  After the run one batch fits the front windows of all outputs
+and one closed_form call gives the prediction column (amplitude._predicted).
 There is one front measurement: measure_front_slope(model, snapshot,
 front_x) and detect_front_position(model, snapshot, front_x_guess) are its
 one-output case, so on a snapshot at an output time t, about the guess
@@ -38,34 +32,36 @@ as x -> fl(fl(om*x) + 1) is monotone for om > 0; division by rho*om > 0 and
 sqrt are correctly rounded and monotone too, so the root of the largest
 discriminant is bit for bit the largest speed.  One checked W'' serves both:
 each step evaluates W'' once on the cells (for the CFL step) and once on the
-predicted interface states, after checking the stretch F > 0 by one
-reduction that also rejects NaN, and checks the discriminants > 0 by
-om*min(W'') + 1 in the same way.  The cell edges need no check: a
-minmod-limited edge lies between its cell and the mean with a neighbour, so
-positive cells give positive edges.  A linear or non-relaxing
-run is a choice of material, not of solver: QuadraticCubic(R=0) has a = 0,
-and a solid with tau0 = inf has b = 0.
+predicted interface states, after checking the stretch F > 0 by one reduction
+that also rejects NaN, and checks the discriminants > 0 by om*min(W'') + 1 in
+the same way.  The cell edges need no check: a minmod-limited edge lies
+between its cell and the mean with a neighbour, so positive cells give
+positive edges.  A linear or non-relaxing run is a choice of material, not of
+solver: QuadraticCubic(R=0) has a = 0, and a solid with tau0 = inf has b = 0.
 
-A step advances only the span between two tails of cells equal bit for bit
-to their boundary state (finite, F > 0, sigma = +-0, as ahead of a kink and
-behind its ramp), and two cells on each side.  The span is found from q
-once; after that it is the scheme's numerical domain of dependence, one
-cell more a side a step, and growing it reads no cell.  An interface reads
-the edge states of its two cells, and by the zero rule a cell next to an
-equal cell has a slope of +0, so the cell two beyond the span sees tail
-states at both its interfaces and gets an update of exactly +0, as every
-cell whose 5-cell stencil is constant does; and sigma = +-0 is a fixed
-point of every relax.  So the tails stay constant.  Within 2*_NG cells of a
-boundary the span takes the rest of the row, and that boundary's ghosts are
-refilled after each step.  The CFL step, the source and the finiteness
-check see the same window, which holds cells of both tails, and the first
-step the whole row, so a failing tail state is named as before.  The window
-is rounded out to multiples of _CHUNK padded cells, clipped to the row, and
-its views of q and of per-run scratch are built only when the rounded
-window changes.  Rounding changes no bit: the extra cells are tail cells,
-whose update is +0 and whose sigma relax keeps, and the window already
-holds their states, so the largest CFL discriminant and the regularized
-law's sub-cycle count (from the largest F) stay the same.
+Every step, the first included, steps the window _window(*span): the span
+and two cells on each side.  The span is the padded cells between two tails
+of cells equal bit for bit to their boundary state, which bounds a tail only
+if it is finite, with F > 0 and sigma = +-0, and then hyperbolic (as ahead
+of a kink and behind its ramp).  It is found from q once; after that it is
+the scheme's numerical domain of dependence, one cell more a side a step,
+and growing it reads no cell.  An interface reads the edge states of its two
+cells, and by the zero rule a cell next to an equal cell has a slope of +0,
+so the cell two beyond the span sees tail states at both its interfaces and
+gets an update of exactly +0, as every cell whose 5-cell stencil is constant
+does; and sigma = +-0 is a fixed point of every relax.  So every cell
+outside the span holds its t = 0 state.  Within 2*_NG cells of a boundary
+the span takes the rest of the row, and that boundary's ghosts are refilled
+after each step.  The CFL step, the source and the finiteness check see the
+same window, which holds cells of both tails; a tail state is finite and
+hyperbolic, so the window holds the row's first failing cell, the one a
+whole-row step names.  The window is rounded out to multiples of _CHUNK
+padded cells, clipped to the row, and its views of q and of per-run scratch
+are built only when the rounded window changes.  Rounding changes no bit:
+the extra cells are tail cells, whose update is +0 and whose sigma relax
+keeps, and the window already holds their states, so the largest CFL
+discriminant and the regularized law's sub-cycle count (from the largest F)
+stay the same.
 
 A step allocates no array of the window's size: the CFL row's W'' and
 every array of the hyperbolic step are views of work buffers allocated once
@@ -157,13 +153,9 @@ class Grid:
         for name in ("x_min", "x_max"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        # an int or numpy integer, kept as an int; a float or bool is refused
-        try:
-            if isinstance(self.n_cells, bool):
-                raise TypeError
-            object.__setattr__(self, "n_cells", operator.index(self.n_cells))
-        except TypeError:
-            raise TypeError(f"n_cells must be an integer, got {self.n_cells!r}") from None
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer)):
+            raise TypeError(f"n_cells must be an integer, got {self.n_cells!r}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.n_cells < 16:
@@ -201,6 +193,27 @@ class KinkIC:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.ramp_width <= 0.0:
             raise ValueError("ramp_width must be > 0")
+
+
+def _require_fits(grid: Grid, ic: KinkIC) -> None:
+    """Refuse a kink whose front, or its return to equilibrium 2*ramp_width
+    behind the front, leaves the domain of grid."""
+    if ic.x_front - ic.ramp_width - ic.ramp_width < grid.x_min \
+            or not grid.x_min < ic.x_front < grid.x_max:
+        raise ValueError("kink profile does not fit inside the domain")
+
+
+def _outputs(t_end: float, output_every: float | None) -> tuple[float, int]:
+    """(output step, t_end/50 by default, and number of outputs after t = 0)."""
+    out_dt = t_end / 50.0 if output_every is None else float(output_every)
+    for name, value in (("t_end", t_end), ("output_every", out_dt)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    ratio = t_end / out_dt - 1e-12
+    if ratio > MAX_POINTS:
+        raise ValueError(f"t_end/output_every asks for more than {MAX_POINTS + 1} "
+                         f"output records")
+    return out_dt, int(math.ceil(ratio))
 
 
 @dataclass(frozen=True)
@@ -266,14 +279,17 @@ def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int = 
     return W2
 
 
-def _initial_span(q: np.ndarray) -> tuple[int, int]:
+def _initial_span(q: np.ndarray, model: MaterialModel) -> tuple[int, int]:
     """[lo, hi): the padded cells of q between the leading run of cells equal
     bit for bit to its left boundary state and the trailing run equal to its
     right one.  A boundary state bounds a tail only if it is finite, with
-    F > 0 and sigma = +-0; else its run is empty."""
+    F > 0 and sigma = +-0, and then hyperbolic, om*W''(F) + 1 > 0 as
+    :func:`_checked_W2` computes it; else its run is empty."""
     bits, n = q.view(np.int64), q.shape[1]
     off = [(bits != bits[:, [i]]).any(axis=0) if np.isfinite(q[:, i]).all()
-           and q[1, i] > 0.0 and q[2, i] == 0.0 else np.ones(n, dtype=bool) for i in (0, -1)]
+           and q[1, i] > 0.0 and q[2, i] == 0.0 and model.omega * model.elastic.W2(
+               q[1, [i]], model, out=np.empty(1), scratch=np.empty(1)).item() + 1.0 > 0.0
+           else np.ones(n, dtype=bool) for i in (0, -1)]
     lo = int(off[0].argmax()) if off[0].any() else n
     hi = n - int(off[1][::-1].argmax()) if off[1].any() else 0
     return lo, max(lo, hi)
@@ -593,17 +609,16 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
 
 class _Stepper:
     """The step loop on grid's ghost-padded state q = (rho*v, F, omega*sigma),
-    in place, with q's span, the work buffers and window plan, t, the step
-    count and the pending half-step (and x and lam0, see kink)."""
+    in place, with q's span, the work buffers, the plan of the span's window,
+    t, the step count and the pending half-step (and x and lam0, see kink)."""
 
     def __init__(self, model: MaterialModel, grid: Grid, q: np.ndarray):
         self.model, self.grid, self.q, self.ghosts = model, grid, q, _ghost_views(q)
         for ghosts, cell in self.ghosts:
             np.copyto(ghosts, cell)
-        self.span = _initial_span(q)
+        self.span = _initial_span(q, model)
         self.work = _work(q.shape[1])
-        # the first step takes the whole row: a failing tail state fails there
-        self.plan = _Plan(q, (0, q.shape[1]), self.work)
+        self.plan = _Plan(q, _window(*self.span, q.shape[1]), self.work)
         self.t, self.n_steps = 0.0, 0
         self.pending = 0.0  # trailing source half-step not yet applied
 
@@ -613,9 +628,8 @@ class _Stepper:
         interior cell centres x, which snapshot and the record read, and
         lam0, the fast speed at equilibrium."""
         eig = eigensystem(model, equilibrium_state())
+        _require_fits(grid, ic)
         w = wb = ic.ramp_width
-        if ic.x_front - w - wb < grid.x_min or not grid.x_min < ic.x_front < grid.x_max:
-            raise ValueError("kink profile does not fit inside the domain")
         x = grid.x_min + (np.arange(grid.n_cells) + 0.5) * grid.dx
         s = x - ic.x_front
         # piecewise: equilibrium ahead; mandated ramp pi0*d0*s on [-w, 0];
@@ -668,7 +682,7 @@ class _Stepper:
         model, grid, q = self.model, self.grid, self.q
         rho, om, n_cells, dx = model.rho_star, model.omega, grid.n_cells, grid.dx
         while self.t < target - 1e-14 * t_end:
-            if self.n_steps and (cells := _window(*self.span, q.shape[1])) != self.plan.cells:
+            if (cells := _window(*self.span, q.shape[1])) != self.plan.cells:
                 self.plan = _Plan(q, cells, self.work)
             p, t = self.plan, self.t
             # the largest speed is the root of the largest discriminant
@@ -709,23 +723,22 @@ class _Stepper:
 
 class _Record:
     """simulate's trace columns, at a cost per output of the order of the
-    stepper's window.
+    stepper's span.
 
     At each output the record copies the v values of the two front-fit
     windows from q (the snapshot's bits; a window that leaves the domain
     gives NaN, logged at debug level) and refreshes per-run rows of the
-    energy density, sigma*P and |v(i+1) - v(i)| on the stepper's window and
-    one cell beyond each side, so every pair of neighbours with a cell in
-    the window.  The energy, max sigma*P and max|v_X| are reductions of the
-    whole rows, so they are bit for bit those of a snapshot: the window only
-    grows, and every cell outside it still holds its t = 0 state (the
-    stepper's tail invariant), so the row entries outside it keep their
-    t = 0 values.  The fits of all outputs are solved in one batch after the
-    run (see :func:`_front_fits`)."""
+    energy density, sigma*P and |v(i+1) - v(i)|: the whole rows at its
+    first output, then the span and one cell beyond each side, so every
+    pair of neighbours with a cell in the span.  The energy, max sigma*P and
+    max|v_X| are reductions of the whole rows, so they are bit for bit those
+    of a snapshot: every cell outside the span holds its t = 0 state.  The
+    fits of all outputs are solved in one batch after the run (see
+    :func:`_front_fits`)."""
 
-    def __init__(self, stepper: _Stepper, lam0: float, x_front: float, n_outputs: int):
+    def __init__(self, stepper: _Stepper, x_front: float, n_outputs: int):
         x, n = stepper.x, stepper.grid.n_cells
-        self.stepper, self.x, self.lam0, self.x_front = stepper, x, lam0, x_front
+        self.stepper, self.x, self.lam0, self.x_front = stepper, x, stepper.lam0, x_front
         self.dx = x[1] - x[0]   # the cell width of entropy_monitor
         self.dens, self.sp, self.dv = np.empty(n), np.empty(n), np.empty(n - 1)
         self.v, self.sigma = np.empty(n), np.empty(n)
@@ -746,7 +759,8 @@ class _Record:
             k, mom = len(self.rows), q[0, _NG:-_NG]
             self.fit_mom[k, 0], self.fit_mom[k, 1] = mom[behind], mom[ahead]
             self.fits.append((k, fx, (behind.start, ahead.start)))
-        a, b = st.plan.cells
+        # the whole rows at t = 0, then the span and one cell beyond each side
+        a, b = st.span if self.rows else (0, q.shape[1])
         lo, hi = max(a - 1 - _NG, 0), min(b + 1 - _NG, grid.n_cells)
         row, c = q[:, _NG + lo:_NG + hi], model._consts
         v = np.divide(row[0], c.rho, out=self.v[lo:hi])
@@ -781,16 +795,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     pi0*exp(-b*t).  Output samples land exactly on multiples of
     output_every (default t_end/50), at most MAX_POINTS after t = 0.
     """
-    if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
-    out_dt = t_end / 50.0 if output_every is None else float(output_every)
-    if not 0.0 < out_dt < math.inf:
-        raise ValueError(f"output_every must be finite and > 0, got {out_dt!r}")
-    ratio = t_end / out_dt - 1e-12
-    if ratio > MAX_POINTS:
-        raise ValueError(f"t_end/output_every asks for more than {MAX_POINTS + 1} "
-                         f"output records")
-    n_out = int(math.ceil(ratio))
+    out_dt, n_out = _outputs(t_end, output_every)
 
     # the material's amplitude coefficients for the prediction column
     try:
@@ -800,7 +805,7 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         a_eff, b_eff = 0.0, exc.b
 
     stepper = _Stepper.kink(model, grid, ic)
-    record = _Record(stepper, stepper.lam0, ic.x_front, n_out + 1)
+    record = _Record(stepper, ic.x_front, n_out + 1)
     for k in range(n_out + 1):
         target = min(k * out_dt, t_end)
         stepper.advance_to(target, t_end)

@@ -618,6 +618,33 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("config error: invalid 'sim' block: ") and message in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("x_front", 40.0, "kink profile does not fit inside the domain"),
+        ("x_front", 3.9, "kink profile does not fit inside the domain"),
+        ("output_every", 1e-9, "t_end/output_every asks for more than 1000001 output records")])
+    def test_a_run_error_of_the_sim_block_is_a_config_error(self, capsys, tmp_path, key,
+                                                            value, message):
+        # simulate's own checks, run when the config is read
+        d = json.loads(bundled_config_path("rubber.json").read_text())
+        d["sim"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match=f"^invalid 'sim' block: {message}$"):
+            load_scenario(path)
+        for command in ("simulate", "analyze"):
+            code, out, err = run_cli(capsys, command, "--config", str(path))
+            assert (code, out, err) == (2, "", f"config error: invalid 'sim' block: {message}\n")
+
+    def test_a_failed_allocation_is_a_numerical_error(self, capsys, monkeypatch):
+        message = "Unable to allocate 7.28 TiB for an array with shape (3, 1000000000004)"
+
+        def simulate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        code, out, err = run_cli(capsys, "simulate", "--config", "rubber.json")
+        assert (code, out, err) == (3, "", f"numerical error: {message}\n")
+
 
 class TestPaperTablesCommand:
     def test_report_passes_all_reference_checks(self, capsys):

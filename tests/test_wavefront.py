@@ -401,6 +401,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"asks for more than 5 output records"):
             simulate(model, grid, ic, t_end=1e-3, output_every=2e-4)
 
+    @pytest.mark.parametrize("x_front", [11.9, 0.0, 68.0, 80.0])
+    def test_kink_must_fit_inside_the_domain(self, x_front):
+        # the front, and the return to equilibrium 2*ramp_width behind it
+        model, _, grid, ic = _rubber_setup(500, 0.1)
+        with pytest.raises(ValueError, match=r"^kink profile does not fit inside the domain$"):
+            simulate(model, grid, dataclasses.replace(ic, x_front=x_front), t_end=1e-3)
+
 
 # ---------------------------------------------------------------------------
 # Bit-for-bit reference: the FV step as it was before edge pairs
@@ -924,8 +931,8 @@ class TestDisturbedSpan:
         model, grid, ic, t_end, fields = _span_case(name)
         spans, windows = [], []
 
-        def found(q):
-            spans.append(_initial_span(q))
+        def found(q, model):
+            spans.append(_initial_span(q, model))
             return spans[-1]
 
         def planned(q, cells, work):
@@ -947,7 +954,7 @@ class TestDisturbedSpan:
         # ... rounded out to whole chunks, or to the ends of the row
         assert any(b - a < n for a, b in windows)
         assert all(a % _CHUNK == 0 and (b % _CHUNK == 0 or b == n) for a, b in windows)
-        monkeypatch.setattr(wavefront, "_initial_span", lambda q: (0, q.shape[1]))
+        monkeypatch.setattr(wavefront, "_initial_span", lambda q, model: (0, q.shape[1]))
         assert _result_bytes(windowed) == _result_bytes(run())
 
     def test_plan_is_built_once_per_window(self, monkeypatch):
@@ -968,26 +975,59 @@ class TestDisturbedSpan:
         assert len(built) <= grid.n_cells // _CHUNK + 2
         assert len(steps) > 10 * len(built)
 
-    def test_failing_tail_state_is_named_as_by_a_whole_row_step(self):
-        # the first step takes the whole row: the left tail at F = 2 has lost
-        # hyperbolicity, and cell 0 is the first failing cell
+    def test_a_kink_run_whose_span_reaches_neither_end_steps_no_whole_row(
+            self, monkeypatch):
+        # every step, the first included, steps the window of the span
+        model, _, _, ic = _rubber_setup(400, 0.1)
+        grid = Grid(x_min=-20.0, x_max=68.0, n_cells=400, cfl=0.9)
+        n, built, steps = grid.n_cells + 2 * _NG, [], []
+        step = wavefront._hyperbolic_step
+
+        def planned(q, cells, work):
+            built.append(cells)
+            return _Plan(q, cells, work)
+
+        monkeypatch.setattr(wavefront, "_Plan", planned)
+        monkeypatch.setattr(wavefront, "_hyperbolic_step",
+                            lambda *args: steps.append(args[0].cells) or step(*args))
+        simulate(model, grid, ic, t_end=0.02, output_every=0.01)
+        assert steps and set(steps) == set(built)
+        assert all(0 < a and b < n for a, b in built)
+
+    @pytest.mark.parametrize("tail, cell", [(slice(None, 50), 0), (slice(150, None), 150)],
+                             ids=["left", "right"])
+    def test_failing_tail_state_is_named_as_by_a_whole_row_step(self, tail, cell):
+        # a boundary state at F = 2 has lost hyperbolicity, so it bounds no
+        # tail, and the window holds the first failing cell of the row
         model = rubber_solid()
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
         ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
         v, F = np.zeros(200), np.ones(200)
         v[100] = 1e-3
-        F[:50] = 2.0
-        with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 0$"):
+        F[tail] = 2.0
+        with pytest.raises(SimulationError, match=rf"hyperbolicity lost at cell {cell}$"):
             _simulate_from((v, F, np.zeros(200)), model, grid, ic, t_end=0.01)
+
+    @pytest.mark.parametrize("F", [math.nan, 0.0, -1.0, -math.inf])
+    def test_tail_rule_is_checked_before_hyperbolicity(self, F):
+        # W'' of a Mooney-Rivlin solid at F <= 0 or NaN warns (an error
+        # here): it is evaluated only on states that pass the tail rule
+        n = 16 + 2 * _NG
+        q = np.stack([np.zeros(n), np.ones(n), np.zeros(n)])
+        q[1, 0] = q[1, -1] = F
+        assert _initial_span(q, penn_solid()) == (0, n)
 
     def test_span_of_rows_without_tails(self):
         n = 16 + 2 * _NG
         q = np.stack([np.zeros(n), np.ones(n), np.zeros(n)])
-        assert _initial_span(q) == (n, n)   # constant: empty
-        q[2, 0] = 1e-3                       # sigma != 0: no left tail
-        assert _initial_span(q) == (0, 1)
-        q[0, -1] = math.nan                  # nor a right one
-        assert _initial_span(q) == (0, n)
+        model = rubber_solid()
+        assert _initial_span(q, model) == (n, n)   # constant: empty
+        q[2, 0] = 1e-3                              # sigma != 0: no left tail
+        assert _initial_span(q, model) == (0, 1)
+        q[0, -1] = math.nan                         # nor a right one
+        assert _initial_span(q, model) == (0, n)
+        q = np.stack([np.zeros(n), np.full(n, 2.0), np.zeros(n)])
+        assert _initial_span(q, model) == (0, n)   # om*W''(2) + 1 < 0: not hyperbolic
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=st.sampled_from(_STEP_CASES), seed=st.integers(0, 2 ** 32 - 1),
