@@ -165,16 +165,13 @@ def _sim_from_dict(d: dict) -> SimConfig:
     values = {name: _number(d, name, "'sim'", optional=name in optional)
               for name in names if name != "n_cells"}
     values["n_cells"] = d.get("n_cells")   # Grid refuses all but an integer
-    for name in ("t_end", "output_every"):
-        if values[name] is not None and values[name] <= 0.0:
-            raise ConfigError(f"'{name}' in 'sim' must be > 0, got {values[name]!r}")
     if values["ramp_width"] is None:
         values["ramp_width"] = 0.1 * (values["x_max"] - values["x_min"])
     try:
         grid = Grid(**{name: values[name] for name in grid_names})
         kink = KinkIC(**{name: values[name] for name in kink_names})
-        _require_fits(grid, kink)   # simulate's own checks
-        _outputs(values["t_end"], values["output_every"])
+        _outputs(values["t_end"], values["output_every"])   # simulate's own checks, in order
+        _require_fits(grid, kink)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'sim' block: {exc}") from exc
     return SimConfig(grid, kink, values["t_end"], values["output_every"])

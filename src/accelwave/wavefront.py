@@ -13,8 +13,9 @@ step and the leading half-step of the next are merged into one relax() call
 private stepper (see :class:`_Stepper`) to each output time, where the
 pending half-step is applied; its record (see :class:`_Record`) then reads
 that synchronized state, at a cost of the order of the span, and never
-writes it.  After the run one batch fits the front windows of all outputs
-and one closed_form call gives the prediction column (amplitude._predicted).
+writes it.  After the run one matrix product fits the front windows of all
+outputs (see :func:`_fit_operator`), and one closed_form call gives the
+prediction column (amplitude._predicted).
 There is one front measurement: measure_front_slope(model, snapshot,
 front_x) and detect_front_position(model, snapshot, front_x_guess) are its
 one-output case, so on a snapshot at an output time t, about the guess
@@ -88,16 +89,18 @@ serve as scratch there (see :class:`_Plan`).
 
 A state that turns non-finite or loses hyperbolicity raises SimulationError
 naming the cell; a CFL step that is not finite and positive, or too small to
-advance t, raises instead of stalling.  Front measurements that fail are
-recorded as NaN and logged at debug level on the ``accelwave`` logger.
+advance t, raises instead of stalling, as does a run of MAX_STEPS steps.
+A fit window that leaves the domain makes simulate's measurement NaN,
+logged at debug level on the ``accelwave`` logger; the public measurement
+raises SimulationError there and on a window with a non-finite v.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +131,13 @@ __all__ = [
 _NG = 2  # ghost cells per side
 _CHUNK = 16  # a step's window is rounded out to multiples of this many padded cells
 _FIT_HALF_WIDTH = 16  # cells of each one-sided front fit
-_EPS = np.finfo(float).eps
-_RankWarning = getattr(np, "exceptions", np).RankWarning  # np.RankWarning before numpy 1.25
 # the rows of an array by index, at half the cost of iterating over it
 _rows, _pair = operator.itemgetter(0, 1, 2), operator.itemgetter(0, 1)
 
 _log = logging.getLogger("accelwave")
 
 STEEPENING_FACTOR = 10.0  # max|v_X| above this multiple of its t=0 value flags steepening
+MAX_STEPS = 10**6  # steps of one run, far above any run's needs: a run that reaches it raises
 
 
 class SimulationError(RuntimeError):
@@ -498,50 +500,31 @@ def _front_windows(x: np.ndarray, front_x: float, lam0: float, t: float):
     return slice(behind, behind + _FIT_HALF_WIDTH), slice(ahead, ahead + _FIT_HALF_WIDTH)
 
 
-def _fits(xs: np.ndarray, vs: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """(slope, value) at 0 of the least-squares polynomial of each row of
-    (xs, vs), both of shape (K, width).
-
-    Each fit is np.polyfit's without its argument checks: xs + 0.0 and
-    vs + 0.0, the least-squares solve of its column-scaled Vandermonde
-    system with its rcond, and its RankWarning when the system is rank
-    deficient.  The K systems are built as one stacked array, whose column
-    sums add in the same order as one system's, and solved one by one with
-    np.linalg.lstsq.  The fits are evaluated at 0 by the Horner steps of
-    np.polyval and np.polyder, on all rows at once, so each value is bit
-    for bit theirs."""
-    k, width = xs.shape
-    deg = min(degree, width - 1)
-    lhs = np.vander((xs + 0.0).reshape(-1), deg + 1).reshape(k, width, deg + 1)
-    scales = np.sqrt((lhs * lhs).sum(axis=1))
-    lhs /= scales[:, None]
-    coef = []
-    for side, rhs in zip(lhs, vs + 0.0):
-        c, _, rank, _ = np.linalg.lstsq(side, rhs, width * _EPS)
-        if rank != deg + 1:
-            warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=3)
-        coef.append(c)
-    coef = np.array(coef) / scales
-    slope = value = np.zeros(k)
-    for i, c in enumerate(coef.T):
-        value = value * 0.0 + c
-        if i < deg:
-            slope = slope * 0.0 + c * (deg - i)
-    return slope, value
+@functools.cache
+def _fit_operator() -> np.ndarray:
+    """The read-only (3, _FIT_HALF_WIDTH) operator that takes the values of
+    any window of equally spaced cells to the coefficients (c2, c1, c0) of
+    their degree-2 least-squares fit in the centred cell offsets u = j - 7.5
+    (Savitzky & Golay, 1964); its Vandermonde's condition number is about 43."""
+    u = np.arange(_FIT_HALF_WIDTH) - 0.5 * (_FIT_HALF_WIDTH - 1)
+    op = np.linalg.pinv(np.vander(u, 3))
+    op.flags.writeable = False
+    return op
 
 
-def _front_fits(xs: np.ndarray, vs: np.ndarray, fxs: np.ndarray,
+def _front_fits(x0: np.ndarray, dx: float, vs: np.ndarray, fxs: np.ndarray,
                 lam0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(measured pi, front x) of K outputs from the cell centres xs and v
-    values vs of their (behind, ahead) fit windows, of shape (K, 2,
-    _FIT_HALF_WIDTH), and their front guesses fxs: pi = -lam0*(slope_behind
-    - slope_ahead) of degree-2 fits about the guess (see :func:`_fits`),
-    whose slopes are extrapolated to the front, free of the window-offset
-    bias of curved profiles; and the crossing of the two fits linearized
-    about the guess, or the guess where the slopes are indistinguishable."""
-    slope, value = (c.reshape(-1, 2) for c in _fits(
-        (xs - fxs[:, None, None]).reshape(-1, _FIT_HALF_WIDTH),
-        vs.reshape(-1, _FIT_HALF_WIDTH), 2))
+    """(measured pi, front x) of K outputs from the first cell centres x0
+    (K, 2) and v values vs (K, 2, _FIT_HALF_WIDTH) of their (behind, ahead)
+    fit windows of cells of width dx, and their front guesses fxs: pi =
+    -lam0*(slope_behind - slope_ahead) of the degree-2 fits (see
+    :func:`_fit_operator`) at the guess, free of the window-offset bias of
+    curved profiles; and the crossing of the two fits linearized about the
+    guess, or the guess where the slopes are indistinguishable.  matmul
+    multiplies each output's block by itself, so its bits do not depend on K."""
+    c2, c1, c0 = np.moveaxis(vs @ _fit_operator().T, -1, 0)
+    u = (fxs[:, None] - x0) / dx - 0.5 * (_FIT_HALF_WIDTH - 1)
+    slope, value = (c1 + 2.0 * c2 * u) / dx, c0 + u * (c1 + u * c2)
     front = [fx if abs(sb - sa) <= 1e-14 * (abs(sb) + abs(sa) + 1e-300)
              else fx + (ca - cb) / (sb - sa)
              for fx, (sb, sa), (cb, ca) in zip(fxs.tolist(), slope.tolist(), value.tolist())]
@@ -550,11 +533,17 @@ def _front_fits(xs: np.ndarray, vs: np.ndarray, fxs: np.ndarray,
 
 def _measure(model: MaterialModel, snapshot: Snapshot, front_x: float) -> tuple[float, float]:
     """(measured pi, front x) of snapshot about the front guess front_x, bit
-    for bit as simulate's record measures its output at snapshot.t."""
+    for bit as simulate's record measures its output at snapshot.t.  Raises
+    SimulationError where a fit window leaves the domain or holds a
+    non-finite v."""
     lam0 = eigensystem(model, equilibrium_state()).lam
     x, v = snapshot.x, snapshot.v
     windows = _front_windows(x, front_x, lam0, snapshot.t)
-    measured, front = _front_fits(np.stack([x[w] for w in windows])[None],
+    for w in windows:
+        if not np.isfinite(v[w]).all():
+            raise SimulationError(f"non-finite v in the front fit window of cells "
+                                  f"{w.start} to {w.stop - 1}")
+    measured, front = _front_fits(x[[w.start for w in windows]][None], x[1] - x[0],
                                   np.stack([v[w] for w in windows])[None],
                                   np.array([front_x]), lam0)
     return measured.item(), front.item()
@@ -563,7 +552,7 @@ def _measure(model: MaterialModel, snapshot: Snapshot, front_x: float) -> tuple[
 def measure_front_slope(model: MaterialModel, snapshot: Snapshot, front_x: float) -> float:
     """Front amplitude -lambda0*(slope_behind - slope_ahead) about the front
     guess front_x: simulate's measured_pi of snapshot (see :func:`_front_fits`).
-    Raises SimulationError where a fit window leaves the domain."""
+    Raises SimulationError as :func:`_measure` does."""
     return _measure(model, snapshot, front_x)[0]
 
 
@@ -571,7 +560,7 @@ def detect_front_position(model: MaterialModel, snapshot: Snapshot,
                           front_x_guess: float) -> float:
     """Kink location from the crossing of the one-sided fits, linearized about
     the guess: simulate's front_x of snapshot (see :func:`_front_fits`).
-    Raises SimulationError where a fit window leaves the domain."""
+    Raises SimulationError as :func:`_measure` does."""
     return _measure(model, snapshot, front_x_guess)[1]
 
 
@@ -682,6 +671,9 @@ class _Stepper:
         model, grid, q = self.model, self.grid, self.q
         rho, om, n_cells, dx = model.rho_star, model.omega, grid.n_cells, grid.dx
         while self.t < target - 1e-14 * t_end:
+            if self.n_steps >= MAX_STEPS:
+                raise SimulationError(f"{self.n_steps} steps, the most a run may take, end "
+                                      f"at t={self.t:.6g}, short of t={target:.6g}")
             if (cells := _window(*self.span, q.shape[1])) != self.plan.cells:
                 self.plan = _Plan(q, cells, self.work)
             p, t = self.plan, self.t
@@ -733,13 +725,13 @@ class _Record:
     pair of neighbours with a cell in the span.  The energy, max sigma*P and
     max|v_X| are reductions of the whole rows, so they are bit for bit those
     of a snapshot: every cell outside the span holds its t = 0 state.  The
-    fits of all outputs are solved in one batch after the run (see
-    :func:`_front_fits`)."""
+    fits of all outputs are one matrix product after the run, placed by the
+    windows' first cell centres (see :func:`_front_fits`)."""
 
     def __init__(self, stepper: _Stepper, x_front: float, n_outputs: int):
         x, n = stepper.x, stepper.grid.n_cells
         self.stepper, self.x, self.lam0, self.x_front = stepper, x, stepper.lam0, x_front
-        self.dx = x[1] - x[0]   # the cell width of entropy_monitor
+        self.dx = x[1] - x[0]   # the cell width of entropy_monitor and _front_windows
         self.dens, self.sp, self.dv = np.empty(n), np.empty(n), np.empty(n - 1)
         self.v, self.sigma = np.empty(n), np.empty(n)
         self.rows = []   # (t, energy, max sigma*P, max|v_X|) of each output
@@ -780,8 +772,8 @@ class _Record:
         if self.fits:
             ks, fxs, starts = (np.array(c) for c in zip(*self.fits))
             measured[ks], front[ks] = _front_fits(
-                self.x[starts[..., None] + np.arange(_FIT_HALF_WIDTH)],
-                self.fit_mom[ks] / self.stepper.model.rho_star, fxs, self.lam0)
+                self.x[starts], self.dx, self.fit_mom[ks] / self.stepper.model.rho_star, fxs,
+                self.lam0)
         return t, measured, front, energy, max_sp, vx
 
 

@@ -602,7 +602,8 @@ class TestSimulateCommand:
         path.write_text(json.dumps(d))
         code, out, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2 and out == ""
-        assert f"config error: '{key}' in 'sim' must be > 0, got {value!r}" in err
+        assert err == f"config error: invalid 'sim' block: {key} must be finite and > 0, " \
+            f"got {value!r}\n"
 
     @pytest.mark.parametrize("ends, message", [
         ((-1e308, 1e308), "must be a finite normal float, got inf"),
@@ -644,6 +645,13 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "simulate", simulate)
         code, out, err = run_cli(capsys, "simulate", "--config", "rubber.json")
         assert (code, out, err) == (3, "", f"numerical error: {message}\n")
+
+    def test_a_run_at_the_step_limit_is_a_numerical_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(accelwave.wavefront, "MAX_STEPS", 3)
+        code, out, err = run_cli(capsys, "simulate", "--config", "rubber.json")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: 3 steps, the most a run may take, end at t=")
+        assert err.endswith(", short of t=0.0125\n")
 
 
 class TestPaperTablesCommand:

@@ -35,8 +35,10 @@ from accelwave import (
 from accelwave import wavefront
 from accelwave.wavefront import (
     _CHUNK,
+    _FIT_HALF_WIDTH,
     _NG,
-    _fits,
+    _fit_operator,
+    _front_fits,
     _front_windows,
     _ghost_views,
     _hyperbolic_step,
@@ -135,12 +137,74 @@ def _polyfit_fits(x, v, windows, front_x, degree):
     return out
 
 
+_EPS = np.finfo(float).eps
+_KAPPA = 43.0   # condition number of the fits' Vandermonde in u = j - 7.5 (42.8)
+
+
+def _assert_pi_and_front(got, fx, fits, d_slope, d_value):
+    """(pi, front) of _front_fits with lam0 = 1 against the fits ((slope,
+    value) behind, (slope, value) ahead) at the guess fx, whose slopes and
+    values are each known within d_slope and d_value: pi = sa - sb within
+    2*d_slope, and the linearized crossing fx + (ca - cb)/(sb - sa), where
+    the slope jump exceeds 4*d_slope, within its first-order error bound
+    (doubled for the second-order term)."""
+    (sb, cb), (sa, ca) = fits
+    pi, front = got
+    assert abs(pi - (sa - sb)) <= 2.0 * d_slope + _EPS * abs(sa - sb)
+    jump = sb - sa
+    if abs(jump) > 4.0 * d_slope:
+        ref = fx + (ca - cb) / jump
+        first_order = (2.0 * d_value + abs((ca - cb) / jump) * 2.0 * d_slope) / abs(jump)
+        assert abs(front - ref) <= 2.0 * first_order + 4.0 * _EPS * max(abs(ref), abs(fx))
+
+
 class TestFrontFits:
+    """The fits are one least-squares operator on windows of equally spaced
+    cells, so they agree with np.polyfit's fits to rounding."""
+
+    def test_operator_inverts_its_vandermonde_and_is_read_only(self):
+        op = _fit_operator()
+        u = np.arange(_FIT_HALF_WIDTH) - 7.5
+        assert op.shape == (3, _FIT_HALF_WIDTH) and _fit_operator() is op
+        assert np.abs(op @ np.vander(u, 3) - np.eye(3)).max() <= 1e-13
+        assert np.linalg.cond(np.vander(u, 3)) <= _KAPPA
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 1.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 30.0])
+    @pytest.mark.parametrize("frac", [-0.5, -0.125, 0.0, 0.25, 0.375])
+    def test_quadratic_data_give_exact_slope_and_value(self, scale, t, frac):
+        # a dyadic grid and guess make the offsets exact; each window holds
+        # v = scale*(c + s*y + k*y**2), y = x - fx, whose slope and value at
+        # the guess are scale*s and scale*c.  The coefficients are off by at
+        # most ~1e-14 of the window's largest |v| (op times its Vandermonde
+        # is I to 1.04e-14, the 16-term sums round to ~16*eps), and evaluating
+        # at offset u scales that by at most (1 + 2|u|)/dx for the slope and
+        # 1 + |u| + u**2 for the value: 1e-13 in place of 1e-14 is the bound
+        dx = 0.125
+        x = (np.arange(400) + 0.5) * dx
+        fx = x[150] + frac * dx
+        windows = _front_windows(x, fx, 1.0, t)
+        exact = ((-3.0, 2.5, 0.75), (0.5, -1.25, -0.375))   # (s, c, k) behind, ahead
+        vs, fits, d_slope, d_value = [], [], 0.0, 0.0
+        for w, (slope, value, curv) in zip(windows, exact):
+            y = x[w] - fx
+            vs.append(scale * (value + slope * y + curv * y * y))
+            u = abs((fx - x[w.start]) / dx - 7.5)
+            big = np.abs(vs[-1]).max()
+            fits.append((scale * slope, scale * value))
+            d_slope = max(d_slope, 1e-13 * big * (1.0 + 2.0 * u) / dx)
+            d_value = max(d_value, 1e-13 * big * (1.0 + u + u * u))
+        got = _front_fits(x[[w.start for w in windows]][None], dx, np.array(vs)[None],
+                          np.array([fx]), 1.0)
+        _assert_pi_and_front([c.item() for c in got], fx, fits, d_slope, d_value)
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-320.0, 300.0),
            zeros=st.sampled_from(["none", "signed", "all", "subnormal"]),
-           stencil=st.sampled_from([(16, 3, 2), (4, 2, 1), (1, 2, 2), (3, 0, 2), (2, 1, 0)]))
-    def test_fits_equal_polyfit(self, seed, log_scale, zeros, stencil):
+           gap=st.integers(0, 12))
+    def test_fits_agree_with_polyfit(self, seed, log_scale, zeros, gap):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-5.0, 80.0) + (np.arange(120) + 0.5) * rng.uniform(0.01, 1.0)
         v = rng.standard_normal(120) * 10.0 ** log_scale
@@ -150,22 +214,31 @@ class TestFrontFits:
             v = rng.choice([0.0, -0.0], 120)
         elif zeros == "subnormal":
             v = rng.choice([0.0, -0.0, 1e-320, -1e-320], 120)
-        front_x = float(x[60] + rng.uniform(-0.5, 0.5) * (x[1] - x[0]))
-        half_width, gap, degree = stencil
-        windows = (slice(60 - gap - half_width, 60 - gap),
-                   slice(61 + gap, 61 + gap + half_width))
-        new = list(zip(*(c.tolist() for c in _fits(
-            np.stack([x[w] for w in windows]) - front_x, np.stack([v[w] for w in windows]),
-            degree))))
-        assert np.array(new).tobytes() == np.array(
-            _polyfit_fits(x, v, windows, front_x, degree)).tobytes()
-
-    def test_rank_deficient_fit_warns(self):
-        # cells far behind the front make the columns (x**2, x, 1) collinear
-        x = np.arange(100.0)
-        x[45:48] = 1e9 + np.array([0.0, 1e-6, 2e-6])
-        with pytest.warns(wavefront._RankWarning, match="poorly conditioned"):
-            _fits(np.stack([x[45:48], x[53:56]]) - 50.2, np.stack([x[45:48], x[53:56]]) ** 2, 2)
+        dx = x[1] - x[0]
+        front_x = float(x[60] + rng.uniform(-0.5, 0.5) * dx)
+        windows = (slice(60 - gap - 16, 60 - gap), slice(61 + gap, 61 + gap + 16))
+        got = [c.item() for c in _front_fits(x[[w.start for w in windows]][None], dx,
+                                             np.stack([v[w] for w in windows])[None],
+                                             np.array([front_x]), 1.0)]
+        if zeros == "all":
+            assert got[0] == 0.0 and got[1] == front_x
+            return
+        # the fits take the cells at offsets j from the first, polyfit at
+        # (x - x0)/dx, which differ by up to eps*max|x|/dx; the fits amplify
+        # such a relative change of the design by about its condition
+        # number, so each coefficient is off by at most kappa*eps*(1 +
+        # max|x|/dx) of the window's largest |v| (at least the least normal
+        # number, as quanta of subnormals are absolute), times the weight of
+        # the evaluation at offset u: (1 + 2|u|)/dx, and 1 + |u| + u**2
+        rel = _KAPPA * _EPS * (1.0 + np.abs(x).max() / dx)
+        d_slope = d_value = 0.0
+        for w in windows:
+            u = abs((front_x - x[w.start]) / dx - 7.5)
+            big = max(np.abs(v[w]).max(), np.finfo(float).tiny)
+            d_slope = max(d_slope, rel * big * (1.0 + 2.0 * u) / dx)
+            d_value = max(d_value, rel * big * (1.0 + u + u * u))
+        _assert_pi_and_front(got, front_x, _polyfit_fits(x, v, windows, front_x, 2),
+                             d_slope, d_value)
 
 
 class TestOracleAgreement:
@@ -1157,6 +1230,23 @@ class TestStepper:
                 pytest.raises(SimulationError, match=match):
             stepper.advance_to(1.0, 1.0)
 
+    def test_a_run_may_take_max_steps_and_no_more(self, monkeypatch):
+        model, _, grid, ic = _rubber_setup(200, 0.1)
+        stepper = _Stepper.kink(model, grid, ic)
+        stepper.advance_to(0.02, 0.02)
+        n = stepper.n_steps
+        assert n > 1
+        monkeypatch.setattr(wavefront, "MAX_STEPS", n)
+        stepper = _Stepper.kink(model, grid, ic)
+        stepper.advance_to(0.02, 0.02)
+        assert stepper.n_steps == n and stepper.t == 0.02
+        monkeypatch.setattr(wavefront, "MAX_STEPS", n - 1)
+        stepper = _Stepper.kink(model, grid, ic)
+        with pytest.raises(SimulationError, match=rf"^{n - 1} steps, the most a run may take, "
+                                                  rf"end at t=\S+, short of t=0.02$"):
+            stepper.advance_to(0.02, 0.02)
+        assert stepper.n_steps == n - 1
+
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan_sigma"])
     @pytest.mark.parametrize("name, model, sigma_scale", [
         ("rubber", rubber_solid(), 2e4), ("penn", penn_solid(), 2e4),
@@ -1341,6 +1431,20 @@ class TestOneMeasurement:
             assert np.float64(detect_front_position(model, snap, fx)).tobytes() == \
                 front.tobytes()
         assert (failed > 0) == (name == "both_ends")
+
+    @pytest.mark.parametrize("cells, value, window", [
+        (slice(60, 80), math.nan, "77 to 92"), (slice(100, 101), -math.inf, "98 to 113")])
+    def test_a_non_finite_window_raises(self, cells, value, window):
+        # the behind and the ahead window of the kink's front at t = 1e-7
+        model, wc, grid, ic = _rubber_setup(500, 0.1)
+        snap = simulate(model, grid, ic, t_end=1e-7, output_every=1e-7).final
+        v = snap.v.copy()
+        v[cells] = value
+        snap = dataclasses.replace(snap, v=v)
+        for fn in (measure_front_slope, detect_front_position):
+            with pytest.raises(SimulationError, match=f"^non-finite v in the front fit "
+                                                      f"window of cells {window}$"):
+                fn(model, snap, ic.x_front + wc.lambda0 * snap.t)
 
     @pytest.mark.parametrize("t", [0.0, 2.0])
     def test_windows_may_reach_either_end_of_the_domain(self, t):
