@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -20,9 +19,6 @@ from .materials import MaterialModel, SingularProductionSlope, production_jacobi
 __all__ = [
     "StateVector",
     "Eigensystem",
-    "DissipativeFinite",
-    "Degenerate",
-    "SingularLimit",
     "WaveCoefficients",
     "FamilyReport",
     "KConditionReport",
@@ -55,7 +51,7 @@ class DegenerateWaveError(RuntimeError):
 
 class SingularLimitError(ArithmeticError):
     """Raised where a finite-b amplitude law is asked of a genuinely nonlinear
-    field in the singular limit (b = inf, :class:`SingularLimit`)."""
+    field in the singular limit (b = inf)."""
 
 
 @dataclass(frozen=True)
@@ -161,44 +157,36 @@ def source_jacobian(model: MaterialModel, state: StateVector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DissipativeFinite:
-    """P_sigma(1,0) < 0 finite: b > 0, threshold amplitude pi_cr = b/|a|."""
-
-
-@dataclass(frozen=True)
-class Degenerate:
-    """P_sigma(1,0) = 0: b = 0, every positive initial amplitude blows up."""
-
-
-@dataclass(frozen=True)
-class SingularLimit:
-    """P_sigma(1,0) = -infinity with b(eps) = b0/eps**n: amplitudes are
-    damped on the fast time scale eps**n/b0."""
-
-    n: float
-    b0: float
-
-
-CaseTag = Union[DissipativeFinite, Degenerate, SingularLimit]
-
-
-@dataclass(frozen=True)
 class WaveCoefficients:
     """Amplitude-equation data for the fast family at equilibrium.
 
-    b and pi_cr are math.inf when the case is :class:`SingularLimit`; the
-    divergence law is carried by the tag, never used in arithmetic.
+    The paper's trichotomy is read off b alone (see ``case``).  An
+    unregularized singular limit also carries its divergence law
+    b(eps) = b0/eps**n as n and b0, None elsewhere, never used in arithmetic.
     """
 
     lambda0: float   # [m/s]
     a: float         # [s/m]
     b: float         # [1/s]
-    pi_cr: float     # [m/s^2]
-    case: CaseTag
+    n: float | None = None
+    b0: float | None = None
+
+    @property
+    def pi_cr(self) -> float:
+        """Blow-up threshold b/|a| [m/s^2]: 0.0 where b = 0, inf where b = inf."""
+        return self.b / abs(self.a)
+
+    @property
+    def case(self) -> str:
+        """b = 0: "degenerate", every positive amplitude blows up; b = inf:
+        "singular_limit", damped on the fast time scale eps**n/b0."""
+        if self.b == math.inf:
+            return "singular_limit"
+        return "degenerate" if self.b == 0.0 else "dissipative_finite"
 
 
 def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
-    """Closed-form (lambda0, a, b, pi_cr) at the equilibrium state.  Raises
+    """Closed-form (lambda0, a, b) at the equilibrium state.  Raises
     DegenerateWaveError, which carries b, when a = 0."""
     eq = equilibrium_state()
     el = model.elastic
@@ -219,13 +207,8 @@ def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
             "fast field is linearly degenerate (W'''(1) = 0 with constant "
             "omega); check the material constants", b)
     if singular:
-        return WaveCoefficients(lambda0=lam0, a=a, b=math.inf, pi_cr=math.inf,
-                                case=SingularLimit(n=ps.n, b0=ps.coeff / denom))
-    if b == 0.0:
-        return WaveCoefficients(lambda0=lam0, a=a, b=0.0, pi_cr=0.0,
-                                case=Degenerate())
-    return WaveCoefficients(lambda0=lam0, a=a, b=b, pi_cr=b / abs(a),
-                            case=DissipativeFinite())
+        return WaveCoefficients(lam0, a, math.inf, n=ps.n, b0=ps.coeff / denom)
+    return WaveCoefficients(lam0, a, b + 0.0)   # + 0.0: a -0.0 b reads as 0.0
 
 
 def assemble_ab_numeric(model: MaterialModel) -> tuple[float, float]:
@@ -275,7 +258,8 @@ def k_condition(model: MaterialModel) -> KConditionReport:
         if isinstance(jac.P_sigma, SingularProductionSlope):
             # a divergent slope is in particular nonzero
             return True
-        return bool((jac.P_F * d[1] + jac.P_sigma * d[2]) / om != 0.0)
+        # on Python floats an overflow is a silent inf
+        return (jac.P_F * d[1].item() + jac.P_sigma * d[2].item()) / om != 0.0
 
     gn_fast = float(np.dot(grad_lambda(model, eq), eig.d_plus)) != 0.0
     fams = {

@@ -27,12 +27,8 @@ import numpy as np
 from . import __version__
 from .amplitude import _predicted, classify, integrate
 from .characteristics import (
-    Degenerate,
     DegenerateWaveError,
-    DissipativeFinite,
-    SingularLimit,
     SingularLimitError,
-    WaveCoefficients,
     coefficients_ab,
     k_condition,
 )
@@ -177,11 +173,6 @@ def _output(path: str | None):
 # Report assembly
 # ---------------------------------------------------------------------------
 
-def _case_name(wc: WaveCoefficients) -> str:
-    return {DissipativeFinite: "dissipative_finite", Degenerate: "degenerate",
-            SingularLimit: "singular_limit"}[type(wc.case)]
-
-
 def analysis_report(cfg: ScenarioConfig, pi0: float | None) -> dict:
     wc = coefficients_ab(cfg.material)
     kc = k_condition(cfg.material)
@@ -192,7 +183,7 @@ def analysis_report(cfg: ScenarioConfig, pi0: float | None) -> dict:
         "a": wc.a,
         "b": wc.b,
         "pi_cr": wc.pi_cr,
-        "case": _case_name(wc),
+        "case": wc.case,
         "k_condition": {
             "full_K": kc.full_K,
             "weak_K": kc.weak_K,
@@ -201,8 +192,8 @@ def analysis_report(cfg: ScenarioConfig, pi0: float | None) -> dict:
         },
         "units": dict(_UNITS),
     }
-    if isinstance(wc.case, SingularLimit):
-        report["case_params"] = {"n": wc.case.n, "b0": wc.case.b0}
+    if wc.n is not None:
+        report["case_params"] = {"n": wc.n, "b0": wc.b0}
     if pi0 is not None:
         outcome = classify(wc.a, wc.b, pi0)
         report["pi0"] = pi0
@@ -318,7 +309,7 @@ def cmd_sweep(args) -> int:
         write_table(stream,
                     [sw.param, "lambda0", "a", "b", "pi_cr", "case",
                      "weak_K", "full_K"],
-                    [values, lambda0, a, b, pi_cr, list(map(_case_name, wcs)),
+                    [values, lambda0, a, b, pi_cr, [wc.case for wc in wcs],
                      [kc.weak_K for kc in kcs], [kc.full_K for kc in kcs]],
                     footer, args.format)
     return 0
@@ -389,7 +380,7 @@ def cmd_paper_tables(args) -> int:
     for label, fluid in cases:
         wcf = coefficients_ab(fluid)
         kcf = k_condition(fluid)
-        lines.append(f"  {label:<30} case={_case_name(wcf):<19} "
+        lines.append(f"  {label:<30} case={wcf.case:<19} "
                      f"b={_csv_field(wcf.b):<22} pi_cr={_csv_field(wcf.pi_cr):<22} "
                      f"weak_K={kcf.weak_K}")
     lines.append("")
@@ -411,7 +402,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_finite_float.__name__ = "float"   # argparse's "invalid float value: ..." message
+def _positive_float(text: str) -> float:
+    """argparse type of --t-end and --dt: a finite float > 0."""
+    if not (value := _finite_float(text)) > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+_finite_float.__name__ = _positive_float.__name__ = "float"   # "invalid float value"
 
 
 # argparse before Python 3.12 reads a negative number with an exponent, such
@@ -448,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amplitude", help="closed-form and RK4 amplitude trajectory")
     add_common(p, "csv")
     p.add_argument("--pi0", type=_finite_float, default=None)
-    p.add_argument("--t-end", type=_finite_float, default=None, dest="t_end")
-    p.add_argument("--dt", type=_finite_float, default=None)
+    p.add_argument("--t-end", type=_positive_float, default=None, dest="t_end")
+    p.add_argument("--dt", type=_positive_float, default=None)
     p.set_defaults(func=cmd_amplitude)
 
     p = sub.add_parser("simulate", help="finite-volume wavefront experiment")

@@ -22,13 +22,15 @@ The finite-volume step passes ``out``, an array of F's shape, to T, W2 and
 relax, and ``scratch``: a second such array to T and W2, whose formulas
 hold two arrays at once, and three to relax (the regularized law's steps;
 the exact laws' rate, which takes the first).  relax takes sigma itself as
-out.  The result is then written into out, bit for bit the value of the
-call without out, which runs the plain expression (scalar inputs keep their
-Python floats).  Only the plain power law's relax then allocates arrays of
-F's size, and copies its result into out.  The buffered paths take their
-constants as 0-d float64 arrays (see _zero_d), built once per law and
-material instance by its private ``_consts``; the regularized law's also
-holds c, n and eps**(-n) as Python floats, for its scalar arithmetic.
+out.  A call without out or scratch runs the same body on arrays it
+allocates.  W2 alone (and Mooney-Rivlin's T, which shares its sum) keeps a
+plain expression for a call without out, which the characteristics make on
+Python floats.  Only the plain power law's relax allocates arrays of F's
+size where out is given, and copies its result into out.  The buffered
+paths take their constants as 0-d float64 arrays (see _zero_d), built once
+per law and material instance by its private ``_consts``; the regularized
+law's also holds c, n and eps**(-n) as Python floats, for its scalar
+arithmetic.
 """
 
 from __future__ import annotations
@@ -151,9 +153,6 @@ class QuadraticCubic:
         return solid.E1 * e * e * (0.5 - self.R * e / 3.0)
 
     def T(self, F, solid: SolidParams, out=None, scratch=None):
-        if out is None:
-            e = F - 1.0
-            return solid.E1 * e * (1.0 - self.R * e)
         e = np.subtract(F, _NUM.one, out=out)
         c = np.subtract(_NUM.one, np.multiply(e, self._consts.R, out=scratch), out=scratch)
         e *= solid._consts.E1
@@ -265,8 +264,6 @@ class IdealGas:
         return -fluid.p_ref * np.log(F)
 
     def T(self, F, fluid: FluidParams, out=None, scratch=None):
-        if out is None:
-            return -fluid.p_ref / F
         return np.divide(fluid._consts.neg_p_ref, F, out=out)
 
     def W2(self, F, fluid: FluidParams, out=None, scratch=None):
@@ -297,10 +294,7 @@ class Maxwell:
         )
 
     def relax(self, F, sigma, h, solid: SolidParams, out=None, scratch=None):
-        if out is None:
-            rate = F ** (1.0 + 2.0 * solid.nu_bar) / solid.tau0
-            return sigma * np.exp(-h * rate)
-        rate = np.empty_like(out) if scratch is None else scratch[0]
+        rate = np.empty(np.shape(F)) if scratch is None else scratch[0]
         np.power(F, solid._consts.q, out=rate)
         rate /= solid._consts.tau0
         rate *= -h
@@ -333,9 +327,7 @@ class Newtonian:
         return ProductionJacobian(P_F=-sigma / fluid.mu0, P_sigma=-F / fluid.mu0)
 
     def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
-        if out is None:
-            return sigma * np.exp(-h * F / fluid.tau0)
-        rate = np.multiply(F, -h, out=np.empty_like(out) if scratch is None else scratch[0])
+        rate = np.multiply(F, -h, out=np.empty(np.shape(F)) if scratch is None else scratch[0])
         rate /= fluid._consts.tau0
         return np.multiply(np.exp(rate, out=rate), sigma, out=out)
 
@@ -440,7 +432,9 @@ class RegularizedPowerLaw:
             return ProductionJacobian(P_F=math.inf, P_sigma=-math.inf)
         au = abs(u)
         P_F = -c * au ** (-n) * sigma
-        P_sigma = -F * c * (au ** (-n) - n * sigma * math.copysign(au ** (-n - 1.0), u))
+        # the sigma term is 0 at sigma = 0, where its power may overflow
+        slope = n * sigma * math.copysign(au ** (-n - 1.0), u) if sigma else 0.0
+        P_sigma = -F * c * (au ** (-n) - slope)
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
     def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):

@@ -546,7 +546,7 @@ class TestSingularLimitScan:
         from accelwave import PowerLaw
         sing = coefficients_ab(unit_fluid(PowerLaw(k_cons=1.0, m=2.0)))
         eps = 0.01
-        rows = singular_limit_scan(sing.case.b0, sing.case.n, [eps],
+        rows = singular_limit_scan(sing.b0, sing.n, [eps],
                                    a=sing.a, pi0=1.0)
         direct = coefficients_ab(unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0,
                                                                 eps=eps)))

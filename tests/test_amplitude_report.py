@@ -110,7 +110,7 @@ _RUBBER_WC = coefficients_ab(rubber_solid())
 
 
 def _wave(a, b):
-    return replace(_RUBBER_WC, a=a, b=b, pi_cr=b / abs(a))
+    return replace(_RUBBER_WC, a=a, b=b)
 
 
 class TestBitIdenticalAmplitudeReport:

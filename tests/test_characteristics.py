@@ -1,23 +1,26 @@
 """Eigenstructure, amplitude-equation coefficients, coupling verdicts."""
 
+import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelwave import (
-    Degenerate,
     DegenerateWaveError,
-    DissipativeFinite,
     FluidParams,
     HyperbolicityError,
     Newtonian,
     PowerLaw,
     QuadraticCubic,
     RegularizedPowerLaw,
-    SingularLimit,
     SolidParams,
     StateVector,
+    WaveCoefficients,
     assemble_ab_numeric,
     coefficients_ab,
     eigensystem,
@@ -33,6 +36,12 @@ RUBBER_LAMBDA0 = 74.2381470389745722
 RUBBER_A = -0.0090913082009666830
 RUBBER_B = 2.9296875
 RUBBER_PI_CR = 322.251477481368961
+
+
+# a regularized fluid whose finite b overflows to inf
+_OVERFLOW_FLUID = FluidParams(rho_star=1.0, R_gas=1.0, tau0=1e-100, mu0=1.0,
+                              production=RegularizedPowerLaw(k_cons=1e-300, m=1.0001,
+                                                             eps=1.0))
 
 
 def _random_states(model, rng, n):
@@ -171,7 +180,7 @@ class TestCoefficients:
         assert wc.a == pytest.approx(RUBBER_A, rel=1e-12)
         assert wc.b == pytest.approx(RUBBER_B, rel=1e-12)
         assert wc.pi_cr == pytest.approx(RUBBER_PI_CR, rel=1e-12)
-        assert isinstance(wc.case, DissipativeFinite)
+        assert wc.case == "dissipative_finite"
 
     def test_unit_fluid_closed_forms(self):
         wc = coefficients_ab(unit_fluid())
@@ -181,22 +190,31 @@ class TestCoefficients:
 
     def test_shear_thinning_degenerate(self):
         wc = coefficients_ab(unit_fluid(PowerLaw(k_cons=1.0, m=0.5)))
-        assert wc.b == 0.0
+        assert wc.b == 0.0 and math.copysign(1.0, wc.b) == 1.0   # P_sigma = 0: -0.0/denom
         assert wc.pi_cr == 0.0
-        assert isinstance(wc.case, Degenerate)
+        assert wc.case == "degenerate"
+        assert wc.n is None and wc.b0 is None
 
     def test_unregularized_thickening_singular(self):
         wc = coefficients_ab(unit_fluid(PowerLaw(k_cons=1.0, m=2.0)))
         assert math.isinf(wc.b) and math.isinf(wc.pi_cr)
-        assert isinstance(wc.case, SingularLimit)
-        assert wc.case.n == pytest.approx(0.5, rel=1e-15)
+        assert wc.case == "singular_limit"
+        assert wc.n == pytest.approx(0.5, rel=1e-15)
         # b0 = coeff/(2*rho*lam0^2*omega^2) = 2^(-1/2)/4 with unit constants
-        assert wc.case.b0 == pytest.approx(2.0 ** -0.5 / 4.0, rel=1e-14)
+        assert wc.b0 == pytest.approx(2.0 ** -0.5 / 4.0, rel=1e-14)
 
     def test_regularized_thickening_threshold(self):
         wc = coefficients_ab(unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=0.01)))
-        assert isinstance(wc.case, DissipativeFinite)
+        assert wc.case == "dissipative_finite"
         assert wc.pi_cr == pytest.approx(5.0, rel=1e-12)
+
+    def test_overflowed_b_is_the_singular_limit(self):
+        # a finite damping that overflows to inf: no divergence law, yet the
+        # case is read off b, as classify and the amplitude command read it
+        wc = coefficients_ab(_OVERFLOW_FLUID)
+        assert wc.b == math.inf and wc.pi_cr == math.inf
+        assert wc.case == "singular_limit"
+        assert wc.n is None and wc.b0 is None
 
     def test_closed_form_equals_numeric_assembly(self, rng):
         count = 0
@@ -251,6 +269,33 @@ class TestCoefficients:
             coefficients_ab(flat)
 
 
+# b at the edges of the float range, with both signs of zero
+_DAMPINGS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min / 3.0,
+                                       sys.float_info.max, math.inf]),
+                      st.floats(1e-300, 1e300))
+
+
+class TestDerivedFields:
+    """pi_cr and case are properties of b and a: stated once, never stale."""
+
+    @staticmethod
+    def _expected_case(b):
+        if b == math.inf:
+            return "singular_limit"
+        return "degenerate" if b == 0.0 else "dissipative_finite"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300),
+           b=_DAMPINGS, b_new=_DAMPINGS)
+    def test_follow_b(self, a, b, b_new):
+        wc = WaveCoefficients(1.0, a, b)
+        for w in (wc, dataclasses.replace(wc, b=b_new)):
+            expected = w.b / abs(w.a)
+            assert w.pi_cr == expected
+            assert math.copysign(1.0, w.pi_cr) == math.copysign(1.0, expected)
+            assert w.case == self._expected_case(w.b)
+
+
 class TestKCondition:
     def test_rubber_full(self):
         rep = k_condition(rubber_solid())
@@ -280,3 +325,10 @@ class TestKCondition:
         assert not rep.plus.genuinely_nonlinear
         assert rep.weak_K      # no genuinely nonlinear family to violate it
         assert rep.full_K      # coupling still present in every family
+
+    def test_overflowing_coupling_is_silent(self):
+        # the coupled term overflows to inf: a nonzero jump, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = k_condition(_OVERFLOW_FLUID)
+        assert rep.weak_K and rep.full_K

@@ -247,6 +247,31 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--config", str(path))
         assert code == 3 and "numerical error" in err
 
+    def test_overflowed_b_reads_as_the_singular_limit(self, capsys, tmp_path):
+        # b overflows to inf: analyze called it dissipative_finite, while
+        # amplitude refused it as the singular limit
+        path = tmp_path / "overflow.json"
+        d = _fluid_dict({"kind": "regularized", "k_cons": 1e-300, "m": 1.0001, "eps": 1.0})
+        d["fluid"]["tau0"] = 1e-100
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["case"] == "singular_limit" and report["b"] == "inf"
+        assert "case_params" not in report
+        code, _, err = run_cli(capsys, "amplitude", "--config", str(path), "--pi0", "1")
+        assert code == 3 and "singular limit" in err
+
+    def test_tiny_regularization_runs(self, capsys, tmp_path):
+        # the slope's sigma term overflowed at sigma = 0, where it is exactly 0
+        path = tmp_path / "tiny_eps.json"
+        path.write_text(json.dumps(_fluid_dict(
+            {"kind": "regularized", "k_cons": 1.0, "m": 2.0, "eps": 1e-210})))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(path), "--format", "csv")
+        assert code == 0 and err == ""
+        row = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+        assert row["b"] == "1.767766952966369e+104" and row["case"] == "dissipative_finite"
+
 
 class TestAmplitudeCommand:
     def test_decaying_trajectory_cross_check(self, capsys, tmp_path):
@@ -410,10 +435,27 @@ class TestNumericFlags:
                                             ("--dt", "dt")])
     @pytest.mark.parametrize("word, value", [("-1e-3", -1e-3), ("-1E+2", -100.0),
                                              ("-.5e1", -5.0), ("-2.5", -2.5)])
-    def test_negative_number_in_exponent_form_is_a_value(self, flag, dest, word, value):
-        args = build_parser().parse_args(["amplitude", "--config", "rubber.json",
-                                          flag, word])
-        assert getattr(args, dest) == value
+    def test_negative_number_in_exponent_form_is_a_value(self, capsys, flag, dest,
+                                                         word, value):
+        argv = ["amplitude", "--config", "rubber.json", flag, word]
+        if flag == "--pi0":
+            assert getattr(build_parser().parse_args(argv), dest) == value
+            return
+        # read as the flag's value, and refused as one: not "expected one argument"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be > 0, got {word!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, word", [("--dt", "0"), ("--dt", "-1"),
+                                            ("--t-end", "0"), ("--t-end", "-1e-3"),
+                                            ("--dt", "-0.0")])
+    def test_non_positive_step_or_end_exits_2(self, capsys, flag, word):
+        # a bad flag, not the numerical error (exit 3) that integrate raises
+        with pytest.raises(SystemExit) as exc:
+            main(["amplitude", "--config", "rubber.json", "--pi0", "1", flag, word])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be > 0, got {word!r}" in capsys.readouterr().err
 
     def test_negative_exponent_form_after_a_flag_runs(self, capsys):
         separate = run_cli(capsys, "amplitude", "--config", "rubber.json", "--pi0", "-1e-3")

@@ -273,6 +273,15 @@ class TestProductionJacobian:
         fd = (production(fl, 1.0, 1e-8) - production(fl, 1.0, -1e-8)) / 2e-8
         assert ps == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.0])
+    def test_regularized_slope_at_a_tiny_eps(self, sigma):
+        # the slope's sigma term, exactly 0 here, overflowed and raised
+        fl = FluidParams(rho_star=1.0, R_gas=1.0, tau0=1.0, mu0=1.0,
+                         production=RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-210))
+        jac = production_jacobian(fl, 1.0, sigma)
+        assert jac.P_sigma == pytest.approx(-(2.0 ** -0.5) * 1e105, rel=1e-15)
+        assert jac.P_F == 0.0
+
     def test_matches_finite_differences_where_regular(self, rng):
         models = _grid_models() + [random_solid(rng) for _ in range(3)] \
             + [random_fluid(rng) for _ in range(5)]
@@ -376,6 +385,37 @@ def test_buffered_laws_equal_the_allocating_calls(case):
         out = np.full_like(F, np.nan)
         assert model.production.relax(F, sigma, h, model, out=out) is out
         assert out.tobytes() == model.production.relax(F, sigma, h, model).tobytes()
+
+
+def _plain_T_and_relax(model, F, sigma, h):
+    """T and the exact relax as plain expressions, where the law has only
+    its buffered form (None for Mooney-Rivlin's T, which keeps both)."""
+    if isinstance(model, FluidParams):
+        return -model.p_ref / F, sigma * np.exp(-h * F / model.tau0)
+    rate = F ** (1.0 + 2.0 * model.nu_bar) / model.tau0
+    T = None
+    if isinstance(model.elastic, QuadraticCubic):
+        e = F - 1.0
+        T = model.E1 * e * (1.0 - model.elastic.R * e)
+    return T, sigma * np.exp(-h * rate)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_buffered_cases())
+def test_buffered_laws_equal_their_plain_expressions(case):
+    # the allocating call runs the buffered body: bit for bit the formula
+    model, F, sigma, h = case
+    with np.errstate(all="ignore"):
+        T, relaxed = _plain_T_and_relax(model, F, sigma, h)
+        if T is not None:
+            assert model.elastic.T(F, model).tobytes() == T.tobytes()
+        assert model.production.relax(F, sigma, h, model).tobytes() == relaxed.tobytes()
+        for i in range(F.size):   # and on Python floats
+            f, s = F.item(i), sigma.item(i)
+            if T is not None:
+                assert np.float64(model.elastic.T(f, model)).tobytes() == T[i:i + 1].tobytes()
+            assert np.float64(model.production.relax(f, s, h, model)).tobytes() == \
+                relaxed[i:i + 1].tobytes()
 
 
 def test_power_law_relax_writes_into_out(rng):
