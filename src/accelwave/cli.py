@@ -297,12 +297,6 @@ def cmd_sweep(args) -> int:
         kcs.append(k_condition(model))
     lambda0, a, b, pi_cr = np.array([(wc.lambda0, wc.a, wc.b, wc.pi_cr) for wc in wcs],
                                     dtype=float).T
-
-    if sw.param.endswith(".eps"):
-        # singular-limit structure: pi_cr must fall and 1/b rise with eps
-        by_eps = pi_cr[np.unique(values, return_index=True)[1]]   # per distinct eps
-        if np.any(by_eps[1:] >= by_eps[:-1]):
-            raise SimulationError("eps sweep violated pi_cr monotonicity")
     footer = {"param": sw.param, "scale": sw.scale,
               "input": material_dict}
     with _output(args.out or cfg.out) as stream:

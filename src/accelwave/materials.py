@@ -9,28 +9,29 @@ power law.
 
 Each law is a frozen dataclass that owns its math and its config ``kind``.
 A material is an elastic part (W, T = W', W'' and W''') plus a production
-part (P, dP and relax(F, sigma, h), the step of omega*sigma_t = P at
-frozen F: exact, or for the regularized power law explicit exponential
-midpoint steps); the parts take the material last for its constants.  The
+part (P, dP and relax, the step of omega*sigma_t = P at frozen F: exact,
+or for the regularized power law explicit exponential midpoint steps); the
+parts take the material after their operands, for its constants.  The
 plain power law's exact step is one formula for every m != 1:
 |sigma|^(1 - 1/m) falls linearly in t, clamped at 0, which it reaches in
 finite time for m > 1 only.  The module-level functions check the stretch
 and delegate to the parts, which accept scalar or ndarray stretch/stress
 inputs (the simulator relies on the vectorized paths).
 
-The finite-volume step passes ``out``, an array of F's shape, to T, W2 and
-relax, and ``scratch``: a second such array to T and W2, whose formulas
-hold two arrays at once, and three to relax (the regularized law's steps;
-the exact laws' rate, which takes the first).  relax takes sigma itself as
-out.  A call without out or scratch runs the same body on arrays it
-allocates.  W2 alone (and Mooney-Rivlin's T, which shares its sum) keeps a
-plain expression for a call without out, which the characteristics make on
-Python floats.  Only the plain power law's relax allocates arrays of F's
-size where out is given, and copies its result into out.  The buffered
-paths take their constants as 0-d float64 arrays (see _zero_d), built once
-per law and material instance by its private ``_consts``; the regularized
-law's also holds c, n and eps**(-n) as Python floats, for its scalar
-arithmetic.
+The finite-volume step passes ``out``, an array of F's shape, to T and W2,
+and ``scratch``, a second such array, whose formulas hold two arrays at
+once.  A call without them runs the same body on arrays it allocates; W2
+alone (and Mooney-Rivlin's T, which shares its sum) keeps a plain
+expression for a call without out, which the characteristics make on
+Python floats.  The source step has one contract: relax(F, sigma, h, model,
+scratch) steps the float64 row sigma over h in place and returns it, where
+F is the matching row, finite and > 0, and scratch is three float rows of
+its size (the exact laws' rate takes the first, the regularized law's
+steps all three).  Only the plain power law's relax makes its own
+temporaries.  The buffered paths take their constants as 0-d float64
+arrays (see _zero_d), built once per law and material instance by its
+private ``_consts``; the regularized law's also holds c, n and eps**(-n) as
+Python floats, for its scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ def _zero_d(**values: float) -> SimpleNamespace:
 
 
 _NUM = _zero_d(zero=0.0, half=0.5, one=1.0, two=2.0)
+MAX_SUBSTEPS = 10**6  # sub-steps of one regularized source step; asking for more raises
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ class QuadraticCubic:
     """Cubic elastic potential W(F) = E1/2 (F-1)^2 - E1*R/3 (F-1)^3.
 
     R >= 0 is the dimensionless cubic coefficient; the long-term modulus E1
-    lives on :class:`SolidParams`.
+    is a field of :class:`SolidParams`.
     """
 
     kind: ClassVar[str] = "quadratic_cubic"
@@ -293,25 +295,24 @@ class Maxwell:
             P_sigma=-(F ** q) / solid.mu0,
         )
 
-    def relax(self, F, sigma, h, solid: SolidParams, out=None, scratch=None):
-        rate = np.empty(np.shape(F)) if scratch is None else scratch[0]
-        np.power(F, solid._consts.q, out=rate)
+    def relax(self, F, sigma, h, solid: SolidParams, scratch):
+        rate = np.power(F, solid._consts.q, out=scratch[0])
         rate /= solid._consts.tau0
         rate *= -h
-        return np.multiply(np.exp(rate, out=rate), sigma, out=out)
+        return np.multiply(np.exp(rate, out=rate), sigma, out=sigma)
 
 
-def _copy_of(sigma, out):
-    """sigma as a float array of its own: copied into out, if given."""
-    if out is None:
-        return np.array(sigma, dtype=float)
-    np.copyto(out, sigma)
-    return out
+def _power(x: float, y: float) -> float:
+    """x**y of Python floats, inf where it overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
 
 
 def _power_prefactor(k_cons: float, m: float) -> float:
-    # 2**(1/m - 1) * k**(-1/m); shared by the plain and regularized laws
-    return 2.0 ** (1.0 / m - 1.0) * k_cons ** (-1.0 / m)
+    # 2**(1/m - 1) * k**(-1/m), not finite where it overflows; both power laws refuse that
+    return _power(2.0, 1.0 / m - 1.0) * _power(k_cons, -1.0 / m)
 
 
 @dataclass(frozen=True)
@@ -326,10 +327,10 @@ class Newtonian:
     def dP(self, F, sigma, fluid: FluidParams) -> ProductionJacobian:
         return ProductionJacobian(P_F=-sigma / fluid.mu0, P_sigma=-F / fluid.mu0)
 
-    def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
-        rate = np.multiply(F, -h, out=np.empty(np.shape(F)) if scratch is None else scratch[0])
+    def relax(self, F, sigma, h, fluid: FluidParams, scratch):
+        rate = np.multiply(F, -h, out=scratch[0])
         rate /= fluid._consts.tau0
-        return np.multiply(np.exp(rate, out=rate), sigma, out=out)
+        return np.multiply(np.exp(rate, out=rate), sigma, out=sigma)
 
 
 @dataclass(frozen=True)
@@ -343,6 +344,8 @@ class PowerLaw:
     def __post_init__(self):
         _require(self.k_cons > 0.0, "k_cons must be > 0")
         _require(self.m > 0.0, "flow index m must be > 0")
+        _require(math.isfinite(_power_prefactor(self.k_cons, self.m)),
+                 f"k_cons={self.k_cons:g} and m={self.m:g} overflow 2**(1/m - 1)*k_cons**(-1/m)")
 
     def P(self, F, sigma, fluid: FluidParams):
         if self.m == 1.0:
@@ -367,18 +370,16 @@ class PowerLaw:
             P_sigma = SingularProductionSlope(n=(m - 1.0) / m, coeff=F * c)
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
-    def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
+    def relax(self, F, sigma, h, fluid: FluidParams, scratch):
         om = fluid.omega
         m = self.m
         if m == 1.0:
-            return np.multiply(sigma, np.exp(-h * F / (om * self.k_cons)), out=out)
+            return np.multiply(sigma, np.exp(-h * F / (om * self.k_cons)), out=sigma)
         c = _power_prefactor(self.k_cons, m)
         K = F * c / om
         alpha = 1.0 / m
-        # a zero keeps its sign bit; a non-finite sigma passes through to
-        # the caller's finiteness check, as with the exact laws
-        out = _copy_of(sigma, out)
-        a_abs = np.abs(out)
+        # a zero keeps its sign bit, and a non-finite sigma passes through
+        a_abs = np.abs(sigma)
         nz = np.isfinite(a_abs) & (a_abs > 0.0)
         # base is > 0 or NaN for m < 1, so only m > 1 meets the clamp; an
         # overflow (of K*h, or of a subnormal |sigma|'s power for m < 1) ends
@@ -386,8 +387,8 @@ class PowerLaw:
         with np.errstate(over="ignore"):
             base = a_abs[nz] ** (1.0 - alpha) - (1.0 - alpha) * K[nz] * h
             mag = np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha))
-        out[nz] = np.sign(out[nz]) * mag
-        return out
+        sigma[nz] = np.sign(sigma[nz]) * mag
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -407,12 +408,14 @@ class RegularizedPowerLaw:
         _require(self.k_cons > 0.0, "k_cons must be > 0")
         _require(self.m > 1.0, "regularization only applies for m > 1")
         _require(self.eps > 0.0, "eps must be > 0")
+        _require(math.isfinite(self._consts.c * self._consts.eps_neg_n),
+                 f"k_cons={self.k_cons:g}, m={self.m:g} and eps={self.eps:g} overflow c*eps**(-n)")
 
     @cached_property
     def _consts(self) -> SimpleNamespace:
         n = (self.m - 1.0) / self.m
         k = _zero_d(eps=self.eps, neg_n=-n)
-        k.c, k.n, k.eps_neg_n = _power_prefactor(self.k_cons, self.m), n, self.eps ** (-n)
+        k.c, k.n, k.eps_neg_n = _power_prefactor(self.k_cons, self.m), n, _power(self.eps, -n)
         return k
 
     @np.errstate(divide="ignore")   # as a decorator, cheaper
@@ -437,9 +440,9 @@ class RegularizedPowerLaw:
         P_sigma = -F * c * (au ** (-n) - slope)
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
-    def relax(self, F, sigma, h, fluid: FluidParams, out=None, scratch=None):
-        """Exponential midpoint steps, sub-cycled so each sub-step stays
-        within the stiff-rate scale.
+    def relax(self, F, sigma, h, fluid: FluidParams, scratch):
+        """Exponential midpoint steps of sigma in place, sub-cycled so each
+        sub-step stays within the stiff-rate scale.
 
         At frozen F the source is sigma' = -rate(sigma)*sigma with
         rate(s) = k*|eps + s|**(-n) and k = F*c/omega.  A sub-step of length
@@ -449,52 +452,24 @@ class RegularizedPowerLaw:
         [0, 1], so the sign is kept and |sigma| never grows, on both sides
         of -eps; nothing iterates.  A sub-step from s = -eps (rate inf) has
         s_m = -0 and ends finite; one whose midpoint lands on -eps, or so
-        near it that its factor underflows, ends at +-0 of its sign.
-        sigma = +-0 is a fixed point and h = 0 returns sigma as it is; a
-        non-finite sigma passes through, and a cell with a non-finite F
-        comes out NaN and does not set the sub-cycle count, for the caller's
-        finiteness check.
-
-        Where every F is finite and >= 0 and no sigma is NaN, the steps run
-        on every cell, with no gather and scatter of the cells to solve:
-        both factors of a cell at sigma = +-0 then lie in (0, 1] (its rate
-        is k*eps**(-n)), so it keeps its bits, and a cell at +-inf has rate 0
-        and factors exp(-0) = 1.  The other cells take the same steps either
-        way.  (A NaN would come out NaN, but not always with its sign bit.)
-        The steps run on out where it is C-contiguous, else on a C-ordered
-        copy, and out may be sigma itself; scratch, three float arrays of
-        sigma's size, holds their temporaries where every cell is stepped.
+        near it that its factor underflows, ends at +-0 of its sign.  At
+        sigma = +-0 both factors lie in (0, 1], so the bits stay, as for
+        h = 0.  More than MAX_SUBSTEPS sub-steps raise ValueError.
         """
-        res = out if out is not None and out.flags.c_contiguous else \
-            np.empty(np.shape(sigma) if out is None else out.shape)
-        if sigma is not res:
-            np.copyto(res, sigma)
-        flat, F = res, np.asarray(F, dtype=float)
-        if res.ndim != 1 or F.shape != res.shape:
-            flat, F = res.reshape(-1), np.broadcast_to(F, res.shape).reshape(-1)
-        # a NaN F is the first one argmin and argmax pick, and a NaN sigma
-        # makes sigma.sigma NaN
-        if F.size and F.item(F.argmin()) >= 0.0 and math.isfinite(F_max := F.item(F.argmax())) \
-                and not math.isnan(flat.dot(flat)):
-            live = None   # every cell
-        else:
-            live = np.isfinite(flat) & (flat != 0.0)
-            finite = np.isfinite(F)
-            flat[live & ~finite] = math.nan
-            live &= finite
-            F_max = F.max(where=finite, initial=0.0)
         k, om = self._consts, fluid.omega
-        n_sub = math.ceil(h * (F_max * k.c / om * k.eps_neg_n) / 5.0)
+        count = h * (F.item(F.argmax()) * k.c / om * k.eps_neg_n) / 5.0
+        if not count <= MAX_SUBSTEPS:
+            raise ValueError(f"the regularized source step over h={h:.6g} asks for {count:.6g} "
+                             f"sub-steps at eps={self.eps:.6g}, more than {MAX_SUBSTEPS}")
+        n_sub = math.ceil(count)
         if n_sub:   # 0 for h = 0, where h*rate would be NaN at sigma = -eps
-            s, F = (flat, F) if live is None else (flat[live], F[live])
-            full, half, x = np.empty((3, s.size)) if scratch is None or live is not None \
-                else scratch
+            full, half, x = scratch
             np.multiply(F, -h / n_sub * k.c / om, out=full)   # -h*k of a sub-step
+            if full.item(full.argmax()) > -1e-323:   # its half underflows; -0*rate(-eps) is NaN
+                np.minimum(full, -1e-323, out=full)
             np.multiply(full, _NUM.half, out=half)
-            _midpoint_steps(s, k, half, full, x, n_sub)
-            if live is not None:
-                flat[live] = s
-        return res if out is None or res is out else _copy_of(res, out)
+            _midpoint_steps(sigma, k, half, full, x, n_sub)
+        return sigma
 
 
 @np.errstate(divide="ignore", over="ignore")   # rate(-eps) = inf; as a decorator, cheaper

@@ -21,8 +21,9 @@ front_x) and detect_front_position(model, snapshot, front_x_guess) are its
 one-output case, so on a snapshot at an output time t, about the guess
 x_front + lambda0*t, they give exactly simulate's measured_pi and front_x.
 sigma = 0 is a fixed point of every law's source step, so cells at
-sigma = +-0 come out of it untouched, sign bit included, and a non-finite
-sigma passes through to the finiteness check.  Boundaries are zero-gradient.
+sigma = +-0 come out of it untouched, sign bit included.  It gets finite
+rows with F > 0: a kink's start must be finite, and each step checks F > 0
+before it and finiteness after.  Boundaries are zero-gradient.
 
 The minmod limiter is taken in clip form, min(max(a, min(b, 0)), max(b, 0)),
 with the zero rule that it is +0.0 wherever a*b <= 0, also where the product
@@ -628,9 +629,12 @@ class _Stepper:
         amp = np.where(s >= -w, ramp, -w * back)
         # row i: (pi0*d_i*amp)*(rho, 1, omega)[i], and F = 1 + row 1
         q = np.empty((3, grid.n_cells + 2 * _NG))   # the ghosts are filled by __init__
-        for d, c, row in zip(eig.d_plus, (model.rho_star, 1.0, model.omega), q[:, _NG:-_NG]):
-            np.multiply(np.multiply(ic.pi0 * d, amp, out=row), c, out=row)
+        with np.errstate(over="ignore"):   # refused below
+            for d, c, row in zip(eig.d_plus, (model.rho_star, 1.0, model.omega), q[:, _NG:-_NG]):
+                np.multiply(np.multiply(ic.pi0 * d, amp, out=row), c, out=row)
         F = np.add(q[1, _NG:-_NG], 1.0, out=q[1, _NG:-_NG])
+        if not np.isfinite(q[:, _NG:-_NG]).all():
+            raise ValueError("initial amplitude overflows the kink's state to a non-finite value")
         if (F <= 0.0).any():
             raise ValueError("initial amplitude drives the deformation gradient non-positive")
         stepper = cls(model, grid, q)
@@ -648,7 +652,7 @@ class _Stepper:
         om*relax(F, sigma, h) into its omega*sigma row."""
         p, model, om = self.plan, self.model, self.model._consts.om
         sigma = np.divide(p.sigma, om, out=p.sigma)
-        model.production.relax(p.F, sigma, h, model, out=sigma, scratch=p.relax_scratch)
+        model.production.relax(p.F, sigma, h, model, p.relax_scratch)
         sigma *= om
 
     def _grow_span(self) -> None:

@@ -82,6 +82,13 @@ def random_fluid(rng: np.random.Generator, kind: str = "any") -> FluidParams:
     )
 
 
+def relaxed(model, F, sigma, h) -> np.ndarray:
+    """The model's source step over h of copies of the rows F and sigma, with
+    scratch rows of its own that hold NaN, as the FV step calls it."""
+    F, sigma = np.array(F, dtype=float), np.array(sigma, dtype=float)
+    return model.production.relax(F, sigma, h, model, tuple(np.full((3, F.size), np.nan)))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -187,6 +187,21 @@ class TestAnalyzeCommand:
         _, out2, _ = run_cli(capsys, "analyze", "--config", str(path))
         assert out1 == out2
 
+    @pytest.mark.parametrize("production", [
+        {"kind": "regularized", "k_cons": 1.0, "m": 100.0, "eps": 5e-324},
+        {"kind": "power_law", "k_cons": 1e-200, "m": 0.5},
+        {"kind": "regularized", "k_cons": 5e-324, "m": 1.001, "eps": 1.0}])
+    def test_constants_that_overflow_are_a_config_error(self, capsys, tmp_path, production):
+        # c = 2**(1/m - 1)*k_cons**(-1/m), or c*eps**(-n), overflows: a bare
+        # OverflowError exited 3 naming neither the law nor its constants
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_fluid_dict(production)))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: non-physical {production['kind']} constants: "
+                              f"k_cons={production['k_cons']:g}")
+        assert "overflow" in err
+
     def test_exit_code_on_missing_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--config",
                                str(tmp_path / "nope.json"))
@@ -573,8 +588,7 @@ class TestSweepCommand:
         assert float(row[4]) == wc.pi_cr
 
     def test_repeated_eps_is_no_monotonicity_violation(self, capsys, tmp_path):
-        # min == max repeats one eps three times, with one pi_cr: the check
-        # compared the repeats and exited 3
+        # min == max repeats one eps three times, with one pi_cr
         d = json.loads(bundled_config_path("shear_thickening_eps.json").read_text())
         d["sweep"] = {"param": "fluid.production.eps", "min": 0.01, "max": 0.01,
                       "count": 3}
@@ -583,6 +597,16 @@ class TestSweepCommand:
         rows = [ln.split(",") for ln in out.splitlines()[1:-1]]
         assert len(rows) == 3 and len({tuple(r) for r in rows}) == 1
 
+    def test_near_equal_eps_sweep_exits_0(self, capsys, tmp_path):
+        # distinct eps one part in 1e15 apart may round to one pi_cr; a
+        # monotonicity self-check refused that sweep, exiting 3
+        d = json.loads(bundled_config_path("shear_thickening_eps.json").read_text())
+        d["sweep"] = {"param": "fluid.production.eps", "min": 0.01,
+                      "max": 0.01 * (1.0 + 1e-15), "count": 5}
+        code, out, err = run_cli(capsys, "sweep", "--config", self._write(tmp_path, d))
+        assert code == 0 and err == ""
+        assert len(out.splitlines()[1:-1]) == 5
+
     def test_sweep_block_required(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep",
                              "--config", self._write(tmp_path, dict(RUBBER_DICT)))
@@ -590,6 +614,18 @@ class TestSweepCommand:
 
 
 class TestSimulateCommand:
+    def test_a_source_step_of_too_many_substeps_exits_3(self, capsys, tmp_path):
+        # eps = 1e-30 asks for about 3.3e12 sub-steps in the first source
+        # step, which ran for ever
+        d = json.loads(bundled_config_path("shear_thickening_eps.json").read_text())
+        d["fluid"]["production"]["eps"] = 1e-30
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: the regularized source step over h=")
+        assert "sub-steps at eps=1e-30, more than 1000000" in err
+
     def test_writes_trace_and_snapshot(self, capsys, tmp_path):
         d = dict(RUBBER_DICT)
         d["sim"] = {"x_min": 0.0, "x_max": 26.0, "n_cells": 200, "cfl": 0.9,

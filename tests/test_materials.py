@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import warnings
 
@@ -24,6 +25,7 @@ from accelwave import (
     production,
     production_jacobian,
 )
+from accelwave import materials
 from accelwave.materials import _power_prefactor
 from conftest import (
     penn_mooney_rivlin,
@@ -31,6 +33,7 @@ from conftest import (
     random_fluid,
     random_mr_solid,
     random_solid,
+    relaxed,
     rubber_solid,
     unit_fluid,
 )
@@ -343,8 +346,8 @@ class TestRelaxZeroPadding:
             keep[at] = False
             F_pad[keep], s_pad[keep] = F, sigma
             F_pad[at], s_pad[at] = F[rng.integers(0, n_cells, 12)], zeros
-            alone = law.relax(F, sigma, h, model)
-            padded = law.relax(F_pad, s_pad, h, model)
+            alone = relaxed(model, F, sigma, h)
+            padded = relaxed(model, F_pad, s_pad, h)
             assert padded[at].tobytes() == zeros.tobytes(), type(law).__name__
             assert padded[keep].tobytes() == alone.tobytes(), type(law).__name__
 
@@ -382,9 +385,10 @@ def test_buffered_laws_equal_the_allocating_calls(case):
             out, scratch = np.full_like(F, np.nan), np.full_like(F, np.nan)
             assert law(F, model, out=out, scratch=scratch) is out
             assert out.tobytes() == np.asarray(law(F, model), dtype=float).tobytes()
-        out = np.full_like(F, np.nan)
-        assert model.production.relax(F, sigma, h, model, out=out) is out
-        assert out.tobytes() == model.production.relax(F, sigma, h, model).tobytes()
+        # relax steps sigma itself, and its rate goes to scratch, not to F
+        s, F_bits = sigma.copy(), F.tobytes()
+        assert model.production.relax(F, s, h, model, tuple(np.full((3, F.size), np.nan))) is s
+        assert F.tobytes() == F_bits
 
 
 def _plain_T_and_relax(model, F, sigma, h):
@@ -403,65 +407,27 @@ def _plain_T_and_relax(model, F, sigma, h):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=_buffered_cases())
 def test_buffered_laws_equal_their_plain_expressions(case):
-    # the allocating call runs the buffered body: bit for bit the formula
+    # the allocating call runs the buffered body, as relax does on its own
+    # scratch: bit for bit the formula
     model, F, sigma, h = case
     with np.errstate(all="ignore"):
-        T, relaxed = _plain_T_and_relax(model, F, sigma, h)
+        T, expected = _plain_T_and_relax(model, F, sigma, h)
         if T is not None:
             assert model.elastic.T(F, model).tobytes() == T.tobytes()
-        assert model.production.relax(F, sigma, h, model).tobytes() == relaxed.tobytes()
-        for i in range(F.size):   # and on Python floats
-            f, s = F.item(i), sigma.item(i)
-            if T is not None:
-                assert np.float64(model.elastic.T(f, model)).tobytes() == T[i:i + 1].tobytes()
-            assert np.float64(model.production.relax(f, s, h, model)).tobytes() == \
-                relaxed[i:i + 1].tobytes()
-
-
-def test_power_law_relax_writes_into_out(rng):
-    # the FV source passes out to every law's relax
-    fluids = [random_fluid(rng, kind) for kind in ("power_law", "regularized")
-              for _ in range(3)] + [unit_fluid(PowerLaw(k_cons=2.0, m=1.0))]
-    for fluid in fluids:
-        F = 10.0 ** rng.uniform(-0.2, 0.2, 20)
-        sigma = rng.standard_normal(20)
-        sigma[::5] = -0.0
-        h = 0.01 * fluid.tau0
-        out = np.full(20, np.nan)
-        assert fluid.production.relax(F, sigma, h, fluid, out=out) is out
-        assert out.tobytes() == fluid.production.relax(F, sigma, h, fluid).tobytes()
-        # and with the FV source's scratch rows, whatever they held
-        out, scratch = np.full(20, np.nan), tuple(np.full((3, 20), np.nan))
-        assert fluid.production.relax(F, sigma, h, fluid, out=out, scratch=scratch) is out
-        assert out.tobytes() == fluid.production.relax(F, sigma, h, fluid).tobytes()
-
-
-@pytest.mark.parametrize("layout", ["transposed_out", "fortran_sigma", "strided_out"])
-def test_regularized_relax_of_any_memory_layout(layout):
-    # the steps run on a flat C-ordered array, which reshaping a
-    # non-contiguous out or an F-ordered copy of sigma would only copy
-    fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
-    F, sigma = np.ones((4, 2)), np.full((4, 2), 0.5)
-    sigma[0, 1] = -0.25
-    ref = fluid.production.relax(F, sigma, 0.1, fluid)
-    assert ref[0, 0] == pytest.approx(0.4518, abs=1e-4)
-    if layout == "fortran_sigma":
-        got = fluid.production.relax(F, np.asfortranarray(sigma), 0.1, fluid)
-    else:
-        out = np.zeros((2, 4)).T if layout == "transposed_out" else np.zeros((4, 4))[:, ::2]
-        got = fluid.production.relax(F, sigma, 0.1, fluid, out=out)
-        assert got is out
-    assert np.array_equal(got, ref) and got.shape == ref.shape
+        assert relaxed(model, F, sigma, h).tobytes() == expected.tobytes()
+        for i in range(F.size if T is not None else 0):   # and T on Python floats
+            assert np.float64(model.elastic.T(F.item(i), model)).tobytes() == \
+                T[i:i + 1].tobytes()
 
 
 def test_power_law_relax_passes_nan_through():
-    # the finiteness check downstream must see a NaN, as with the exact laws
+    # a NaN stress or stretch comes out NaN, as with the exact laws
     fluid = unit_fluid(PowerLaw(1.0, 2.0))
-    out = fluid.production.relax(np.ones(3), [math.nan, 1.0, -0.0], 0.1, fluid)
+    out = relaxed(fluid, np.ones(3), [math.nan, 1.0, -0.0], 0.1)
     assert math.isnan(out[0])
     assert 0.0 < out[1] < 1.0
     assert out[2:].tobytes() == np.array([-0.0]).tobytes()
-    out = fluid.production.relax(np.array([math.nan, 1.0]), [0.5, 0.5], 0.1, fluid)
+    out = relaxed(fluid, [math.nan, 1.0], [0.5, 0.5], 0.1)
     assert math.isnan(out[0]) and 0.0 < out[1] < 0.5
 
 
@@ -471,8 +437,7 @@ def test_power_law_relax_at_subnormal_sigma_warns_nothing():
     fluid = unit_fluid(PowerLaw(1.0, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = fluid.production.relax(np.ones(4), np.array([5e-324, 1e-310, -1e-310, 1.0]),
-                                     0.1, fluid)
+        out = relaxed(fluid, np.ones(4), [5e-324, 1e-310, -1e-310, 1.0], 0.1)
     assert out[:3].tobytes() == np.array([0.0, 0.0, -0.0]).tobytes()
     assert 0.0 < out[3] < 1.0
 
@@ -482,8 +447,7 @@ def test_power_law_relax_with_an_overflowing_step_warns_nothing():
     fluid = unit_fluid(PowerLaw(1.0, 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = fluid.production.relax(np.full(3, 1e300), np.array([1.0, -1e300, -0.0]),
-                                     1e10, fluid)
+        out = relaxed(fluid, np.full(3, 1e300), [1.0, -1e300, -0.0], 1e10)
     assert out.tobytes() == np.array([0.0, -0.0, -0.0]).tobytes()
 
 
@@ -529,24 +493,8 @@ def test_power_law_relax_keeps_the_bits_of_its_two_branches(case):
     fluid, F, sigma, h = case
     with np.errstate(all="ignore"):
         ref = _two_branch_relax(fluid.production, F, sigma, h, fluid)
-        out = fluid.production.relax(F, sigma, h, fluid)
+        out = relaxed(fluid, F, sigma, h)
     assert out.tobytes() == ref.tobytes()
-
-
-def test_regularized_relax_with_a_nan_stretch():
-    fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
-    law = fluid.production
-    # nothing to solve: the zeros come back, sign bits included
-    out = law.relax(np.array([1.0, math.nan]), np.array([0.0, -0.0]), 0.1, fluid)
-    assert out.tobytes() == np.array([0.0, -0.0]).tobytes()
-    # a solved cell with a non-finite stretch passes NaN on; the others are
-    # solved as if that stretch were not there
-    ref = law.relax(np.array([1.0]), np.array([0.5]), 0.1, fluid)
-    for bad in (math.nan, math.inf):
-        out = law.relax(np.array([bad, 1.0]), np.array([0.5, 0.5]), 0.1, fluid)
-        assert math.isnan(out[0])
-        assert out[1:].tobytes() == ref.tobytes()
-
 
 
 def _alias_cases(rng):
@@ -566,12 +514,14 @@ def _alias_cases(rng):
 
 
 def test_relax_into_sigma_itself_equals_the_allocating_call(rng):
-    # the FV source relaxes its sigma row in place: relax(F, s, h, out=s)
+    # the FV source relaxes its sigma row in place, whatever its scratch
+    # rows held: the bits of the step of a fresh copy
     for model, F, sigma, h in _alias_cases(rng):
-        ref = model.production.relax(F, sigma.copy(), h, model)
-        for scratch in (None, tuple(np.full((3, F.size), np.nan))):
+        ref = relaxed(model, F, sigma, h)
+        for fill in (0.0, math.nan):
             s = sigma.copy()
-            assert model.production.relax(F, s, h, model, out=s, scratch=scratch) is s
+            scratch = tuple(np.full((3, F.size), fill))
+            assert model.production.relax(F, s, h, model, scratch) is s
             assert s.tobytes() == ref.tobytes(), type(model.production).__name__
 
 
@@ -616,17 +566,15 @@ def _stiff_rate(law, fluid, F):
 
 @st.composite
 def _regularized_relax_cases(draw):
-    """A regularized fluid, finite stretches >= 0 with zeros, stresses within
-    1e3*eps of 0 with -eps, and zeros, infinities and NaNs of both signs,
-    and a step h of up to 100 times the stiff-rate scale (F taken >= 1e-3
-    there), 0 among them."""
+    """A regularized fluid, stretches in (0, 10], stresses within 1e3*eps
+    of 0 with -eps and zeros of both signs, and a step h of up to 100 times
+    the stiff-rate scale (F taken >= 1e-3 there), 0 among them."""
     fluid = random_fluid(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
                          "regularized")
     eps = fluid.production.eps
     n = draw(st.integers(1, 12))
-    stretch = st.floats(0.0, 10.0) | st.sampled_from([0.0, 5e-324, 1.0])
-    stress = st.floats(-1e3, 1e3).map(lambda u: u * eps) | st.sampled_from(
-        [0.0, -0.0, -eps, math.inf, -math.inf, math.nan, -math.nan])
+    stretch = st.floats(5e-324, 10.0) | st.sampled_from([5e-324, 1.0])
+    stress = st.floats(-1e3, 1e3).map(lambda u: u * eps) | st.sampled_from([0.0, -0.0, -eps])
     F = np.array(draw(st.lists(stretch, min_size=n, max_size=n)))
     sigma = np.array(draw(st.lists(stress, min_size=n, max_size=n)))
     log_stiffness = draw(st.none() | st.floats(-3.0, 2.0))
@@ -637,16 +585,14 @@ def _regularized_relax_cases(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=_regularized_relax_cases())
-def test_regularized_relax_of_every_cell_equals_the_masked_solve(case):
-    # with every F finite and >= 0, relax steps every cell; a trailing cell
-    # with F = NaN and sigma = 0 sends the same row through the gather and
-    # scatter of the cells to solve, and changes nothing else
+def test_regularized_relax_keeps_signs_zeros_and_bound(case):
+    # with no warning: each cell keeps its sign bit, a zero its bits, and
+    # |sigma| never grows
     fluid, F, sigma, h = case
-    law = fluid.production
-    with np.errstate(all="ignore"):
-        whole = law.relax(F, sigma, h, fluid)
-        masked = law.relax(np.append(F, math.nan), np.append(sigma, 0.0), h, fluid)
-    assert whole.tobytes() == masked[:-1].tobytes()
+    s = relaxed(fluid, F, sigma, h)
+    assert np.array_equal(np.signbit(s), np.signbit(sigma))
+    assert np.all(np.abs(s) <= np.abs(sigma))
+    assert s[sigma == 0.0].tobytes() == sigma[sigma == 0.0].tobytes()
 
 
 def _regularized_step(seed, log_stiffness):
@@ -718,7 +664,7 @@ class TestRegularizedRelaxSolve:
         F, s0 = F[:12], s0[:12]
         eps, n = law.eps, (law.m - 1.0) / law.m
         k = F * _power_prefactor(law.k_cons, law.m) / fluid.omega
-        s, s_half = law.relax(F, s0, h, fluid), law.relax(F, s0, h / 2, fluid)
+        s, s_half = relaxed(fluid, F, s0, h), relaxed(fluid, F, s0, h / 2)
         _assert_source_step_properties(fluid, law, F, s0, s)
         _assert_source_step_properties(fluid, law, F, s0, s_half)
         errs, errs_half = [], []
@@ -737,13 +683,13 @@ class TestRegularizedRelaxSolve:
     @given(seed=st.integers(0, 2 ** 32 - 1), log_stiffness=st.floats(-1.0, 2.5))
     def test_subcycled_step_keeps_sign_bracket_and_dissipation(self, seed, log_stiffness):
         fluid, law, F, s0, h = _regularized_step(seed, log_stiffness)
-        _assert_source_step_properties(fluid, law, F, s0, law.relax(F, s0, h, fluid))
+        _assert_source_step_properties(fluid, law, F, s0, relaxed(fluid, F, s0, h))
 
     def test_far_below_minus_eps_stays_there(self):
         # from sigma0 = -1 the exact solution moves by 7.1e-9 in 1e-8; backward
         # Euler, solved on the branch sigma > -eps, sent it to -eps
         fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=0.01))
-        out = fluid.production.relax(np.ones(1), np.array([-1.0]), 1e-8, fluid)
+        out = relaxed(fluid, np.ones(1), [-1.0], 1e-8)
         exact = _exact_relax(-1.0, 1e-8, _power_prefactor(1.0, 2.0), 0.01, 0.5, out[0])
         assert exact == pytest.approx(-1.0 + 7.1e-9, abs=1e-10)
         assert out[0] == pytest.approx(exact, rel=1e-15)
@@ -752,7 +698,7 @@ class TestRegularizedRelaxSolve:
         # h*rate would be 0*inf = NaN at sigma = -eps
         fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
         sigma = np.array([-1e-2, 0.5, -0.0, 0.0, -3.0, -math.inf, math.nan])
-        out = fluid.production.relax(np.ones(7), sigma, 0.0, fluid)
+        out = relaxed(fluid, np.ones(7), sigma, 0.0)
         assert out.tobytes() == sigma.tobytes()
 
     @pytest.mark.parametrize("h", [1e-3, 0.1, 1.0])
@@ -760,7 +706,7 @@ class TestRegularizedRelaxSolve:
         # the rate is inf there: the midpoint is -0, and the sub-step ends at
         # -eps*exp(-h*k*eps**(-n)); h = 1 takes two sub-steps
         fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
-        out = fluid.production.relax(np.ones(1), np.array([-1e-2]), h, fluid)
+        out = relaxed(fluid, np.ones(1), [-1e-2], h)
         assert -1e-2 < out[0] < 0.0
 
     def test_midpoint_on_minus_eps_ends_at_signed_zero(self):
@@ -768,9 +714,39 @@ class TestRegularizedRelaxSolve:
         # so the midpoint is -eps, where the rate is inf: the step ends at -0,
         # its sign kept (the exact value is -2.35e-3), and -0 is a fixed point
         fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
-        out = fluid.production.relax(np.ones(1), np.array([-2e-2]), 0.19605162869370354,
-                                     fluid)
+        out = relaxed(fluid, np.ones(1), [-2e-2], 0.19605162869370354)
         assert out.tobytes() == np.array([-0.0]).tobytes()
+
+    def test_step_from_minus_eps_at_an_underflowing_rate_stays_there(self):
+        # at F = 5e-324, -h*k of a sub-step underflows to -0, and -0 times the
+        # rate's inf at -eps gave NaN; the exact step moves by far less than
+        # an ulp of eps
+        fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+        out = relaxed(fluid, [5e-324, 1.0, 5e-324], [-1e-2, -1e-2, 0.5], 0.1)
+        assert out[[0, 2]].tobytes() == np.array([-1e-2, 0.5]).tobytes()
+        assert out[1:2].tobytes() == relaxed(fluid, [1.0], [-1e-2], 0.1).tobytes()
+
+    @pytest.mark.parametrize("F, h", [(1e300, 1e300), (1.0, math.inf), (1.0, math.nan)])
+    def test_a_count_that_is_not_finite_raises(self, F, h):
+        # ceil(inf) raised a bare OverflowError, and ceil(NaN) a ValueError
+        # naming neither the step nor eps
+        fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+        with pytest.raises(ValueError, match=rf"^the regularized source step over "
+                                             rf"h={re.escape(f'{h:.6g}')} asks for (inf|nan) "
+                                             r"sub-steps at eps=0\.01, more than 1000000$"):
+            relaxed(fluid, [F], [0.5], h)
+
+    def test_a_count_above_max_substeps_raises(self, monkeypatch):
+        # h*rate/5 = 3 sub-steps at F = 1 (rate c*eps**(-n) = 5/sqrt(2)/0.1**0.5)
+        fluid = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))
+        h = 3.0 * 5.0 / (_power_prefactor(1.0, 2.0) * 1e-2 ** -0.5)
+        ref = relaxed(fluid, [1.0], [0.5], h)
+        monkeypatch.setattr(materials, "MAX_SUBSTEPS", 3)
+        assert relaxed(fluid, [1.0], [0.5], h).tobytes() == ref.tobytes()
+        with pytest.raises(ValueError, match=r"sub-steps at eps=0\.01, more than 3$"):
+            relaxed(fluid, [1.0], [0.5], h * (1.0 + 1e-12))
+        with pytest.raises(ValueError, match=r"asks for 4\.5 sub-steps at eps=0\.01, "):
+            relaxed(fluid, [1.0], [0.5], h * 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +766,20 @@ class TestValidation:
             RegularizedPowerLaw(k_cons=1.0, m=0.9, eps=0.01)
         with pytest.raises(ValueError):
             MooneyRivlin(C1=0.0, C2=0.0, k_bulk=1.0, nu_bar=0.3)
+
+    @pytest.mark.parametrize("law, kw, message", [
+        (PowerLaw, {"k_cons": 1e-200, "m": 0.5},
+         r"^k_cons=1e-200 and m=0\.5 overflow 2\*\*\(1/m - 1\)\*k_cons\*\*\(-1/m\)$"),
+        (PowerLaw, {"k_cons": 1.0, "m": 1e-4}, r"^k_cons=1 and m=0\.0001 overflow "),
+        (RegularizedPowerLaw, {"k_cons": 1.0, "m": 100.0, "eps": 5e-324},
+         r"^k_cons=1, m=100 and eps=4\.94066e-324 overflow c\*eps\*\*\(-n\)$"),
+        (RegularizedPowerLaw, {"k_cons": 5e-324, "m": 1.001, "eps": 1.0},
+         r"^k_cons=4\.94066e-324, m=1\.001 and eps=1 overflow c\*eps\*\*\(-n\)$")])
+    def test_power_law_constants_that_overflow_are_refused(self, law, kw, message):
+        # c = 2**(1/m - 1)*k_cons**(-1/m), or c*eps**(-n), raised a bare
+        # OverflowError where first used
+        with pytest.raises(ValueError, match=message):
+            law(**kw)
 
     def test_solid_E1_required_for_quadratic_cubic(self):
         with pytest.raises(ValueError):

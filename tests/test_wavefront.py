@@ -1,9 +1,12 @@
 """Finite-volume wavefront experiment: oracle agreement, conservation, fronts."""
 
 import dataclasses
+import importlib.util
 import logging
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,8 @@ from accelwave import (
     measure_front_slope,
     simulate,
 )
-from accelwave import wavefront
+from accelwave import cli, wavefront
+from accelwave.materials import Maxwell
 from accelwave.wavefront import (
     _CHUNK,
     _FIT_HALF_WIDTH,
@@ -49,7 +53,9 @@ from accelwave.wavefront import (
     _window,
     _work,
 )
-from conftest import penn_solid, rubber_solid, unit_fluid
+from conftest import penn_solid, relaxed, rubber_solid, unit_fluid
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _rubber_setup(n_cells, pi0_frac, x_max=68.0):
@@ -437,6 +443,16 @@ class TestValidation:
             simulate(model, grid, KinkIC(x_front=8.0, pi0=1.0, ramp_width=6.0),
                      t_end=0.01)
 
+    @pytest.mark.parametrize("law", [RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2),
+                                     Newtonian()])
+    def test_kink_whose_start_overflows_is_refused(self, law):
+        # pi0*d0*ramp_width overflows: the regularized law's sub-step count
+        # raised a bare OverflowError, the Newtonian run "stretch F must be > 0"
+        grid = Grid(x_min=0.0, x_max=30.0, n_cells=400, cfl=0.9)
+        with pytest.raises(ValueError, match="^initial amplitude overflows the kink's state"):
+            simulate(unit_fluid(law), grid, KinkIC(x_front=14.0, pi0=-1e308, ramp_width=6.0),
+                     t_end=1.0)
+
     def test_kink_validation(self):
         with pytest.raises(ValueError):
             KinkIC(x_front=1.0, pi0=1.0, ramp_width=0.0)
@@ -797,10 +813,10 @@ def _two_half_step_snapshots(model, grid, ic, t_end, out_dt):
         target = min(k * out_dt, t_end)
         while t < target - 1e-14 * t_end:
             dt = min(grid.cfl * dx / float(np.max(lam_fn(q[1]))), target - t)
-            q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
+            q[2] = om * relaxed(model, q[1], q[2] / om, 0.5 * dt)
             _step(q, dt, dx, model)
             _fill_ghosts(q)
-            q[2] = om * model.production.relax(q[1], q[2] / om, 0.5 * dt, model)
+            q[2] = om * relaxed(model, q[1], q[2] / om, 0.5 * dt)
             t += dt
         t = target
         snaps.append(snapshot(t))
@@ -1123,12 +1139,11 @@ class TestDisturbedSpan:
         dx = 0.05
         for _ in range(k):
             dt = 0.9 * dx / float(_lam_fn(model)(full[1]).max())
-            full[2] = om * model.production.relax(full[1], full[2] / om, 0.5 * dt, model)
+            full[2] = om * relaxed(model, full[1], full[2] / om, 0.5 * dt)
             _step(full, dt, dx, model)
             _fill_ghosts(full)
             a, b = _window(lo, hi, n)
-            win[2, a:b] = om * model.production.relax(win[1, a:b], win[2, a:b] / om,
-                                                      0.5 * dt, model)
+            win[2, a:b] = om * relaxed(model, win[1, a:b], win[2, a:b] / om, 0.5 * dt)
             _hyperbolic_step(_Plan(win, (a, b), work), dt, dx, model)
             span._grow_span()
             lo, hi = span.span
@@ -1256,8 +1271,7 @@ class TestStepper:
         ("regularized", unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2)), 0.05)])
     def test_source_step_is_the_relax_of_copies(self, name, model, sigma_scale, nan):
         # _source relaxes the window's omega*sigma row in place, with the
-        # plan's scratch; a NaN sigma sends the regularized law down its
-        # masked path
+        # plan's scratch, as relax steps copies of the rows, NaN included
         n = 64 + 2 * _NG
         q = _random_state(np.random.default_rng(5), model, n, 0.05, 0.01, sigma_scale)
         q[2, ::5], q[2, 1::5] = 0.0, -0.0
@@ -1269,9 +1283,34 @@ class TestStepper:
         om, h = model.omega, 0.5 * model.tau0
         expected = q.copy()
         F, sigma = q[1, a:b].copy(), q[2, a:b] / om
-        expected[2, a:b] = om * model.production.relax(F, sigma, h, model)
+        expected[2, a:b] = om * relaxed(model, F, sigma, h)
         stepper._source(h)
         assert q.tobytes() == expected.tobytes()
+
+    def test_every_source_step_gets_finite_rows_with_positive_stretch(self, monkeypatch,
+                                                                      capsys, tmp_path):
+        # relax's contract, on fv_stiff's seed-1 runs and the bundled simulate
+        # configs: _source passes rows that are finite, with F > 0
+        calls = []
+        for law in (Maxwell, Newtonian, PowerLaw, RegularizedPowerLaw):
+            def checked(self, F, sigma, h, model, scratch, relax=law.relax):
+                calls.append((type(self).__name__, bool(
+                    np.isfinite(F).all() and np.isfinite(sigma).all() and (F > 0.0).all())))
+                return relax(self, F, sigma, h, model, scratch)
+            monkeypatch.setattr(law, "relax", checked)
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      _ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)   # for its dataclasses
+        spec.loader.exec_module(workloads)
+        for op in workloads.make("fv_stiff", 1, tmp_path).ops():
+            op.run()
+        for name in ("rubber", "newtonian", "shear_thinning", "shear_thickening_eps"):
+            assert cli.main(["simulate", "--config", f"{name}.json"]) == 0
+        capsys.readouterr()
+        assert {name for name, _ in calls} == {"Maxwell", "Newtonian", "PowerLaw",
+                                               "RegularizedPowerLaw"}
+        assert all(ok for _, ok in calls)
 
     @staticmethod
     def _poisoned_stepper(monkeypatch, where, poison):
