@@ -1,8 +1,7 @@
 """Amplitude evolution of the front jump: pi' = -a*pi^2 - b*pi.
 
-Closed-form solution, blow-up classification and critical time, a
-sign-preserving RK4 companion on log|pi| with step refinement near blow-up,
-and the scan of the singular damping limit b(eps) = b0/eps**n.
+Closed-form solution, blow-up classification and critical time, and a
+sign-preserving RK4 companion on log|pi| with step refinement near blow-up.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ import numpy as np
 __all__ = [
     "AmplitudeOutcome",
     "Trajectory",
-    "ScanRow",
     "classify",
     "closed_form",
     "integrate",
-    "singular_limit_scan",
 ]
 
 BLOWUP_FACTOR = 1e12          # |pi| > BLOWUP_FACTOR*max(1, |pi0|) declares blow-up
@@ -212,35 +209,3 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
         ts.append(t)
         ps.append(p)
     return Trajectory(t=np.array(ts), pi=np.array(ps), blew_up=False, t_blowup=None)
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    eps: float
-    b: float
-    pi_cr: float
-    decay_time: float          # 1/b, the fast damping scale
-    global_existence: bool
-    t_c: float | None
-
-
-def singular_limit_scan(b0: float, n: float, eps_list, a: float, pi0: float) -> list[ScanRow]:
-    """Table of b(eps) = b0/eps**n, pi_cr(eps) and decay time over eps_list.
-
-    pi_cr decreases and the decay time grows as eps increases; each row also
-    classifies the given initial jump pi0 at that eps.
-    """
-    if not (b0 > 0.0 and n > 0.0):
-        raise ValueError("b0 and n must be > 0")
-    _check_ab(a, b0)
-    rows = []
-    for eps in eps_list:
-        if not eps > 0.0:
-            raise ValueError(f"eps values must be > 0, got {eps}")
-        b = b0 / eps ** n
-        outcome = classify(a, b, pi0)
-        rows.append(ScanRow(eps=float(eps), b=b, pi_cr=b / abs(a),
-                            decay_time=1.0 / b,
-                            global_existence=outcome.global_existence,
-                            t_c=outcome.t_c))
-    return rows

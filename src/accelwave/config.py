@@ -9,7 +9,6 @@ import copy
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from pathlib import Path
 
 from .amplitude import MAX_POINTS
@@ -233,11 +232,10 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 def bundled_config_path(name: str) -> Path:
     """Path of a config that ships with the package (e.g. 'rubber.json')."""
-    path = resources.files("accelwave.configs").joinpath(name)
-    with resources.as_file(path) as concrete:
-        if not concrete.exists():
-            raise ConfigError(f"no bundled config named {name!r}")
-        return Path(concrete)
+    path = Path(__file__).with_name("configs") / name
+    if not path.exists():
+        raise ConfigError(f"no bundled config named {name!r}")
+    return path
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -1,4 +1,4 @@
-"""Amplitude evolution: closed form, classification, RK4 companion, eps scan."""
+"""Amplitude evolution: closed form, classification, RK4 companion."""
 
 import json
 import math
@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from accelwave import (
-    RegularizedPowerLaw,
     classify,
     closed_form,
     coefficients_ab,
     integrate,
-    singular_limit_scan,
 )
 from accelwave.amplitude import MAX_POINTS
 from accelwave.config import material_from_dict
@@ -520,50 +518,3 @@ class TestIntegrate:
         # t_end/dt = inf: the ceil raised OverflowError before the comparison
         with pytest.raises(ValueError, match="asks for inf output points"):
             integrate(-1.0, 1.0, 0.5, t_end=1e300, dt=1e-300)
-
-
-class TestSingularLimitScan:
-    def test_direct_substitution(self):
-        rows = singular_limit_scan(1.0, 1.0, [0.1], a=-1.0, pi0=1.0)
-        assert rows[0].pi_cr == pytest.approx(10.0, rel=1e-15)
-        assert rows[0].decay_time == pytest.approx(0.1, rel=1e-15)
-
-    def test_halving_eps_doubles_threshold(self):
-        rows = singular_limit_scan(1.0, 1.0, [0.2, 0.1], a=-1.0, pi0=1.0)
-        assert rows[1].pi_cr == pytest.approx(2.0 * rows[0].pi_cr, rel=1e-14)
-
-    def test_monotonicity_over_log_grid(self):
-        eps = np.geomspace(1e-4, 1e-1, 7)
-        rows = singular_limit_scan(2.0, 0.5, eps, a=-0.5, pi0=1.0)
-        pi_crs = [r.pi_cr for r in rows]
-        decays = [r.decay_time for r in rows]
-        assert all(pi_crs[i + 1] < pi_crs[i] for i in range(len(rows) - 1))
-        assert all(decays[i + 1] > decays[i] for i in range(len(rows) - 1))
-
-    def test_pipeline_consistency_regularized_fluid(self):
-        # end-to-end: the characteristics pipeline at eps must agree with the
-        # scan built from the divergence law of the unregularized model
-        from accelwave import PowerLaw
-        sing = coefficients_ab(unit_fluid(PowerLaw(k_cons=1.0, m=2.0)))
-        eps = 0.01
-        rows = singular_limit_scan(sing.b0, sing.n, [eps],
-                                   a=sing.a, pi0=1.0)
-        direct = coefficients_ab(unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0,
-                                                                eps=eps)))
-        assert rows[0].b == pytest.approx(direct.b, rel=1e-12)
-        assert rows[0].pi_cr == pytest.approx(direct.pi_cr, rel=1e-12)
-        assert direct.pi_cr == pytest.approx(5.0, rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            singular_limit_scan(0.0, 1.0, [0.1], a=-1.0, pi0=1.0)
-        with pytest.raises(ValueError):
-            singular_limit_scan(1.0, 1.0, [0.0], a=-1.0, pi0=1.0)
-        with pytest.raises(ValueError):
-            singular_limit_scan(1.0, -1.0, [0.1], a=-1.0, pi0=1.0)
-
-    @pytest.mark.parametrize("b0, n, eps", [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1),
-                                            (1.0, 1.0, math.nan)])
-    def test_rejects_nan_inputs(self, b0, n, eps):
-        with pytest.raises(ValueError, match="must be > 0"):
-            singular_limit_scan(b0, n, [eps], a=-1.0, pi0=1.0)

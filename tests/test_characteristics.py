@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from accelwave import (
     DegenerateWaveError,
@@ -28,6 +29,7 @@ from accelwave import (
     grad_lambda,
     k_condition,
     quasilinear_matrix,
+    source_jacobian,
 )
 from conftest import random_fluid, random_mr_solid, random_solid, rubber_solid, unit_fluid
 
@@ -208,6 +210,16 @@ class TestCoefficients:
         assert wc.case == "dissipative_finite"
         assert wc.pi_cr == pytest.approx(5.0, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2, 1e-1])
+    def test_regularized_b_follows_the_divergence_law(self, eps):
+        # b(eps) = b0/eps**n, with b0 and n read off the unregularized law
+        sing = coefficients_ab(unit_fluid(PowerLaw(k_cons=1.0, m=2.0)))
+        at = {e: coefficients_ab(unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=e)))
+              for e in (0.5 * eps, eps, 2.0 * eps)}
+        assert at[eps].b == pytest.approx(sing.b0 / eps ** sing.n, rel=1e-12)
+        assert at[0.5 * eps].b / at[eps].b == pytest.approx(2.0 ** sing.n, rel=1e-12)
+        assert at[0.5 * eps].pi_cr > at[eps].pi_cr > at[2.0 * eps].pi_cr
+
     def test_overflowed_b_is_the_singular_limit(self):
         # a finite damping that overflows to inf: no divergence law, yet the
         # case is read off b, as classify and the amplitude command read it
@@ -332,3 +344,121 @@ class TestKCondition:
             warnings.simplefilter("error")
             rep = k_condition(_OVERFLOW_FLUID)
         assert rep.weak_K and rep.full_K
+
+
+# ---------------------------------------------------------------------------
+# Dispersion relation: the linearized system u_t + A u_x = G u at equilibrium
+# has the modes exp(ikx + st), with s an eigenvalue of -ik*A + G.  Its
+# spectrum shares none of the closed forms' algebra.
+# ---------------------------------------------------------------------------
+
+KAPPA = np.geomspace(1e-4, 1e4, 41)   # kappa = k*lam0/|G|
+# eigvals' backward error per unit of k*lam0 + |G|: geev balances the
+# matrix, so its error scales with that norm, not with the unbalanced k*|A|,
+# which is far larger for stiff solids
+ROUND = 8.0 * np.finfo(float).eps
+HIGH = (35, 37)   # the grid's kappa = 1e3 and 10**3.4
+
+
+def _spectrum(model):
+    """The matrices -ik*A + G over KAPPA, their eigenvalues (a row per
+    kappa) and the rounding bound of each row.  k = kappa*|G|/lam0, with
+    1/tau0 in place of |G| where G = 0."""
+    eq = equilibrium_state()
+    A, G = quasilinear_matrix(model, eq), source_jacobian(model, eq)
+    lam0, g = eigensystem(model, eq).lam, np.linalg.norm(G, 2)
+    k = KAPPA * (g or 1.0 / model.tau0) / lam0
+    M = -1j * k[:, None, None] * A + G
+    return M, np.linalg.eigvals(M), ROUND * (k * lam0 + g)
+
+
+def _high_k_rate(s, tol):
+    """The fast mode's high-kappa limit of Re s and its rounding bound, from
+    two kappa with the O(1/kappa**2) term eliminated.  The fast mode runs
+    right, so Im s = -k*lam0 is the most negative."""
+    i, j = HIGH
+    re = s[HIGH, s[HIGH, :].imag.argmin(axis=1)].real
+    q = (KAPPA[j] / KAPPA[i]) ** 2
+    return (q * re[1] - re[0]) / (q - 1.0), (q * tol[j] + tol[i]) / (q - 1.0)
+
+
+def _c_sk_margin(M, s, tol):
+    """c_SK = min over kappa of -max Re s*(1 + kappa**2)/kappa**2, with each
+    kappa's rounding bound taken off first: > 0 iff the spectrum is strictly
+    dissipative beyond rounding.  Rows whose sign rounding leaves open are
+    recomputed in 30-digit mpmath from the same float matrix."""
+    max_re = s.real.max(axis=1)
+    tol = tol.copy()
+    for i in np.flatnonzero(np.abs(max_re) <= tol):
+        with mp.workdps(30):
+            ev = mp.eig(mp.matrix(M[i].tolist()), left=False, right=False)
+            max_re[i] = float(max(mp.re(e) for e in ev))
+        tol[i] *= 1e-25 / ROUND
+        if max_re[i] >= -tol[i]:
+            break   # a mode undamped at this kappa, to 30 digits
+    return float(np.min((-max_re - tol) * (1.0 + KAPPA ** 2) / KAPPA ** 2))
+
+
+@pytest.fixture(scope="module")
+def random_spectra():
+    """Seeded solids, Mooney-Rivlin solids and fluids with a finite G."""
+    rng = np.random.default_rng(2)
+    out = []
+    for _ in range(300):
+        for draw in (random_solid, random_mr_solid, random_fluid):
+            model = draw(rng)
+            try:
+                out.append((model, *_spectrum(model)))
+            except ValueError:   # an unregularized thickening law: P_sigma = inf
+                pass
+    return out
+
+
+class TestDispersion:
+    """The paper's b is the fast mode's high-frequency decay rate, and the
+    coupling condition is strict dissipativity of the spectrum
+    (Shizuta-Kawashima)."""
+
+    def test_no_mode_grows(self, random_spectra):
+        for model, _, s, tol in random_spectra:
+            assert np.all(s.real.max(axis=1) <= tol), model
+
+    def test_high_frequency_rate_is_minus_b(self, random_spectra):
+        for model, _, s, tol in random_spectra:
+            rate, bound = _high_k_rate(s, tol)
+            assert abs(rate + coefficients_ab(model).b) <= bound, model
+
+    def test_strict_dissipativity_is_full_k(self, random_spectra):
+        verdicts = set()
+        for model, M, s, tol in random_spectra:
+            full = k_condition(model).full_K
+            assert (_c_sk_margin(M, s, tol) > 0.0) == full, model
+            verdicts.add(full)
+        assert verdicts == {True, False}
+
+    def test_shear_thinning_is_undamped(self, random_spectra):
+        thinning = [unit_fluid(PowerLaw(k_cons=1.0, m=0.5))] + [
+            model for model, *_ in random_spectra
+            if isinstance(model.production, PowerLaw)]
+        assert len(thinning) > 1
+        for model in thinning:
+            assert coefficients_ab(model).b == 0.0
+            _, s, tol = _spectrum(model)
+            assert np.all(np.abs(s.real) <= tol[:, None]), model
+
+    def test_regularized_rate_follows_b_of_eps(self):
+        sing = coefficients_ab(unit_fluid(PowerLaw(k_cons=1.0, m=2.0)))
+        eps = np.geomspace(1e-4, 1e-1, 7)
+        rates, bounds = [], []
+        for e in eps:
+            model = unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=e))
+            _, s, tol = _spectrum(model)
+            rate, bound = _high_k_rate(s, tol)
+            assert abs(rate + coefficients_ab(model).b) <= bound
+            rates.append(-rate)
+            bounds.append(bound)
+        rates, bounds = np.array(rates), np.array(bounds)
+        slope = np.diff(np.log(rates)) / np.diff(np.log(eps))
+        # each rate's relative error moves the slope by at most its share
+        spread = (bounds[1:] / rates[1:] + bounds[:-1] / rates[:-1]) / np.diff(np.log(eps))
+        assert np.all(np.abs(slope + sing.n) <= spread)

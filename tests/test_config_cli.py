@@ -107,6 +107,10 @@ class TestConfig:
         cfg = load_scenario("rubber.json")
         assert cfg.material == rubber_solid()
 
+    def test_missing_bundled_name_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="no bundled config named 'nope.json'"):
+            bundled_config_path("nope.json")
+
     @pytest.mark.parametrize("broken", [
         {"kind": "plasma"},
         {"kind": "solid"},
