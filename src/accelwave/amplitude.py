@@ -22,7 +22,7 @@ __all__ = [
 
 BLOWUP_FACTOR = 1e12          # |pi| > BLOWUP_FACTOR*max(1, |pi0|) declares blow-up
 GROWTH_LIMIT = 10.0           # halve the step when |pi| changes more than this-fold
-MAX_POINTS = 10 ** 6          # ceiling on the output grid of one integrate call
+MAX_POINTS = 10 ** 6          # ceiling on the steps of an output grid (_output_times)
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,19 @@ def _predicted(a: float, b: float, pi0: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _output_times(t_end: float, step: float, name: str) -> np.ndarray:
+    """The output times 0, step, 2*step, ..., t_end of integrate and simulate
+    (a point a rounding error short of t_end is dropped).  Raises ValueError
+    for a t_end or step (called name) not finite and > 0, or over MAX_POINTS steps."""
+    for arg, value in (("t_end", t_end), (name, step)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{arg} must be finite and > 0, got {value!r}")
+    if (ratio := t_end / step - 1e-12) > MAX_POINTS:   # before the ceil: it may be inf
+        raise ValueError(f"t_end/{name} asks for {np.ceil(ratio) + 1:.0f} output points, "
+                         f"over {MAX_POINTS + 1}")
+    return np.minimum(np.arange(math.ceil(ratio) + 1) * step, t_end)
+
+
 def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajectory:
     """Sign-preserving RK4 on log|pi| on the output grid 0, dt, 2*dt, ..., t_end.
 
@@ -145,21 +158,17 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     floor h_min = dt*2**-60 (at least the least positive float).  On the decay
     side (-a*pi0 <= b, global existence) every stage lowers z.
 
-    Raises ValueError for a non-finite pi0, t_end or dt, for t_end or dt <= 0,
-    for a non-finite a or b, for b < 0 (a = 0 is valid), or for more than
-    MAX_POINTS steps, and ArithmeticError, never reporting a blow-up, where a
-    decay-side step fails at the floor.
+    Raises ValueError for a non-finite pi0, a or b, for b < 0 (a = 0 is
+    valid) and where _output_times refuses t_end or dt, and ArithmeticError,
+    never reporting a blow-up, where a decay-side step fails at the floor.
     """
-    if not (math.isfinite(pi0) and 0.0 < t_end < math.inf and 0.0 < dt < math.inf):
-        raise ValueError("pi0, t_end and dt must be finite, and t_end and dt > 0")
+    if not math.isfinite(pi0):
+        raise ValueError(f"initial amplitude pi0 must be finite, got {pi0}")
+    times = _output_times(t_end, dt, "dt")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integrate needs a finite a and b, got a={a!r}, b={b!r}")
     if b < 0.0:
         raise ValueError(f"damping coefficient b must be >= 0, got {b}")
-    ratio = t_end / dt - 1e-12     # compared before the ceil: it may be inf
-    if ratio > MAX_POINTS:
-        raise ValueError(f"t_end/dt asks for {np.ceil(ratio) + 1:.0f} output points, "
-                         f"over {MAX_POINTS + 1}")
     na = -a * pi0
     r = max(abs(na), b) or 1.0     # pi' = 0 when a*pi0 and b are 0
     c = na / r if r < math.inf else math.copysign(1.0, na)   # a*pi0 overflows
@@ -171,7 +180,7 @@ def integrate(a: float, b: float, pi0: float, t_end: float, dt: float) -> Trajec
     exp = math.exp
     ts, ps = [0.0], [pi0]
     t, z, e, p = 0.0, 0.0, 1.0, pi0
-    for target in np.minimum(np.arange(1, math.ceil(ratio) + 1) * dt, t_end).tolist():
+    for target in times[1:].tolist():
         while t < target:
             h = target - t
             ce = c * e

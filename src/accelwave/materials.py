@@ -26,12 +26,11 @@ expression for a call without out, which the characteristics make on
 Python floats.  The source step has one contract: relax(F, sigma, h, model,
 scratch) steps the float64 row sigma over h in place and returns it, where
 F is the matching row, finite and > 0, and scratch is three float rows of
-its size (the exact laws' rate takes the first, the regularized law's
-steps all three).  Only the plain power law's relax makes its own
-temporaries.  The buffered paths take their constants as 0-d float64
-arrays (see _zero_d), built once per law and material instance by its
-private ``_consts``; the regularized law's also holds c, n and eps**(-n) as
-Python floats, for its scalar arithmetic.
+its size (the exact laws' rate takes the first, the plain power law's new
+|sigma| the second, the regularized law's steps all three).  The buffered
+paths take their constants as 0-d float64 arrays (see _zero_d), built once
+per law and material instance by its private ``_consts``; the regularized
+law's also holds c, n and eps**(-n) as Python floats for scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -373,22 +372,21 @@ class PowerLaw:
     def relax(self, F, sigma, h, fluid: FluidParams, scratch):
         om = fluid.omega
         m = self.m
+        rate = scratch[0]
         if m == 1.0:
-            return np.multiply(sigma, np.exp(-h * F / (om * self.k_cons)), out=sigma)
-        c = _power_prefactor(self.k_cons, m)
-        K = F * c / om
-        alpha = 1.0 / m
-        # a zero keeps its sign bit, and a non-finite sigma passes through
-        a_abs = np.abs(sigma)
-        nz = np.isfinite(a_abs) & (a_abs > 0.0)
-        # base is > 0 or NaN for m < 1, so only m > 1 meets the clamp; an
-        # overflow (of K*h, or of a subnormal |sigma|'s power for m < 1) ends
-        # at 0
-        with np.errstate(over="ignore"):
-            base = a_abs[nz] ** (1.0 - alpha) - (1.0 - alpha) * K[nz] * h
-            mag = np.maximum(base, 0.0) ** (1.0 / (1.0 - alpha))
-        sigma[nz] = np.sign(sigma[nz]) * mag
-        return sigma
+            np.divide(np.multiply(F, -h, out=rate), om * self.k_cons, out=rate)
+            return np.multiply(sigma, np.exp(rate, out=rate), out=sigma)
+        p = 1.0 - 1.0 / m
+        # only m > 1 meets the clamp; an inf (|0|**p, an overflow) ends at 0;
+        # a zero stays as it is, also where a NaN rate (NaN F, inf*0) makes mag NaN
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(np.multiply(F, _power_prefactor(self.k_cons, m), out=rate), om, out=rate)
+            rate *= p
+            rate *= h
+            mag = np.power(np.abs(sigma, out=scratch[1]), p, out=scratch[1])
+            mag -= rate
+            np.power(np.maximum(mag, 0.0, out=mag), 1.0 / p, out=mag)
+        return np.multiply(np.sign(sigma, out=rate), mag, out=sigma, where=sigma != 0.0)
 
 
 @dataclass(frozen=True)

@@ -68,13 +68,12 @@ stay the same.
 A step allocates no array of the window's size: the CFL row's W'' and
 every array of the hyperbolic step are views of work buffers allocated once
 per run, and the laws write T, W'' and the source step into them (see
-:mod:`accelwave.materials`; only the plain power law's relax makes its own
-temporaries): the source divides the window's omega*sigma row by omega in
-place, relaxes it there and multiplies it back.  numpy itself buffers an
-operation on (3, M) views whose rows it cannot join into one (up to 64 KB
-a call), so the differences of shifted views are taken row by row, and the
-limiter and the flux difference run on their rows laid end to end.  The
-finiteness check is one product of the window with a row of weights.
+:mod:`accelwave.materials`): the source divides the window's omega*sigma
+row by omega in place, relaxes it there and multiplies it back.  numpy
+itself buffers an operation on (3, M) views whose rows it cannot join into
+one (up to 64 KB a call), so the differences of shifted views are taken
+row by row, and the limiter and the flux difference run on their rows laid
+end to end; the finiteness check is one product of the window with weights.
 
 On a window of a few hundred cells most of a step is the fixed cost of its
 about 90 numpy calls.  So every constant operand is a 0-d float64 array,
@@ -89,8 +88,8 @@ built about 20 times a run, and views that are free at some point of a step
 serve as scratch there (see :class:`_Plan`).
 
 A state that turns non-finite or loses hyperbolicity raises SimulationError
-naming the cell; a CFL step that is not finite and positive, or too small to
-advance t, raises instead of stalling, as does a run of MAX_STEPS steps.
+naming the cell, and so do a CFL step that is not finite and positive or too
+small to advance t, a run of MAX_STEPS steps and one bound to need more.
 A fit window that leaves the domain makes simulate's measurement NaN,
 logged at debug level on the ``accelwave`` logger; the public measurement
 raises SimulationError there and on a window with a non-finite v.
@@ -106,7 +105,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import MAX_POINTS, _predicted
+from .amplitude import _output_times, _predicted
 from .characteristics import (
     DegenerateWaveError,
     coefficients_ab,
@@ -206,17 +205,11 @@ def _require_fits(grid: Grid, ic: KinkIC) -> None:
         raise ValueError("kink profile does not fit inside the domain")
 
 
-def _outputs(t_end: float, output_every: float | None) -> tuple[float, int]:
-    """(output step, t_end/50 by default, and number of outputs after t = 0)."""
-    out_dt = t_end / 50.0 if output_every is None else float(output_every)
-    for name, value in (("t_end", t_end), ("output_every", out_dt)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    ratio = t_end / out_dt - 1e-12
-    if ratio > MAX_POINTS:
-        raise ValueError(f"t_end/output_every asks for more than {MAX_POINTS + 1} "
-                         f"output records")
-    return out_dt, int(math.ceil(ratio))
+def _outputs(t_end: float, output_every: float | None) -> np.ndarray:
+    """simulate's output times, every output_every (t_end/50 by default); config
+    builds them too (at most MAX_POINTS + 1 floats) to check a sim block."""
+    step = t_end / 50.0 if output_every is None else float(output_every)
+    return _output_times(t_end, step, "output_every")
 
 
 @dataclass(frozen=True)
@@ -789,9 +782,9 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     The predicted amplitude uses the material's coefficients a and b; a
     linearly degenerate material (a = 0) is predicted to decay as
     pi0*exp(-b*t).  Output samples land exactly on multiples of
-    output_every (default t_end/50), at most MAX_POINTS after t = 0.
+    output_every (default t_end/50), as amplitude._output_times lays them.
     """
-    out_dt, n_out = _outputs(t_end, output_every)
+    times = _outputs(t_end, output_every)
 
     # the material's amplitude coefficients for the prediction column
     try:
@@ -801,9 +794,12 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
         a_eff, b_eff = 0.0, exc.b
 
     stepper = _Stepper.kink(model, grid, ic)
-    record = _Record(stepper, ic.x_front, n_out + 1)
-    for k in range(n_out + 1):
-        target = min(k * out_dt, t_end)
+    # a lower bound: no dt exceeds cfl*dx/lam0 while the equilibrium is in the window
+    if (estimate := t_end * stepper.lam0 / (grid.cfl * grid.dx)) > MAX_STEPS:
+        raise SimulationError(f"the run needs at least t_end*lam0/(cfl*dx) = {estimate:.6g} "
+                              f"steps (lam0={stepper.lam0:.6g}), over MAX_STEPS = {MAX_STEPS}")
+    record = _Record(stepper, ic.x_front, times.size)
+    for target in times.tolist():
         stepper.advance_to(target, t_end)
         record.add(target)
     ts, measured, fronts, energies, max_sps, vx_maxes = record.columns()

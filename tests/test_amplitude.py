@@ -18,6 +18,7 @@ from accelwave import (
     coefficients_ab,
     integrate,
 )
+from accelwave import amplitude
 from accelwave.amplitude import MAX_POINTS
 from accelwave.config import material_from_dict
 from conftest import rubber_solid, unit_fluid
@@ -506,15 +507,22 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="must be finite"):
             integrate(-1.0, 1.0, pi0, t_end, dt)
 
-    def test_output_grid_ceiling(self):
+    def test_output_grid_ceiling(self, monkeypatch):
         # 10**7 steps would run for tens of seconds and build 10**7 rows
         assert MAX_POINTS >= 10 ** 5   # test_matches_closed_form_subcritical
-        with pytest.raises(ValueError, match=r"asks for 10000001 output points"):
+        with pytest.raises(ValueError, match=r"^t_end/dt asks for 10000001 output points, "
+                                             r"over 1000001$"):
             integrate(-1.0, 1.0, 0.5, t_end=1.0, dt=1e-7)
         with pytest.raises(ValueError, match="output points"):
             integrate(-1.0, 1.0, 0.5, t_end=1.0, dt=1.0 / (MAX_POINTS + 1))
+        # the ceiling is amplitude.MAX_POINTS, the one simulate's grid meets too
+        monkeypatch.setattr(amplitude, "MAX_POINTS", 4)
+        assert integrate(-1.0, 1.0, 0.5, t_end=1e-3, dt=2.5e-4).t.size == 5
+        with pytest.raises(ValueError, match=r"^t_end/dt asks for 6 output points, over 5$"):
+            integrate(-1.0, 1.0, 0.5, t_end=1e-3, dt=2e-4)
 
     def test_overflowing_grid_ratio_is_refused(self):
         # t_end/dt = inf: the ceil raised OverflowError before the comparison
-        with pytest.raises(ValueError, match="asks for inf output points"):
+        with pytest.raises(ValueError, match=r"^t_end/dt asks for inf output points, "
+                                             r"over 1000001$"):
             integrate(-1.0, 1.0, 0.5, t_end=1e300, dt=1e-300)

@@ -704,7 +704,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("key, value, message", [
         ("x_front", 40.0, "kink profile does not fit inside the domain"),
         ("x_front", 3.9, "kink profile does not fit inside the domain"),
-        ("output_every", 1e-9, "t_end/output_every asks for more than 1000001 output records")])
+        ("output_every", 1e-9, "t_end/output_every asks for 250000001 output points, "
+                               "over 1000001")])
     def test_a_run_error_of_the_sim_block_is_a_config_error(self, capsys, tmp_path, key,
                                                             value, message):
         # simulate's own checks, run when the config is read
@@ -729,11 +730,13 @@ class TestSimulateCommand:
         assert (code, out, err) == (3, "", f"numerical error: {message}\n")
 
     def test_a_run_at_the_step_limit_is_a_numerical_error(self, capsys, monkeypatch):
+        # rubber.json needs at least t_end*lam0/(cfl*dx) = 634.5 steps: refused
+        # before the first
         monkeypatch.setattr(accelwave.wavefront, "MAX_STEPS", 3)
         code, out, err = run_cli(capsys, "simulate", "--config", "rubber.json")
-        assert code == 3 and out == ""
-        assert err.startswith("numerical error: 3 steps, the most a run may take, end at t=")
-        assert err.endswith(", short of t=0.0125\n")
+        assert (code, out, err) == (3, "", "numerical error: the run needs at least "
+                                    "t_end*lam0/(cfl*dx) = 634.514 steps (lam0=74.2381), "
+                                    "over MAX_STEPS = 3\n")
 
 
 class TestPaperTablesCommand:

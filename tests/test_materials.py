@@ -4,12 +4,13 @@ import dataclasses
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -352,6 +353,12 @@ class TestRelaxZeroPadding:
             assert padded[keep].tobytes() == alone.tobytes(), type(law).__name__
 
 
+def _power_law_fluid(rng, m):
+    """A random fluid with the plain power law of flow index m."""
+    return dataclasses.replace(random_fluid(rng, "newtonian"),
+                               production=PowerLaw(k_cons=10.0 ** rng.uniform(-2, 2), m=m))
+
+
 @st.composite
 def _buffered_cases(draw):
     """A material whose laws take out (and scratch), stretches from the least
@@ -365,6 +372,9 @@ def _buffered_cases(draw):
         penn_solid,
         lambda: random_mr_solid(rng),
         lambda: random_fluid(rng, "newtonian"),
+        lambda: _power_law_fluid(rng, 0.5),
+        lambda: _power_law_fluid(rng, 1.0),
+        lambda: _power_law_fluid(rng, 2.0),
     ]))()
     n = draw(st.integers(1, 12))
     stretch = st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 2.2250738585072014e-308,
@@ -393,7 +403,13 @@ def test_buffered_laws_equal_the_allocating_calls(case):
 
 def _plain_T_and_relax(model, F, sigma, h):
     """T and the exact relax as plain expressions, where the law has only
-    its buffered form (None for Mooney-Rivlin's T, which keeps both)."""
+    its buffered form (None for Mooney-Rivlin's T, which keeps both); the
+    plain power law's relax as its former masked branches."""
+    law = model.production
+    if isinstance(law, PowerLaw) and law.m != 1.0:
+        return -model.p_ref / F, _two_branch_relax(law, F, sigma, h, model)
+    if isinstance(law, PowerLaw):
+        return -model.p_ref / F, sigma * np.exp(-h * F / (model.omega * law.k_cons))
     if isinstance(model, FluidParams):
         return -model.p_ref / F, sigma * np.exp(-h * F / model.tau0)
     rate = F ** (1.0 + 2.0 * model.nu_bar) / model.tau0
@@ -429,6 +445,21 @@ def test_power_law_relax_passes_nan_through():
     assert out[2:].tobytes() == np.array([-0.0]).tobytes()
     out = relaxed(fluid, [math.nan, 1.0], [0.5, 0.5], 0.1)
     assert math.isnan(out[0]) and 0.0 < out[1] < 0.5
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_power_law_relax_allocates_no_row(m):
+    # the FV source's step: sigma in place, its temporaries in the scratch rows
+    n = 10 ** 5
+    fluid = unit_fluid(PowerLaw(1.0, m))
+    F, sigma, scratch = np.full(n, 1.5), np.linspace(-1.0, 1.0, n), tuple(np.empty((3, n)))
+    tracemalloc.start()
+    try:
+        assert fluid.production.relax(F, sigma, 0.1, fluid, scratch) is sigma
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < F.nbytes
 
 
 def test_power_law_relax_at_subnormal_sigma_warns_nothing():
@@ -487,8 +518,21 @@ def _power_law_cases(draw):
     return fluid, F, sigma, draw(st.floats(0.0, 1e300) | st.just(sys.float_info.max))
 
 
+def _nan_rate_case(m):
+    """Rows whose rate is NaN: NaN stretches, and at m = 0.01 (c = 6.3e29)
+    F*c/omega overflows, so at h = 0 the rate is inf*0.  The zeros keep
+    their sign, and the other cells come out NaN with the sign bit of
+    sign(sigma)*NaN."""
+    fluid = FluidParams(rho_star=1.0, R_gas=1.0, tau0=1.0, mu0=1.0,
+                        production=PowerLaw(k_cons=1.0, m=m))
+    return (fluid, np.array([1e300, 1e300, 1e300, math.nan, math.nan, 1.0]),
+            np.array([0.0, -0.0, 1.5, -0.0, -2.0, 0.5]), 0.0)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=_power_law_cases())
+@example(case=_nan_rate_case(0.01))
+@example(case=_nan_rate_case(2.0))
 def test_power_law_relax_keeps_the_bits_of_its_two_branches(case):
     fluid, F, sigma, h = case
     with np.errstate(all="ignore"):

@@ -31,11 +31,13 @@ from accelwave import (
     eigensystem,
     entropy_monitor,
     equilibrium_state,
+    integrate,
     load_scenario,
     measure_front_slope,
     simulate,
 )
-from accelwave import cli, wavefront
+from accelwave import amplitude, cli, wavefront
+from accelwave.amplitude import _output_times
 from accelwave.materials import Maxwell
 from accelwave.wavefront import (
     _CHUNK,
@@ -482,13 +484,43 @@ class TestValidation:
 
     def test_output_grid_is_capped(self, monkeypatch):
         model, _, grid, ic = _rubber_setup(500, 0.1)
-        with pytest.raises(ValueError, match=r"asks for more than 1000001 output records"):
+        with pytest.raises(ValueError, match=r"^t_end/output_every asks for inf output points, "
+                                             r"over 1000001$"):
             simulate(model, grid, ic, t_end=1.0, output_every=5e-324)  # ratio inf
-        monkeypatch.setattr(wavefront, "MAX_POINTS", 4)
+        monkeypatch.setattr(amplitude, "MAX_POINTS", 4)
         res = simulate(model, grid, ic, t_end=1e-3, output_every=2.5e-4)
         assert res.trace.t.size == 5
-        with pytest.raises(ValueError, match=r"asks for more than 5 output records"):
+        with pytest.raises(ValueError, match=r"^t_end/output_every asks for 6 output points, "
+                                             r"over 5$"):
             simulate(model, grid, ic, t_end=1e-3, output_every=2e-4)
+
+    @pytest.mark.parametrize("t_end, step", [(1e-3, 2.5e-4), (1.0, 0.25), (0.3, 0.1),
+                                             (1e-3, 2e-4), (2e-3, 7e-4)])
+    def test_both_trajectories_take_the_one_output_grid(self, t_end, step):
+        # exact multiples, a ratio just below one (0.3/0.1) and a last step
+        # cut short at t_end: integrate and simulate output at the same times
+        times = _output_times(t_end, step, "dt")
+        assert integrate(-1.0, 1.0, 0.5, t_end, step).t.tobytes() == times.tobytes()
+        model, _, grid, ic = _rubber_setup(200, 0.1)
+        res = simulate(model, grid, ic, t_end, output_every=step)
+        assert res.trace.t.tobytes() == times.tobytes()
+
+    def test_a_run_that_needs_over_max_steps_is_refused_before_its_first(self, monkeypatch):
+        # rubber.json's kink on a 2.6e-289-long row: its t_end*lam0/(cfl*dx)
+        # is about 6e292 steps, so at MAX_STEPS = 10**6 it would step for
+        # minutes before the in-loop cap stopped it
+        model = load_scenario("rubber.json").material
+        grid = Grid(x_min=0.0, x_max=2.6e-289, n_cells=800, cfl=0.9)
+        ic = KinkIC(x_front=4.5e-290, pi0=32.0, ramp_width=2e-290)
+        steps, step = [], wavefront._hyperbolic_step
+        monkeypatch.setattr(wavefront, "_hyperbolic_step",
+                            lambda *args: steps.append(1) or step(*args))
+        monkeypatch.setattr(wavefront, "MAX_STEPS", 1000)
+        with pytest.raises(SimulationError, match=r"^the run needs at least t_end\*lam0/"
+                                                  r"\(cfl\*dx\) = \S+ steps \(lam0=74\.2381\), "
+                                                  r"over MAX_STEPS = 1000$"):
+            simulate(model, grid, ic, 0.25, output_every=0.0125)
+        assert steps == []
 
     @pytest.mark.parametrize("x_front", [11.9, 0.0, 68.0, 80.0])
     def test_kink_must_fit_inside_the_domain(self, x_front):
