@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: analyze, amplitude, simulate, sweep, paper-tables.  Reports are
-deterministic: floats are written with their shortest round-trip form in CSV
-and with 17 significant digits in JSON, and no timestamps enter the data
-streams.  Tables pass to `write_table` as columns; a float column is a
-float64 array, formatted straight from the array with no row tuples.  Exit
-codes: 0 success, 1 stdout closed before the report was written (quietly),
-2 config error or bad flag, 3 numerical error.  The argument parser is built
-once per process, on the first `main`.
+deterministic: floats are written in their shortest round-trip form, in CSV
+cells, JSON reports and `#` footers alike (a non-finite float is the JSON
+string "nan", "inf" or "-inf"), and no timestamps enter the data streams.
+Tables pass to `write_table` as columns; a float column is a float64 array,
+formatted straight from the array with no row tuples.  Exit codes: 0
+success, 1 stdout closed before the report was written (quietly), 2 config
+error or bad flag, 3 numerical error.  The argument parser is built once
+per process, on the first `main`.
 """
 
 from __future__ import annotations
@@ -59,42 +60,27 @@ _UNITS = {"lambda0": "m/s", "a": "s/m", "b": "1/s", "pi_cr": "m/s^2",
 # Deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _json_scalar(x) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, str):
-        return json.dumps(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if not math.isfinite(x):
-        return f'"{x!r}"'   # "nan", "inf" or "-inf"
-    return format(x, ".17g")
+def _plain(o):
+    """o with the types json.dumps takes: dict keys through str, lists,
+    tuples and arrays as lists, numpy numbers as int and float, and a
+    non-finite float as the string "nan", "inf" or "-inf"."""
+    if isinstance(o, (float, np.floating)):
+        return float(o) if math.isfinite(o) else repr(float(o))
+    if isinstance(o, dict):
+        return {str(k): _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in o]
+    if isinstance(o, np.integer):
+        return int(o)
+    return o
 
 
 def json_dumps(obj, indent: int | None = 2) -> str:
-    """JSON text with floats at 17 significant digits (lossless round-trip)."""
-
-    def rec(o, depth):
-        pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
-        end = "" if indent is None else "\n" + " " * (indent * depth)
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = [f"{pad}{json.dumps(str(k))}: {rec(v, depth + 1)}"
-                     for k, v in o.items()]
-            return "{" + ",".join(items) + end + "}"
-        if isinstance(o, (list, tuple, np.ndarray)):
-            seq = list(o)
-            if not seq:
-                return "[]"
-            items = [f"{pad}{rec(v, depth + 1)}" for v in seq]
-            return "[" + ",".join(items) + end + "]"
-        return _json_scalar(o)
-
-    return rec(obj, 0)
+    """JSON text with floats in shortest round-trip form, as in the CSV
+    cells; a non-finite float is the string "nan", "inf" or "-inf"."""
+    # _plain's copy holds no cycle: a cyclic obj ends in its RecursionError
+    return json.dumps(_plain(obj), indent=indent, allow_nan=False, check_circular=False,
+                      separators=(",", ": ") if indent is None else None)
 
 
 def _csv_field(x) -> str:

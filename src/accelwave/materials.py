@@ -24,13 +24,14 @@ once.  A call without them runs the same body on arrays it allocates; W2
 alone (and Mooney-Rivlin's T, which shares its sum) keeps a plain
 expression for a call without out, which the characteristics make on
 Python floats.  The source step has one contract: relax(F, sigma, h, model,
-scratch) steps the float64 row sigma over h in place and returns it, where
-F is the matching row, finite and > 0, and scratch is three float rows of
-its size (the exact laws' rate takes the first, the plain power law's new
-|sigma| the second, the regularized law's steps all three).  The buffered
-paths take their constants as 0-d float64 arrays (see _zero_d), built once
-per law and material instance by its private ``_consts``; the regularized
-law's also holds c, n and eps**(-n) as Python floats for scalar arithmetic.
+scratch) steps the float64 row sigma over h in place and returns it (over
+h = 0 bit for bit as it was), where F is the matching row, finite and > 0,
+and scratch is three float rows of its size (the exact laws' rate takes the
+first, the plain power law's new |sigma| the second, the regularized law's
+steps all three).  The buffered paths take their constants as 0-d float64
+arrays (see _zero_d), built once per law and material instance by its
+private ``_consts``; the regularized law's also holds c, n and eps**(-n) as
+Python floats for scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -295,6 +296,8 @@ class Maxwell:
         )
 
     def relax(self, F, sigma, h, solid: SolidParams, scratch):
+        if h == 0.0:   # the identity, where F**q overflows and -h*inf is NaN
+            return sigma
         rate = np.power(F, solid._consts.q, out=scratch[0])
         rate /= solid._consts.tau0
         rate *= -h
@@ -370,6 +373,8 @@ class PowerLaw:
         return ProductionJacobian(P_F=P_F, P_sigma=P_sigma)
 
     def relax(self, F, sigma, h, fluid: FluidParams, scratch):
+        if h == 0.0:   # the identity, where F*c/omega overflows or |sigma|**p underflows
+            return sigma
         om = fluid.omega
         m = self.m
         rate = scratch[0]
@@ -378,7 +383,7 @@ class PowerLaw:
             return np.multiply(sigma, np.exp(rate, out=rate), out=sigma)
         p = 1.0 - 1.0 / m
         # only m > 1 meets the clamp; an inf (|0|**p, an overflow) ends at 0;
-        # a zero stays as it is, also where a NaN rate (NaN F, inf*0) makes mag NaN
+        # a zero stays as it is, also where a NaN rate (NaN F) makes mag NaN
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(np.multiply(F, _power_prefactor(self.k_cons, m), out=rate), om, out=rate)
             rate *= p
@@ -454,13 +459,15 @@ class RegularizedPowerLaw:
         sigma = +-0 both factors lie in (0, 1], so the bits stay, as for
         h = 0.  More than MAX_SUBSTEPS sub-steps raise ValueError.
         """
+        if h == 0.0:   # the identity, where the count would be 0*inf = NaN
+            return sigma
         k, om = self._consts, fluid.omega
         count = h * (F.item(F.argmax()) * k.c / om * k.eps_neg_n) / 5.0
         if not count <= MAX_SUBSTEPS:
             raise ValueError(f"the regularized source step over h={h:.6g} asks for {count:.6g} "
                              f"sub-steps at eps={self.eps:.6g}, more than {MAX_SUBSTEPS}")
         n_sub = math.ceil(count)
-        if n_sub:   # 0 for h = 0, where h*rate would be NaN at sigma = -eps
+        if n_sub:   # 0 where the count underflows
             full, half, x = scratch
             np.multiply(F, -h / n_sub * k.c / om, out=full)   # -h*k of a sub-step
             if full.item(full.argmax()) > -1e-323:   # its half underflows; -0*rate(-eps) is NaN

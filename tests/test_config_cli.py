@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelwave import (
     ConfigError,
@@ -844,3 +846,63 @@ class TestOutputFormats:
         for key, val in (("lambda0", wc.lambda0), ("a", wc.a),
                          ("b", wc.b), ("pi_cr", wc.pi_cr)):
             assert report[key] == val
+
+    @pytest.mark.parametrize("name", ["rubber.json", "newtonian.json", "shear_thinning.json",
+                                      "shear_thickening_eps.json"])
+    def test_json_rows_and_footer_carry_the_csv_floats(self, capsys, name):
+        # one float rule: a JSON row's float tokens are the CSV cells' text,
+        # and the footer's floats are in the same shortest round-trip form
+        argv = ("amplitude", "--config", name, "--pi0", "50", "--format")
+        _, csv_out, _ = run_cli(capsys, *argv, "csv")
+        _, json_out, _ = run_cli(capsys, *argv, "json")
+        lines = csv_out.splitlines()
+        rows = json.loads(json_out, parse_float=str)["rows"]
+        assert [[row[c] for c in lines[0].split(",")] for row in rows] == \
+            [line.split(",") for line in lines[1:-1]]
+        footer = json.loads(lines[-1].removeprefix("# "), parse_float=str)
+        assert footer["pi0"] == "50.0"
+        for key in ("a", "b", "pi_cr"):
+            assert footer[key] == repr(float(footer[key])), key
+
+    def test_json_report_echoes_the_config_floats(self, capsys):
+        _, out, _ = run_cli(capsys, "analyze", "--config", "rubber.json", "--format", "json")
+        solid = json.loads(out, parse_float=str)["input"]["solid"]
+        assert (solid["tau0"], solid["elastic"]["R"]) == ("0.1", "1.63")
+        report = json.loads(out)
+        assert type(report["equilibrium"]["F"]) is float
+        assert type(report["input"]["solid"]["rho_star"]) is float
+
+
+_DOUBLES = (st.floats(allow_subnormal=True)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+            | st.floats(1e16, 1e17, exclude_max=True))   # integral: "%.17g" writes no point
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(_DOUBLES, max_size=8), as_array=st.booleans())
+def test_json_dumps_writes_each_float_as_its_repr(xs, as_array):
+    # a finite float is the token repr(x) and loads back to its bits; a
+    # non-finite one is the string of its repr; an array's items alike
+    tokens = [repr(x) if math.isfinite(x) else f'"{x!r}"' for x in xs]
+    text = cli.json_dumps({"x": np.array(xs) if as_array else xs}, indent=None)
+    assert text == '{"x": [' + ",".join(tokens) + "]}"
+    for x, y in zip(xs, json.loads(text)["x"]):
+        if math.isfinite(x):
+            assert type(y) is float and np.float64(y).tobytes() == np.float64(x).tobytes()
+        else:
+            assert y == repr(x)
+
+
+_NESTED = {"a": [1, 2.5, None, True, "s"], "b": {}, "c": [],
+           "d": {"e": (np.int64(3), np.float64(-0.0), 1.0, math.inf)}, 7: np.array([math.nan])}
+
+
+@pytest.mark.parametrize("indent, golden", [
+    (2, '{\n  "a": [\n    1,\n    2.5,\n    null,\n    true,\n    "s"\n  ],\n  "b": {},\n'
+        '  "c": [],\n  "d": {\n    "e": [\n      3,\n      -0.0,\n      1.0,\n'
+        '      "inf"\n    ]\n  },\n  "7": [\n    "nan"\n  ]\n}'),
+    (None, '{"a": [1,2.5,null,true,"s"],"b": {},"c": [],"d": {"e": [3,-0.0,1.0,"inf"]},'
+           '"7": ["nan"]}'),
+])
+def test_json_dumps_layout(indent, golden):
+    assert cli.json_dumps(_NESTED, indent=indent) == golden

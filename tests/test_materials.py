@@ -482,9 +482,32 @@ def test_power_law_relax_with_an_overflowing_step_warns_nothing():
     assert out.tobytes() == np.array([0.0, -0.0, -0.0]).tobytes()
 
 
+@pytest.mark.parametrize("model", [
+    rubber_solid(), penn_solid(), unit_fluid(), unit_fluid(PowerLaw(1.0, 0.01)),
+    unit_fluid(PowerLaw(1.0, 0.1)), unit_fluid(PowerLaw(1.0, 1.0)),
+    unit_fluid(PowerLaw(1.0, 2.0)), unit_fluid(RegularizedPowerLaw(1.0, 2.0, 1e-2)),
+    unit_fluid(RegularizedPowerLaw(1.0, 2.0, 1e-30)),
+], ids=["rubber", "penn", "newtonian", "m=0.01", "m=0.1", "m=1", "m=2", "regularized",
+        "regularized_eps=1e-30"])
+def test_relax_over_no_time_is_the_identity(model):
+    # sigma keeps its bits and the sign of its zeros, also where F**q
+    # overflows (Maxwell, F = 1e200), where F*c/omega overflows (m = 0.01,
+    # F = 1e300), where |sigma|**(1 - 1/m) underflows (m = 0.1, 1e300) and
+    # where the regularized law's sub-step count F*c/omega*eps**(-n)
+    # overflows (eps = 1e-30, F = 1e300)
+    F = np.array([1e200, 1e200, 1e300, 1e300, 1.0, 1.0, 5e-324, 1.0, 1.0])
+    sigma = np.array([1.5, -0.0, -2.0, 0.0, 1e300, -1e300, 0.5, 5e-324, math.nan])
+    s = sigma.copy()
+    assert model.production.relax(F, s, 0.0, model, tuple(np.full((3, F.size), np.nan))) is s
+    assert s.tobytes() == sigma.tobytes()
+
+
 def _two_branch_relax(law, F, sigma, h, fluid):
     """PowerLaw.relax (m != 1) with its former separate m > 1 and m < 1
-    branches, the reference for the one expression that replaced them."""
+    branches, the reference for the one expression that replaced them; over
+    h = 0 the identity, as every law's relax."""
+    if h == 0.0:
+        return np.array(sigma, dtype=float)
     K = F * _power_prefactor(law.k_cons, law.m) / fluid.omega
     alpha = 1.0 / law.m
     out = np.array(sigma, dtype=float)
@@ -518,21 +541,24 @@ def _power_law_cases(draw):
     return fluid, F, sigma, draw(st.floats(0.0, 1e300) | st.just(sys.float_info.max))
 
 
-def _nan_rate_case(m):
-    """Rows whose rate is NaN: NaN stretches, and at m = 0.01 (c = 6.3e29)
-    F*c/omega overflows, so at h = 0 the rate is inf*0.  The zeros keep
-    their sign, and the other cells come out NaN with the sign bit of
+def _nan_rate_case(m, h):
+    """Rows whose rate is NaN or inf: NaN stretches, and at m = 0.01
+    (c = 6.3e29) F*c/omega overflows, so at h = 0 the rate would be inf*0.
+    Over h > 0 the zeros keep their sign, an overflowed rate takes a stress
+    to 0 of its sign, and a NaN stretch gives NaN with the sign bit of
     sign(sigma)*NaN."""
     fluid = FluidParams(rho_star=1.0, R_gas=1.0, tau0=1.0, mu0=1.0,
                         production=PowerLaw(k_cons=1.0, m=m))
     return (fluid, np.array([1e300, 1e300, 1e300, math.nan, math.nan, 1.0]),
-            np.array([0.0, -0.0, 1.5, -0.0, -2.0, 0.5]), 0.0)
+            np.array([0.0, -0.0, 1.5, -0.0, -2.0, 0.5]), h)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=_power_law_cases())
-@example(case=_nan_rate_case(0.01))
-@example(case=_nan_rate_case(2.0))
+@example(case=_nan_rate_case(0.01, 0.0))
+@example(case=_nan_rate_case(2.0, 0.0))
+@example(case=_nan_rate_case(0.01, 0.1))
+@example(case=_nan_rate_case(2.0, 0.1))
 def test_power_law_relax_keeps_the_bits_of_its_two_branches(case):
     fluid, F, sigma, h = case
     with np.errstate(all="ignore"):
