@@ -27,19 +27,19 @@ before it and finiteness after.  Boundaries are zero-gradient.
 
 The minmod limiter is taken in clip form, min(max(a, min(b, 0)), max(b, 0)),
 with the zero rule that it is +0.0 wherever a*b <= 0, also where the product
-of two same-signed slopes underflows.  The CFL step and the Rusanov speeds
-reduce W'' first and then scale: the largest discriminant om*W'' + 1 of the
-cells is om*max(W'') + 1, and that of an interface om*max(W''_L, W''_R) + 1,
-as x -> fl(fl(om*x) + 1) is monotone for om > 0; division by rho*om > 0 and
-sqrt are correctly rounded and monotone too, so the root of the largest
-discriminant is bit for bit the largest speed.  One checked W'' serves both:
-each step evaluates W'' once on the cells (for the CFL step) and once on the
-predicted interface states, after checking the stretch F > 0 by one reduction
-that also rejects NaN, and checks the discriminants > 0 by om*min(W'') + 1 in
-the same way.  The cell edges need no check: a minmod-limited edge lies
-between its cell and the mean with a neighbour, so positive cells give
-positive edges.  A linear or non-relaxing run is a choice of material, not of
-solver: QuadraticCubic(R=0) has a = 0, and a solid with tau0 = inf has b = 0.
+of two same-signed slopes underflows.  One W'' per step serves both the CFL
+step and the Rusanov speeds, those of the faster of each interface's two
+cells (local Lax-Friedrichs: Rusanov 1961; LeVeque 2002).  Each step
+evaluates W'' once, on its window's cells, after checking F > 0, and checks
+om*W'' + 1 > 0, each by one reduction that also rejects NaN; the source
+leaves F unchanged.  The largest discriminant is om*max(W'') + 1, as x ->
+fl(fl(om*x) + 1) is monotone for om > 0, and division by rho*om > 0 and sqrt
+are correctly rounded, so its root is bit for bit the largest speed.  The
+predicted interface states, on which T is evaluated, take the stretch check
+only (it catches a NaN velocity too); the cell edges take none: a limited
+edge lies between its cell and the mean with a neighbour.  A linear or
+non-relaxing run is a choice of material, not of solver: QuadraticCubic(R=0)
+has a = 0, and a solid with tau0 = inf has b = 0.
 
 Every step, the first included, steps the window _window(*span): the span
 and two cells on each side.  The span is the padded cells between two tails
@@ -65,9 +65,9 @@ keeps, and the window already holds their states, so the largest CFL
 discriminant and the regularized law's sub-cycle count (from the largest F)
 stay the same.
 
-A step allocates no array of the window's size: the CFL row's W'' and
-every array of the hyperbolic step are views of work buffers allocated once
-per run, and the laws write T, W'' and the source step into them (see
+A step allocates no array of the window's size: the cells' W'' and every
+array of the hyperbolic step are views of work buffers allocated once per
+run, and the laws write T, W'' and the source step into them (see
 :mod:`accelwave.materials`): the source divides the window's omega*sigma
 row by omega in place, relaxes it there and multiplies it back.  numpy
 itself buffers an operation on (3, M) views whose rows it cannot join into
@@ -87,9 +87,10 @@ The work around the calls is kept small too: a plan is about 90 views,
 built about 20 times a run, and views that are free at some point of a step
 serve as scratch there (see :class:`_Plan`).
 
-A state that turns non-finite or loses hyperbolicity raises SimulationError
-naming the cell, and so do a CFL step that is not finite and positive or too
-small to advance t, a run of MAX_STEPS steps and one bound to need more.
+A state that turns non-finite, loses its stretch (F NaN or <= 0) or
+hyperbolicity raises SimulationError naming the cell, and so do a CFL step
+that is not finite and positive or too small to advance t, a run of
+MAX_STEPS steps and one bound to need more.
 A fit window that leaves the domain makes simulate's measurement NaN,
 logged at debug level on the ``accelwave`` logger; the public measurement
 raises SimulationError there and on a window with a non-finite v.
@@ -254,23 +255,31 @@ def _interior(i: int, n_cells: int) -> int:
     return min(max(i - _NG, 0), n_cells - 1)
 
 
+def _check_stretch(F: np.ndarray, n_cells: int, first: int) -> None:
+    """Check F > 0 by one reduction, which also rejects NaN, else raise
+    SimulationError naming the first cell with a state of F NaN or <= 0.  F
+    is the padded row of cells from padded cell first on, or the (left,
+    right) interface state rows: column j, edges of cells first + j + 1, + 2."""
+    if F.item(F.argmin()) > 0.0:
+        return
+    hits = np.nonzero(~(F > 0.0))
+    cells = hits[-1] + (hits[0] + 1 if F.ndim == 2 else 0)
+    k = int(cells.argmin())
+    lost = "is NaN" if math.isnan(F[tuple(h[k] for h in hits)]) else "<= 0"
+    raise SimulationError(f"stretch F {lost} at cell {_interior(first + int(cells[k]), n_cells)}")
+
+
 def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int = 0,
-                out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> np.ndarray:
-    """W''(F), into out if given (scratch: a second array of F's shape),
-    after the stretch check (one reduction, which also rejects NaN) and the
-    check om*W'' + 1 > 0 of the discriminants.  F is the ghost-padded row of
-    cells from padded cell first on, or the (left, right) state rows of the
-    interfaces, where interface j takes its left state from padded cell
-    first + j + 1 and its right state from the next.  Where a discriminant
-    is not > 0, raises SimulationError naming the first failing cell of the
-    first failing row."""
-    if not F.item(F.argmin()) > 0.0:
-        _require_stretch(F)
+                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """W''(F) of the ghost-padded row F of cells from padded cell first on,
+    into out if given (scratch: a second array of F's shape), after the
+    stretch check and the check om*W'' + 1 > 0 of the discriminants, which
+    raises SimulationError naming the first failing cell.  One W'' row a
+    step serves both the CFL step and the Rusanov speeds."""
+    _check_stretch(F, n_cells, first)
     W2 = model.elastic.W2(F, model, out=out, scratch=scratch)
     if not model.omega * W2.item(W2.argmin()) + 1.0 > 0.0:
-        bad = np.argwhere(~(model.omega * W2 + 1.0 > 0.0))[0]
-        i = int(bad[0]) if W2.ndim == 1 else int(bad[1] + bad[0]) + 1
+        i = int(np.argmin(model.omega * W2 + 1.0 > 0.0))
         raise SimulationError(f"hyperbolicity lost at cell {_interior(first + i, n_cells)}")
     return W2
 
@@ -306,7 +315,7 @@ def _work(n: int) -> dict[str, np.ndarray]:
     """Flat scratch of the step plans for windows of up to n padded cells, by
     rows per cell: a plan reshapes a leading part of each to its shape."""
     rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "face": 6,
-            "speed": 1, "jump": 3, "flux": 3, "du": 3, "w2": 2, "tmp": 1}
+            "speed": 1, "jump": 3, "flux": 3, "du": 3, "w2": 1, "tmp": 1}
     # the finiteness check's weights 2**-k, 2**k > 2n: a finite row's sum never overflows
     return {"weights": np.full(n, 0.5 ** (n.bit_length() + 1)),
             "half_dt_dx": np.empty(()), "dt_dx": np.empty(()),   # of a step
@@ -318,12 +327,12 @@ class _Plan:
     of the window cells = (a, b) of padded cells takes, built once per
     window.  The M = b - a - 2 inner cells have (3, 2, M) pairs of (left,
     right) edge states, and their M - 1 interfaces (3, 2, M - 1) pairs.
-    w2 and tmp hold W'' of the window's cells and its scratch for the CFL
-    step, w2 also the interface W''.  Views free at some point of a step are
-    scratch there: w2, tmp and a row of speeds for the source's relax, sh
-    for the edge T, a row pair of the interface flux for the interface W''
-    and the interface W'' for the interface T.  The finiteness check takes
-    a row of weights."""
+    w2 and tmp hold W'' of the window's cells, for both the CFL step and
+    the Rusanov speeds, and its scratch.  Views free at some point of a step
+    are scratch there: tmp and rows of speed and jump, which the step writes
+    before it reads, for the source's relax, sh for the edge T, and a row
+    pair of the jump for the interface T.  The finiteness check takes a row
+    of weights."""
 
     def __init__(self, q: np.ndarray, cells: tuple[int, int],
                  work: dict[str, np.ndarray]):
@@ -337,7 +346,8 @@ class _Plan:
         self.F, self.sigma = w[1], w[2]
         self.w_mid, self.w_in = w[:, 1:-1], w[:, _NG:-_NG]
         self.w2, self.tmp, self.weights = work["w2"][:m], work["tmp"][:m], work["weights"][:m]
-        self.relax_scratch = (self.w2, self.tmp, work["speed"][:m])
+        self.relax_scratch = (self.tmp, work["speed"][:m], work["jump"][:m])
+        self.w2_pair = (self.w2[1:-2], self.w2[2:-1])   # of each interface's cells
         # the slopes d row by row, and the limiter on d as one flat row,
         # whose pairs across a row end give two junk values that half skips
         d, half = work["d"], work["half"]
@@ -363,12 +373,10 @@ class _Plan:
                         (e[1:, 0, 1:], sh[1, 1:], right[1:]))
         self.f = f = work["g"][:4 * (M - 1)].reshape(2, 2, M - 1)
         self.f_left, self.f_right = f[:, 0], f[:, 1]
-        self.face_w2 = work["w2"][:2 * (M - 1)].reshape(2, M - 1)
-        self.face_tmp, f_v = _pair(f)
-        face_mom, self.face_F, face_osig = _rows(face)
-        self.face_rows = (face_mom, self.face_F, face_osig, self.face_tmp, f_v, self.face_w2)
         # the jump (right - left)*speed, row by row, in place
         self.jump = work["jump"][:K].reshape(3, M - 1)
+        face_mom, self.face_F, face_osig = _rows(face)
+        self.face_rows = (face_mom, self.face_F, face_osig, *_pair(f), self.jump[:2])
         jumps = _rows(self.jump)
         self.jump_rows = tuple(zip(rights, lefts, jumps, jumps))
         self.speed = work["speed"][:M - 1]
@@ -416,17 +424,16 @@ def _edge_flux(mom, F, osig, out_s, out_v, scratch, model: MaterialModel) -> Non
 def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> None:
     """One conservative MUSCL-Hancock update of q = (rho*v, F, omega*sigma),
     in place, on all but the two padded cells at each end of the window of
-    the plan p, whose views hold every array of the step.
+    the plan p, whose views hold every array of the step.  Precondition:
+    p.w2 holds the checked W'' of the window's cells (see :func:`_checked_W2`).
 
-    Edge states are held as (3, 2, M) pairs, so T and the wave speeds are
-    evaluated once per pair: the (left, right) edges of each cell for the
-    predictor, then the (left, right) states of each interface for the
-    Rusanov flux.  The F row of the interface states is checked once (the
-    caller checks the cells, whose edges then need no check).  The Rusanov
-    speed is 0.5*sqrt((om*max(W''_L, W''_R) + 1)/(rho*om)), bit for bit the
-    larger of the two speeds: x -> fl(fl(om*x) + 1), correctly rounded
-    division by a positive constant and sqrt are all monotone.  Every array
-    of the step is a view of the plan, so the step allocates none.
+    Edge states are held as (3, 2, M) pairs, so T is evaluated once per
+    pair: the (left, right) edges of each cell for the predictor, then the
+    (left, right) states of each interface for the Rusanov flux, whose F
+    row is checked once.  The Rusanov speed between cells i and i+1 is
+    0.5*sqrt((om*max(W''_i, W''_i+1) + 1)/(rho*om)), bit for bit the larger
+    of their two speeds.  Every array of the step is a view of the plan, so
+    the step allocates none.
     """
     k = model._consts
     # limited slopes on cells 1 .. m-2
@@ -444,8 +451,8 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     sh *= p.half_dt_dx
     for edge, shift, state in p.shifted:
         np.add(edge, shift, out=state)
-    W2 = _checked_W2(p.face_F, model, p.n_cells, p.cells[0], p.face_w2, p.face_tmp)
-    half_s = np.maximum(W2[0], W2[1], out=p.speed)
+    _check_stretch(p.face_F, p.n_cells, p.cells[0])
+    half_s = np.maximum(*p.w2_pair, out=p.speed)
     half_s *= k.om
     half_s += _NUM.one
     half_s /= k.rho_om
@@ -564,9 +571,8 @@ def detect_front_position(model: MaterialModel, snapshot: Snapshot,
 
 def _audit_rows(model: MaterialModel, v, F, sigma, dens=None, sp=None):
     """The energy density rho*v^2/2 + W(F) + omega*sigma^2/2 and sigma*P(F,
-    sigma) of each cell, after the stretch check, into the arrays dens and
-    sp if given (only W and P then make temporaries)."""
-    _require_stretch(F)
+    sigma) of each cell, whose F the caller has checked > 0, into the arrays
+    dens and sp if given (only W and P then make temporaries)."""
     dens = np.multiply(v, v, out=dens)
     dens *= 0.5 * model.rho_star
     dens += model.elastic.W(F, model)
@@ -581,6 +587,7 @@ def entropy_monitor(model: MaterialModel, snapshot: Snapshot) -> EnergyReport:
     max_sigma_production is max over cells of sigma*P(F, sigma) (<= 0 for
     every admissible model).
     """
+    _require_stretch(snapshot.F)
     dens, sp = _audit_rows(model, snapshot.v, snapshot.F, snapshot.sigma)
     total = float(dens.sum() * (snapshot.x[1] - snapshot.x[0]))
     return EnergyReport(total_energy=total, max_sigma_production=float(sp.max()))
@@ -688,7 +695,7 @@ class _Stepper:
                     f"{self.n_steps} steps (CFL limited by cell "
                     f"{_interior(i_cfl, n_cells)})")
             # the last step's trailing half-step merged with this one's
-            # leading half-step: relax leaves F, and so dt, unchanged
+            # leading half-step: relax leaves F, and so dt and p.w2, unchanged
             self._source(self.pending + 0.5 * dt)
             self.pending = 0.5 * dt
             _hyperbolic_step(p, dt, dx, model)
@@ -752,6 +759,8 @@ class _Record:
         a, b = st.span if self.rows else (0, q.shape[1])
         lo, hi = max(a - 1 - _NG, 0), min(b + 1 - _NG, grid.n_cells)
         row, c = q[:, _NG + lo:_NG + hi], model._consts
+        if row.size:
+            _check_stretch(row[1], grid.n_cells, _NG + lo)
         v = np.divide(row[0], c.rho, out=self.v[lo:hi])
         _audit_rows(model, v, row[1], np.divide(row[2], c.om, out=self.sigma[lo:hi]),
                     self.dens[lo:hi], self.sp[lo:hi])

@@ -1,5 +1,7 @@
 """Shared model builders for the test suite."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,13 @@ def random_fluid(rng: np.random.Generator, kind: str = "any") -> FluidParams:
         mu0=10.0 ** rng.uniform(-2, 3),
         production=prod,
     )
+
+
+# one draw per material family: quadratic-cubic and Mooney-Rivlin solids,
+# Newtonian, power-law and regularized fluids
+RANDOM_FAMILIES = (random_solid, random_mr_solid,
+                   *(functools.partial(random_fluid, kind=kind)
+                     for kind in ("newtonian", "power_law", "regularized")))
 
 
 def relaxed(model, F, sigma, h) -> np.ndarray:

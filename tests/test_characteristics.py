@@ -31,7 +31,14 @@ from accelwave import (
     quasilinear_matrix,
     source_jacobian,
 )
-from conftest import random_fluid, random_mr_solid, random_solid, rubber_solid, unit_fluid
+from conftest import (
+    RANDOM_FAMILIES,
+    random_fluid,
+    random_mr_solid,
+    random_solid,
+    rubber_solid,
+    unit_fluid,
+)
 
 # mpmath-evaluated references for the rubber benchmark constants
 RUBBER_LAMBDA0 = 74.2381470389745722
@@ -344,6 +351,30 @@ class TestKCondition:
             warnings.simplefilter("error")
             rep = k_condition(_OVERFLOW_FLUID)
         assert rep.weak_K and rep.full_K
+
+    def test_verdicts_are_read_off_a_and_b_over_random_materials(self):
+        # the paper's central equivalence: weak K holds exactly where the fast
+        # field is linearly degenerate (a = 0) or damped (b > 0), full K
+        # exactly where b > 0.  Every fourth quadratic-cubic solid is made
+        # linear (R = 0), and every other one of those non-relaxing too
+        rng = np.random.default_rng(7)
+        seen = set()
+        for i in range(600):
+            for draw in RANDOM_FAMILIES:
+                model = draw(rng)
+                if draw is random_solid and i % 4 == 0:
+                    model = dataclasses.replace(model, elastic=QuadraticCubic(R=0.0),
+                                                tau0=math.inf if i % 8 else model.tau0)
+                try:
+                    wc = coefficients_ab(model)
+                    a, b = wc.a, wc.b
+                except DegenerateWaveError as exc:
+                    a, b = 0.0, exc.b
+                rep = k_condition(model)
+                assert rep.weak_K == (a == 0.0 or b > 0.0), model
+                assert rep.full_K == (b > 0.0), model
+                seen.add((a == 0.0, b > 0.0))
+        assert seen == {(False, True), (False, False), (True, True), (True, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from accelwave.wavefront import (
     _CHUNK,
     _FIT_HALF_WIDTH,
     _NG,
+    _checked_W2,
     _fit_operator,
     _front_fits,
     _front_windows,
@@ -55,7 +56,7 @@ from accelwave.wavefront import (
     _window,
     _work,
 )
-from conftest import penn_solid, relaxed, rubber_solid, unit_fluid
+from conftest import RANDOM_FAMILIES, penn_solid, relaxed, rubber_solid, unit_fluid
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,9 +81,16 @@ def _fill_ghosts(q):
         np.copyto(ghosts, cell)
 
 
+def _plan_step(p, dt, dx, model):
+    """One hyperbolic step of the plan p, after filling p.w2 with the checked
+    W'' of its window's cells, as the stepper's CFL step does."""
+    _checked_W2(p.F, model, p.n_cells, p.cells[0], p.w2, p.tmp)
+    _hyperbolic_step(p, dt, dx, model)
+
+
 def _step(q, dt, dx, model):
     """One whole-row step of q in place, on its own scratch."""
-    _hyperbolic_step(_Plan(q, (0, q.shape[1]), _work(q.shape[1])), dt, dx, model)
+    _plan_step(_Plan(q, (0, q.shape[1]), _work(q.shape[1])), dt, dx, model)
 
 
 def _simulate_from(fields, model, grid, ic, t_end, **kw):
@@ -363,6 +371,25 @@ class TestEnergyAndDissipation:
         res = simulate(model, grid, ic, t_end=1.0 / wc.b, output_every=0.1 / wc.b)
         assert np.max(res.trace.max_sigma_production) <= 0.0
 
+    def test_energy_and_dissipation_over_random_materials(self):
+        # seeded quadratic-cubic and Mooney-Rivlin solids and Newtonian,
+        # power-law and regularized fluids: kinks of max|F - 1| = 1e-2 on
+        # 200 cells, run for 0.3 of the domain's crossing time at lam0, in
+        # which no wave reaches a boundary (the fluid's pressure would work
+        # there); energy within criterion 7's relative tolerance of 1e-9
+        rng = np.random.default_rng(11)
+        grid = Grid(x_min=0.0, x_max=1.0, n_cells=200, cfl=0.9)
+        for _ in range(20):
+            for draw in RANDOM_FAMILIES:
+                model = draw(rng)
+                eig = eigensystem(model, equilibrium_state())
+                ic = KinkIC(x_front=0.55, pi0=1e-2 / (abs(eig.d_plus[1]) * 0.1),
+                            ramp_width=0.1)
+                tr = simulate(model, grid, ic, t_end=0.3 / eig.lam,
+                              output_every=0.03 / eig.lam).trace
+                assert np.max(tr.max_sigma_production) <= 0.0, model
+                assert np.all(np.diff(tr.energy) <= 1e-9 * tr.energy[:-1]), model
+
     def test_sourceless_energy_change_is_boundary_flux_only(self):
         # smooth compact pulse, waves stay interior: boundary flux integral is
         # zero and the residual is the scheme's own dissipation
@@ -555,7 +582,8 @@ def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn):
     qRb = qR + shift
     left = qRb[:, :-1]
     right = qLb[:, 1:]
-    s_max = np.maximum(lam_fn(left[1]), lam_fn(right[1]))
+    lam = lam_fn(q[1])   # the faster of each interface's two cells
+    s_max = np.maximum(lam[1:-2], lam[2:-1])
     f_iface = 0.5 * (flux(left) + flux(right)) - 0.5 * s_max * (right - left)
     out = q.copy()
     out[:, _NG:-_NG] -= dt / dx * (f_iface[:, 1:] - f_iface[:, :-1])
@@ -733,7 +761,7 @@ class TestCheckPaths:
         q = np.zeros((3, 64 + 2 * _NG))
         q[1] = 1.0
         q[0, 20:40] = rho * -4.0 * dx / dt * np.arange(20.0)
-        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+        with pytest.raises(SimulationError, match=r"^stretch F <= 0 at cell 19$"):
             _step(q, dt, dx, model)
 
     @pytest.mark.parametrize("past_last", [False, True])
@@ -754,11 +782,12 @@ class TestCheckPaths:
         q[0, c + 1:] = 2.0 * q[0, c]
         plan = _Plan(q, (a, b), _work(n))
         if past_last:
-            _hyperbolic_step(plan, dt, dx, model)
+            _plan_step(plan, dt, dx, model)
             return
-        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
-            _hyperbolic_step(plan, dt, dx, model)
-        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+        named = rf"^stretch F <= 0 at cell {c - _NG}$"
+        with pytest.raises(SimulationError, match=named):
+            _plan_step(plan, dt, dx, model)
+        with pytest.raises(SimulationError, match=named):
             _step(q, dt, dx, model)
 
     def test_negative_stretch_in_a_cell_is_rejected(self):
@@ -767,7 +796,7 @@ class TestCheckPaths:
         ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
         F = np.ones(200)
         F[50] = -0.5
-        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+        with pytest.raises(SimulationError, match=r"^stretch F <= 0 at cell 50$"):
             _simulate_from((np.zeros(200), F, np.zeros(200)), model, grid, ic, t_end=0.01)
 
     def test_nan_sigma_names_the_cell(self):
@@ -782,13 +811,14 @@ class TestCheckPaths:
 
     def test_nan_velocity_is_caught_by_the_interface_checks(self):
         # the predictor carries the NaN into the interface F before the
-        # finiteness check could see it
+        # finiteness check could see it: the limited slopes of cells 49 to
+        # 51 are NaN, and the first NaN interface state is an edge of 49
         model = rubber_solid()
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
         ic = KinkIC(x_front=13.0, pi0=0.0, ramp_width=6.0)
         v = np.zeros(200)
         v[50] = math.nan
-        with pytest.raises(ValueError, match=r"^stretch F must be > 0$"):
+        with pytest.raises(SimulationError, match=r"^stretch F is NaN at cell 49$"):
             _simulate_from((v, np.ones(200), np.zeros(200)), model, grid, ic, t_end=1.0)
 
 
@@ -916,7 +946,9 @@ class TestFailureNamesInteriorCell:
 
     def test_hyperbolicity_loss_at_an_interface(self):
         # the cells stay just inside the hyperbolic range (om*W2 + 1 > 0);
-        # the velocity slope of cell 50 alone lifts its predicted F edges out
+        # the velocity jump across cell 50 lifts its F out in the first step,
+        # whose Rusanov speeds take no interface W'', and the second step's
+        # check of the cells names it
         model = rubber_solid()
         F_c = 1.0 + (1.0 + model.E2 / model.E1) / (2.0 * model.elastic.R)
         grid = Grid(x_min=0.0, x_max=68.0, n_cells=200, cfl=0.9)
@@ -927,29 +959,6 @@ class TestFailureNamesInteriorCell:
         F[45:56] = F_c - 2e-4
         with pytest.raises(SimulationError, match=r"hyperbolicity lost at cell 50$"):
             _simulate_from((v, F, np.zeros(200)), model, grid, ic, t_end=0.01)
-
-    @pytest.mark.parametrize("from_end", [3, 2])
-    def test_hyperbolicity_loss_at_the_last_interface_of_a_window(self, from_end):
-        # the recipe above, stepped directly on the window [a, b), with the
-        # velocity kink in padded cell c = b - 3 (the left state of the last
-        # interface fails) or c = b - 2 (only its right state is in the
-        # window): either way the cell named is c, as by a whole-row step
-        model = rubber_solid()
-        F_c = 1.0 + (1.0 + model.E2 / model.E1) / (2.0 * model.elastic.R)
-        n = 64 + 2 * _NG
-        a, b = _CHUNK, 3 * _CHUNK
-        c = b - from_end
-        q = np.zeros((3, n))
-        q[0, :c], q[0, c + 1:] = -model.rho_star, model.rho_star
-        q[1] = 1.0
-        q[1, c - 5:c + 6] = F_c - 2e-4
-        dx = 68.0 / 200
-        dt = 0.9 * dx / float(_lam_fn(model)(q[1]).max())
-        named = rf"^hyperbolicity lost at cell {c - _NG}$"
-        with pytest.raises(SimulationError, match=named):
-            _hyperbolic_step(_Plan(q, (a, b), _work(n)), dt, dx, model)
-        with pytest.raises(SimulationError, match=named):
-            _step(q, dt, dx, model)
 
 
 # ---------------------------------------------------------------------------
@@ -1176,7 +1185,7 @@ class TestDisturbedSpan:
             _fill_ghosts(full)
             a, b = _window(lo, hi, n)
             win[2, a:b] = om * relaxed(model, win[1, a:b], win[2, a:b] / om, 0.5 * dt)
-            _hyperbolic_step(_Plan(win, (a, b), work), dt, dx, model)
+            _plan_step(_Plan(win, (a, b), work), dt, dx, model)
             span._grow_span()
             lo, hi = span.span
             assert win.tobytes() == full.tobytes()
@@ -1189,6 +1198,7 @@ class TestDisturbedSpan:
         model = unit_fluid()
         q = _random_state(np.random.default_rng(7), model, n + 2 * _NG, 0.05, 0.05, 0.05)
         plan = _Plan(q, (0, q.shape[1]), _work(q.shape[1]))
+        _checked_W2(plan.F, model, plan.n_cells, 0, plan.w2, plan.tmp)   # the step reads it
         assert _traced_peak(lambda: _hyperbolic_step(plan, 1e-3, 0.05, model)) < 8 * n
 
     @pytest.mark.parametrize("name, model, scales",

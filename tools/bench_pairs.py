@@ -20,6 +20,12 @@ within the metric's bound, and `gain_rule_met`: whether the change is
 better in at least nine pairs of ten and its median better than the
 parent's by more than the parent's interquartile range.  A gain is claimed
 only where that holds.  At least two seeds are needed for the quartiles.
+
+Two identical trees in different directories have read about 2% apart on
+`fv_oracle` `wall_cal` (slower in 4 of 4 pairs), far more than the parent's
+interquartile range, so a claimed gain of a few percent is to be read
+against an A/A control: the same command with --change a second copy of
+the parent tree.
 """
 
 from __future__ import annotations
