@@ -116,16 +116,14 @@ def closed_form(a: float, b: float, pi0: float, t):
 def _predicted(a: float, b: float, pi0: float, t: np.ndarray) -> np.ndarray:
     """pi at the times t: closed_form before a blow-up's t_c, NaN from t_c
     on (pi is undefined there), in one closed_form call; pi0*exp(-b*t)
-    where a = 0, and pi0 at t = 0, else 0, where b = inf."""
+    where a = 0, and pi0 at t = 0, else 0, where b = inf.  Otherwise invalid
+    a, b or pi0 raise classify's ValueError."""
     if math.isinf(b):
         return np.where(t == 0.0, pi0, 0.0)
     if a == 0.0:
         return np.array([pi0 * math.exp(-b * s) for s in t.tolist()])
+    t_c = classify(a, b, pi0).t_c
     out = np.full(t.size, math.nan)
-    try:
-        t_c = classify(a, b, pi0).t_c
-    except ValueError:
-        return out
     live = slice(None) if t_c is None else t < t_c
     out[live] = closed_form(a, b, pi0, t[live])
     return out

@@ -4,7 +4,10 @@ The homogeneous part has speeds {-lambda, 0, +lambda} with closed-form
 eigenvectors; around the equilibrium state (v=0, F=1, sigma=0) the fastest
 family carries an amplitude equation pi' + a*pi^2 + b*pi = 0 whose
 coefficients are assembled here, together with the coupling (Shizuta-
-Kawashima) condition verdicts.
+Kawashima) condition verdicts.  omega is constant in sigma for every law
+here, so with disc = omega*W''(1) + 1 the closed forms read
+a = W'''(1)/(2*rho*lambda0**3), b = -(P_sigma/omega)/(2*disc), and the
+sigma-sigma entry of the source gradient is P_sigma/omega.
 """
 
 from __future__ import annotations
@@ -99,27 +102,26 @@ def quasilinear_matrix(model: MaterialModel, state: StateVector) -> np.ndarray:
     ])
 
 
-def _lambda_sq(model: MaterialModel, F: float) -> float:
-    """The squared fast speed, after the hyperbolicity check."""
-    om = model.omega
-    disc = om * model.elastic.W2(F, model) + 1.0
+def _disc(model: MaterialModel, F: float) -> float:
+    """disc = omega*W''(F) + 1 after the hyperbolicity check; the squared
+    fast speed is disc/(rho_star*omega)."""
+    disc = model.omega * model.elastic.W2(F, model) + 1.0
     if not disc > 0.0:   # NaN fails too
         raise HyperbolicityError(
             f"omega*W''(F) + 1 = {disc:.6g} is not > 0 at F={F}: system not hyperbolic")
-    return disc / (model.rho_star * om)
+    return disc
 
 
 def eigensystem(model: MaterialModel, state: StateVector) -> Eigensystem:
     """Closed-form eigenstructure of A(u) at the given state."""
     w2 = model.elastic.W2(state.F, model)
-    rho = model.rho_star
-    om = model.omega
-    lam = math.sqrt(_lambda_sq(model, state.F))
+    rho, om = model.rho_star, model.omega
+    disc = _disc(model, state.F)
+    lam = math.sqrt(disc / (rho * om))
     d_plus = np.array([-1.0 / lam, 1.0 / lam ** 2, 1.0 / (lam ** 2 * om)])
     l_plus = 0.5 * np.array([-lam, w2 / rho, 1.0 / rho])
     d_minus = np.array([1.0 / lam, 1.0 / lam ** 2, 1.0 / (lam ** 2 * om)])
     l_minus = 0.5 * np.array([lam, w2 / rho, 1.0 / rho])
-    disc = om * w2 + 1.0
     d_zero = np.array([0.0, 1.0, -w2])
     l_zero = np.array([0.0, 1.0 / disc, -om / disc])
     return Eigensystem(lam=lam, d_plus=d_plus, l_plus=l_plus,
@@ -133,8 +135,8 @@ def grad_lambda(model: MaterialModel, state: StateVector) -> np.ndarray:
     The sigma component vanishes: omega is constant for the quadratic
     viscous energy.
     """
-    lam = math.sqrt(_lambda_sq(model, state.F))
     rho = model.rho_star
+    lam = math.sqrt(_disc(model, state.F) / (rho * model.omega))
     w3 = model.elastic.W3(state.F, model)
     return (1.0 / (2.0 * lam * rho)) * np.array([0.0, w3, 0.0])
 
@@ -148,7 +150,7 @@ def source_jacobian(model: MaterialModel, state: StateVector) -> np.ndarray:
     om = model.omega
     grad_f = np.zeros((3, 3))
     grad_f[2, 1] = jac.P_F / om
-    grad_f[2, 2] = jac.P_sigma * om / om ** 2   # quotient rule with omega' = 0
+    grad_f[2, 2] = jac.P_sigma / om
     return grad_f
 
 
@@ -189,25 +191,21 @@ def coefficients_ab(model: MaterialModel) -> WaveCoefficients:
     """Closed-form (lambda0, a, b) at the equilibrium state.  Raises
     DegenerateWaveError, which carries b, when a = 0."""
     eq = equilibrium_state()
-    el = model.elastic
-    rho = model.rho_star
-    om = model.omega
-    # lam0^2 taken without squaring the square root keeps b exact for
-    # closed-form-friendly constants
-    lam0_sq = _lambda_sq(model, eq.F)
+    rho, om = model.rho_star, model.omega
+    disc = _disc(model, eq.F)
+    lam0_sq = disc / (rho * om)
     lam0 = math.sqrt(lam0_sq)
-    # the om**3 factors of the general form (omega' = 0 here) fix the rounding
-    a = om ** 3 * el.W3(eq.F, model) / (2.0 * lam0 * lam0_sq * rho * om ** 3)
+    a = model.elastic.W3(eq.F, model) / (2.0 * lam0 * lam0_sq * rho)
     ps = production_jacobian(model, eq.F, eq.sigma).P_sigma
-    denom = 2.0 * rho * lam0_sq * om ** 2
     singular = isinstance(ps, SingularProductionSlope)
-    b = math.inf if singular else -ps / denom
+    # P_sigma/omega first: the omega in P_sigma cancels, so b stays finite
+    b = math.inf if singular else -(ps / om) / (2.0 * disc)
     if a == 0.0:
         raise DegenerateWaveError(
             "fast field is linearly degenerate (W'''(1) = 0 with constant "
             "omega); check the material constants", b)
     if singular:
-        return WaveCoefficients(lam0, a, math.inf, n=ps.n, b0=ps.coeff / denom)
+        return WaveCoefficients(lam0, a, math.inf, n=ps.n, b0=(ps.coeff / om) / (2.0 * disc))
     return WaveCoefficients(lam0, a, b + 0.0)   # + 0.0: a -0.0 b reads as 0.0
 
 
@@ -252,14 +250,13 @@ def k_condition(model: MaterialModel) -> KConditionReport:
     eq = equilibrium_state()
     eig = eigensystem(model, eq)
     jac = production_jacobian(model, eq.F, eq.sigma)
-    om = model.omega
 
     def coupled(d: np.ndarray) -> bool:
         if isinstance(jac.P_sigma, SingularProductionSlope):
             # a divergent slope is in particular nonzero
             return True
         # on Python floats an overflow is a silent inf
-        return (jac.P_F * d[1].item() + jac.P_sigma * d[2].item()) / om != 0.0
+        return jac.P_F * d[1].item() + jac.P_sigma * d[2].item() != 0.0
 
     gn_fast = float(np.dot(grad_lambda(model, eq), eig.d_plus)) != 0.0
     fams = {

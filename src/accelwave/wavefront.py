@@ -802,11 +802,14 @@ def simulate(model: MaterialModel, grid: Grid, ic: KinkIC, t_end: float, *,
     except DegenerateWaveError as exc:
         a_eff, b_eff = 0.0, exc.b
 
-    stepper = _Stepper.kink(model, grid, ic)
-    # a lower bound: no dt exceeds cfl*dx/lam0 while the equilibrium is in the window
-    if (estimate := t_end * stepper.lam0 / (grid.cfl * grid.dx)) > MAX_STEPS:
+    # refused before the kink allocates anything; a lower bound: no dt
+    # exceeds cfl*dx/lam0 while the equilibrium is in the window
+    lam0 = eigensystem(model, equilibrium_state()).lam
+    _require_fits(grid, ic)
+    if (estimate := t_end * lam0 / (grid.cfl * grid.dx)) > MAX_STEPS:
         raise SimulationError(f"the run needs at least t_end*lam0/(cfl*dx) = {estimate:.6g} "
-                              f"steps (lam0={stepper.lam0:.6g}), over MAX_STEPS = {MAX_STEPS}")
+                              f"steps (lam0={lam0:.6g}), over MAX_STEPS = {MAX_STEPS}")
+    stepper = _Stepper.kink(model, grid, ic)
     record = _Record(stepper, ic.x_front, times.size)
     for target in times.tolist():
         stepper.advance_to(target, t_end)

@@ -160,6 +160,12 @@ class TestClassify:
 
 
 class TestClosedForm:
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.25), (-0.35, -1.0)])
+    def test_prediction_of_invalid_coefficients_raises(self, a, b):
+        # not a silent NaN column
+        with pytest.raises(ValueError):
+            amplitude._predicted(a, b, 1.0, np.array([0.0, 1.0]))
+
     def test_zero_initial_amplitude(self):
         t = np.linspace(0.0, 10.0, 11)
         assert np.all(closed_form(-1.0, 1.0, 0.0, t) == 0.0)

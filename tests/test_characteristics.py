@@ -1,6 +1,7 @@
 """Eigenstructure, amplitude-equation coefficients, coupling verdicts."""
 
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -31,6 +32,7 @@ from accelwave import (
     quasilinear_matrix,
     source_jacobian,
 )
+from accelwave.materials import production_jacobian
 from conftest import (
     RANDOM_FAMILIES,
     random_fluid,
@@ -51,6 +53,19 @@ RUBBER_PI_CR = 322.251477481368961
 _OVERFLOW_FLUID = FluidParams(rho_star=1.0, R_gas=1.0, tau0=1e-100, mu0=1.0,
                               production=RegularizedPowerLaw(k_cons=1e-300, m=1.0001,
                                                              eps=1.0))
+
+
+def _exact_ab(model):
+    """(a, b) at equilibrium as mpf in 60 digits, from the components of
+    a = grad(lam).d+ and b = -l+.grad(f).d+ with the model's float inputs."""
+    jac = production_jacobian(model, 1.0, 0.0)
+    with mp.workdps(60):
+        rho, om = mp.mpf(model.rho_star), mp.mpf(model.omega)
+        lam_sq = (om * model.elastic.W2(1.0, model) + 1) / (rho * om)
+        lam = mp.sqrt(lam_sq)
+        a = model.elastic.W3(1.0, model) / (2 * lam * rho) / lam_sq
+        b = -(jac.P_F / om / lam_sq + jac.P_sigma / om / (lam_sq * om)) / (2 * rho)
+        return +a, +b
 
 
 def _random_states(model, rng, n):
@@ -252,6 +267,36 @@ class TestCoefficients:
                 assert b_num == pytest.approx(wc.b, rel=1e-10)
             count += 1
         assert count == 1000
+
+    def test_closed_forms_hold_over_the_decades_of_omega(self):
+        # omega = 10**k for k = -200..200: Newtonian and regularized fluids
+        # through mu0 = tau0/omega, quadratic-cubic solids through
+        # E2 = 1/omega.  Reference: the component assembly a = grad(lam).d+,
+        # b = -l+.grad(f).d+ in 60 digits on the same float inputs; draws
+        # whose exact a or b is not a normal float are skipped
+        rng = np.random.default_rng(35)
+        counted = 0
+        for k in range(-200, 201):
+            for draw in (functools.partial(random_fluid, kind="newtonian"),
+                         functools.partial(random_fluid, kind="regularized"),
+                         random_solid, random_solid):
+                model = draw(rng)
+                om = 10.0 ** (k + rng.uniform())
+                if isinstance(model, SolidParams):
+                    model = dataclasses.replace(model, E2=1.0 / om)
+                else:
+                    model = dataclasses.replace(model, mu0=model.tau0 / om)
+                a_ref, b_ref = _exact_ab(model)
+                if not all(sys.float_info.min <= abs(x) <= sys.float_info.max
+                           for x in (a_ref, b_ref)):
+                    continue
+                wc = coefficients_ab(model)
+                for a, b in ((wc.a, wc.b), assemble_ab_numeric(model)):
+                    assert abs(a - a_ref) <= 1e-12 * abs(a_ref), (model, a, a_ref)
+                    assert abs(b - b_ref) <= 1e-12 * abs(b_ref), (model, b, b_ref)
+                assert k_condition(model).full_K == (wc.b > 0.0), model
+                counted += 1
+        assert counted > 1500
 
     def test_solid_specialization_randomized(self, rng):
         for _ in range(200):

@@ -175,6 +175,34 @@ class TestAnalyzeCommand:
         assert report["case"] == "dissipative_finite"
         assert report["k_condition"]["full_K"] is True
 
+    def test_a_solid_of_tiny_e2_reports_finite_coefficients(self, capsys, tmp_path):
+        # omega = 1/E2 = 1e100: the closed forms keep a, b and pi_cr finite,
+        # and simulate's prediction column with them
+        d = json.loads(bundled_config_path("rubber.json").read_text())
+        d["solid"]["E2"] = 1e-100
+        d["sim"].update(n_cells=200, t_end=0.05, output_every=0.025)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["case"] == "dissipative_finite"
+        assert all(math.isfinite(report[k]) and report[k] != 0.0 for k in ("a", "b", "pi_cr"))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+        assert len(rows) == 3 and all(math.isfinite(float(row[2])) for row in rows)
+
+    def test_a_fluid_of_tiny_tau0_runs_the_amplitude_law(self, capsys, tmp_path):
+        # omega = tau0/mu0 = 1e-150: omega**3 underflowed to 0 in the old forms
+        d = _fluid_dict({"kind": "newtonian"})
+        d["fluid"]["tau0"] = 1e-150
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "amplitude", "--config", str(path), "--pi0", "1")
+        assert code == 0 and err == ""
+        assert "nan" not in out
+
     def test_outcome_block_with_pi0(self, capsys, tmp_path):
         path = tmp_path / "rubber.json"
         path.write_text(json.dumps(RUBBER_DICT))

@@ -549,6 +549,25 @@ class TestValidation:
             simulate(model, grid, ic, 0.25, output_every=0.0125)
         assert steps == []
 
+    def test_a_run_over_the_step_budget_is_refused_before_it_allocates(self):
+        # rubber.json's kink on 8e6 cells needs about 6.3e6 steps: refused
+        # before x, the state rows and the work buffers (about 42 rows of
+        # 8e6 floats) are built
+        model = load_scenario("rubber.json").material
+        grid = Grid(x_min=0.0, x_max=26.0, n_cells=8_000_000, cfl=0.9)
+        ic = KinkIC(x_front=4.5, pi0=32.0, ramp_width=2.0)
+
+        def refused():
+            with pytest.raises(SimulationError, match=r"^the run needs at least "):
+                simulate(model, grid, ic, 0.25, output_every=0.0125)
+
+        assert _traced_peak(refused) < 1_000_000
+
+    def test_a_kink_that_does_not_fit_is_refused_before_the_step_budget(self):
+        model, _, grid, ic = _rubber_setup(500, 0.1)
+        with pytest.raises(ValueError, match=r"^kink profile does not fit inside the domain$"):
+            simulate(model, grid, dataclasses.replace(ic, x_front=80.0), t_end=1e300)
+
     @pytest.mark.parametrize("x_front", [11.9, 0.0, 68.0, 80.0])
     def test_kink_must_fit_inside_the_domain(self, x_front):
         # the front, and the return to equilibrium 2*ramp_width behind it
