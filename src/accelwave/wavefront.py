@@ -27,19 +27,19 @@ before it and finiteness after.  Boundaries are zero-gradient.
 
 The minmod limiter is taken in clip form, min(max(a, min(b, 0)), max(b, 0)),
 with the zero rule that it is +0.0 wherever a*b <= 0, also where the product
-of two same-signed slopes underflows.  One W'' per step serves both the CFL
-step and the Rusanov speeds, those of the faster of each interface's two
-cells (local Lax-Friedrichs: Rusanov 1961; LeVeque 2002).  Each step
-evaluates W'' once, on its window's cells, after checking F > 0, and checks
-om*W'' + 1 > 0, each by one reduction that also rejects NaN; the source
-leaves F unchanged.  The largest discriminant is om*max(W'') + 1, as x ->
-fl(fl(om*x) + 1) is monotone for om > 0, and division by rho*om > 0 and sqrt
-are correctly rounded, so its root is bit for bit the largest speed.  The
-predicted interface states, on which T is evaluated, take the stretch check
-only (it catches a NaN velocity too); the cell edges take none: a limited
-edge lies between its cell and the mean with a neighbour.  A linear or
-non-relaxing run is a choice of material, not of solver: QuadraticCubic(R=0)
-has a = 0, and a solid with tau0 = inf has b = 0.
+of two same-signed slopes underflows.  One W'' per step serves the CFL step,
+the Hancock predictor, whose half-step -(dt/dx)*A*h on the half slopes h
+takes no T at the cell edges (van Leer 1984; Toro 2009, 14.4), and the
+Rusanov speeds, those of the faster of each interface's two cells (local
+Lax-Friedrichs: Rusanov 1961; LeVeque 2002).  A step evaluates W'' once, on
+its window's cells, after checking F > 0, and checks om*W'' + 1 > 0, each by
+one reduction that also rejects NaN; the source leaves F unchanged.  The
+largest discriminant is om*max(W'') + 1, as x -> fl(fl(om*x) + 1) is monotone
+for om > 0, and division by rho*om > 0 and sqrt are correctly rounded, so its
+root is bit for bit the largest speed.  The predicted interface states, on
+which T is evaluated, take the stretch check only (it catches a NaN velocity
+too).  A linear or non-relaxing run is a choice of material, not of solver:
+QuadraticCubic(R=0) has a = 0, and a solid with tau0 = inf has b = 0.
 
 Every step, the first included, steps the window _window(*span): the span
 and two cells on each side.  The span is the padded cells between two tails
@@ -76,13 +76,13 @@ row by row, and the limiter and the flux difference run on their rows laid
 end to end; the finiteness check is one product of the window with weights.
 
 On a window of a few hundred cells most of a step is the fixed cost of its
-about 90 numpy calls.  So every constant operand is a 0-d float64 array,
+about 85 numpy calls.  So every constant operand is a 0-d float64 array,
 which a ufunc takes for about 0.35 us against 0.6 us for a Python float,
 with the same bits: the material's (see :mod:`accelwave.materials`) and the
-plan's 0.5*dt/dx and dt/dx.  And the checks and the CFL step read a row's
-least or largest value as the entry argmin or argmax picks, at a third of
-the cost of min or max: the first NaN wherever those give NaN, else an
-equal value (a zero's sign may differ, which F > 0 and om*W'' + 1 ignore).
+plan's dt/dx.  And the checks and the CFL step read a row's least or largest
+value as the entry argmin or argmax picks, at a third of the cost of min or
+max: the first NaN wherever those give NaN, else an equal value (a zero's
+sign may differ, which F > 0 and om*W'' + 1 ignore).
 The work around the calls is kept small too: a plan is about 90 views,
 built about 20 times a run, and views that are free at some point of a step
 serve as scratch there (see :class:`_Plan`).
@@ -275,7 +275,7 @@ def _checked_W2(F: np.ndarray, model: MaterialModel, n_cells: int, first: int = 
     into out if given (scratch: a second array of F's shape), after the
     stretch check and the check om*W'' + 1 > 0 of the discriminants, which
     raises SimulationError naming the first failing cell.  One W'' row a
-    step serves both the CFL step and the Rusanov speeds."""
+    step serves the CFL step, the predictor and the Rusanov speeds."""
     _check_stretch(F, n_cells, first)
     W2 = model.elastic.W2(F, model, out=out, scratch=scratch)
     if not model.omega * W2.item(W2.argmin()) + 1.0 > 0.0:
@@ -314,11 +314,11 @@ def _window(lo: int, hi: int, n: int) -> tuple[int, int]:
 def _work(n: int) -> dict[str, np.ndarray]:
     """Flat scratch of the step plans for windows of up to n padded cells, by
     rows per cell: a plan reshapes a leading part of each to its shape."""
-    rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "g": 4, "sh": 2, "face": 6,
+    rows = {"d": 3, "half": 3, "s": 3, "mask": 3, "e": 6, "sh": 2, "face": 6, "f": 4,
             "speed": 1, "jump": 3, "flux": 3, "du": 3, "w2": 1, "tmp": 1}
     # the finiteness check's weights 2**-k, 2**k > 2n: a finite row's sum never overflows
     return {"weights": np.full(n, 0.5 ** (n.bit_length() + 1)),
-            "half_dt_dx": np.empty(()), "dt_dx": np.empty(()),   # of a step
+            "dt_dx": np.empty(()),   # of a step
             **{k: np.empty(r * n) for k, r in rows.items()}}
 
 
@@ -327,12 +327,12 @@ class _Plan:
     of the window cells = (a, b) of padded cells takes, built once per
     window.  The M = b - a - 2 inner cells have (3, 2, M) pairs of (left,
     right) edge states, and their M - 1 interfaces (3, 2, M - 1) pairs.
-    w2 and tmp hold W'' of the window's cells, for both the CFL step and
-    the Rusanov speeds, and its scratch.  Views free at some point of a step
-    are scratch there: tmp and rows of speed and jump, which the step writes
-    before it reads, for the source's relax, sh for the edge T, and a row
-    pair of the jump for the interface T.  The finiteness check takes a row
-    of weights."""
+    w2 and tmp hold W'' of the window's cells, for the CFL step, the
+    predictor and the Rusanov speeds, and its scratch.  Views free at some
+    point of a step are scratch there: tmp and rows of speed and jump, which
+    the step writes before it reads, for the source's relax, and a row pair
+    of the jump for the interface T.  The finiteness check takes a row of
+    weights."""
 
     def __init__(self, q: np.ndarray, cells: tuple[int, int],
                  work: dict[str, np.ndarray]):
@@ -356,11 +356,11 @@ class _Plan:
         self.limiter = (d[:3 * M + 2], d[1:3 * M + 3], half[:3 * M + 2], work["s"][:3 * M + 2],
                         work["mask"][:3 * M + 2])
         self.half = half[:3 * (M + 1)].reshape(3, M + 1)[:, :M]
-        e, g = work["e"][:6 * M].reshape(3, 2, M), work["g"][:4 * M].reshape(2, 2, M)
-        self.sh = sh = work["sh"][:2 * M].reshape(2, M)
+        e = work["e"][:6 * M].reshape(3, 2, M)
         self.e_left, self.e_right = e[:, 0], e[:, 1]
-        self.g_left, self.g_right = g[:, 0], g[:, 1]
-        self.edge_rows = (*_rows(e), *_pair(g), sh)
+        # the predictor's shifts (momentum; F and omega*sigma) from h and W''
+        self.sh = sh = work["sh"][:2 * M].reshape(2, M)
+        self.half_rows, self.sh_rows, self.w2_in = _rows(self.half), _pair(sh), self.w2[1:-1]
         # interface states: right edge of cell i vs left edge of cell i+1,
         # each an edge plus its cell's shift (shared by the F and omega*sigma
         # rows), out of place: numpy copies an in-place operand it broadcasts
@@ -371,7 +371,7 @@ class _Plan:
                         (e[1:, 1, :-1], sh[1, :-1], left[1:]),
                         (e[0, 0, 1:], sh[0, 1:], rights[0]),
                         (e[1:, 0, 1:], sh[1, 1:], right[1:]))
-        self.f = f = work["g"][:4 * (M - 1)].reshape(2, 2, M - 1)
+        self.f = f = work["f"][:4 * (M - 1)].reshape(2, 2, M - 1)
         self.f_left, self.f_right = f[:, 0], f[:, 1]
         # the jump (right - left)*speed, row by row, in place
         self.jump = work["jump"][:K].reshape(3, M - 1)
@@ -387,8 +387,7 @@ class _Plan:
         # that du skips
         self.flux_diff = (fl[1:], fl[:-1], du[:-1])
         self.du = du.reshape(3, M - 1)[:, :M - 2]
-        # 0.5*dt/dx and dt/dx of the step
-        self.half_dt_dx, self.dt_dx = work["half_dt_dx"], work["dt_dx"]
+        self.dt_dx = work["dt_dx"]   # of the step
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
@@ -412,10 +411,10 @@ def _minmod(a: np.ndarray, b: np.ndarray, out=None, scratch=None,
 
 
 def _edge_flux(mom, F, osig, out_s, out_v, scratch, model: MaterialModel) -> None:
-    """From the rows (rho*v, F, omega*sigma) of edge states, T(F) + sigma
-    into out_s and v into out_v (scratch: an array of their shape).  The
-    flux is their negative: the momentum row -(T + sigma), and -v, which the
-    F and omega*sigma rows share."""
+    """From the rows (rho*v, F, omega*sigma) of interface states, T(F) +
+    sigma into out_s and v into out_v (scratch: an array of their shape).
+    The flux is their negative: the momentum row -(T + sigma), and -v, which
+    the F and omega*sigma rows share."""
     T = model.elastic.T(F, model, out=out_s, scratch=scratch)
     np.add(T, np.divide(osig, model._consts.om, out=scratch), out=out_s)
     np.divide(mom, model._consts.rho, out=out_v)
@@ -427,13 +426,14 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     the plan p, whose views hold every array of the step.  Precondition:
     p.w2 holds the checked W'' of the window's cells (see :func:`_checked_W2`).
 
-    Edge states are held as (3, 2, M) pairs, so T is evaluated once per
-    pair: the (left, right) edges of each cell for the predictor, then the
-    (left, right) states of each interface for the Rusanov flux, whose F
-    row is checked once.  The Rusanov speed between cells i and i+1 is
-    0.5*sqrt((om*max(W''_i, W''_i+1) + 1)/(rho*om)), bit for bit the larger
-    of their two speeds.  Every array of the step is a view of the plan, so
-    the step allocates none.
+    The predictor shifts both edges q -+ h of inner cell i, h = (h_m, h_F,
+    h_S) its half slopes, by -(dt/dx)*A_i*h = (dt/dx)*(W''_i*h_F + h_S/om,
+    h_m/rho, h_m/rho): for a quadratic T the flux difference, else within
+    O(h**3) of it.  T is evaluated once, on the (3, 2, M - 1) pairs of
+    (left, right) interface states, after one check of their F row.  The
+    Rusanov speed between cells i and i+1, 0.5*sqrt((om*max(W''_i, W''_i+1)
+    + 1)/(rho*om)), is bit for bit the larger of their two speeds.  Every
+    array of the step is a view of the plan, so the step allocates none.
     """
     k = model._consts
     # limited slopes on cells 1 .. m-2
@@ -443,12 +443,13 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     half *= _NUM.half
     np.subtract(p.w_mid, p.half, out=p.e_left)
     np.add(p.w_mid, p.half, out=p.e_right)
-    # half-step predictor from the rows g = -flux: c*(f_L - f_R) = c*(g_R - g_L)
-    # exactly; the shift of the F and omega*sigma rows is the same
-    _edge_flux(*p.edge_rows, model)
-    sh = np.subtract(p.g_right, p.g_left, out=p.sh)
-    p.half_dt_dx[()] = 0.5 * dt / dx
-    sh *= p.half_dt_dx
+    (h_m, h_F, h_S), (sh_m, sh_v) = p.half_rows, p.sh_rows
+    np.multiply(p.w2_in, h_F, out=sh_m)
+    np.divide(h_S, k.om, out=sh_v)
+    sh_m += sh_v
+    np.divide(h_m, k.rho, out=sh_v)
+    p.dt_dx[()] = dt / dx
+    p.sh *= p.dt_dx
     for edge, shift, state in p.shifted:
         np.add(edge, shift, out=state)
     _check_stretch(p.face_F, p.n_cells, p.cells[0])
@@ -469,7 +470,6 @@ def _hyperbolic_step(p: _Plan, dt: float, dx: float, model: MaterialModel) -> No
     p.flux_s[:] = p.flux_F
     p.flux -= p.jump
     du = np.subtract(*p.flux_diff)
-    p.dt_dx[()] = dt / dx
     du *= p.dt_dx
     p.w_in -= p.du
 

@@ -20,9 +20,9 @@ def _result(wall_cal, speed=1.0):
             "metrics": {"wall_cal": {"value": wall_cal}, "speed": {"value": speed}}}
 
 
-def _trees(tmp_path):
+def _trees(tmp_path, sides=("parent", "change")):
     trees = {}
-    for side in ("parent", "change"):
+    for side in sides:
         trees[side] = tmp_path / side
         trees[side].mkdir()
         (trees[side] / "BENCHMARK.json").write_text(json.dumps(_SPEC))
@@ -30,9 +30,10 @@ def _trees(tmp_path):
 
 
 def _main(trees, out, seeds):
+    control = ["--control", str(trees["control"])] if "control" in trees else []
     return bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
-                             "--workload", "fv_stiff", "--seeds", seeds, "--seconds", "1",
-                             "--out", str(out)])
+                             *control, "--workload", "fv_stiff", "--seeds", seeds,
+                             "--seconds", "1", "--out", str(out)])
 
 
 @pytest.mark.parametrize("seeds", ["5", "5-5", "7-6"])
@@ -69,9 +70,11 @@ def test_runs_alternate_and_are_written(tmp_path, monkeypatch):
     assert report["metrics"]["speed"]["gain_rule_met"] is False
 
 
-def _summary(parent, change, speeds=None):
+def _summary(parent, change, speeds=None, control=None):
     runs = {"parent": [_result(p) for p in parent],
             "change": [_result(c, s) for c, s in zip(change, speeds or [1.0] * len(change))]}
+    if control is not None:
+        runs["control"] = [_result(c) for c in control]
     return bench_pairs.summarize(runs, _SPEC)
 
 
@@ -106,3 +109,39 @@ def test_gain_rule_of_a_metric_where_higher_is_better():
     assert m["change_better_in"] == "10 of 10" and m["gain_rule_met"] is True
     m = _summary(PARENT, PARENT, speeds=[0.5] * 10)["speed"]
     assert m["change_better_in"] == "0 of 10" and m["gain_rule_met"] is False
+
+
+def test_a_control_runs_in_the_same_alternating_pairs(tmp_path, monkeypatch):
+    calls = []
+
+    def run_bench(tree, workload, seed, seconds):
+        calls.append(tree.name)
+        return _result({"parent": 100.0, "change": 90.0, "control": 101.0}[tree.name])
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    trees, out = _trees(tmp_path, ("parent", "change", "control")), tmp_path / "pairs.json"
+    assert _main(trees, out, "1-2") == 0
+    assert calls == ["parent", "change", "control", "control", "change", "parent"]
+    report = json.loads(out.read_text())["fv_stiff"]
+    assert report["first"] == ["parent", "control"]
+    assert report["correct_failed"]["control"] == [[True, 0]] * 2
+    wall = report["metrics"]["wall_cal"]
+    assert wall["control"]["runs"] == [101.0, 101.0]
+    assert wall["control_change"] == pytest.approx(0.01)
+    assert wall["gain_rule_met"] is True
+
+
+def test_without_a_control_no_control_figures_are_written():
+    m = _summary(PARENT, [p - 1.0 for p in PARENT])["wall_cal"]
+    assert "control" not in m and "control_change" not in m
+
+
+def test_gain_rule_needs_a_median_move_above_the_controls():
+    # 10 of 10 pairs and a gap of 1.0 cal, above the parent IQR of 0.75
+    change = [p - 1.0 for p in PARENT]
+    m = _summary(PARENT, change, control=[p - 0.5 for p in PARENT])["wall_cal"]
+    assert m["control_change"] == pytest.approx(-0.005) and m["gain_rule_met"] is True
+    # an identical tree that moved as far, either way, leaves no gain
+    for offset in (-1.0, 1.5):
+        m = _summary(PARENT, change, control=[p + offset for p in PARENT])["wall_cal"]
+        assert m["change_better_in"] == "10 of 10" and m["gain_rule_met"] is False

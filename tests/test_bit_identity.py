@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -25,10 +26,15 @@ def _trees(tmp_path, without=None):
     return trees
 
 
-def _stub(monkeypatch, digest="d", stdout="out", snapshot="x,v"):
-    """A fake _python: the change tree's FV digest of op 1 of fv_stiff seed
-    7, stdout of amplitude rubber json and snapshot file of simulate rubber
-    --out are the given values; every other output is the same in both."""
+_TRACE = {"t": [0.0, 1.0], "measured_pi": [2.0, 4.0]}
+_CSV = "t,measured_pi\n0.0,2.0\n1.0,4.0\n# {}\n"
+
+
+def _stub(monkeypatch, digest="d", stdout="out", snapshot="x,v", pi=4.0, csv=_CSV):
+    """A fake _python: the change tree's FV digest and last measured_pi of
+    op 1 of fv_stiff seed 7, stdout of amplitude rubber json and of
+    simulate newtonian csv, and the snapshot file of simulate rubber --out
+    are the given values; every other output is the same in both."""
     calls = []
 
     def python(tree, args, cwd):
@@ -36,11 +42,13 @@ def _stub(monkeypatch, digest="d", stdout="out", snapshot="x,v"):
         change = tree.name == "change"
         if args[0] == "-c":
             names, seeds = args[2].split(","), args[3].split(",")
-            digests = {f"{n} seed {s} op {i} (simulate)": "d" for n in names for s in seeds
-                       for i in range(2)}
-            if change and "fv_stiff seed 7 op 1 (simulate)" in digests:
-                digests["fv_stiff seed 7 op 1 (simulate)"] = digest
-            return 0, json.dumps(digests), ""
+            assert args[4].split(",") == list(bit_identity.TRACE)
+            items = {f"{n} seed {s} op {i} (simulate)": ["d", _TRACE] for n in names
+                     for s in seeds for i in range(2)}
+            if change and "fv_stiff seed 7 op 1 (simulate)" in items:
+                items["fv_stiff seed 7 op 1 (simulate)"] = [
+                    digest, {**_TRACE, "measured_pi": [2.0, pi]}]
+            return 0, json.dumps(items), ""
         argv = args[2:]
         if "--out" in argv:
             (cwd / "out.csv").write_text("t,measured_pi")
@@ -48,6 +56,8 @@ def _stub(monkeypatch, digest="d", stdout="out", snapshot="x,v"):
             (cwd / "out.csv.snapshot.csv").write_text(snapshot if rubber else "x,v")
         if change and argv[:3] == ["amplitude", "--config", "rubber.json"] and "json" in argv:
             return 0, stdout, ""
+        if argv[:3] == ["simulate", "--config", "newtonian.json"] and "csv" in argv:
+            return 0, csv if change else _CSV, ""
         return 0, "out", ""
 
     monkeypatch.setattr(bit_identity, "_python", python)
@@ -69,13 +79,53 @@ def test_equal_trees_exit_0_and_every_item_is_counted(tmp_path, monkeypatch, cap
 
 
 def test_each_differing_item_is_named_and_exits_1(tmp_path, monkeypatch, capsys):
-    _stub(monkeypatch, digest="other", stdout="other", snapshot="x,v,F")
+    _stub(monkeypatch, digest="other", stdout="other", snapshot="x,v,F", pi=5.0,
+          csv=_CSV.replace("1.0,4.0", "1.0,4.000001"))
     assert _main(_trees(tmp_path), "--seeds", "1,7") == 1
+    # a trace item is sized column by column: 1/4 and 1e-6/4 of the
+    # columns' largest values; the --out trace did not move, its snapshot did
     assert capsys.readouterr().out.splitlines() == [
         "differs: fv_stiff seed 7 op 1 (simulate)",
+        "  max|change|/max|value|: t 0, measured_pi 0.25",
         "differs: simulate rubber --out",
+        "  max|change|/max|value|: t 0, measured_pi 0",
         "differs: amplitude rubber json",
-        "36 of 39 items equal"]
+        "differs: simulate newtonian csv",
+        "  max|change|/max|value|: t 0, measured_pi 2.5e-07",
+        "35 of 39 items equal"]
+
+
+def test_trace_columns_read_csv_json_and_out_files():
+    json_text = json.dumps({"columns": ["t", "measured_pi"], "meta": {},
+                            "rows": [{"t": 0.0, "measured_pi": "nan"},
+                                     {"t": 1.0, "measured_pi": 4.0}]})
+    got = bit_identity.trace_columns("simulate rubber json", (0, json_text, "", {}))
+    assert got["t"] == [0.0, 1.0] and got["measured_pi"][1] == 4.0
+    assert math.isnan(got["measured_pi"][0])
+    assert bit_identity.trace_columns("simulate rubber csv", (0, _CSV, "", {})) == _TRACE
+    out = (0, "", "", {"out.csv": _CSV, "out.csv.snapshot.csv": "x,v"})
+    assert bit_identity.trace_columns("simulate rubber --out", out) == _TRACE
+    assert bit_identity.trace_columns("fv_oracle seed 1 op 0 (simulate n=500)",
+                                      ["d", _TRACE]) == _TRACE
+    # a failed command's output and a command that writes no trace
+    assert bit_identity.trace_columns("simulate rubber csv", (3, "", "error", {})) is None
+    assert bit_identity.trace_columns("simulate rubber csv", (0, "t\nx\n", "", {})) is None
+    assert bit_identity.trace_columns("analyze rubber csv", (0, _CSV, "", {})) is None
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    ([1.0, -2.0, 4.0], [1.0, -2.0, 4.0], 0.0),
+    ([1.0, -2.0, 4.0], [1.0, -2.5, 4.0], 0.125),
+    ([math.nan, 2.0], [math.nan, 2.5], 0.25),            # NaN on both sides: skipped
+    ([math.inf, 2.0], [math.inf, 2.0], 0.0),
+    ([0.0, -0.0], [-0.0, 0.0], 0.0),                      # zeros of either sign are equal
+    ([0.0, 0.0], [0.0, 1e-300], math.inf),                # a zero column moved
+    ([math.nan, 2.0], [1.0, 2.0], math.nan),              # NaN on one side only
+    ([1.0, 2.0], [1.0], math.nan),                        # lengths differ
+])
+def test_column_change(parent, change, want):
+    got = bit_identity.column_change(parent, change)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_seeds_reach_the_fv_runs(tmp_path, monkeypatch, capsys):

@@ -35,6 +35,7 @@ from accelwave import (
 from accelwave.materials import production_jacobian
 from conftest import (
     RANDOM_FAMILIES,
+    penn_solid,
     random_fluid,
     random_mr_solid,
     random_solid,
@@ -538,3 +539,92 @@ class TestDispersion:
         # each rate's relative error moves the slope by at most its share
         spread = (bounds[1:] / rates[1:] + bounds[:-1] / rates[:-1]) / np.diff(np.log(eps))
         assert np.all(np.abs(slope + sing.n) <= spread)
+
+
+class TestSymbolicDerivation:
+    """a = grad(lam).d and b = -l.grad(f).d derived in sympy from the A(u)
+    that quasilinear_matrix builds, with a generic potential W(F) and
+    production P(F, sigma), against the closed forms; and the paper's sign
+    facts per law family, for every positive constant."""
+
+    @staticmethod
+    @functools.cache
+    def _derived():
+        import sympy as sp
+        F, sigma, rho, om = sp.symbols("F sigma rho omega", positive=True)
+        W, P = sp.Function("W")(F), sp.Function("P")(F, sigma)
+        generic = dataclasses.make_dataclass("Generic", ["elastic", "rho_star", "omega"])
+        elastic = dataclasses.make_dataclass("Elastic", [])
+        elastic.W2 = lambda self, F, model: W.diff(F, 2)
+        # the library's float entries (1.0, 0.0) read as exact rationals
+        A = sp.Matrix(quasilinear_matrix(generic(elastic(), rho, om),
+                                         StateVector(v=0, F=F, sigma=sigma)))
+        A = A.applyfunc(sp.nsimplify)
+        disc = om * W.diff(F, 2) + 1
+        lam = sp.sqrt(disc / (rho * om))
+        # the +lam null vectors, normalized as eigensystem does: d[1] = 1/lam**2, l.d = 1
+        (d,), (l,) = (A - lam * sp.eye(3)).nullspace(), (A.T - lam * sp.eye(3)).nullspace()
+        d = d / d[1] / lam ** 2
+        l = l / l.dot(d)
+        u = (sp.Symbol("v"), F, sigma)
+        grad_lam = sp.Matrix([[lam.diff(x) for x in u]])
+        grad_f = sp.Matrix([[0, 0, 0], [0, 0, 0], [(P / om).diff(x) for x in u]])
+        a, b = (grad_lam * d)[0], -(l.T * grad_f * d)[0]
+        return sp, (F, sigma, rho, om, W, P), disc, lam, a, b
+
+    def test_a_and_b_are_the_closed_forms(self):
+        sp, (F, sigma, rho, om, W, P), disc, lam, a, b = self._derived()
+        assert sp.cancel(a - W.diff(F, 3) / (2 * rho * lam ** 3)) == 0
+        # b also carries -P_F/(2*disc), which every law's P_F(1, 0) = 0 removes
+        closed = -(P.diff(sigma) / om) / (2 * disc)
+        assert sp.cancel(b - closed + P.diff(F) / (2 * disc)) == 0
+
+    @pytest.mark.parametrize("model", [rubber_solid(), penn_solid(), unit_fluid(),
+                                       unit_fluid(PowerLaw(k_cons=2.0, m=1.0))])
+    def test_derived_forms_give_coefficients_ab(self, model):
+        # the derived a, b at the material's W'', W''', P_F and P_sigma at
+        # equilibrium, in 30 digits, against the library's closed forms
+        sp, (F, sigma, rho, om, W, P), _, _, a, b = self._derived()
+        jac = production_jacobian(model, 1.0, 0.0)
+        values = {W.diff(F, 3): model.elastic.W3(1.0, model),
+                  W.diff(F, 2): model.elastic.W2(1.0, model),
+                  P.diff(F): jac.P_F, P.diff(sigma): jac.P_sigma,
+                  rho: model.rho_star, om: model.omega}
+        got = [sp.N(x.subs(values).subs(F, 1), 30) for x in (a, b)]
+        wc = coefficients_ab(model)
+        assert jac.P_F == 0.0
+        assert float(got[0]) == pytest.approx(wc.a, rel=1e-14)
+        assert float(got[1]) == pytest.approx(wc.b, rel=1e-14)
+
+    def test_sign_facts_per_law_family(self):
+        sp, (F, sigma, rho, om, W, P), _, _, _, b = self._derived()
+        E1, E2, tau0, q, c, eps, n, w2 = sp.symbols("E1 E2 tau0 q c epsilon n w2",
+                                                    positive=True)
+
+        def b_eq(P_law, omega, W2):
+            # the derived b of a production P_law smooth at F = 1, sigma = 0
+            law = b.subs(P, P_law).doit().subs({W.diff(F, 2): W2, om: omega})
+            return law.subs({F: 1, sigma: 0})
+
+        # the solid (omega = 1/E2, the Maxwell P with mu0 = E2*tau0, and
+        # W''(1) = E1): b = E2/(2*tau0*(E1 + E2)) > 0, so every viscoelastic
+        # solid satisfies the weak K-condition
+        b_solid = b_eq(-sigma * F ** q / (E2 * tau0), 1 / E2, E1)
+        assert sp.cancel(b_solid - E2 / (2 * tau0 * (E1 + E2))) == 0
+        assert b_solid.is_positive
+        # the power law -F*c*sigma**(1/m) at sigma -> 0+: P_F -> 0 and
+        # P_sigma(1, 0+) is 0, -c and -inf at m = 1/2, 1 and 2, so by the
+        # closed form b is 0 (every amplitude blows up), positive, and inf
+        # (the singular limit)
+        laws = [-F * c * sigma ** (1 / m) for m in (sp.Rational(1, 2), sp.Integer(1),
+                                                    sp.Integer(2))]
+        slopes = [sp.limit(law.diff(sigma).subs(F, 1), sigma, 0, "+") for law in laws]
+        assert [sp.limit(law.diff(F), sigma, 0, "+") for law in laws] == [0, 0, 0]
+        assert slopes == [0, -c, -sp.oo]
+        b_power = [-(slope / om) / (2 * (om * w2 + 1)) for slope in slopes]
+        assert b_power[0] == 0 and b_power[1].is_positive and b_power[2] == sp.oo
+        # the regularized law -F*c*(eps + sigma)**(-n)*sigma: b = b0*eps**(-n),
+        # with the singular limit's b0 = (c/omega)/(2*disc)
+        b_reg = b_eq(-F * c * (eps + sigma) ** (-n) * sigma, om, w2)
+        assert sp.cancel(b_reg - (c / om) / (2 * (om * w2 + 1)) * eps ** (-n)) == 0
+        assert b_reg.is_positive

@@ -327,6 +327,43 @@ class TestOracleAgreement:
         assert res.trace.steepening_time is None
 
 
+def _fast_bump(model, length, n_cells, amp=1e-3):
+    """(v, F, sigma) cell rows at t_end = 0.2*length/lam0 from a smooth bump
+    amp*cos(pi*s/2)**4 * d+ (|s| < 1, s = (x - 0.4*length)/(0.1*length), d+
+    the fast right eigenvector scaled to |d_F| = 1) on [0, length], and the
+    bump's amplitude in each row."""
+    eig = eigensystem(model, equilibrium_state())
+    grid = Grid(x_min=0.0, x_max=length, n_cells=n_cells, cfl=0.9)
+    s = ((np.arange(n_cells) + 0.5) * grid.dx - 0.4 * length) / (0.1 * length)
+    bump = np.where(np.abs(s) < 1.0, np.cos(0.5 * np.pi * s) ** 4, 0.0)
+    d = eig.d_plus / abs(eig.d_plus[1])
+    stepper = _Stepper(model, grid, _padded_state(
+        model, [amp * di * bump + base for di, base in zip(d, (0.0, 1.0, 0.0))]))
+    t_end = 0.2 * length / eig.lam
+    stepper.advance_to(t_end, t_end)
+    q = stepper.q[:, _NG:-_NG]
+    return np.stack([q[0] / model.rho_star, q[1], q[2] / model.omega]), amp * np.abs(d)
+
+
+class TestOrderOfAccuracy:
+    @pytest.mark.parametrize("model, length", [(rubber_solid(), 50.0), (unit_fluid(), 10.0)])
+    def test_smooth_fast_wave_converges_at_second_order(self, model, length):
+        # the L1 error of each row over its bump amplitude, against the
+        # cell means of a 4x finer run than the finest; the bump moves 0.2
+        # of the domain (rubber relaxes by exp(-0.4), the fluid by exp(-0.35))
+        # and no signal reaches a boundary
+        ref, scale = _fast_bump(model, length, 3200)
+        errors = []
+        for n in (200, 400, 800):
+            u, _ = _fast_bump(model, length, n)
+            assert np.all(u[:, :4] == [[0.0], [1.0], [0.0]])
+            assert np.all(u[:, -4:] == [[0.0], [1.0], [0.0]])
+            mean = ref.reshape(3, n, 3200 // n).mean(axis=2)
+            errors.append((np.abs(u - mean).sum(axis=1) / scale).sum() / n)
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(orders >= 1.5), orders
+
+
 _ENERGY_MODELS = [rubber_solid(), penn_solid(), unit_fluid(),
                   unit_fluid(PowerLaw(k_cons=1.0, m=0.5)),
                   unit_fluid(RegularizedPowerLaw(k_cons=1.0, m=2.0, eps=1e-2))]
@@ -584,26 +621,39 @@ def _reference_minmod(a, b):
     return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
 
 
-def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, lam_fn):
-    def flux(qc):
-        v = qc[0] / rho
-        F = qc[1]
-        sig = qc[2] / om
-        return np.stack([-(T_fn(F) + sig), -v, -v])
+def _flux(qc, rho, om, T_fn):
+    """The flux (-(T + sigma), -v, -v) of the conserved states qc."""
+    v = qc[0] / rho
+    return np.stack([-(T_fn(qc[1]) + qc[2] / om), -v, -v])
 
+
+def _flux_difference_shift(q, h, dt_dx, rho, om, T_fn):
+    """The Hancock half-step shift of the edge states q -+ h of the cells q
+    as a flux difference, 0.5*dt/dx*(f(q - h) - f(q + h))."""
+    return 0.5 * dt_dx * (_flux(q - h, rho, om, T_fn) - _flux(q + h, rho, om, T_fn))
+
+
+def _quasilinear_shift(q, h, dt_dx, rho, om, W2_fn):
+    """The same shift in quasilinear form, -(dt/dx)*A(q)*h in conserved
+    variables: (dt/dx)*(W''*h_F + h_S/om, h_m/rho, h_m/rho)."""
+    shift_m = dt_dx * (W2_fn(q[1]) * h[1] + h[2] / om)
+    shift_v = dt_dx * (h[0] / rho)
+    return np.stack([shift_m, shift_v, shift_v])
+
+
+def _reference_hyperbolic_step(q, dt, dx, rho, om, T_fn, W2_fn):
     dql = q[:, 1:-1] - q[:, :-2]
     dqr = q[:, 2:] - q[:, 1:-1]
-    slope = _reference_minmod(dql, dqr)
-    qL = q[:, 1:-1] - 0.5 * slope
-    qR = q[:, 1:-1] + 0.5 * slope
-    shift = 0.5 * dt / dx * (flux(qL) - flux(qR))
-    qLb = qL + shift
-    qRb = qR + shift
+    h = 0.5 * _reference_minmod(dql, dqr)
+    shift = _quasilinear_shift(q[:, 1:-1], h, dt / dx, rho, om, W2_fn)
+    qLb = (q[:, 1:-1] - h) + shift
+    qRb = (q[:, 1:-1] + h) + shift
     left = qRb[:, :-1]
     right = qLb[:, 1:]
-    lam = lam_fn(q[1])   # the faster of each interface's two cells
-    s_max = np.maximum(lam[1:-2], lam[2:-1])
-    f_iface = 0.5 * (flux(left) + flux(right)) - 0.5 * s_max * (right - left)
+    lam = np.sqrt((om * W2_fn(q[1]) + 1.0) / (rho * om))
+    s_max = np.maximum(lam[1:-2], lam[2:-1])   # the faster of each interface's two cells
+    f_iface = (0.5 * (_flux(left, rho, om, T_fn) + _flux(right, rho, om, T_fn))
+               - 0.5 * s_max * (right - left))
     out = q.copy()
     out[:, _NG:-_NG] -= dt / dx * (f_iface[:, 1:] - f_iface[:, :-1])
     return out
@@ -666,10 +716,18 @@ def _assert_step_matches_reference(rng, model, scales, corners):
             _limiter_corners(q, rng)
         dt = 0.9 * dx / float(np.max(lam_fn(q[1])))
         ref = _reference_hyperbolic_step(q.copy(), dt, dx, rho, om,
-                                         lambda F: model.elastic.T(F, model), lam_fn)
+                                         lambda F: model.elastic.T(F, model),
+                                         lambda F: model.elastic.W2(F, model))
         new = q.copy()
         _step(new, dt, dx, model)
         assert new.tobytes() == ref.tobytes()
+
+
+def _predictor_shifts(model, q, h, dt_dx):
+    """(flux-difference, quasilinear) shifts of the cells q with half slopes h."""
+    rho, om = model.rho_star, model.omega
+    return (_flux_difference_shift(q, h, dt_dx, rho, om, lambda F: model.elastic.T(F, model)),
+            _quasilinear_shift(q, h, dt_dx, rho, om, lambda F: model.elastic.W2(F, model)))
 
 
 class TestBitIdenticalFastStep:
@@ -681,6 +739,34 @@ class TestBitIdenticalFastStep:
     def test_hyperbolic_step_matches_reference_on_limiter_corners(
             self, rng, name, model, scales):
         _assert_step_matches_reference(rng, model, scales, corners=True)
+
+    @pytest.mark.parametrize("name, model, scales", _STEP_CASES)
+    def test_quasilinear_predictor_against_the_flux_difference(self, rng, name, model,
+                                                                scales):
+        # T(F + h) - T(F - h) = 2h*W''(F) + h**3*W''''(F)/3 + O(h**5): where T
+        # is quadratic the two shifts agree to the rounding of the flux
+        # difference's operands; elsewhere the momentum rows differ by O(h**3)
+        q = _random_state(rng, model, 4000, *scales)
+        u = rng.uniform(-1.0, 1.0, q.shape)
+        dt_dx = 0.9 / float(np.max(_lam_fn(model)(q[1])))
+        rho, om, ulp = model.rho_star, model.omega, np.finfo(float).eps
+        diffs = []
+        for s_F in (1e-2, 5e-3):
+            h = u * [[scales[0] * rho], [s_F], [scales[2] * om]]
+            old, new = _predictor_shifts(model, q, h, dt_dx)
+            # the magnitudes the flux difference rounds: its terms, and the
+            # edge states whose rounding T and 1/rho carry into them
+            mom = (np.abs(model.elastic.T(q[1] - h[1], model))
+                   + np.abs(model.elastic.T(q[1] + h[1], model))
+                   + model.elastic.W2(q[1], model) * (np.abs(q[1]) + np.abs(h[1]))
+                   + 2.0 * (np.abs(q[2]) + np.abs(h[2])) / om)
+            vel = 2.0 * (np.abs(q[0]) + np.abs(h[0])) / rho
+            assert np.all(np.abs(old[1:] - new[1:]) <= 4.0 * ulp * 0.5 * dt_dx * vel)
+            if isinstance(model.elastic, QuadraticCubic):
+                assert np.all(np.abs(old[0] - new[0]) <= 4.0 * ulp * 0.5 * dt_dx * mom)
+            diffs.append(np.abs(old[0] - new[0]).max())
+        if not isinstance(model.elastic, QuadraticCubic):
+            assert 7.8 < diffs[0] / diffs[1] < 8.2
 
     def test_minmod_matches_reference_on_corner_pairs(self):
         a, b = np.meshgrid(_LIMITER_VALUES, _LIMITER_VALUES)

@@ -1,14 +1,15 @@
 """Paired benchmark runs of two source trees.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR \
+    python3 tools/bench_pairs.py --parent DIR --change DIR [--control DIR] \
         --workload fv_stiff [--workload fv_oracle ...] --seeds 71-80 \
         --seconds 35 --out BENCH_name.json [--what "..."]
 
 For each workload and seed, runs `python3 bench/run.py --workload W --seed S
---seconds T` once in each tree, one run at a time, and alternates which tree
-runs first from seed to seed: on a shared machine a fixed order biases one
-side by the drift between the two runs.  Each tree runs its own bench/ and
-src/ and is given by its root directory (a clone or export of a commit).
+--seconds T` once in each tree, one run at a time, in the order parent,
+change (, control) at the first seed and the reverse at the next: on a
+shared machine a fixed order biases one side by the drift between the runs.
+Each tree runs its own bench/ and src/ and is given by its root directory (a
+clone or export of a commit).  The control is an A/A copy of the parent.
 
 The JSON written to --out has, per workload, the seeds, which side ran
 first, each run's `correct` and `failed`, and per end-to-end metric of the
@@ -18,14 +19,16 @@ median, the parent's interquartile range, the pairs in which the change is
 better (a tie counts for neither side), whether the change's median is
 within the metric's bound, and `gain_rule_met`: whether the change is
 better in at least nine pairs of ten and its median better than the
-parent's by more than the parent's interquartile range.  A gain is claimed
-only where that holds.  At least two seeds are needed for the quartiles.
+parent's by more than the parent's interquartile range and, with a
+control, by more than the control's median differs from the parent's.  A
+gain is claimed only where that holds.  With a control, each metric also
+has the control's runs, quartiles and `control_change`, the relative change
+of its median.  At least two seeds are needed for the quartiles.
 
 Two identical trees in different directories have read about 2% apart on
 `fv_oracle` `wall_cal` (slower in 4 of 4 pairs), far more than the parent's
 interquartile range, so a claimed gain of a few percent is to be read
-against an A/A control: the same command with --change a second copy of
-the parent tree.
+against the control.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
     """Per-metric figures of the paired runs, for the end-to-end metrics of
-    spec (a BENCHMARK.json)."""
+    spec (a BENCHMARK.json); runs may hold a control's runs too."""
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -80,14 +83,19 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
         pairs = len(values["parent"])
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         gap = parent - change if lower else change - parent
+        floor, control = iqr, {}
+        if "control" in stats:
+            # an identical tree's move is noise that a gain must clear too
+            floor = max(iqr, abs(stats["control"]["median"] - parent))
+            control = {"control_change": stats["control"]["median"] / parent - 1.0}
         out[name] = {
             "unit": metric["unit"], **stats,
-            "median_change": rel,
+            "median_change": rel, **control,
             "parent_iqr": iqr,
             "change_better_in": f"{wins} of {pairs}",
             "bound": metric["bound"],
             "within_bound": (rel if lower else -rel) <= metric["bound"],
-            "gain_rule_met": 10 * wins >= 9 * pairs and gap > iqr,
+            "gain_rule_met": 10 * wins >= 9 * pairs and gap > floor,
         }
     return out
 
@@ -96,6 +104,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--control", type=Path, help="an A/A copy of the parent tree")
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True)
     p.add_argument("--seconds", type=float, default=35.0)
@@ -105,15 +114,17 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         p.error(f"--seeds names {len(args.seeds)} seed(s); the quartiles need at least two")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.control:
+        trees["control"] = args.control.resolve()
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     import numpy
     report = {"what": args.what, "python": platform.python_version(),
               "numpy": numpy.__version__, "machine": platform.machine()}
     for workload in args.workload:
-        runs = {"parent": [], "change": []}
+        runs = {side: [] for side in trees}
         first = []
         for i, seed in enumerate(args.seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             first.append(order[0])
             for side in order:
                 runs[side].append(run_bench(trees[side], workload, seed, args.seconds))

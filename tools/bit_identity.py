@@ -15,12 +15,20 @@ Each tree runs its own src/ in child processes, one at a time, and each CLI
 command in a new empty directory.  Exits 0 when every item is equal, 1
 naming each item that differs (or when a tree's FV runs cannot be made),
 and 2 when a tree has no src/accelwave or bench/workloads.py.
+
+A differing FV item or `simulate` output is followed by the size of the
+change in each trace column: the largest |change - parent| over the
+column's largest |parent value|, with entries equal on both sides (NaN
+included) skipped; nan where the column's length differs or an entry is
+NaN on one side only, inf where a zero column moved.  So a documented
+numerics change can be sized against its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,26 +39,30 @@ CONFIGS = ("rubber.json", "newtonian.json", "shear_thinning.json",
            "shear_thickening_eps.json")
 WORKLOADS = ("fv_oracle", "fv_stiff")
 REQUIRED = ("src/accelwave", "bench/workloads.py")
+TRACE = ("t", "measured_pi", "predicted_pi", "front_x", "energy", "max_sigma_production")
 
-# run in a tree's root: the digest of every operation, by item name, as JSON
+# run in a tree's root: the digest and trace columns of every operation, by
+# item name, as JSON
 _FV_SCRIPT = """
 import json, sys, tempfile
 from pathlib import Path
 sys.path.insert(0, "bench")
 import workloads
 names, seeds = sys.argv[1].split(","), [int(s) for s in sys.argv[2].split(",")]
-digests = {}
+trace = sys.argv[3].split(",")
+items = {}
 with tempfile.TemporaryDirectory() as tmp:
     for name in names:
         for seed in seeds:
             w = workloads.make(name, seed, Path(tmp))
             for i, op in enumerate(w.ops()):
                 try:
-                    digest = w.digest(op.run())
+                    res = op.run()
+                    item = [w.digest(res), {c: getattr(res.trace, c).tolist() for c in trace}]
                 except Exception as exc:
-                    digest = f"raised {type(exc).__name__}: {exc}"
-                digests[f"{name} seed {seed} op {i} ({op.label})"] = digest
-print(json.dumps(digests))
+                    item = [f"raised {type(exc).__name__}: {exc}", None]
+                items[f"{name} seed {seed} op {i} ({op.label})"] = item
+print(json.dumps(items))
 """
 
 
@@ -81,10 +93,11 @@ def _python(tree: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def fv_items(tree: Path, seeds: list[int]) -> dict[str, str]:
-    """The digest of every FV operation of tree, by item name."""
+def fv_items(tree: Path, seeds: list[int]) -> dict[str, list]:
+    """[digest, trace columns or None] of every FV operation of tree, by
+    item name."""
     rc, out, err = _python(tree, ["-c", _FV_SCRIPT, ",".join(WORKLOADS),
-                                  ",".join(map(str, seeds))], tree)
+                                  ",".join(map(str, seeds)), ",".join(TRACE)], tree)
     if rc != 0:
         raise RuntimeError(f"the FV runs in {tree} exited {rc}:\n{err.strip()}")
     return json.loads(out)
@@ -101,6 +114,47 @@ def cli_items(tree: Path) -> dict[str, tuple]:
             files = {p.name: p.read_text() for p in sorted(cwd.iterdir())}
         items[name] = (*result, files)
     return items
+
+
+def trace_columns(name: str, item) -> dict[str, list[float]] | None:
+    """The trace columns of an item: an FV item's, or those of the table a
+    `simulate` command writes to stdout (CSV or JSON) or to out.csv."""
+    if name.startswith(WORKLOADS):
+        return item[1]
+    if not name.startswith("simulate "):
+        return None
+    text = item[3].get("out.csv", "") if name.endswith("--out") else item[1]
+    try:
+        table = json.loads(text)
+    except ValueError:   # CSV: a header, rows and a '#' footer
+        header, *rows = [line.split(",") for line in text.splitlines()
+                         if line[:1] not in ("", "#")] or [[]]
+        table = {"columns": header, "rows": [dict(zip(header, row)) for row in rows]}
+    try:
+        return {c: [float(row[c]) for row in table["rows"]] for c in table["columns"]} or None
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def column_change(parent: list[float], change: list[float]) -> float:
+    """The largest |change - parent| over the largest |parent value| (see
+    the module docstring)."""
+    if len(parent) != len(change):
+        return math.nan
+    scale = max((abs(x) for x in parent if not math.isnan(x)), default=0.0)
+    delta = 0.0
+    for x, y in zip(parent, change):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if math.isnan(d := abs(y - x)):
+            return math.nan
+        delta = max(delta, d)
+    return delta / scale if scale else (math.inf if delta else 0.0)
+
+
+def _same(a, b) -> bool:
+    """Whether two items are equal: an FV item by its digest."""
+    return a[0] == b[0] if isinstance(a, list) else a == b
 
 
 def main(argv=None) -> int:
@@ -125,9 +179,15 @@ def main(argv=None) -> int:
         return 1
     parent, change = results["parent"], results["change"]
     names = list(parent) + [n for n in change if n not in parent]
-    differ = [n for n in names if n not in parent or n not in change or parent[n] != change[n]]
+    differ = [n for n in names
+              if n not in parent or n not in change or not _same(parent[n], change[n])]
     for name in differ:
         print(f"differs: {name}")
+        cols = [trace_columns(name, side[name]) if name in side else None
+                for side in (parent, change)]
+        if None not in cols:
+            print("  max|change|/max|value|: " + ", ".join(
+                f"{c} {column_change(p, cols[1].get(c, [])):.2g}" for c, p in cols[0].items()))
     print(f"{len(names) - len(differ)} of {len(names)} items equal")
     return 1 if differ else 0
 
